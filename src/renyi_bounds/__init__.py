@@ -16,7 +16,7 @@ from .errors import (
     RenyiBoundsError,
     UnsupportedOperation,
 )
-from .quadrature import Domain, MCResult, NumericsConfig, QuadratureResult, integrate, integrate_2d, mc_expect
+from .quadrature import Domain, MCResult, NumericsConfig, QuadratureResult, integrate, mc_expect
 from .specfun import beta, beta_tilde, kappa, lambert_w0, ln_gamma, theta
 from .moment_core import (
     MomentVector,
@@ -37,8 +37,6 @@ from .distributions import (
     ScalarDistribution,
     TwoPoint,
     L_r,
-    log_moment,
-    renyi_entropy,
 )
 from .entropy_bounds import (
     BoundReport,

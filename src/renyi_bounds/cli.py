@@ -92,9 +92,13 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("--seed", type=int, default=None,
                         help=f"RNG seed (default {DEFAULT_SEED}; ${SEED_ENV_VAR} overrides)")
-        sp.add_argument("--tol", type=float, default=1e-9, help="relative quadrature tolerance")
         sp.add_argument("--out", default="-", help="output path ('-' = stdout)")
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
+
+    def tol(sp):
+        # only the commands that run a quadrature take a tolerance
+        sp.add_argument("--tol", type=float, default=NumericsConfig().rel_tol,
+                        help="relative quadrature tolerance")
 
     sp = sub.add_parser("fig1", help="lognormal gaps vs r for several sigma2")
     sp.add_argument("--r-grid", type=_floats, default=None)
@@ -111,6 +115,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=float, default=0.0)
     sp.add_argument("--q", type=float, default=2.0)
     common(sp)
+    tol(sp)
 
     sp = sub.add_parser("entropy-bound", help="one evaluation of the entropy bound")
     sp.add_argument("--family", choices=("lognormal", "gaussian"), required=True)
@@ -133,9 +138,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--q", type=float, default=2.0)
     sp.add_argument("--r", type=float, default=0.5)
     common(sp)
+    tol(sp)
 
     sp = sub.add_parser("verify", help="run the oracle cross-check suite")
     common(sp)
+    tol(sp)
     return parser
 
 
@@ -143,10 +150,10 @@ def _config(args) -> NumericsConfig:
     seed = args.seed
     if seed is None:
         seed = int(os.environ.get(SEED_ENV_VAR, DEFAULT_SEED))
-    return NumericsConfig(rel_tol=args.tol, rng_seed=seed)
+    return NumericsConfig(rel_tol=getattr(args, "tol", NumericsConfig().rel_tol), rng_seed=seed)
 
 
-def _cmd_entropy_bound(args, cfg):
+def _cmd_entropy_bound(args):
     if args.family == "lognormal":
         d = Lognormal(args.mu, args.sigma2)
         sup, n = Support.positive_half_line(), 1
@@ -180,34 +187,31 @@ def _cmd_mi_bound(args, cfg):
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    results = []
     try:
         cfg = _config(args)
         if args.command == "fig1":
-            cols, rows = fig1_rows(args.r_grid or (), args.sigma2 or (), cfg)
+            cols, rows = fig1_rows(args.r_grid or (), args.sigma2 or ())
         elif args.command == "fig2":
-            cols, rows = fig2_rows(args.r, args.n_max, cfg)
+            cols, rows = fig2_rows(args.r, args.n_max)
         elif args.command == "fig3":
             cols, rows = fig3_rows(args.eps_grid or (), args.p, args.q, cfg)
         elif args.command == "entropy-bound":
-            cols, rows = _cmd_entropy_bound(args, cfg)
+            cols, rows = _cmd_entropy_bound(args)
         elif args.command == "mi-bound":
             cols, rows = _cmd_mi_bound(args, cfg)
         else:  # verify
             results = run_verification(cfg)
             cols = ["check", "passed", "detail"]
             rows = [(r.name, bool(r.passed), r.detail.replace(",", ";")) for r in results]
-            _write(args.out, _render(args.command, cfg, cols, rows, args.format))
-            failed = [r for r in results if not r.passed]
-            if failed:
-                for r in failed:
-                    print(f"FAILED {r.name}: {r.detail}", file=sys.stderr)
-                return 1
-            return 0
-    except RenyiBoundsError as exc:
+        _write(args.out, _render(args.command, cfg, cols, rows, args.format))
+    except (RenyiBoundsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _write(args.out, _render(args.command, cfg, cols, rows, args.format))
-    return 0
+    failed = [r for r in results if not r.passed]
+    for r in failed:
+        print(f"FAILED {r.name}: {r.detail}", file=sys.stderr)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

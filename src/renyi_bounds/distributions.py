@@ -22,7 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainError, DivergenceDetected, MomentDiverges, UnsupportedOperation
-from .moment_core import Support, lambda_of
+from .moment_core import Support, TwoMomentParams
 from .quadrature import Domain, NumericsConfig, integrate
 from .specfun import LOG_2PI, ln_gamma
 
@@ -33,10 +33,7 @@ __all__ = [
     "TwoPoint",
     "PointMass",
     "GenericPdf",
-    "log_moment",
-    "renyi_entropy",
     "L_r",
-    "sample",
     "iid_pair_sampler",
 ]
 
@@ -82,8 +79,10 @@ class Lognormal(ScalarDistribution):
     sigma2: float = 1.0
 
     def __post_init__(self):
-        if not self.sigma2 > 0.0:
-            raise DomainError(f"sigma2 must be positive, got {self.sigma2!r}")
+        if not math.isfinite(self.mu):
+            raise DomainError(f"mu must be finite, got {self.mu!r}")
+        if not 0.0 < self.sigma2 < math.inf:
+            raise DomainError(f"sigma2 must be positive and finite, got {self.sigma2!r}")
 
     def log_moment(self, s: float) -> float:
         return self.mu * s + 0.5 * self.sigma2 * s * s
@@ -164,8 +163,8 @@ class TwoPoint(ScalarDistribution):
     def __post_init__(self):
         if not 0.0 < self.eps < 1.0:
             raise DomainError(f"eps must lie in (0, 1), got {self.eps!r}")
-        if not self.a > 0.0:
-            raise DomainError(f"atom a must be positive, got {self.a!r}")
+        if not 0.0 < self.a < math.inf:
+            raise DomainError(f"atom a must be positive and finite, got {self.a!r}")
 
     def log_moment(self, s: float) -> float:
         return float(
@@ -176,6 +175,8 @@ class TwoPoint(ScalarDistribution):
         return np.where(rng.random(size) < self.eps, self.a, 1.0)
 
     def atoms_and_probs(self):
+        if self.a == 1.0:  # both atoms coincide: a point mass at 1
+            return np.array([1.0]), np.array([1.0])
         return np.array([1.0, self.a]), np.array([1.0 - self.eps, self.eps])
 
 
@@ -188,8 +189,10 @@ class PointMass(ScalarDistribution):
     is_discrete = True
 
     def __post_init__(self):
-        if not self.c > 0.0:
-            raise DomainError(f"point mass location must be positive, got {self.c!r}")
+        if not 0.0 < self.c < math.inf:
+            raise DomainError(
+                f"point mass location must be positive and finite, got {self.c!r}"
+            )
 
     def log_moment(self, s: float) -> float:
         return s * math.log(self.c)
@@ -249,32 +252,25 @@ class GenericPdf(ScalarDistribution):
         return Support.positive_half_line()
 
 
-# ---------------------------------------------------------------------------
-# Functional façade mirroring the operation names used elsewhere
-# ---------------------------------------------------------------------------
-
-
-def log_moment(d: ScalarDistribution, s: float) -> float:
-    return d.log_moment(s)
-
-
-def renyi_entropy(d: ScalarDistribution, r: float) -> float:
-    return d.renyi_entropy(r)
-
-
-def sample(d: ScalarDistribution, rng: np.random.Generator, size: Optional[int] = None):
-    return d.sample(rng, size)
+def _moment_term(d: ScalarDistribution, params: TwoMomentParams, n: int) -> float:
+    """(r lam / (1-r)) log E|X|^(np) + (r (1-lam) / (1-r)) log E|X|^(nq), the
+    moment term of every two-moment bound; +inf when either moment is
+    infinite."""
+    lp = d.log_moment(n * params.p)
+    lq = d.log_moment(n * params.q)
+    if math.isinf(lp) or math.isinf(lq):
+        return math.inf
+    c = params.r / (1.0 - params.r)
+    return c * params.lam * lp + c * (1.0 - params.lam) * lq
 
 
 def L_r(d: ScalarDistribution, r: float, p: float, q: float) -> float:
     """Moment mixture L_r(X; p, q) =
     (r lam / (1-r)) log E|X|^p + (r (1-lam) / (1-r)) log E|X|^q."""
-    lam = lambda_of(r, p, q)
-    lp, lq = d.log_moment(p), d.log_moment(q)
-    if math.isinf(lp) or math.isinf(lq):
+    L = _moment_term(d, TwoMomentParams(r, p, q), 1)
+    if math.isinf(L):
         raise MomentDiverges(f"log-moment infinite at p={p!r} or q={q!r}")
-    c = r / (1.0 - r)
-    return c * lam * lp + c * (1.0 - lam) * lq
+    return L
 
 
 def iid_pair_sampler(d: ScalarDistribution):

@@ -31,18 +31,19 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .distributions import GaussianMagnitude, Lognormal, ScalarDistribution
+from .distributions import GaussianMagnitude, Lognormal, ScalarDistribution, _moment_term
 from .errors import (
     DomainError,
     Infeasible,
     InvalidMomentOrder,
     MomentDiverges,
     OptimizerNoConverge,
+    RenyiBoundsError,
     UnsupportedOperation,
 )
 from .moment_core import Support, TwoMomentParams, log_omega, log_psi_r
 from .quadrature import Domain, NumericsConfig, integrate
-from .specfun import LOG_2PI, ln_gamma, log_beta_tilde, theta
+from .specfun import LOG_2PI, ln_gamma, theta
 
 __all__ = [
     "BoundReport",
@@ -115,12 +116,9 @@ def _gap_at(
         params = TwoMomentParams(r, p, q)
     except InvalidMomentOrder:
         return math.inf
-    lp = d.log_moment(n * p)
-    lq = d.log_moment(n * q)
-    if math.isinf(lp) or math.isinf(lq):
+    L = _moment_term(d, params, n)
+    if math.isinf(L):
         return math.inf
-    c = r / (1.0 - r)
-    L = c * params.lam * lp + c * (1.0 - params.lam) * lq
     return log_omega_s + log_psi_r(params) + L - entropy
 
 
@@ -139,19 +137,12 @@ def entropy_bound(
     has a density; otherwise only the bound.
     """
     params = TwoMomentParams(r, p, q)
-    lp = d.log_moment(n * p)
-    lq = d.log_moment(n * q)
-    if math.isinf(lp) or math.isinf(lq):
+    L = _moment_term(d, params, n)
+    if math.isinf(L):
         raise MomentDiverges(
             f"moment of order n*p={n * p!r} or n*q={n * q!r} diverges"
         )
-    c = r / (1.0 - r)
-    bound = (
-        log_omega(sup)
-        + log_psi_r(params)
-        + c * params.lam * lp
-        + c * (1.0 - params.lam) * lq
-    )
+    bound = log_omega(sup) + log_psi_r(params) + L
     try:
         h = d.renyi_entropy(r)
     except UnsupportedOperation:
@@ -164,30 +155,17 @@ def entropy_bound(
 # ---------------------------------------------------------------------------
 
 
-def lognormal_gap_closed(r: float, form: str = "theta") -> float:
-    """Optimal two-moment gap for the lognormal family; (mu, sigma2)-free.
+def lognormal_gap_closed(r: float) -> float:
+    """Optimal two-moment gap for the lognormal family; (mu, sigma2)-free:
 
-    form="theta":   2 theta(r/(2(1-r))) - theta(r/(1-r)) + (1 + log r/(1-r)) / 2
-    form="btilde":  log(B~(a, a) sqrt(r / (4(1-r)))) + 1/2
-                    - (1/2) log(2 pi r^(1/(r-1))),   a = r/(2(1-r))
+        2 theta(r/(2(1-r))) - theta(r/(1-r)) + (1 + log r/(1-r)) / 2.
 
-    The two published forms are algebraically equal; both are kept so the
-    test suite can confirm the identity behind them.
+    verify checks it against the published B~ form of the same constant.
     """
     if not 0.0 < r < 1.0:
         raise DomainError(f"r must lie in (0, 1), got {r!r}")
-    if form == "theta":
-        a = 0.5 * r / (1.0 - r)
-        return 2.0 * theta(a) - theta(2.0 * a) + 0.5 * (1.0 + math.log(r) / (1.0 - r))
-    if form == "btilde":
-        a = 0.5 * r / (1.0 - r)
-        return (
-            log_beta_tilde(a, a)
-            + 0.5 * math.log(r / (4.0 * (1.0 - r)))
-            + 0.5
-            - 0.5 * (LOG_2PI + math.log(r) / (r - 1.0))
-        )
-    raise DomainError(f"unknown form {form!r}")
+    a = 0.5 * r / (1.0 - r)
+    return 2.0 * theta(a) - theta(2.0 * a) + 0.5 * (1.0 + math.log(r) / (1.0 - r))
 
 
 def lognormal_gap_at(r: float, lam: float, u: float, sigma2: float) -> float:
@@ -273,6 +251,7 @@ def _grid_golden(fun, lo: float, hi: float, ngrid: int = 25, iters: int = 48):
 
 _LAM_EDGE = 1e-3
 _LOG_U_RANGE = 16.0
+_PASSES = 3  # coordinate cycles of the two-moment search
 
 
 def optimal_gap(
@@ -281,7 +260,6 @@ def optimal_gap(
     n: int,
     r: float,
     constrain_p_zero: bool = False,
-    passes: int = 3,
 ) -> GapReport:
     """Optimized gap Delta_r (over p, q) or Delta~_r (over q at p = 0).
 
@@ -325,7 +303,7 @@ def optimal_gap(
 
         lam, w = 0.5, 0.0
         best = obj_box(lam, w)
-        for _ in range(passes):
+        for _ in range(_PASSES):
             lam0, w0 = lam, w
             lam, best = _grid_golden(lambda L: obj_box(L, w), _LAM_EDGE, 1.0 - _LAM_EDGE)
             w, best = _grid_golden(lambda W: obj_box(lam, W), -_LOG_U_RANGE, _LOG_U_RANGE)
@@ -481,20 +459,26 @@ def mult_bound_check(
         logs = np.stack([lw + comp.log_pdf(z) for lw, comp in zip(log_w, components)])
         m = logs.max(axis=0)
         log_mix = m + np.log(np.exp(logs - m).sum(axis=0))
-        return np.exp(np.maximum(r * log_mix, -745.0))
+        return np.exp(r * log_mix)
 
     val = integrate(integrand, Domain.half_line(0.0), cfg).value
+    if not val > 0.0:
+        raise RenyiBoundsError(
+            "int f_XY^r came out 0: the quadrature missed the product density"
+        )
     h_xy = math.log(val) / (1.0 - r)
     gap = entropy_bound(dY, dY.support(), 1, r, p, q).gap
     h_ty = dY.renyi_entropy(r) + math.log(t)
     return h_xy - h_ty - gap
 
 
+_FD_STEP = 1e-4  # central-difference step for the log-moment cumulants
+
+
 def diff_entropy_bounds(
     d: ScalarDistribution,
     n: int,
     s: float,
-    fd_step: float = 1e-4,
 ) -> Tuple[float, float]:
     """The two r -> 1 corollaries, as upper bounds on Shannon entropy h(X).
 
@@ -523,12 +507,12 @@ def diff_entropy_bounds(
         + (n / s) * (1.0 + math.log(s) + ls - math.log(n))
     )
 
-    lp = d.log_moment(fd_step)
-    lm = d.log_moment(-fd_step)
+    lp = d.log_moment(_FD_STEP)
+    lm = d.log_moment(-_FD_STEP)
     if math.isinf(lp) or math.isinf(lm):
         raise MomentDiverges("log-moments must be finite near zero")
-    mean_log = (lp - lm) / (2.0 * fd_step)
-    var_log = (lp + lm) / (fd_step * fd_step)
+    mean_log = (lp - lm) / (2.0 * _FD_STEP)
+    var_log = (lp + lm) / (_FD_STEP * _FD_STEP)
     if not var_log > 0.0:
         raise DomainError("Var(log ||X||) must be positive for the log-moment bound")
     log_moment_bound = mean_log + 0.5 * (LOG_2PI + 1.0 + math.log(var_log))

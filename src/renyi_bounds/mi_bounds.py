@@ -19,9 +19,9 @@ For the scale mixture everything reduces to expectations over U (or
 pairs U1, U2), evaluated as exact finite sums for atomic mixing laws --
 the figure-3 sweep is therefore free of Monte Carlo noise -- and by
 seeded Monte Carlo otherwise.  Densities enter the quadrature integrands
-only through their logarithms, clipped at the exp underflow boundary, so
-the heavy-tailed ratios in the chi-square and small-t bounds cannot
-produce NaNs.
+only through their logarithms, and np.where masks keep the -inf log of
+a vanishing conditional variance out of every ratio, so the heavy-tailed
+ratios in the chi-square and small-t bounds cannot produce NaNs.
 """
 
 import math
@@ -32,7 +32,7 @@ import numpy as np
 
 from .distributions import GenericPdf, ScalarDistribution, iid_pair_sampler
 from .errors import DomainError, InvalidMomentOrder, RenyiBoundsError, UnsupportedOperation
-from .moment_core import Support, log_omega, psi_half_closed
+from .moment_core import Support, TwoMomentParams, log_omega, log_psi_r
 from .quadrature import Domain, NumericsConfig, integrate, mc_expect
 from .specfun import LOG_2PI, kappa, ln_gamma
 
@@ -48,7 +48,6 @@ __all__ = [
     "prop7_bound",
     "prop8_bound",
     "prop9_bound",
-    "prop9_constant",
     "mi_oracle",
     "vs_upper_bound_check",
     "variance_model",
@@ -179,9 +178,7 @@ class _GenericAwgnConditionals:
         out = np.empty_like(y)
         for i, yi in enumerate(y):
             def f(x):
-                return np.exp(
-                    np.maximum(power * _log_npdf(yi - x, 1.0), _EXP_CLIP)
-                ) * self.dist.pdf(x)
+                return np.exp(power * _log_npdf(yi - x, 1.0)) * self.dist.pdf(x)
 
             val = integrate(f, self.dist.domain, self.cfg).value
             out[i] = math.log(val) if val > 0.0 else -math.inf
@@ -246,7 +243,7 @@ def _abs_moment_shifted_normal(s: float, m: float, cfg: NumericsConfig) -> float
         else:
             with np.errstate(divide="ignore"):
                 amp = np.where(t != 0.0, s * np.log(np.abs(t)), -np.inf)
-        return np.exp(np.maximum(amp + _log_npdf(t - m, 1.0), _EXP_CLIP))
+        return np.exp(amp + _log_npdf(t - m, 1.0))
 
     return integrate(f, _FULL, cfg).value
 
@@ -265,7 +262,14 @@ def kernel_Ks(ch, x1: float, x2: float, s: float, cfg: NumericsConfig = Numerics
         raise UnsupportedOperation("K_s applies to the AWGN channel")
     if s < 0.0:
         raise DomainError(f"s must be nonnegative, got {s!r}")
-    mom = _abs_moment_shifted_normal(s, (x1 + x2) / math.sqrt(2.0), cfg)
+    m = (x1 + x2) / math.sqrt(2.0)
+    mom = _abs_moment_shifted_normal(s, m, cfg)
+    if not mom > 0.0:
+        # the integrand is positive, so a zero means the quadrature missed its peak
+        raise RenyiBoundsError(
+            f"E|W + m|^s came out {mom:g} at m = {float(m):.6g}, s = {float(s):g}: "
+            "the quadrature missed the peak of its integrand"
+        )
     log_phi = _log_npdf((x1 - x2) / math.sqrt(2.0), 1.0)
     return math.exp(-0.5 * (1.0 + s) * math.log(2.0) + math.log(mom) + log_phi)
 
@@ -389,7 +393,7 @@ def V_s_quadrature(
         else:
             with np.errstate(divide="ignore"):
                 amp = np.where(y != 0.0, s * np.log(np.abs(y)), -np.inf)
-        return np.exp(np.maximum(amp + lv, _EXP_CLIP))
+        return np.exp(amp + lv)
 
     return integrate(integrand, _FULL, cfg).value
 
@@ -407,7 +411,7 @@ def chi2_divergence(ch, given: str = "X", cfg: NumericsConfig = NumericsConfig()
         lv = model.log_var(y)
         with np.errstate(invalid="ignore"):
             z = np.where(lv == -np.inf, -np.inf, lv - model.log_marginal(y))
-        return np.exp(np.maximum(z, _EXP_CLIP))
+        return np.exp(z)
 
     return integrate(integrand, _FULL, cfg).value
 
@@ -437,7 +441,7 @@ def prop7_bound(
             z = np.where(
                 lv == -np.inf, -np.inf, (1.0 - 2.0 * t) * model.log_marginal(y) + t * lv
             )
-        return np.exp(np.maximum(z, _EXP_CLIP))
+        return np.exp(z)
 
     return kappa(t) * integrate(integrand, _FULL, cfg).value
 
@@ -449,9 +453,13 @@ def marginal_renyi_entropy(ch, r: float, cfg: NumericsConfig = NumericsConfig())
     model = variance_model(ch, "X", cfg)
 
     def integrand(y):
-        return np.exp(np.maximum(r * model.log_marginal(y), _EXP_CLIP))
+        return np.exp(r * model.log_marginal(y))
 
     val = integrate(integrand, _FULL, cfg).value
+    if not val > 0.0:
+        raise RenyiBoundsError(
+            "int f(y)^r dy came out 0: the quadrature missed the output density"
+        )
     return math.log(val) / (1.0 - r)
 
 
@@ -469,19 +477,6 @@ def prop8_bound(
     return kappa(t) * math.exp(t * (hr + math.log(v0)))
 
 
-def prop9_constant(lam: float) -> float:
-    """C(lam) = kappa(1/2) sqrt(pi lam^-lam (1-lam)^-(1-lam) / sin(pi lam))."""
-    if not 0.0 < lam < 1.0:
-        raise DomainError(f"lam must lie in (0, 1), got {lam!r}")
-    inner = (
-        math.log(math.pi)
-        - lam * math.log(lam)
-        - (1.0 - lam) * math.log1p(-lam)
-        - math.log(math.sin(math.pi * lam))
-    )
-    return kappa(0.5) * math.exp(0.5 * inner)
-
-
 def prop9_bound(
     ch,
     p: float,
@@ -493,8 +488,10 @@ def prop9_bound(
 
         I(W; Y) <= C(lam) sqrt(omega(S_Y) V_np^lam V_nq^(1-lam) / (q - p)),
 
-    lam = (q-1)/(q-p), built from two V_s evaluations.  Requires
-    0 <= p < 1 < q (the V_s orders must be nonnegative).
+    lam = (q-1)/(q-p), built from two V_s evaluations.  The constant is
+    C(lam) = kappa(1/2) sqrt((q - p) psi_{1/2}(p, q)): psi_r of the entropy
+    bound at r = 1/2, where its lam is this one.  Requires 0 <= p < 1 < q
+    (the V_s orders must be nonnegative).
     """
     if not p < 1.0 < q:
         raise InvalidMomentOrder(f"need p < 1 < q, got ({p!r}, {q!r})")
@@ -505,13 +502,12 @@ def prop9_bound(
     vq = V_s(ch, n * q, given, cfg, stream=2).value
     if vp == 0.0 or vq == 0.0:
         return 0.0
-    lam = (q - 1.0) / (q - p)
-    log_psi = math.log(psi_half_closed(p, q))
+    params = TwoMomentParams(0.5, p, q)
     inner = (
         log_omega(ch.support_y())
-        + log_psi
-        + lam * math.log(vp)
-        + (1.0 - lam) * math.log(vq)
+        + log_psi_r(params)
+        + params.lam * math.log(vp)
+        + (1.0 - params.lam) * math.log(vq)
     )
     return kappa(0.5) * math.exp(0.5 * inner)
 

@@ -36,7 +36,6 @@ __all__ = [
     "lambda_of",
     "psi_r",
     "log_psi_r",
-    "psi_half_closed",
     "c_r_numeric",
     "omega",
     "log_omega",
@@ -162,23 +161,6 @@ def log_psi_r(params: TwoMomentParams) -> float:
 def psi_r(params: TwoMomentParams) -> float:
     """The two-moment constant psi_r(p, q) = B~(r lam/(1-r), r(1-lam)/(1-r)) / (q-p)."""
     return math.exp(log_psi_r(params))
-
-
-def psi_half_closed(p: float, q: float) -> float:
-    """psi_{1/2}(p, q) = pi lam^-lam (1-lam)^-(1-lam) / ((q-p) sin(pi lam)).
-
-    Reduction of psi_r at r = 1/2 by Euler's reflection formula; kept as an
-    independent route for r = 1/2 checks and the mutual-information constant.
-    """
-    lam = lambda_of(0.5, p, q)
-    log_val = (
-        math.log(math.pi)
-        - lam * math.log(lam)
-        - (1.0 - lam) * math.log1p(-lam)
-        - math.log(q - p)
-        - math.log(math.sin(math.pi * lam))
-    )
-    return math.exp(log_val)
 
 
 def c_r_numeric(

@@ -41,7 +41,6 @@ __all__ = [
     "QuadratureResult",
     "MCResult",
     "integrate",
-    "integrate_2d",
     "mc_expect",
     "rng_for",
 ]
@@ -271,31 +270,10 @@ def integrate(
     )
 
 
-def integrate_2d(
-    f: Callable[[float, np.ndarray], np.ndarray],
-    outer: Domain,
-    inner: Domain,
-    cfg: NumericsConfig = NumericsConfig(),
-) -> QuadratureResult:
-    """Nested 2-D integral of f(y, x) dx dy; f vectorized in its second slot.
-
-    The inner integral is evaluated adaptively for every outer abscissa,
-    so the outer error estimate inherits inner noise; keep inner
-    tolerances a couple of orders below the target accuracy.
-    """
-
-    def outer_integrand(ys):
-        out = np.empty_like(ys)
-        for i, y in enumerate(np.atleast_1d(ys)):
-            out[i] = integrate(lambda x: f(float(y), x), inner, cfg).value
-        return out
-
-    return integrate(outer_integrand, outer, cfg)
-
-
 def rng_for(cfg: NumericsConfig, stream: int = 0) -> np.random.Generator:
     """Philox generator for the configured seed; stream selects an
-    independent substream so parallel sweeps stay reproducible."""
+    independent substream, so a draw does not depend on the draws made
+    before it."""
     ss = np.random.SeedSequence(cfg.rng_seed, spawn_key=(stream,))
     return np.random.Generator(np.random.Philox(ss))
 

@@ -32,6 +32,7 @@ from .moment_core import (
 )
 from .quadrature import Domain, NumericsConfig, integrate, mc_expect, rng_for
 from .specfun import (
+    LOG_2PI,
     beta_tilde,
     kappa,
     kappa_fixed_point,
@@ -222,9 +223,22 @@ def check_psi_vs_cr_oracle(cfg) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
+def _lognormal_gap_btilde(r: float) -> float:
+    """The published B~ form of the optimal lognormal gap,
+    log(B~(a, a) sqrt(r / (4(1-r)))) + 1/2 - (1/2) log(2 pi r^(1/(r-1))),
+    a = r/(2(1-r)); algebraically equal to eb.lognormal_gap_closed."""
+    a = 0.5 * r / (1.0 - r)
+    return (
+        log_beta_tilde(a, a)
+        + 0.5 * math.log(r / (4.0 * (1.0 - r)))
+        + 0.5
+        - 0.5 * (LOG_2PI + math.log(r) / (r - 1.0))
+    )
+
+
 def check_lognormal_forms(cfg) -> CheckResult:
     worst = max(
-        abs(eb.lognormal_gap_closed(r, "theta") - eb.lognormal_gap_closed(r, "btilde"))
+        abs(eb.lognormal_gap_closed(r) - _lognormal_gap_btilde(r))
         for r in np.arange(0.1, 0.95, 0.1)
     )
     return _check("entropy.lognormal_gap_two_forms", worst, 1e-10)

@@ -1,5 +1,6 @@
 """Command-line front end: formats, exit codes, seeds and reproducibility."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -84,6 +85,22 @@ class TestReproducibility:
         main(["fig3", "--eps-grid", "0.01", "--seed", "99", "--out", str(out)])
         assert b"seed=99" in _read(out)
 
+    # SHA-256 of the default CSVs under the default seed.  A change that
+    # moves any of them must fix a numerical bug and say so.
+    DEFAULT_CSV_SHA256 = {
+        "fig1": "fb928ba28a8b1e506be00c2775b2970b74b2a59a6a9be5e7c80778671fce4391",
+        "fig2": "442d03148c971996afe7b687d548e5ba1d96ff451f4d096c2a824df1cc1e2b93",
+        "fig3": "0b2402467422c53c999695f9c57f03d2e066c5ec5ed1c5008e771b05366a624c",
+        "verify": "955a5ed4c92d0a70c43391be9026cd65f215b6786280d0ec227c03014a1579e0",
+    }
+
+    @pytest.mark.parametrize("command", sorted(DEFAULT_CSV_SHA256))
+    def test_default_csv_pinned(self, command, tmp_path, monkeypatch):
+        monkeypatch.delenv("RENYI_BOUNDS_SEED", raising=False)
+        out = tmp_path / f"{command}.csv"
+        assert main([command, "--out", str(out)]) == 0
+        assert hashlib.sha256(_read(out)).hexdigest() == self.DEFAULT_CSV_SHA256[command]
+
     def test_json_format(self, tmp_path):
         out = tmp_path / "fig3.json"
         assert main(["fig3", "--eps-grid", "0.01,0.1", "--format", "json",
@@ -105,11 +122,44 @@ class TestExitCodes:
             main(["fig9"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["fig1"],
+        ["fig2"],
+        ["entropy-bound", "--family", "lognormal", "--r", "0.5", "--p", "0", "--q", "2"],
+    ], ids=["fig1", "fig2", "entropy-bound"])
+    def test_tol_rejected_where_no_quadrature_runs(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--tol", "1e-6"])
+        assert exc.value.code == 2
+
     def test_invalid_parameters_exit_2(self, capsys):
         rc = main(["entropy-bound", "--family", "lognormal", "--sigma2", "-1",
                    "--r", "0.5", "--p", "0", "--q", "2"])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args", [
+        ["--mu", "nan", "--sigma2", "1"],
+        ["--mu", "inf", "--sigma2", "1"],
+        ["--mu", "0", "--sigma2", "inf"],
+    ], ids=["mu-nan", "mu-inf", "sigma2-inf"])
+    def test_non_finite_family_parameter_exit_2(self, args, capsys):
+        rc = main(["entropy-bound", "--family", "lognormal", *args,
+                   "--r", "0.5", "--p", "0", "--q", "2"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "finite" in captured.err and captured.out == ""
+
+    def test_unwritable_out_exit_2(self, tmp_path, capsys):
+        rc = main(["entropy-bound", "--family", "lognormal", "--r", "0.5", "--p", "0",
+                   "--q", "2", "--out", str(tmp_path / "missing" / "x.csv")])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_fig2_empty_dimension_range_exit_2(self, capsys):
+        assert main(["fig2", "--n-max", "0"]) == 2
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and captured.out == ""
 
     def test_invalid_moment_order_exit_2(self, capsys):
         rc = main(["entropy-bound", "--family", "lognormal", "--sigma2", "1",

@@ -198,6 +198,26 @@ class TestValidation:
         with pytest.raises(DomainError):
             PointMass(0.0)
 
+    @pytest.mark.parametrize("make", [
+        lambda: Lognormal(math.nan, 1.0),
+        lambda: Lognormal(math.inf, 1.0),
+        lambda: Lognormal(0.0, math.nan),
+        lambda: Lognormal(0.0, math.inf),
+        lambda: TwoPoint(0.5, math.inf),
+        lambda: TwoPoint(0.5, math.nan),
+        lambda: PointMass(math.inf),
+        lambda: PointMass(math.nan),
+    ], ids=["lognormal-mu-nan", "lognormal-mu-inf", "lognormal-sigma2-nan",
+            "lognormal-sigma2-inf", "two-point-a-inf", "two-point-a-nan",
+            "point-mass-inf", "point-mass-nan"])
+    def test_non_finite_parameters_rejected(self, make):
+        with pytest.raises(DomainError):
+            make()
+
+    def test_coinciding_atoms_are_one_atom(self):
+        atoms, probs = TwoPoint(0.1, 1.0).atoms_and_probs()
+        assert atoms.tolist() == [1.0] and probs.tolist() == [1.0]
+
     def test_generic_pdf_must_normalize(self):
         with pytest.raises(DomainError):
             GenericPdf(lambda x: 2.0 * np.exp(-x), Domain.half_line(0.0), CFG)

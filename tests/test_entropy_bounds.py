@@ -35,6 +35,7 @@ from renyi_bounds.errors import (
     Infeasible,
     InvalidMomentOrder,
     MomentDiverges,
+    RenyiBoundsError,
 )
 from renyi_bounds.moment_core import Support, TwoMomentParams, psi_r
 from renyi_bounds.quadrature import NumericsConfig
@@ -79,10 +80,18 @@ class TestEntropyBound:
 
 class TestLognormalGap:
     def test_two_published_forms_agree(self):
+        from renyi_bounds.specfun import LOG_2PI, log_beta_tilde
+
         for r in np.arange(0.1, 0.95, 0.1):
-            a = lognormal_gap_closed(float(r), "theta")
-            b = lognormal_gap_closed(float(r), "btilde")
-            assert abs(a - b) <= 1e-10
+            r = float(r)
+            a = 0.5 * r / (1.0 - r)
+            btilde = (
+                log_beta_tilde(a, a)
+                + 0.5 * math.log(r / (4.0 * (1.0 - r)))
+                + 0.5
+                - 0.5 * (LOG_2PI + math.log(r) / (r - 1.0))
+            )
+            assert abs(lognormal_gap_closed(r) - btilde) <= 1e-10
 
     def test_reference_value(self):
         assert lognormal_gap_closed(0.5) == pytest.approx(LOG_GAP_HALF, rel=1e-12)
@@ -336,6 +345,16 @@ class TestMultiplicationBound:
         # mixture with closed-form pdf, integrated by quadrature.
         res = mult_bound_check(Lognormal(0.0, 1.0), TwoPoint(0.5, 2.0), 2.0, 0.5, 0.3, 2.0, CFG)
         assert res <= 1e-3
+
+    def test_far_product_density_found_or_refused(self):
+        # lognormal Y far from 1 and X = 1: the residual is -gap, or the
+        # call refuses; never a bare ValueError or a garbage entropy
+        gap = entropy_bound(Lognormal(60.0, 0.01), SUP_POS, 1, 0.5, 0.5, 2.0).gap
+        try:
+            res = mult_bound_check(Lognormal(60.0, 0.01), PointMass(1.0), 1.0, 0.5, 0.5, 2.0, CFG)
+        except RenyiBoundsError:
+            return
+        assert res == pytest.approx(-gap, abs=1e-9)
 
     def test_scale_shift_identity(self):
         d = Lognormal(0.4, 1.5)

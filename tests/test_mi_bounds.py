@@ -19,6 +19,7 @@ from renyi_bounds.distributions import (
 from renyi_bounds.errors import (
     DomainError,
     InvalidMomentOrder,
+    RenyiBoundsError,
     UnsupportedOperation,
 )
 from renyi_bounds.mi_bounds import (
@@ -34,7 +35,6 @@ from renyi_bounds.mi_bounds import (
     prop7_bound,
     prop8_bound,
     prop9_bound,
-    prop9_constant,
     variance_model,
     vs_upper_bound_check,
 )
@@ -84,6 +84,16 @@ class TestKernel:
         xs = [-1.0, 0.0, 1.0]
         gram = np.array([[kernel_Ks(ch, a, b, 0.0, CFG) for b in xs] for a in xs])
         assert np.linalg.eigvalsh(gram).min() >= -1e-12
+
+    def test_far_peak_found_or_refused(self):
+        # E|W + m|^2 = 1 + m^2; at m = 113 the answer is this or a refusal,
+        # never a silent underflow or a bare ValueError
+        m = 160.0 / math.sqrt(2.0)
+        try:
+            k = kernel_Ks(AwgnChannel(TwoPoint(0.3, 80.0)), 80.0, 80.0, 2.0, CFG)
+        except RenyiBoundsError:
+            return
+        assert k == pytest.approx(2.0**-1.5 * (1.0 + m * m) * _phi(0.0), rel=1e-8)
 
     def test_mixture_channel_rejected(self):
         with pytest.raises(UnsupportedOperation):
@@ -271,10 +281,18 @@ class TestProp9:
     def test_degenerate(self):
         assert prop9_bound(AwgnChannel(PointMass(1.0)), 0.0, 2.0, "X", CFG) == 0.0
 
-    def test_constant_at_half(self):
-        assert prop9_constant(0.5) == pytest.approx(
-            kappa(0.5) * math.sqrt(2.0 * math.pi), rel=1e-12
-        )
+    def test_constant_matches_reflection_form(self):
+        # C(lam) = kappa(1/2) sqrt(pi lam^-lam (1-lam)^-(1-lam) / sin(pi lam))
+        ch = ScaleMixtureChannel(TwoPoint(0.2, 3.0))
+        for p, q in ((0.0, 2.0), (0.5, 3.0), (0.2, 1.5)):
+            lam = (q - 1.0) / (q - p)
+            c = kappa(0.5) * math.sqrt(
+                math.pi * lam**-lam * (1.0 - lam) ** (lam - 1.0) / math.sin(math.pi * lam)
+            )
+            vp = V_s(ch, p, "U", CFG).value
+            vq = V_s(ch, q, "U", CFG).value
+            expected = c * math.sqrt(2.0 * vp**lam * vq ** (1.0 - lam) / (q - p))
+            assert prop9_bound(ch, p, q, "U", CFG) == pytest.approx(expected, rel=1e-12)
 
     def test_validation(self):
         ch = ScaleMixtureChannel(PointMass(1.0))
@@ -287,6 +305,15 @@ class TestProp9:
 class TestOracle:
     def test_degenerate(self):
         assert mi_oracle(AwgnChannel(PointMass(1.0)), "X", CFG) == pytest.approx(0.0, abs=1e-12)
+
+    def test_coinciding_atoms_give_exact_zero(self):
+        # both atoms of TwoPoint(eps, 1) sit at 1: the input is constant and
+        # every quantity is exactly 0, not a rounding residue of either sign
+        ch = AwgnChannel(TwoPoint(0.1, 1.0))
+        assert mi_oracle(ch, "X", CFG) == 0.0
+        assert chi2_mi_bound(ch, "X", CFG) == 0.0
+        assert prop8_bound(ch, 0.5, "X", CFG) == 0.0
+        assert prop9_bound(ch, 0.0, 2.0, "X", CFG) == 0.0
 
     def test_gaussian_capacity(self):
         for s2 in (0.5, 1.0, 4.0):
@@ -335,6 +362,16 @@ class TestMarginals:
                 lambda y: np.exp(model.log_marginal(y)), Domain.full_line(), CFG
             ).value
             assert mass == pytest.approx(1.0, abs=1e-8)
+
+    def test_far_output_entropy_found_or_refused(self):
+        # Y ~ N(1e4, 1): h_r(Y) = h_r(N(0, 1)), or the call refuses
+        r = 0.5
+        try:
+            h = marginal_renyi_entropy(AwgnChannel(PointMass(1e4)), r, CFG)
+        except RenyiBoundsError:
+            return
+        assert h == pytest.approx(0.5 * (math.log(2.0 * math.pi) + math.log(r) / (r - 1.0)),
+                                  abs=1e-8)
 
     def test_small_variation_uniform_bound(self):
         # 1 - E exp(-(X1-X2)^2/4) <= eps^2 + 2 P(|X - x0| >= eps)

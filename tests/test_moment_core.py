@@ -19,13 +19,27 @@ from renyi_bounds.moment_core import (
     lambda_of,
     log_omega,
     omega,
-    psi_half_closed,
     psi_r,
     two_moment_bound,
 )
 from renyi_bounds.quadrature import Domain, NumericsConfig, integrate
 
 CFG = NumericsConfig()
+
+
+def psi_half_closed(p, q):
+    """psi_{1/2}(p, q) = pi lam^-lam (1-lam)^-(1-lam) / ((q-p) sin(pi lam)),
+    lam = (q-1)/(q-p): psi_r at r = 1/2 reduced by Euler's reflection
+    formula, the independent route for the r = 1/2 checks."""
+    lam = (q - 1.0) / (q - p)
+    log_val = (
+        math.log(math.pi)
+        - lam * math.log(lam)
+        - (1.0 - lam) * math.log1p(-lam)
+        - math.log(q - p)
+        - math.log(math.sin(math.pi * lam))
+    )
+    return math.exp(log_val)
 
 
 class TestLambda:

@@ -12,7 +12,6 @@ from renyi_bounds.quadrature import (
     Domain,
     NumericsConfig,
     integrate,
-    integrate_2d,
     mc_expect,
     rng_for,
 )
@@ -99,30 +98,6 @@ class TestDivergence:
             integrate(
                 lambda x: np.exp(-x) * np.sin(7.0 * x) ** 2, Domain.half_line(0.0), tight
             )
-
-
-class TestIntegrate2D:
-    def test_product_of_normals(self):
-        def f(y, x):
-            return (
-                np.exp(-0.5 * (x * x + y * y)) / (2 * math.pi)
-            )
-
-        res = integrate_2d(f, Domain.full_line(), Domain.full_line(),
-                           NumericsConfig(rel_tol=1e-7))
-        assert res.value == pytest.approx(1.0, rel=1e-6)
-
-    def test_gaussian_pair_kernel(self):
-        # E exp(-(X1 - X2)^2 / 4) = 1/sqrt(2) for X_i iid N(0, 1).
-        def f(y, x):
-            return (
-                np.exp(-0.25 * (y - x) ** 2)
-                * np.exp(-0.5 * (x * x + y * y)) / (2 * math.pi)
-            )
-
-        res = integrate_2d(f, Domain.full_line(), Domain.full_line(),
-                           NumericsConfig(rel_tol=1e-7))
-        assert res.value == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-6)
 
 
 class TestMonteCarlo:
