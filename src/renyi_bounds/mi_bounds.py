@@ -167,7 +167,9 @@ class _ScaleMixtureGivenX:
 class _GenericAwgnConditionals:
     """Marginal and second moment of f(y|X) by inner quadrature, for a
     generic (non-atomic) input density.  Slow path: one adaptive inner
-    integral per requested y."""
+    integral per requested y, so an outer integrand call costs one inner
+    quadrature per abscissa (240 for the outer seed grid, 120 per block of
+    the tail pre-scan)."""
 
     def __init__(self, pdf_dist: GenericPdf, cfg: NumericsConfig):
         self.dist = pdf_dist
@@ -297,6 +299,11 @@ def _vs_scale_mixture(mixing, s, given, cfg, stream):
 
     if mixing.is_discrete:
         us, probs = mixing.atoms_and_probs()
+        if given == "U" and us.size == 1:
+            # f(y|U) is one fixed density: no variance.  first(u) and
+            # cross(u, u) agree only to an ulp, and the residue, raised to
+            # a power, would make prop8/prop9 nonzero.
+            return VsValue(s, 0.0, "closed_form")
         t1 = float(probs @ first(us))
         t2 = float(probs @ (cross(us[:, None], us[None, :]) @ probs))
         value = _clip_negative(coef * (t1 - t2), coef * t1, None)

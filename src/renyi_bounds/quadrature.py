@@ -22,6 +22,17 @@ failure modes are explicit:
   flagged as divergent; a borderline tail ~ 1/x gives window ratios of
   exactly one and is flagged.
 
+* Panels are evaluated in batches: the seed grid is one integrand call,
+  each bisection one call for both children, and the tail pre-scan one
+  call per block of _SCAN_BLOCK windows.  The integrand contract follows
+  from this.  An integrand receives a 1-D contiguous array of any length
+  and must be elementwise: each value depends on its own abscissa only,
+  so batching changes no panel's value.  The pre-scan
+  may evaluate it on up to _SCAN_BLOCK - 1 windows beyond the one where
+  the scan stops.  Its cost is per point, not per call, when each point
+  runs work of its own (mi_bounds._GenericAwgnConditionals runs one inner
+  quadrature per abscissa).
+
 * mc_expect() is a seeded Monte Carlo mean with standard error, built on
   the counter-based Philox generator so that results are reproducible
   bit-for-bit for a fixed NumericsConfig.
@@ -123,6 +134,15 @@ _KWEIGHTS = np.concatenate([_WGK[:7], _WGK[:8][::-1]])
 _GAUSS_IDX = np.arange(1, 15, 2)
 _GWEIGHTS = np.concatenate([_WG[:3], _WG[3:4], _WG[:3][::-1]])
 
+# Tail pre-scan windows [2^k, 2^(k+1)] outward and [2^-(k+1), 2^-k] inward,
+# k = 0..51, shifted by the finite endpoint at call time.
+_OUT_LO = np.ldexp(1.0, np.arange(52))
+_OUT_HI = 2.0 * _OUT_LO
+_IN_HI = 1.0 / _OUT_LO
+_IN_LO = 0.5 * _IN_HI
+# Windows evaluated per integrand call of the pre-scan.
+_SCAN_BLOCK = 8
+
 
 def _unit_transform(domain: Domain):
     """Return (lo, hi, to_x, jacobian) mapping the unit coordinate onto domain."""
@@ -151,32 +171,55 @@ def _unit_transform(domain: Domain):
     return -1.0, 1.0, to_x, jac
 
 
-def _panel(g: Callable, lo: float, hi: float):
-    """One Gauss-Kronrod evaluation of g on [lo, hi] -> (value, error)."""
+def _node_values(fn: Callable, lo: np.ndarray, hi: np.ndarray):
+    """fn on the K15 nodes of every panel [lo[i], hi[i]], in one call ->
+    (half-widths, one row of 15 values per panel, whether each row is
+    finite).  Callers run it, and the sums over its rows, inside
+    np.errstate: node values and their dot products may overflow."""
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
-    u = mid + half * _NODES
-    with np.errstate(all="ignore"):
-        y = np.asarray(g(u), dtype=float)
-    if not np.all(np.isfinite(y)):
-        raise DivergenceDetected(
-            f"integrand not finite on panel [{lo!r}, {hi!r}]"
-        )
-    k15 = half * float(np.dot(_KWEIGHTS, y))
-    g7 = half * float(np.dot(_GWEIGHTS, y[_GAUSS_IDX]))
-    return k15, abs(k15 - g7)
+    y = np.asarray(fn((mid[:, None] + half[:, None] * _NODES).ravel()), dtype=float)
+    y = y.reshape(len(lo), 15)
+    return half, y, np.isfinite(y).all(axis=1)
 
 
-def _window_mass(f: Callable, lo: float, hi: float) -> float:
-    """Integral magnitude of f over [lo, hi] from one non-adaptive K15 panel;
-    inf when any node value is non-finite."""
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
+def _panels(g: Callable, lo: np.ndarray, hi: np.ndarray):
+    """Gauss-Kronrod evaluations of g on the panels [lo[i], hi[i]], from one
+    call of g on all their nodes -> (values, errors) as lists of np.float64.
+
+    Each panel's K15 and G7 sums stay one np.dot on a contiguous 1-D row,
+    as for a lone panel: a gemv over the whole batch (or a dot on a strided
+    row) adds in another order and moves the last bit.
+    """
     with np.errstate(all="ignore"):
-        y = np.asarray(f(mid + half * _NODES), dtype=float)
-    if not np.all(np.isfinite(y)):
-        return math.inf
-    return abs(half * float(np.dot(_KWEIGHTS, y)))
+        half, y, finite = _node_values(g, lo, hi)
+        if not finite.all():
+            i = int(finite.argmin())  # the first non-finite panel
+            raise DivergenceDetected(
+                f"integrand not finite on panel [{lo[i]!r}, {hi[i]!r}]"
+            )
+        vals, errs = [], []
+        for h, row in zip(half, y):
+            k15 = h * float(np.dot(_KWEIGHTS, row))
+            g7 = h * float(np.dot(_GWEIGHTS, row[_GAUSS_IDX]))
+            vals.append(k15)
+            errs.append(abs(k15 - g7))
+    return vals, errs
+
+
+def _window_masses(f: Callable, lo: np.ndarray, hi: np.ndarray):
+    """Integral magnitudes of f over the windows [lo[i], hi[i]] in scan
+    order, each from one non-adaptive K15 panel; inf for a window with a
+    non-finite node value.  One call of f covers _SCAN_BLOCK windows."""
+    for k in range(0, len(lo), _SCAN_BLOCK):
+        block = slice(k, k + _SCAN_BLOCK)
+        with np.errstate(all="ignore"):
+            half, y, finite = _node_values(f, lo[block], hi[block])
+            masses = [
+                abs(h * float(np.dot(_KWEIGHTS, row))) if ok else math.inf
+                for h, row, ok in zip(half, y, finite.tolist())
+            ]
+        yield from masses
 
 
 def _tails_diverge(f: Callable, domain: Domain, floor: float) -> bool:
@@ -190,20 +233,18 @@ def _tails_diverge(f: Callable, domain: Domain, floor: float) -> bool:
     x^-1 tail gives ratios of exactly one and is flagged; any window with
     non-finite mass is flagged outright.
     """
-    scans = []
     if domain.kind == "half_line":
         a = domain.a
-        scans.append([(a + 2.0**k, a + 2.0 ** (k + 1)) for k in range(0, 52)])
-        scans.append([(a + 2.0 ** (-k - 1), a + 2.0**-k) for k in range(0, 52)])
+        scans = ((a + _OUT_LO, a + _OUT_HI), (a + _IN_LO, a + _IN_HI))
     elif domain.kind == "full_line":
-        scans.append([(2.0**k, 2.0 ** (k + 1)) for k in range(0, 52)])
-        scans.append([(-(2.0 ** (k + 1)), -(2.0**k)) for k in range(0, 52)])
-    for windows in scans:
+        scans = ((_OUT_LO, _OUT_HI), (-_OUT_HI, -_OUT_LO))
+    else:
+        scans = ()
+    for lo, hi in scans:
         streak = 0
         prev = None
         decayed = False
-        for lo, hi in windows:
-            mass = _window_mass(f, lo, hi)
+        for mass in _window_masses(f, lo, hi):
             if not math.isfinite(mass):
                 return True
             if prev is not None:
@@ -227,8 +268,12 @@ def integrate(
 ) -> QuadratureResult:
     """Adaptive integral of a vectorized integrand over domain.
 
-    f must accept an ndarray of abscissae and return an ndarray of values,
-    finite on the interior of the domain (endpoints are never sampled).
+    f must be elementwise: it receives a 1-D contiguous array of abscissae
+    of any length (the nodes of many panels at once) and returns an array
+    of the same length, each value depending on its own abscissa only.  It
+    must be finite on the interior of the domain (endpoints are never
+    sampled); on an unbounded domain it is also evaluated on up to
+    _SCAN_BLOCK - 1 tail windows beyond the one where the pre-scan stops.
 
     Returns value and an error estimate <= max(rel_tol * |value|, abs_tol)
     on success.  Raises DivergenceDetected when the tail decay test fails
@@ -245,25 +290,29 @@ def integrate(
 
     nseed = 8 if domain.kind == "finite" else 16
     edges = np.linspace(lo, hi, nseed + 1)
-    panels = []  # entries: [error, lo, hi, value]
-    for i in range(nseed):
-        val, err = _panel(g, edges[i], edges[i + 1])
-        panels.append([err, edges[i], edges[i + 1], val])
+    # The panels as parallel lists in creation order.  The totals are summed
+    # afresh in that order on each pass: a running sum would add in another
+    # order and move the last bits of the result.
+    los, his = list(edges[:-1]), list(edges[1:])
+    vals, errs = _panels(g, edges[:-1], edges[1:])
 
     for _ in range(cfg.max_subdivisions):
-        total = sum(p[3] for p in panels)
-        total_err = sum(p[0] for p in panels)
+        total = sum(vals)
+        total_err = sum(errs)
         if total_err <= max(cfg.rel_tol * abs(total), cfg.abs_tol):
             return QuadratureResult(total, total_err)
-        worst = max(range(len(panels)), key=lambda i: panels[i][0])
-        _, plo, phi, _ = panels.pop(worst)
+        worst = errs.index(max(errs))  # the first of equal worst panels
+        plo, phi = los.pop(worst), his.pop(worst)
+        del vals[worst], errs[worst]
         mid = 0.5 * (plo + phi)
-        for a, b in ((plo, mid), (mid, phi)):
-            val, err = _panel(g, a, b)
-            panels.append([err, a, b, val])
+        v, e = _panels(g, np.array([plo, mid]), np.array([mid, phi]))
+        los += [plo, mid]
+        his += [mid, phi]
+        vals += v
+        errs += e
 
-    total = sum(p[3] for p in panels)
-    total_err = sum(p[0] for p in panels)
+    total = sum(vals)
+    total_err = sum(errs)
     raise MaxSubdivisionsExceeded(
         f"error {total_err:.3e} above tolerance after "
         f"{cfg.max_subdivisions} subdivisions (value ~ {total:.6e})"

@@ -315,6 +315,18 @@ class TestOracle:
         assert prop8_bound(ch, 0.5, "X", CFG) == 0.0
         assert prop9_bound(ch, 0.0, 2.0, "X", CFG) == 0.0
 
+    @pytest.mark.parametrize("mixing", [PointMass(2.0), TwoPoint(0.1, 1.0)])
+    def test_one_atom_mixing_given_u_is_exact_zero(self, mixing):
+        # a constant U leaves f(y|U) fixed: V_s(Y|U) and every bound built
+        # on it are exactly 0, not an ulp residue raised to a power
+        ch = ScaleMixtureChannel(mixing)
+        for s in (0.0, 0.5, 2.0):
+            assert V_s(ch, s, "U", CFG).value == 0.0
+        assert mi_oracle(ch, "U", CFG) == 0.0
+        assert chi2_mi_bound(ch, "U", CFG) == 0.0
+        assert prop8_bound(ch, 0.5, "U", CFG) == 0.0
+        assert prop9_bound(ch, 0.0, 2.0, "U", CFG) == 0.0
+
     def test_gaussian_capacity(self):
         for s2 in (0.5, 1.0, 4.0):
             ch = ScaleMixtureChannel(PointMass(s2))
