@@ -18,7 +18,7 @@ from typing import List, Optional, Sequence
 from . import __version__
 from .distributions import GaussianMagnitude, Lognormal, PointMass, TwoPoint
 from .entropy_bounds import entropy_bound
-from .errors import RenyiBoundsError
+from .errors import DomainError, RenyiBoundsError
 from .mi_bounds import (
     ScaleMixtureChannel,
     chi2_mi_bound,
@@ -149,7 +149,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def _config(args) -> NumericsConfig:
     seed = args.seed
     if seed is None:
-        seed = int(os.environ.get(SEED_ENV_VAR, DEFAULT_SEED))
+        text = os.environ.get(SEED_ENV_VAR, str(DEFAULT_SEED))
+        try:
+            seed = int(text)
+        except ValueError:
+            raise DomainError(f"${SEED_ENV_VAR} must be an integer, got {text!r}") from None
     return NumericsConfig(rel_tol=getattr(args, "tol", NumericsConfig().rel_tol), rng_seed=seed)
 
 
@@ -172,6 +176,8 @@ def _cmd_mi_bound(args, cfg):
     if args.channel == "awgn-gaussian":
         ch, given = ScaleMixtureChannel(PointMass(args.sigma2)), "X"
     else:
+        if not 0.0 < args.eps < 1.0:  # before it enters the default a
+            raise DomainError(f"eps must lie in (0, 1), got {args.eps!r}")
         a = args.a if args.a is not None else 1.0 + 1.0 / math.sqrt(args.eps)
         ch, given = ScaleMixtureChannel(TwoPoint(args.eps, a)), "U"
     cols = ["mi_oracle", "prop8_bound", "prop9_bound", "chi2_bound"]

@@ -18,10 +18,14 @@ Two channel shapes are implemented, both with unit Gaussian noise W:
 For the scale mixture everything reduces to expectations over U (or
 pairs U1, U2), evaluated as exact finite sums for atomic mixing laws --
 the figure-3 sweep is therefore free of Monte Carlo noise -- and by
-seeded Monte Carlo otherwise.  Densities enter the quadrature integrands
-only through their logarithms, and np.where masks keep the -inf log of
-a vanishing conditional variance out of every ratio, so the heavy-tailed
-ratios in the chi-square and small-t bounds cannot produce NaNs.
+seeded Monte Carlo otherwise.  The AWGN channel uses the kernel sums at
+every s over atomic inputs, and the same Monte Carlo route at s = 0
+otherwise.  Each quantity has one route; V_s_quadrature and the verify
+checks are the independent oracles.  Densities enter the quadrature
+integrands only through their logarithms, and np.where masks keep the
+-inf log of a vanishing conditional variance out of every ratio, so the
+heavy-tailed ratios in the chi-square and small-t bounds cannot produce
+NaNs.
 """
 
 import math
@@ -118,10 +122,14 @@ class _AtomicConditionals:
         y = np.atleast_1d(np.asarray(y, dtype=float))
         return _log_npdf(y[None, :] - self.means[:, None], self.vars[:, None])
 
-    def log_marginal(self, y):
-        lc = self.log_cond(y) + self.log_probs[:, None]
+    def marginal_of(self, lc):
+        """log f(y) from the conditionals lc = log_cond(y) at the same y."""
+        lc = lc + self.log_probs[:, None]
         m = lc.max(axis=0)
         return m + np.log(np.exp(lc - m).sum(axis=0))
+
+    def log_marginal(self, y):
+        return self.marginal_of(self.log_cond(y))
 
     def log_var(self, y):
         # Scaled mixture variance: factor out the largest conditional so
@@ -136,28 +144,22 @@ class _AtomicConditionals:
 
 
 class _ScaleMixtureGivenX:
-    """var(f(y|X)) for X = A sqrt(U) with atomic U, via the closed forms
+    """var(f(y|X)) for X = A sqrt(U) with atomic U, from two centred
+    Gaussian mixtures over the atoms of U:
 
         f(y)          = E_U N(y; 0, 1 + U)
         E[f(y|X)^2]   = (2 sqrt(pi))^-1 E_U N(y; 0, 1/2 + U).
     """
 
     def __init__(self, probs, us):
-        self.probs = np.asarray(probs, dtype=float)
-        self.us = np.asarray(us, dtype=float)
-        self.log_probs = np.log(self.probs)
-
-    def _log_mix(self, y, variances):
-        y = np.atleast_1d(np.asarray(y, dtype=float))
-        lc = _log_npdf(y[None, :], variances[:, None]) + self.log_probs[:, None]
-        m = lc.max(axis=0)
-        return m + np.log(np.exp(lc - m).sum(axis=0))
+        self.marginal = _AtomicConditionals(probs, np.zeros_like(us), 1.0 + us)
+        self.second = _AtomicConditionals(probs, np.zeros_like(us), 0.5 + us)
 
     def log_marginal(self, y):
-        return self._log_mix(y, 1.0 + self.us)
+        return self.marginal.log_marginal(y)
 
     def log_var(self, y):
-        lm2 = self._log_mix(y, 0.5 + self.us) - _LOG_2SQRTPI
+        lm2 = self.second.log_marginal(y) - _LOG_2SQRTPI
         diff = 2.0 * self.log_marginal(y) - lm2  # <= 0 by Jensen
         with np.errstate(divide="ignore", invalid="ignore"):
             out = lm2 + np.log1p(-np.exp(np.minimum(diff, 0.0)))
@@ -226,9 +228,9 @@ def variance_model(ch, given: str = "X", cfg: NumericsConfig = NumericsConfig())
             "use V_s with Monte Carlo for continuous U"
         )
     us, probs = ch.mixing.atoms_and_probs()
-    if given == "U":
-        return _AtomicConditionals(probs, np.zeros_like(us), 1.0 + us)
-    return _ScaleMixtureGivenX(probs, us)
+    model = _ScaleMixtureGivenX(probs, us)
+    # f(y|U) = N(y; 0, 1 + U) is the mixture that gives f(y)
+    return model.marginal if given == "U" else model
 
 
 # ---------------------------------------------------------------------------
@@ -236,29 +238,44 @@ def variance_model(ch, given: str = "X", cfg: NumericsConfig = NumericsConfig())
 # ---------------------------------------------------------------------------
 
 
+def _log_abs_pow(y, s: float):
+    """s log|y|, the log of the weight |y|^s (-inf at y = 0 when s > 0)."""
+    if s == 0.0:
+        return 0.0
+    with np.errstate(divide="ignore"):
+        return np.where(y != 0.0, s * np.log(np.abs(y)), -np.inf)
+
+
 def _abs_moment_shifted_normal(s: float, m: float, cfg: NumericsConfig) -> float:
-    """E|W + m|^s for W ~ N(0,1), by quadrature against the normal density."""
+    """E|W + m|^s for W ~ N(0,1): exactly 1 at s = 0, otherwise with M = |m|
 
-    def f(t):
-        if s == 0.0:
-            amp = 0.0
-        else:
-            with np.errstate(divide="ignore"):
-                amp = np.where(t != 0.0, s * np.log(np.abs(t)), -np.inf)
-        return np.exp(amp + _log_npdf(t - m, 1.0))
+        int_0^M (M - w)^s phi(w) dw + int_0^inf [(w + M)^s phi(w) + w^s phi(w + M)] dw,
 
-    return integrate(f, _FULL, cfg).value
+    which puts the normal peak and both kinks at endpoints, however far M is."""
+    if s == 0.0:
+        return 1.0
+    m = abs(m)
+
+    def near(w):
+        return np.exp(_log_abs_pow(m - w, s) + _log_npdf(w, 1.0))
+
+    def tail(w):
+        return near(-w) + np.exp(_log_abs_pow(w, s) + _log_npdf(w + m, 1.0))
+
+    mom = integrate(tail, Domain.half_line(), cfg).value
+    if m > 0.0:
+        mom += integrate(near, Domain.finite(0.0, m), cfg).value
+    return mom
 
 
 def kernel_Ks(ch, x1: float, x2: float, s: float, cfg: NumericsConfig = NumericsConfig()) -> float:
     """Expected-likelihood-style kernel K_s(x1, x2) = int |y|^s f(y|x1) f(y|x2) dy
     for the AWGN channel, via the factorization
 
-        K_s = 2^(-(1+s)/2) E|W + (x1+x2)/sqrt(2)|^s * phi((x1-x2)/sqrt(2)).
+        K_s = 2^(-(1+s)/2) E|W + (x1+x2)/sqrt(2)|^s * phi((x1-x2)/sqrt(2)),
 
-    The absolute moment is evaluated by quadrature rather than through
-    confluent-hypergeometric closed forms; one oracle path, no formula
-    transcription to get wrong.
+    the absolute moment by quadrature, not by a confluent-hypergeometric
+    closed form.  K_s(x1, x2) and K_s(x2, x1) agree bit for bit.
     """
     if ch.kind != "awgn":
         raise UnsupportedOperation("K_s applies to the AWGN channel")
@@ -266,27 +283,43 @@ def kernel_Ks(ch, x1: float, x2: float, s: float, cfg: NumericsConfig = Numerics
         raise DomainError(f"s must be nonnegative, got {s!r}")
     m = (x1 + x2) / math.sqrt(2.0)
     mom = _abs_moment_shifted_normal(s, m, cfg)
-    if not mom > 0.0:
-        # the integrand is positive, so a zero means the quadrature missed its peak
-        raise RenyiBoundsError(
-            f"E|W + m|^s came out {mom:g} at m = {float(m):.6g}, s = {float(s):g}: "
-            "the quadrature missed the peak of its integrand"
-        )
+    if not mom > 0.0:  # the integrand is positive: a zero is a missed peak
+        raise RenyiBoundsError(f"E|W + m|^s came out {mom:g} at m = {float(m):.6g}, s = {s:g}")
     log_phi = _log_npdf((x1 - x2) / math.sqrt(2.0), 1.0)
     return math.exp(-0.5 * (1.0 + s) * math.log(2.0) + math.log(mom) + log_phi)
 
 
-def _clip_negative(value: float, scale: float, se: Optional[float]) -> float:
-    if value >= 0.0:
-        return value
-    tol = 4.0 * se if se else 1e-13 * max(scale, 1e-300)
-    if -value <= tol:
-        return 0.0
-    raise RenyiBoundsError(f"V_s produced a negative value {value!r} beyond noise")
+def _vs_value(s, value, scale, method, se=None) -> VsValue:
+    """V_s from a difference of terms of size scale: refused out of float
+    range, clipped to 0 when negative within rounding (or 4 standard errors)."""
+    if not all(math.isfinite(v) for v in (value, scale, se or 0.0)):
+        raise DomainError(f"the terms of V_s at s = {s:g} leave the float range")
+    if value < 0.0:
+        tol = 4.0 * se if se else 1e-13 * max(scale, 1e-300)
+        if -value > tol:
+            raise RenyiBoundsError(f"V_s produced a negative value {value!r} beyond noise")
+        value = 0.0
+    return VsValue(s, value, method, se)
+
+
+def _vs_monte_carlo(g, dist, coef, s, cfg, stream) -> VsValue:
+    """coef E[g(S1, S2)] over i.i.d. pairs drawn from dist."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = mc_expect(g, iid_pair_sampler(dist), cfg, stream=stream)
+    se = coef * res.standard_error
+    return _vs_value(s, coef * res.value, coef, "monte_carlo", se)
+
+
+def _vs_coef(s: float) -> float:
+    """G((1+s)/2)/(2 pi), the constant of the scale-mixture V_s."""
+    try:
+        return math.exp(ln_gamma(0.5 * (1.0 + s))) / (2.0 * math.pi)
+    except OverflowError:
+        raise DomainError(f"G((1+s)/2) leaves the float range at s = {s:g}") from None
 
 
 def _vs_scale_mixture(mixing, s, given, cfg, stream):
-    coef = math.exp(ln_gamma(0.5 * (1.0 + s))) / (2.0 * math.pi)
+    coef = _vs_coef(s)
 
     def first(u):
         if given == "U":
@@ -297,65 +330,44 @@ def _vs_scale_mixture(mixing, s, given, cfg, stream):
         num = (1.0 + u1) ** (0.5 * s) * (1.0 + u2) ** (0.5 * s)
         return num / (1.0 + 0.5 * (u1 + u2)) ** (0.5 * (s + 1.0))
 
-    if mixing.is_discrete:
-        us, probs = mixing.atoms_and_probs()
-        if given == "U" and us.size == 1:
-            # f(y|U) is one fixed density: no variance.  first(u) and
-            # cross(u, u) agree only to an ulp, and the residue, raised to
-            # a power, would make prop8/prop9 nonzero.
-            return VsValue(s, 0.0, "closed_form")
+    if not mixing.is_discrete:
+        return _vs_monte_carlo(
+            lambda uu: first(uu[0]) - cross(uu[0], uu[1]), mixing, coef, s, cfg, stream
+        )
+    us, probs = mixing.atoms_and_probs()
+    with np.errstate(over="ignore", invalid="ignore"):
         t1 = float(probs @ first(us))
         t2 = float(probs @ (cross(us[:, None], us[None, :]) @ probs))
-        value = _clip_negative(coef * (t1 - t2), coef * t1, None)
-        return VsValue(s, value, "closed_form")
-
-    res = mc_expect(
-        lambda uu: first(uu[0]) - cross(uu[0], uu[1]),
-        iid_pair_sampler(mixing),
-        cfg,
-        stream=stream,
-    )
-    value = _clip_negative(coef * res.value, coef, coef * res.standard_error)
-    return VsValue(s, value, "monte_carlo", coef * res.standard_error)
+    value = coef * (t1 - t2)
+    if given == "U" and us.size == 1:
+        # f(y|U) is one fixed density: no variance.  first(u) and
+        # cross(u, u) agree only to an ulp, and the residue, raised to
+        # a power, would make prop8/prop9 nonzero.
+        value = 0.0
+    return _vs_value(s, value, coef * t1, "closed_form")
 
 
-def _vs_awgn(input_dist, s, cfg, stream):
-    if s == 0.0:
-        coef = 1.0 / (2.0 * math.sqrt(math.pi))
-        if input_dist.is_discrete:
-            xs, probs = input_dist.atoms_and_probs()
-            e = float(probs @ (np.exp(-0.25 * (xs[:, None] - xs[None, :]) ** 2) @ probs))
-            value = _clip_negative(coef * (1.0 - e), coef, None)
-            return VsValue(s, value, "closed_form")
-        res = mc_expect(
+def _vs_awgn(ch, s, cfg, stream):
+    if not ch.input.is_discrete:
+        if s > 0.0:
+            raise UnsupportedOperation("AWGN V_s with s > 0 needs an atomic input law")
+        return _vs_monte_carlo(
             lambda xx: 1.0 - np.exp(-0.25 * (xx[0] - xx[1]) ** 2),
-            iid_pair_sampler(input_dist),
-            cfg,
-            stream=stream,
+            ch.input, 1.0 / (2.0 * math.sqrt(math.pi)), s, cfg, stream,
         )
-        value = _clip_negative(coef * res.value, coef, coef * res.standard_error)
-        return VsValue(s, value, "monte_carlo", coef * res.standard_error)
-
-    if not input_dist.is_discrete:
-        raise UnsupportedOperation("AWGN V_s with s > 0 needs an atomic input law")
-    xs, probs = input_dist.atoms_and_probs()
-    ch = AwgnChannel(input_dist)
-    k_diag = sum(p * kernel_Ks(ch, x, x, s, cfg) for x, p in zip(xs, probs))
-    k_cross = sum(
-        p1 * p2 * kernel_Ks(ch, x1, x2, s, cfg)
-        for x1, p1 in zip(xs, probs)
-        for x2, p2 in zip(xs, probs)
-    )
-    value = _clip_negative(k_diag - k_cross, k_diag, None)
-    return VsValue(s, value, "quadrature")
+    xs, probs = ch.input.atoms_and_probs()
+    idx = range(xs.size)
+    k = {}
+    for i in idx:  # K_s is symmetric: one kernel per unordered pair
+        for j in idx[i:]:
+            k[i, j] = k[j, i] = kernel_Ks(ch, xs[i], xs[j], s, cfg)
+    k_diag = sum(probs[i] * k[i, i] for i in idx)
+    k_cross = sum(probs[i] * probs[j] * k[i, j] for i in idx for j in idx)
+    return _vs_value(s, k_diag - k_cross, k_diag, "quadrature" if s > 0.0 else "closed_form")
 
 
 def V_s(
-    ch,
-    s: float,
-    given: str = "X",
-    cfg: NumericsConfig = NumericsConfig(),
-    stream: int = 0,
+    ch, s: float, given: str = "X", cfg: NumericsConfig = NumericsConfig(), stream: int = 0
 ) -> VsValue:
     """The s-th moment of the variance of the conditional density.
 
@@ -366,24 +378,22 @@ def V_s(
       cross   = (1+U1)^(s/2) (1+U2)^(s/2) / (1 + (U1+U2)/2)^((s+1)/2),
 
     exactly for atomic U and by seeded Monte Carlo (with standard error)
-    otherwise.  The AWGN channel uses the s = 0 closed form
-    (2 sqrt(pi))^-1 [1 - E exp(-(X1-X2)^2 / 4)], or kernel sums for
-    s > 0 over atomic inputs.
+    otherwise.  The AWGN channel over an atomic input uses, for every
+    s >= 0, the kernel sums E K_s(X, X) - E K_s(X1, X2), one kernel_Ks per
+    unordered atom pair; over a non-atomic input only s = 0 is available,
+    by seeded Monte Carlo of (2 sqrt(pi))^-1 [1 - E exp(-(X1-X2)^2 / 4)].
+    Terms that leave the float range (large s) raise DomainError.
     """
     if s < 0.0:
         raise DomainError(f"s must be nonnegative, got {s!r}")
     given = _given(ch, given)
     if ch.kind == "scale_mixture":
         return _vs_scale_mixture(ch.mixing, s, given, cfg, stream)
-    return _vs_awgn(ch.input, s, cfg, stream)
+    return _vs_awgn(ch, s, cfg, stream)
 
 
 def V_s_quadrature(
-    ch,
-    s: float,
-    given: str = "X",
-    cfg: NumericsConfig = NumericsConfig(),
-    scale: float = 1.0,
+    ch, s: float, given: str = "X", cfg: NumericsConfig = NumericsConfig(), scale: float = 1.0
 ) -> float:
     """Direct integral int |y|^s var(f(y|W)) dy for the (optionally scaled)
     output scale * Y; the independent route used to validate the kernel
@@ -395,12 +405,7 @@ def V_s_quadrature(
 
     def integrand(y):
         lv = model.log_var(np.asarray(y) / a) - 2.0 * math.log(a)
-        if s == 0.0:
-            amp = 0.0
-        else:
-            with np.errstate(divide="ignore"):
-                amp = np.where(y != 0.0, s * np.log(np.abs(y)), -np.inf)
-        return np.exp(amp + lv)
+        return np.exp(_log_abs_pow(y, s) + lv)
 
     return integrate(integrand, _FULL, cfg).value
 
@@ -410,17 +415,26 @@ def V_s_quadrature(
 # ---------------------------------------------------------------------------
 
 
-def chi2_divergence(ch, given: str = "X", cfg: NumericsConfig = NumericsConfig()) -> float:
-    """chi^2(P_{W,Y}, P_W x P_Y) = int var(f(y|W)) / f(y) dy."""
+def _prop7_integral(ch, t, given, cfg) -> float:
+    """int f(y)^(1-2t) var(f(y|W))^t dy, in log space: f(y)^(1-2t) alone
+    overflows in the tails for t > 1/2 while var^t vanishes faster."""
     model = variance_model(ch, given, cfg)
 
     def integrand(y):
         lv = model.log_var(y)
         with np.errstate(invalid="ignore"):
-            z = np.where(lv == -np.inf, -np.inf, lv - model.log_marginal(y))
+            z = np.where(
+                lv == -np.inf, -np.inf, (1.0 - 2.0 * t) * model.log_marginal(y) + t * lv
+            )
         return np.exp(z)
 
     return integrate(integrand, _FULL, cfg).value
+
+
+def chi2_divergence(ch, given: str = "X", cfg: NumericsConfig = NumericsConfig()) -> float:
+    """chi^2(P_{W,Y}, P_W x P_Y) = int var(f(y|W)) / f(y) dy: the integral
+    of Prop 7 at t = 1, where kappa(1) = 1."""
+    return _prop7_integral(ch, 1.0, given, cfg)
 
 
 def chi2_mi_bound(ch, given: str = "X", cfg: NumericsConfig = NumericsConfig()) -> float:
@@ -433,24 +447,12 @@ def prop7_bound(
 ) -> float:
     """kappa(t) int f(y)^(1-2t) var(f(y|W))^t dy for t in (0, 1].
 
-    t = 1 reproduces the chi-square integral (kappa(1) = 1); t = 1/2 is
-    the integral of sqrt(var) that feeds the two-moment MI bound.  The
-    integrand is assembled in log space: f(y)^(1-2t) alone overflows in
-    the tails for t > 1/2 while the variance factor vanishes faster.
+    t = 1 is the chi-square divergence (kappa(1) = 1); t = 1/2 is the
+    integral of sqrt(var) that feeds the two-moment MI bound.
     """
     if not 0.0 < t <= 1.0:
         raise DomainError(f"t must lie in (0, 1], got {t!r}")
-    model = variance_model(ch, given, cfg)
-
-    def integrand(y):
-        lv = model.log_var(y)
-        with np.errstate(invalid="ignore"):
-            z = np.where(
-                lv == -np.inf, -np.inf, (1.0 - 2.0 * t) * model.log_marginal(y) + t * lv
-            )
-        return np.exp(z)
-
-    return kappa(t) * integrate(integrand, _FULL, cfg).value
+    return kappa(t) * _prop7_integral(ch, t, given, cfg)
 
 
 def marginal_renyi_entropy(ch, r: float, cfg: NumericsConfig = NumericsConfig()) -> float:
@@ -485,11 +487,7 @@ def prop8_bound(
 
 
 def prop9_bound(
-    ch,
-    p: float,
-    q: float,
-    given: str = "X",
-    cfg: NumericsConfig = NumericsConfig(),
+    ch, p: float, q: float, given: str = "X", cfg: NumericsConfig = NumericsConfig()
 ) -> float:
     """Two-moment MI bound
 
@@ -519,13 +517,13 @@ def prop9_bound(
     return kappa(0.5) * math.exp(0.5 * inner)
 
 
-def _mi_discrete(weights, model, cfg):
+def _mi_discrete(model, cfg):
     """Sum over conditioning atoms of int f(y|w) log(f(y|w)/f(y)) dy."""
     total = 0.0
-    for i, w in enumerate(weights):
+    for i, w in enumerate(model.probs):
         def integrand(y, i=i):
-            lc = model.log_cond(y)[i]
-            lm = model.log_marginal(y)
+            lcs = model.log_cond(y)
+            lc, lm = lcs[i], model.marginal_of(lcs)
             return np.where(lc > _EXP_CLIP, np.exp(lc) * (lc - lm), 0.0)
 
         total += w * integrate(integrand, _FULL, cfg).value
@@ -539,10 +537,9 @@ def mi_oracle(ch, given: str = "X", cfg: NumericsConfig = NumericsConfig()) -> f
     quadrature per atom.  Continuous X reduces to h(Y) - h(W), valid
     because the noise is additive: h(Y|X) = h(W) = (1/2) log(2 pi e).
     """
-    given = _given(ch, given)
     model = variance_model(ch, given, cfg)
     if isinstance(model, _AtomicConditionals):
-        return _mi_discrete(model.probs, model, cfg)
+        return _mi_discrete(model, cfg)
 
     def integrand(y):
         lm = model.log_marginal(y)
@@ -565,8 +562,9 @@ def vs_upper_bound_check(ch, s: float, cfg: NumericsConfig = NumericsConfig()) -
     """
     if ch.kind != "scale_mixture" or not ch.mixing.is_discrete:
         raise UnsupportedOperation("the V_s upper bound check needs atomic mixing")
+    # V_s first: it refuses the orders s at which these terms leave the float range
+    vs = V_s(ch, s, "U", cfg).value
     us, probs = ch.mixing.atoms_and_probs()
-    coef = math.exp(ln_gamma(0.5 * (1.0 + s))) / (2.0 * math.pi)
     p_neq = 1.0 - float(probs @ probs)
-    bound = coef * p_neq * float(probs @ (1.0 + us) ** (0.5 * (s - 1.0)))
-    return bound - V_s(ch, s, "U", cfg).value
+    bound = _vs_coef(s) * p_neq * float(probs @ (1.0 + us) ** (0.5 * (s - 1.0)))
+    return bound - vs

@@ -99,6 +99,8 @@ class NumericsConfig:
             raise DomainError("tolerances must be positive")
         if self.mc_samples < 1000:
             raise DomainError("mc_samples must be at least 1000")
+        if self.rng_seed < 0:
+            raise DomainError(f"rng_seed must be nonnegative, got {self.rng_seed!r}")
 
 
 class QuadratureResult(NamedTuple):

@@ -1,10 +1,15 @@
 """Command-line front end: formats, exit codes, seeds and reproducibility."""
 
+import contextlib
 import hashlib
+import io
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from renyi_bounds.cli import main
 
@@ -91,7 +96,7 @@ class TestReproducibility:
         "fig1": "fb928ba28a8b1e506be00c2775b2970b74b2a59a6a9be5e7c80778671fce4391",
         "fig2": "442d03148c971996afe7b687d548e5ba1d96ff451f4d096c2a824df1cc1e2b93",
         "fig3": "0b2402467422c53c999695f9c57f03d2e066c5ec5ed1c5008e771b05366a624c",
-        "verify": "955a5ed4c92d0a70c43391be9026cd65f215b6786280d0ec227c03014a1579e0",
+        "verify": "fc73cce61cc181fa48bef1f8773b0e2961b9ddba6b8180849ea4c8cbc2d09ac0",
     }
 
     @pytest.mark.parametrize("command", sorted(DEFAULT_CSV_SHA256))
@@ -161,7 +166,93 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert "error:" in captured.err and captured.out == ""
 
+    @pytest.mark.parametrize("eps", ["0", "-1", "1", "nan"])
+    def test_mixture_weight_outside_unit_interval_exit_2(self, eps, capsys):
+        # the default second atom 1 + 1/sqrt(eps) used to raise before eps was checked
+        assert main(["mi-bound", "--channel", "two-point-mixture", f"--eps={eps}"]) == 2
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("args", [
+        ["--channel", "two-point-mixture", "--eps", "0.01", "--q", "250"],
+        ["--channel", "two-point-mixture", "--eps", "0.01", "--q", "300"],
+        ["--channel", "two-point-mixture", "--eps", "0.01", "--q", "400"],
+        ["--channel", "awgn-gaussian", "--sigma2", "9", "--q", "340"],
+        ["--channel", "two-point-mixture", "--eps", "0.33", "--a", "1e300", "--p", "0.5",
+         "--q", "4.9"],
+    ], ids=["q250", "q300", "q400", "awgn-q340", "a1e300"])
+    def test_out_of_range_moment_orders_exit_2(self, args, capsys):
+        # these printed inf or 0 for prop9_bound, or raised OverflowError
+        assert main(["mi-bound", *args]) == 2
+        captured = capsys.readouterr()
+        assert "float range" in captured.err and captured.out == ""
+
+    def test_non_integer_env_seed_exit_2(self, monkeypatch, capsys):
+        monkeypatch.setenv("RENYI_BOUNDS_SEED", "abc")
+        assert main(["fig2", "--n-max", "2"]) == 2
+        captured = capsys.readouterr()
+        assert "RENYI_BOUNDS_SEED" in captured.err and captured.out == ""
+
+    def test_negative_seed_exit_2(self, capsys):
+        # verify used to report the bad seed as three failed checks (exit 1)
+        assert main(["verify", "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and captured.out == ""
+
     def test_invalid_moment_order_exit_2(self, capsys):
         rc = main(["entropy-bound", "--family", "lognormal", "--sigma2", "1",
                    "--r", "0.5", "--p", "3", "--q", "4"])
         assert rc == 2
+
+
+# Fuzzing the command-line contract: any numeric flag value gives exit 0, 1
+# or 2, never an escaping exception, and exit 0 prints finite numbers only.
+_WILD = st.one_of(
+    st.sampled_from([0.0, -0.0, -1.0, 1e-300, 1e300, -1e300, 1.7e308, math.nan, math.inf, -math.inf]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+def _open(lo, hi):
+    return st.floats(lo, hi, exclude_min=True, exclude_max=True)
+
+
+def _argv(command, choices, extra=st.just([]), **plausible):
+    """argv with every float flag drawn where the command can succeed, then
+    up to two of them replaced by any float at all."""
+    wild = st.lists(st.tuples(st.sampled_from(sorted(plausible)), _WILD), max_size=2)
+
+    def build(choice, values, overrides, more):
+        values.update(overrides)
+        return [command, choice, *(f"--{k}={v!r}" for k, v in values.items()), *more]
+
+    return st.builds(build, st.sampled_from(choices), st.fixed_dictionaries(plausible), wild,
+                     extra)
+
+
+_ENTROPY_ARGV = _argv(
+    "entropy-bound", ["--family=lognormal", "--family=gaussian"],
+    extra=st.integers(-3, 10**6).map(lambda n: [f"--n={n}"]),
+    mu=_open(-5.0, 5.0), sigma2=_open(0.0, 10.0), r=_open(0.05, 0.95), p=_open(-1.0, 0.5),
+    q=_open(1.0, 20.0),
+)
+_MI_ARGV = _argv(
+    "mi-bound", ["--channel=awgn-gaussian", "--channel=two-point-mixture"],
+    sigma2=_open(0.0, 20.0), eps=_open(0.0, 1.0), a=_open(0.0, 100.0), p=_open(0.0, 1.0),
+    q=_open(1.0, 400.0), r=_open(0.0, 1.0),
+)
+
+
+@given(st.one_of(_ENTROPY_ARGV, _MI_ARGV))
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_cli_contract_fuzz(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    assert rc in (0, 1, 2)
+    if rc == 0:
+        row = out.getvalue().strip().splitlines()[-1].split(",")
+        assert all(math.isfinite(float(v)) for v in row), (argv, row)
+    else:
+        assert err.getvalue().startswith("error:"), (argv, err.getvalue())

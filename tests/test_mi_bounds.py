@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,6 +23,7 @@ from renyi_bounds.errors import (
     RenyiBoundsError,
     UnsupportedOperation,
 )
+from renyi_bounds import mi_bounds
 from renyi_bounds.mi_bounds import (
     AwgnChannel,
     ScaleMixtureChannel,
@@ -48,6 +50,24 @@ V2_POINT_U1 = 0.22367104746010087624  # V_2(Y|X) at U = 1 (mpmath exact sums)
 
 def _phi(x):
     return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+
+
+def _abs_moment_exact(s, m):
+    # E|W + m|^s = 2^(s/2) G((s+1)/2) / sqrt(pi) 1F1(-s/2; 1/2; -m^2/2)
+    return 2.0 ** (0.5 * s) * math.gamma(0.5 * (s + 1.0)) / math.sqrt(math.pi) * sp.hyp1f1(
+        -0.5 * s, 0.5, -0.5 * m * m
+    )
+
+
+def _awgn_vs_exact_s2(d):
+    # V_2 from the kernel sums with E|W + m|^2 = 1 + m^2
+    def k2(x1, x2):
+        m = (x1 + x2) / math.sqrt(2.0)
+        return 2.0**-1.5 * (1.0 + m * m) * _phi((x1 - x2) / math.sqrt(2.0))
+
+    xs, ps = d.atoms_and_probs()
+    diag = sum(p * k2(x, x) for x, p in zip(xs, ps))
+    return diag - sum(p1 * p2 * k2(x1, x2) for x1, p1 in zip(xs, ps) for x2, p2 in zip(xs, ps))
 
 
 class TestKernel:
@@ -95,6 +115,21 @@ class TestKernel:
             return
         assert k == pytest.approx(2.0**-1.5 * (1.0 + m * m) * _phi(0.0), rel=1e-8)
 
+    @pytest.mark.parametrize("s", [0.5, 2.0, 3.0])
+    @pytest.mark.parametrize("m", [0.0, 0.5, 3.0, 40.0, 141.0])
+    def test_abs_moment_matches_hypergeometric_form(self, s, m):
+        # the far shifts are where a quadrature around t = 0 missed the peak at m
+        got = mi_bounds._abs_moment_shifted_normal(s, m, CFG)
+        assert got == pytest.approx(_abs_moment_exact(s, m), rel=4e-10)
+
+    def test_s0_moment_is_exactly_one(self):
+        assert mi_bounds._abs_moment_shifted_normal(0.0, 7.0, CFG) == 1.0
+
+    def test_symmetric_bit_for_bit(self):
+        ch = AwgnChannel(PointMass(1.0))
+        for x1, x2, s in ((0.3, 2.5, 0.5), (1.0, 28.0, 2.0), (-1.2, 4.0, 3.0), (1.0, 2.5, 0.0)):
+            assert kernel_Ks(ch, x1, x2, s, CFG) == kernel_Ks(ch, x2, x1, s, CFG)
+
     def test_mixture_channel_rejected(self):
         with pytest.raises(UnsupportedOperation):
             kernel_Ks(ScaleMixtureChannel(PointMass(1.0)), 0.0, 1.0, 0.0, CFG)
@@ -136,6 +171,49 @@ class TestVs:
             direct = V_s_quadrature(ch, s, "X", CFG)
             assert kernel_route == pytest.approx(direct, rel=1e-6)
 
+    @pytest.mark.parametrize("a", [28.0, 50.0, 100.0])
+    def test_far_atom_matches_s2_closed_form(self, a):
+        # from a = 28 on, a kernel quadrature around t = 0 missed the peak at m
+        d = TwoPoint(0.3, a)
+        got = V_s(AwgnChannel(d), 2.0, "X", CFG).value
+        assert got == pytest.approx(_awgn_vs_exact_s2(d), rel=1e-9)
+
+    def test_one_kernel_per_unordered_atom_pair(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return kernel(*args)
+
+        kernel = mi_bounds.kernel_Ks
+        monkeypatch.setattr(mi_bounds, "kernel_Ks", counting)
+        for s in (0.0, 0.5, 2.0):
+            calls.clear()
+            V_s(AwgnChannel(TwoPoint(0.3, 2.5)), s, "X", CFG)
+            assert len(calls) == 3
+
+    @pytest.mark.parametrize("d", [TwoPoint(0.3, 2.5), TwoPoint(0.1, 20.0), TwoPoint(0.5, 1.5)])
+    def test_kernel_sum_in_pairwise_order(self, d):
+        # the earlier route: N diagonal and N^2 ordered-pair kernels, summed in this order
+        ch = AwgnChannel(d)
+        xs, ps = d.atoms_and_probs()
+        for s in (0.5, 2.0, 3.0):
+            k_diag = sum(p * kernel_Ks(ch, x, x, s, CFG) for x, p in zip(xs, ps))
+            k_cross = sum(
+                p1 * p2 * kernel_Ks(ch, x1, x2, s, CFG)
+                for x1, p1 in zip(xs, ps)
+                for x2, p2 in zip(xs, ps)
+            )
+            assert V_s(ch, s, "X", CFG).value == k_diag - k_cross
+
+    @pytest.mark.parametrize("d", [TwoPoint(0.3, 2.5), TwoPoint(0.1, 20.0), TwoPoint(0.5, 1.5)])
+    def test_v0_from_kernels_matches_pairwise_closed_form(self, d):
+        xs, ps = d.atoms_and_probs()
+        e = float(ps @ (np.exp(-0.25 * (xs[:, None] - xs[None, :]) ** 2) @ ps))
+        got = V_s(AwgnChannel(d), 0.0, "X", CFG)
+        assert got.method == "closed_form"
+        assert got.value == pytest.approx(INV_2SQRTPI * (1.0 - e), rel=1e-14)
+
     def test_kernel_decomposition_monte_carlo(self):
         ch = AwgnChannel(TwoPoint(0.3, 2.5))
         direct = V_s_quadrature(ch, 0.0, "X", CFG)
@@ -171,6 +249,32 @@ class TestVs:
     def test_given_u_upper_bound_degenerate(self):
         ch = ScaleMixtureChannel(PointMass(1.5))
         assert vs_upper_bound_check(ch, 0.0, CFG) == pytest.approx(0.0, abs=1e-15)
+
+    @pytest.mark.parametrize("q", [250.0, 300.0, 400.0])
+    @pytest.mark.parametrize("ch,given", [
+        (ScaleMixtureChannel(TwoPoint(0.01, 11.0)), "U"),
+        (ScaleMixtureChannel(PointMass(9.0)), "X"),
+        (AwgnChannel(TwoPoint(0.3, 2.5)), "X"),
+    ], ids=["two-point-mixture", "awgn-gaussian", "awgn-two-point"])
+    def test_large_orders_finite_or_refused(self, ch, given, q):
+        # at these orders the scale-mixture terms overflow; they gave inf, a silent 0
+        # or an OverflowError
+        for f in (lambda: V_s(ch, q, given, CFG).value, lambda: prop9_bound(ch, 0.0, q, given, CFG)):
+            try:
+                v = f()
+            except RenyiBoundsError:
+                continue
+            assert math.isfinite(v) and v > 0.0
+
+    def test_overflowing_terms_refused(self):
+        ch = ScaleMixtureChannel(TwoPoint(0.33, 1e300))
+        with pytest.raises(DomainError):
+            V_s(ch, 4.9, "U", CFG)
+        mc = ScaleMixtureChannel(Lognormal(0.0, 1.0))
+        with pytest.raises(DomainError, match="terms of V_s"):  # the Monte Carlo mean
+            V_s(mc, 250.0, "U", NumericsConfig(mc_samples=2000))
+        with pytest.raises(DomainError, match="G"):  # the constant G((1+s)/2)
+            V_s(mc, 1000.0, "U", CFG)
 
     def test_unsupported_combinations(self):
         with pytest.raises(UnsupportedOperation):
@@ -218,6 +322,14 @@ class TestChiSquare:
         for s2 in (0.5, 1.0, 4.0):
             ch = ScaleMixtureChannel(PointMass(s2))
             assert chi2_divergence(ch, "X", CFG) == pytest.approx(s2, rel=1e-8)
+
+    @pytest.mark.parametrize("ch,given", [
+        (ScaleMixtureChannel(TwoPoint(0.1, 2.0)), "U"),
+        (ScaleMixtureChannel(TwoPoint(0.3, 4.0)), "X"),
+        (AwgnChannel(TwoPoint(0.3, 2.5)), "X"),
+    ])
+    def test_chi2_is_prop7_at_t1_bitwise(self, ch, given):
+        assert chi2_divergence(ch, given, CFG) == prop7_bound(ch, 1.0, given, CFG)
 
     def test_prop7_at_t1_equals_chi2_integral(self):
         ch = ScaleMixtureChannel(TwoPoint(0.1, 2.0))

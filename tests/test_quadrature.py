@@ -310,3 +310,9 @@ class TestMonteCarlo:
             NumericsConfig(mc_samples=10)
         with pytest.raises(DomainError):
             NumericsConfig(rel_tol=0.0)
+
+    def test_negative_seed_rejected(self):
+        # SeedSequence would raise a bare ValueError at the first draw
+        with pytest.raises(DomainError):
+            NumericsConfig(rng_seed=-1)
+        assert NumericsConfig(rng_seed=0).rng_seed == 0
