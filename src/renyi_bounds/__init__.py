@@ -17,7 +17,7 @@ from .errors import (
     UnsupportedOperation,
 )
 from .quadrature import Domain, MCResult, NumericsConfig, QuadratureResult, integrate, mc_expect
-from .specfun import beta, beta_tilde, kappa, lambert_w0, ln_gamma, theta
+from .specfun import beta, beta_tilde, kappa, ln_gamma, theta
 from .moment_core import (
     MomentVector,
     Support,
@@ -41,16 +41,11 @@ from .distributions import (
 from .entropy_bounds import (
     BoundReport,
     GapReport,
-    GaussGapParams,
     diff_entropy_bounds,
     entropy_bound,
-    gaussian_Q,
-    gaussian_gap,
-    lognormal_gap_at,
     lognormal_gap_closed,
     mult_bound_check,
     optimal_gap,
-    prop6_limit_check,
 )
 from .mi_bounds import (
     AwgnChannel,

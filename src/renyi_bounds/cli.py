@@ -27,7 +27,7 @@ from .mi_bounds import (
     prop9_bound,
 )
 from .moment_core import Support
-from .quadrature import NumericsConfig
+from .quadrature import _ABS_TOL, _MAX_SUBDIVISIONS, _MC_SAMPLES, NumericsConfig
 from .sweeps import fig1_rows, fig2_rows, fig3_rows
 from .verify import run_verification
 
@@ -55,9 +55,9 @@ def _render(command: str, cfg: NumericsConfig, columns: List[str], rows, fmt: st
     config = {
         "seed": cfg.rng_seed,
         "rel_tol": cfg.rel_tol,
-        "abs_tol": cfg.abs_tol,
-        "max_subdivisions": cfg.max_subdivisions,
-        "mc_samples": cfg.mc_samples,
+        "abs_tol": _ABS_TOL,
+        "max_subdivisions": _MAX_SUBDIVISIONS,
+        "mc_samples": _MC_SAMPLES,
     }
     if fmt == "json":
         doc = {

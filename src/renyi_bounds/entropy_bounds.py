@@ -11,18 +11,19 @@ Optimal gaps are searched in the (lam, u) coordinates
     p = m - (1-lam) sqrt((1-r) u / (r lam (1-lam))),   m = (1-r)/r,
     q = m +    lam  sqrt((1-r) u / (r lam (1-lam))),
 
-under which the valid (p, q) wedge becomes the box (0,1) x (0,inf),
-the lognormal objective separates, and closed forms exist for the
-lognormal and Gaussian families:
+under which the valid (p, q) wedge becomes the box (0,1) x (0,inf) and
+the lognormal objective separates:
 
     lognormal:  gap(lam, u) = theta(r lam/(1-r)) + theta(r(1-lam)/(1-r))
                               - theta(r/(1-r)) + (u s2 - log(u s2)) / 2
                               + log(r) / (2 (1-r))         [s2 = sigma^2]
-    optimum at lam = 1/2, u = 1/s2.
 
-For Y ~ N(0, I_n) the analogous closed form uses z = r n u / 2 and the
-second-difference of log-gamma Q_{r,n}(lam, z), which tends to z/2 as
-n grows; the optimal Gaussian gap then converges to the lognormal one.
+with its optimum at lam = 1/2, u = 1/s2, kept here in closed form as
+lognormal_gap_closed.  Every other gap has one route: the bound at
+(p, q) minus the entropy, as entropy_bound and optimal_gap compute it.
+The closed forms of the gap at a box point (lognormal, and the Gaussian
+one through Q_{r,n}(lam, z)) are oracles for that route and live in
+verify and the tests.
 """
 
 import math
@@ -31,10 +32,9 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .distributions import GaussianMagnitude, Lognormal, ScalarDistribution, _moment_term
+from .distributions import Lognormal, ScalarDistribution, _moment_term
 from .errors import (
     DomainError,
-    Infeasible,
     InvalidMomentOrder,
     MomentDiverges,
     OptimizerNoConverge,
@@ -48,17 +48,10 @@ from .specfun import LOG_2PI, ln_gamma, theta
 __all__ = [
     "BoundReport",
     "GapReport",
-    "GaussGapParams",
     "two_moment_parametrization",
     "entropy_bound",
     "lognormal_gap_closed",
-    "lognormal_gap_at",
-    "lognormal_gap_p0",
     "optimal_gap",
-    "gaussian_Q",
-    "gaussian_Q_lower_bound",
-    "gaussian_gap",
-    "prop6_limit_check",
     "mult_bound_check",
     "diff_entropy_bounds",
 ]
@@ -91,14 +84,41 @@ class GapReport:
     optimizer_trace: Tuple[tuple, ...]
 
 
+def _check_r(r: float) -> None:
+    if not 0.0 < r < 1.0:
+        raise DomainError(f"r must lie in (0, 1), got {r!r}")
+
+
+def _check_n(n: int) -> None:
+    """n is the dimension of X, a positive integer (at n = 0 the bound falls
+    below the entropy)."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise DomainError(f"n must be a positive integer, got {n!r}")
+
+
+def _check_dimension(d: ScalarDistribution, sup: Support, n: int) -> None:
+    """The support S and the law d of ||X|| must both be n-dimensional: the
+    bound is for X in R^n, and d.renyi_entropy gives the h_r(X) it is
+    compared with (a 1-D entropy against an n = 2 bound gives a gap below 0)."""
+    _check_n(n)
+    if not sup.n == d.support().n == n:
+        raise DomainError(
+            f"n = {n} must be the dimension of the support ({sup.n}) "
+            f"and of the law of ||X|| ({d.support().n})"
+        )
+
+
 def two_moment_parametrization(r: float, lam: float, u: float) -> Tuple[float, float]:
     """(p, q) from the box coordinates (lam, u); inverse of the gap search."""
-    if not 0.0 < lam < 1.0:
-        raise DomainError(f"lam must lie in (0, 1), got {lam!r}")
-    if not u > 0.0:
-        raise DomainError(f"u must be positive, got {u!r}")
+    if not (0.0 < r < 1.0 and 0.0 < lam < 1.0 and 0.0 < u < math.inf):
+        raise DomainError(
+            f"need r and lam in (0, 1) and a finite u > 0, got r={r!r}, lam={lam!r}, u={u!r}"
+        )
     m = (1.0 - r) / r
-    d = math.sqrt((1.0 - r) * u / (r * lam * (1.0 - lam)))
+    denom = r * lam * (1.0 - lam)  # 0 when lam underflows it
+    d = math.sqrt((1.0 - r) * u / denom) if denom > 0.0 else math.inf
+    if d == math.inf:
+        raise DomainError(f"(p, q) at r={r!r}, lam={lam!r}, u={u!r} leave the float range")
     return m - (1.0 - lam) * d, m + lam * d
 
 
@@ -133,9 +153,11 @@ def entropy_bound(
     """Evaluate h_r(X) <= log omega(S) + log psi_r + L_r(||X||^n; p, q).
 
     d is the law of the norm ||X|| (equal to X itself for positive scalar
-    X).  The report carries the exact entropy and gap whenever the family
-    has a density; otherwise only the bound.
+    X), and n the dimension of X, of sup and of d.support().  The report
+    carries the exact entropy and gap whenever the family has a density;
+    otherwise only the bound.
     """
+    _check_dimension(d, sup, n)
     params = TwoMomentParams(r, p, q)
     L = _moment_term(d, params, n)
     if math.isinf(L):
@@ -162,51 +184,9 @@ def lognormal_gap_closed(r: float) -> float:
 
     verify checks it against the published B~ form of the same constant.
     """
-    if not 0.0 < r < 1.0:
-        raise DomainError(f"r must lie in (0, 1), got {r!r}")
+    _check_r(r)
     a = 0.5 * r / (1.0 - r)
     return 2.0 * theta(a) - theta(2.0 * a) + 0.5 * (1.0 + math.log(r) / (1.0 - r))
-
-
-def lognormal_gap_at(r: float, lam: float, u: float, sigma2: float) -> float:
-    """Lognormal gap at box coordinates (lam, u); depends on u sigma2 only
-    and not on mu.  Minimized at lam = 1/2, u = 1/sigma2."""
-    if not 0.0 < r < 1.0:
-        raise DomainError(f"r must lie in (0, 1), got {r!r}")
-    if not (0.0 < lam < 1.0 and u > 0.0 and sigma2 > 0.0):
-        raise DomainError("need lam in (0,1), u > 0, sigma2 > 0")
-    c = r / (1.0 - r)
-    us = u * sigma2
-    return (
-        theta(c * lam)
-        + theta(c * (1.0 - lam))
-        - theta(c)
-        + 0.5 * us
-        - 0.5 * math.log(us)
-        + 0.5 * math.log(r) / (1.0 - r)
-    )
-
-
-def lognormal_gap_p0(r: float, q: float, sigma2: float) -> float:
-    """One-moment slice: gap at (0, q), from the simplified expansion
-
-    gap(0, q) = gap_opt + phi((q - (1-r)/r) sigma2) / 2
-                + theta(r/(1-r) - 1/q) + theta(1/q) - 2 theta(r/(2(1-r)))
-
-    with phi(x) = x - log x - 1."""
-    m = (1.0 - r) / r
-    if not q > m:
-        raise InvalidMomentOrder(f"q must exceed 1/r - 1 = {m!r}, got {q!r}")
-    x = (q - m) * sigma2
-    phi = x - math.log(x) - 1.0
-    c = r / (1.0 - r)
-    return (
-        lognormal_gap_closed(r)
-        + 0.5 * phi
-        + theta(c - 1.0 / q)
-        + theta(1.0 / q)
-        - 2.0 * theta(0.5 * c)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -272,8 +252,8 @@ def optimal_gap(
     passes stall an order of magnitude short of the 1e-4 target.  With
     constrain_p_zero the search is one-dimensional over q > 1/r - 1.
     """
-    if not 0.0 < r < 1.0:
-        raise DomainError(f"r must lie in (0, 1), got {r!r}")
+    _check_r(r)
+    _check_dimension(d, sup, n)
     h = d.renyi_entropy(r)
     lw = log_omega(sup)
 
@@ -331,98 +311,6 @@ def optimal_gap(
 
 
 # ---------------------------------------------------------------------------
-# Multivariate Gaussian gap, (lam, z) parametrization
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GaussGapParams:
-    """(r, n, lam, z) with the finiteness condition
-    (1 - lam) sqrt(2 (1-r) z / (lam (1-lam) n)) < 1, i.e. the lower
-    log-gamma argument in Q stays positive."""
-
-    r: float
-    n: int
-    lam: float
-    z: float
-
-    def __post_init__(self):
-        if not 0.0 < self.r < 1.0:
-            raise DomainError(f"r must lie in (0, 1), got {self.r!r}")
-        if not (isinstance(self.n, int) and self.n >= 1):
-            raise DomainError(f"n must be a positive integer, got {self.n!r}")
-        if not (0.0 < self.lam < 1.0 and self.z > 0.0):
-            raise DomainError("need lam in (0, 1) and z > 0")
-        guard = (1.0 - self.lam) * math.sqrt(
-            2.0 * (1.0 - self.r) * self.z / (self.lam * (1.0 - self.lam) * self.n)
-        )
-        if not guard < 1.0:
-            raise Infeasible(
-                f"(1-lam) sqrt(2 (1-r) z / (lam (1-lam) n)) = {guard!r} >= 1"
-            )
-
-
-def gaussian_Q(gp: GaussGapParams) -> float:
-    """Q_{r,n}(lam, z), the weighted second difference of log Gamma around
-    n/(2r) that carries the moment contribution of ||Y||."""
-    r, n, lam, z = gp.r, gp.n, gp.lam, gp.z
-    c = r / (1.0 - r)
-    s = math.sqrt((1.0 - r) * n * z / (2.0 * lam * (1.0 - lam)))
-    x0 = 0.5 * n / r
-    return c * (
-        lam * ln_gamma(x0 - (1.0 - lam) / r * s)
-        + (1.0 - lam) * ln_gamma(x0 + lam / r * s)
-        - ln_gamma(x0)
-    )
-
-
-def gaussian_Q_lower_bound(gp: GaussGapParams) -> float:
-    """(z/2) / (1 + sqrt(lam/(1-lam) * b z)), b = 2(1-r)/(9n); the convexity
-    lower bound on Q whose large-n limit z/2 matches Q's."""
-    b = 2.0 * (1.0 - gp.r) / (9.0 * gp.n)
-    return 0.5 * gp.z / (1.0 + math.sqrt(gp.lam / (1.0 - gp.lam) * b * gp.z))
-
-
-def gaussian_gap(gp: GaussGapParams) -> float:
-    """Gap for Y ~ N(0, I_n) at (lam, z):
-
-    theta(r lam/(1-r)) + theta(r(1-lam)/(1-r)) - theta(r/(1-r))
-      + Q_{r,n}(lam, z) - (log z)/2 + log(r)/(2(1-r))
-      + (r/(1-r)) theta(n/(2r)) - (1/(1-r)) theta(n/2).
-    """
-    r, n, lam, z = gp.r, gp.n, gp.lam, gp.z
-    c = r / (1.0 - r)
-    return (
-        theta(c * lam)
-        + theta(c * (1.0 - lam))
-        - theta(c)
-        + gaussian_Q(gp)
-        - 0.5 * math.log(z)
-        + 0.5 * math.log(r) / (1.0 - r)
-        + c * theta(0.5 * n / r)
-        - theta(0.5 * n) / (1.0 - r)
-    )
-
-
-def prop6_limit_check(r: float, n_max: int) -> List[Tuple[int, float, float]]:
-    """Rows (n, optimal Gaussian gap, lognormal gap) over doubling n.
-
-    The Gaussian column increases with n and converges to the lognormal
-    constant, which the last row should approach at O(1/n) speed.
-    """
-    if n_max < 16:
-        raise DomainError(f"n_max must be at least 16, got {n_max!r}")
-    target = lognormal_gap_closed(r)
-    rows = []
-    n = 1
-    while n <= n_max:
-        rep = optimal_gap(GaussianMagnitude(n), Support.euclidean(n), n, r)
-        rows.append((n, rep.gap, target))
-        n *= 2
-    return rows
-
-
-# ---------------------------------------------------------------------------
 # Multiplication bound (Prop 5 shape) and differential-entropy corollaries
 # ---------------------------------------------------------------------------
 
@@ -446,6 +334,9 @@ def mult_bound_check(
         raise UnsupportedOperation("mult_bound_check requires lognormal Y")
     if not dX.is_discrete:
         raise UnsupportedOperation("mult_bound_check requires atomic X")
+    _check_r(r)
+    if not 0.0 < t < math.inf:
+        raise DomainError(f"t must be positive and finite, got {t!r}")
     if not (0.0 < p < 1.0 / r - 1.0 < q):
         raise InvalidMomentOrder(f"need 0 < p < 1/r - 1 < q, got ({p!r}, {q!r})")
     atoms, probs = dX.atoms_and_probs()
@@ -495,8 +386,9 @@ def diff_entropy_bounds(
     s -> log E||X||^s at zero, exact for lognormal inputs because their
     cumulant function is quadratic.
     """
-    if not s > 0.0:
-        raise DomainError(f"moment order s must be positive, got {s!r}")
+    _check_n(n)
+    if not 0.0 < s < math.inf:
+        raise DomainError(f"moment order s must be positive and finite, got {s!r}")
     ls = d.log_moment(s)
     if math.isinf(ls):
         raise MomentDiverges(f"E||X||^{s!r} diverges")

@@ -20,12 +20,12 @@ pairs U1, U2), evaluated as exact finite sums for atomic mixing laws --
 the figure-3 sweep is therefore free of Monte Carlo noise -- and by
 seeded Monte Carlo otherwise.  The AWGN channel uses the kernel sums at
 every s over atomic inputs, and the same Monte Carlo route at s = 0
-otherwise.  Each quantity has one route; V_s_quadrature and the verify
-checks are the independent oracles.  Densities enter the quadrature
-integrands only through their logarithms, and np.where masks keep the
--inf log of a vanishing conditional variance out of every ratio, so the
-heavy-tailed ratios in the chi-square and small-t bounds cannot produce
-NaNs.
+otherwise.  Each quantity has one route; the independent oracles, such
+as the direct integral of |y|^s var(f(y|W)), live in verify and the
+tests.  Densities enter the quadrature integrands only through their
+logarithms, and np.where masks keep the -inf log of a vanishing
+conditional variance out of every ratio, so the heavy-tailed ratios in
+the chi-square and small-t bounds cannot produce NaNs.
 """
 
 import math
@@ -46,7 +46,6 @@ __all__ = [
     "VsValue",
     "kernel_Ks",
     "V_s",
-    "V_s_quadrature",
     "chi2_divergence",
     "chi2_mi_bound",
     "prop7_bound",
@@ -73,10 +72,6 @@ class AwgnChannel:
 
     input: ScalarDistribution
     kind = "awgn"
-    n = 1
-
-    def support_y(self) -> Support:
-        return Support.real_line()
 
 
 @dataclass(frozen=True)
@@ -88,10 +83,6 @@ class ScaleMixtureChannel:
 
     mixing: ScalarDistribution
     kind = "scale_mixture"
-    n = 1
-
-    def support_y(self) -> Support:
-        return Support.real_line()
 
 
 @dataclass(frozen=True)
@@ -392,24 +383,6 @@ def V_s(
     return _vs_awgn(ch, s, cfg, stream)
 
 
-def V_s_quadrature(
-    ch, s: float, given: str = "X", cfg: NumericsConfig = NumericsConfig(), scale: float = 1.0
-) -> float:
-    """Direct integral int |y|^s var(f(y|W)) dy for the (optionally scaled)
-    output scale * Y; the independent route used to validate the kernel
-    decomposition and the |a|^(s-n) scaling law."""
-    if scale == 0.0:
-        raise DomainError("scale must be nonzero")
-    model = variance_model(ch, given, cfg)
-    a = abs(scale)
-
-    def integrand(y):
-        lv = model.log_var(np.asarray(y) / a) - 2.0 * math.log(a)
-        return np.exp(_log_abs_pow(y, s) + lv)
-
-    return integrate(integrand, _FULL, cfg).value
-
-
 # ---------------------------------------------------------------------------
 # Bounds and the oracle
 # ---------------------------------------------------------------------------
@@ -491,8 +464,9 @@ def prop9_bound(
 ) -> float:
     """Two-moment MI bound
 
-        I(W; Y) <= C(lam) sqrt(omega(S_Y) V_np^lam V_nq^(1-lam) / (q - p)),
+        I(W; Y) <= C(lam) sqrt(omega(R) V_p^lam V_q^(1-lam) / (q - p)),
 
+    for the scalar output Y (n = 1, so omega(S_Y) = omega(R) = 2),
     lam = (q-1)/(q-p), built from two V_s evaluations.  The constant is
     C(lam) = kappa(1/2) sqrt((q - p) psi_{1/2}(p, q)): psi_r of the entropy
     bound at r = 1/2, where its lam is this one.  Requires 0 <= p < 1 < q
@@ -502,14 +476,13 @@ def prop9_bound(
         raise InvalidMomentOrder(f"need p < 1 < q, got ({p!r}, {q!r})")
     if p < 0.0:
         raise InvalidMomentOrder("p must be nonnegative (V_s orders are)")
-    n = ch.n
-    vp = V_s(ch, n * p, given, cfg, stream=1).value
-    vq = V_s(ch, n * q, given, cfg, stream=2).value
+    vp = V_s(ch, p, given, cfg, stream=1).value
+    vq = V_s(ch, q, given, cfg, stream=2).value
     if vp == 0.0 or vq == 0.0:
         return 0.0
     params = TwoMomentParams(0.5, p, q)
     inner = (
-        log_omega(ch.support_y())
+        log_omega(Support.real_line())
         + log_psi_r(params)
         + params.lam * math.log(vp)
         + (1.0 - params.lam) * math.log(vq)

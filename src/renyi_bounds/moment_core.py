@@ -45,7 +45,11 @@ __all__ = [
 
 
 def lambda_of(r: float, p: float, q: float) -> float:
-    """lam = (q + 1 - 1/r) / (q - p), in (0, 1) iff p < 1/r - 1 < q."""
+    """lam = (q + 1 - 1/r) / (q - p), in (0, 1) iff p < 1/r - 1 < q.
+
+    Refuses (p, q) whose lam rounds to 0 or 1 (or is nan): p or q within
+    rounding of 1/r - 1, or an infinite order, where the Beta constant
+    would be evaluated at a zero argument."""
     if not 0.0 < r < 1.0:
         raise InvalidMomentOrder(f"r must lie in (0, 1), got {r!r}")
     pivot = 1.0 / r - 1.0
@@ -53,7 +57,13 @@ def lambda_of(r: float, p: float, q: float) -> float:
         raise InvalidMomentOrder(
             f"need p < 1/r - 1 < q, got p={p!r}, 1/r-1={pivot!r}, q={q!r}"
         )
-    return (q + 1.0 - 1.0 / r) / (q - p)
+    lam = (q + 1.0 - 1.0 / r) / (q - p)
+    if not 0.0 < lam < 1.0:
+        raise InvalidMomentOrder(
+            f"lam = {lam!r} rounds out of (0, 1) at r={r!r}, p={p!r}, q={q!r}: "
+            f"p or q is within rounding of 1/r - 1, or infinite"
+        )
+    return lam
 
 
 @dataclass(frozen=True)
@@ -81,6 +91,8 @@ class MomentVector:
         nu = tuple(float(v) for v in self.nu)
         if len(s) == 0 or len(s) != len(nu):
             raise DomainError("s and nu must be nonempty and of equal length")
+        if not all(math.isfinite(v) for v in s + nu):
+            raise DomainError(f"exponents and weights must be finite, got s={s!r}, nu={nu!r}")
         if any(w < 0.0 for w in nu):
             raise DomainError("weights nu must be nonnegative")
         object.__setattr__(self, "s", s)
@@ -200,7 +212,10 @@ def c_r_numeric(
         val = integrate(integrand, Domain.full_line(), cfg).value
     except DivergenceDetected:
         return math.inf
-    return val ** ((1.0 - r) / r)
+    try:
+        return float(val) ** ((1.0 - r) / r)
+    except OverflowError:
+        raise DomainError(f"c_r = {val!r}^((1-r)/r) leaves the float range at r={r!r}") from None
 
 
 def _log_or_ninf(x: float) -> float:
@@ -230,7 +245,10 @@ def two_moment_bound(
         + params.lam * _log_or_ninf(mu_p)
         + (1.0 - params.lam) * _log_or_ninf(mu_q)
     )
-    return math.exp(log_bound)
+    try:
+        return math.exp(log_bound)
+    except OverflowError:
+        raise DomainError(f"the bound exp({log_bound:.6g}) leaves the float range") from None
 
 
 def k_moment_bound(
@@ -239,13 +257,17 @@ def k_moment_bound(
     r: float,
     cfg: NumericsConfig = NumericsConfig(),
 ) -> float:
-    """Prop-1-style bound c_r(nu, s) * sum_i nu_i mu_{s_i}(f); +inf if c_r is."""
+    """Prop-1-style bound c_r(nu, s) * sum_i nu_i mu_{s_i}(f); +inf if c_r is
+    (no active pair of exponents straddles (1-r)/r: the bound is vacuous)."""
     if len(moments) != len(mv.s):
         raise DomainError("moments must match the moment vector length")
     for m in moments:
-        if m < 0.0 or math.isnan(m):
-            raise DomainError(f"moments must be nonnegative, got {m!r}")
+        if not 0.0 <= m < math.inf:
+            raise DomainError(f"moments must be finite and nonnegative, got {m!r}")
     c = c_r_numeric(r, mv, cfg)
     if math.isinf(c):
         return math.inf
-    return c * sum(w * m for w, m in zip(mv.nu, moments))
+    bound = c * sum(w * m for w, m in zip(mv.nu, moments))
+    if not math.isfinite(bound):
+        raise DomainError(f"the k-moment bound leaves the float range (c_r = {c!r})")
+    return bound

@@ -84,21 +84,24 @@ class Domain:
         return Domain("full_line")
 
 
+# Fixed numerics: the absolute quadrature tolerance, the panel budget of
+# one integrate call and the Monte Carlo sample count.
+_ABS_TOL = 1e-12
+_MAX_SUBDIVISIONS = 2000
+_MC_SAMPLES = 200_000
+
+
 @dataclass(frozen=True)
 class NumericsConfig:
-    """Tolerances, budgets and the RNG seed shared by all numeric routines."""
+    """The relative quadrature tolerance and the RNG seed shared by all
+    numeric routines; the other settings are the module constants above."""
 
     rel_tol: float = 1e-9
-    abs_tol: float = 1e-12
-    max_subdivisions: int = 2000
-    mc_samples: int = 200_000
     rng_seed: int = 20170825
 
     def __post_init__(self):
-        if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
-            raise DomainError("tolerances must be positive")
-        if self.mc_samples < 1000:
-            raise DomainError("mc_samples must be at least 1000")
+        if not self.rel_tol > 0.0:
+            raise DomainError(f"rel_tol must be positive, got {self.rel_tol!r}")
         if self.rng_seed < 0:
             raise DomainError(f"rng_seed must be nonnegative, got {self.rng_seed!r}")
 
@@ -277,12 +280,12 @@ def integrate(
     sampled); on an unbounded domain it is also evaluated on up to
     _SCAN_BLOCK - 1 tail windows beyond the one where the pre-scan stops.
 
-    Returns value and an error estimate <= max(rel_tol * |value|, abs_tol)
+    Returns value and an error estimate <= max(rel_tol * |value|, _ABS_TOL)
     on success.  Raises DivergenceDetected when the tail decay test fails
     (or the integrand itself is non-finite), MaxSubdivisionsExceeded when
     the panel budget runs out first.
     """
-    if domain.kind != "finite" and _tails_diverge(f, domain, cfg.abs_tol * 1e-3):
+    if domain.kind != "finite" and _tails_diverge(f, domain, _ABS_TOL * 1e-3):
         raise DivergenceDetected(f"tail mass fails decay test on {domain.kind}")
 
     lo, hi, to_x, jac = _unit_transform(domain)
@@ -298,10 +301,10 @@ def integrate(
     los, his = list(edges[:-1]), list(edges[1:])
     vals, errs = _panels(g, edges[:-1], edges[1:])
 
-    for _ in range(cfg.max_subdivisions):
+    for _ in range(_MAX_SUBDIVISIONS):
         total = sum(vals)
         total_err = sum(errs)
-        if total_err <= max(cfg.rel_tol * abs(total), cfg.abs_tol):
+        if total_err <= max(cfg.rel_tol * abs(total), _ABS_TOL):
             return QuadratureResult(total, total_err)
         worst = errs.index(max(errs))  # the first of equal worst panels
         plo, phi = los.pop(worst), his.pop(worst)
@@ -317,7 +320,7 @@ def integrate(
     total_err = sum(errs)
     raise MaxSubdivisionsExceeded(
         f"error {total_err:.3e} above tolerance after "
-        f"{cfg.max_subdivisions} subdivisions (value ~ {total:.6e})"
+        f"{_MAX_SUBDIVISIONS} subdivisions (value ~ {total:.6e})"
     )
 
 
@@ -343,7 +346,7 @@ def mc_expect(
     array of per-sample values.  Deterministic for fixed cfg and stream.
     """
     rng = rng_for(cfg, stream)
-    n = cfg.mc_samples
+    n = _MC_SAMPLES
     batch = sampler.sample(rng, n) if hasattr(sampler, "sample") else sampler(rng, n)
     vals = np.asarray(g(batch), dtype=float)
     if vals.shape != (n,):

@@ -1,9 +1,10 @@
 """Scalar special functions: log-gamma, the Binet remainder, Beta and its
-normalized variant, the Lambert W function, and the logarithm-power ratio.
+normalized variant, and the logarithm-power ratio kappa.
 
 All closed-form constants in this package reduce to these primitives, so
-they are implemented from scratch and cross-checked in the test suite
-against independent references.
+they are implemented from scratch, one route each.  The independent
+routes that check them (scipy in the test suite; the Lambert W closed
+form of kappa in verify) live outside the library.
 
 Conventions
 -----------
@@ -138,72 +139,6 @@ def beta_tilde(x: float, y: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Lambert W, principal branch
-# ---------------------------------------------------------------------------
-
-# Taylor coefficients of W around the branch point in p = sqrt(2 (1 + e z)).
-_BRANCH_SERIES = (-1.0, 1.0, -1.0 / 3.0, 11.0 / 72.0, -43.0 / 540.0,
-                  769.0 / 17280.0, -221.0 / 8505.0)
-
-
-def lambert_w0(z: float) -> float:
-    """Principal branch W_0 of the Lambert W function for z >= -1/e.
-
-    Returns the solution w >= -1 of w exp(w) = z.  Halley iteration from a
-    piecewise initial guess; near the branch point the series in
-    p = sqrt(2 (1 + e z)) is used, both as the guess and (for tiny p) as
-    the result, since the iteration loses its footing where W'(z) blows up.
-
-    The residual satisfies |w exp(w) - z| <= 1e-12 * max(1, |z|).
-    """
-    z = float(z)
-    if math.isnan(z):
-        raise DomainError("lambert_w0 requires z >= -1/e, got nan")
-    ez1 = 1.0 + math.e * z        # >= 0 on the domain, up to rounding
-    if ez1 < 0.0:
-        if ez1 > -1e-12:
-            ez1 = 0.0
-        else:
-            raise DomainError(f"lambert_w0 requires z >= -1/e, got {z!r}")
-    if ez1 == 0.0:
-        return -1.0
-
-    p = math.sqrt(2.0 * ez1)
-    if p < 1e-4:
-        # So close to the branch point that the series is already at
-        # full double precision.
-        w = 0.0
-        for c in reversed(_BRANCH_SERIES):
-            w = w * p + c
-        return w
-
-    # Initial guess.
-    if z < -0.25:
-        w = 0.0
-        for c in reversed(_BRANCH_SERIES):
-            w = w * p + c
-    elif z < 1.0:
-        # Pade-flavoured guess, good to a few percent on (-0.25, 1).
-        w = z * (1.0 - z * (1.0 - 1.5 * z) / (1.0 + z))
-    else:
-        lz = math.log(z)
-        llz = math.log(lz) if lz > 1.0 else 0.0
-        w = lz - llz
-
-    for _ in range(64):
-        ew = math.exp(w)
-        f = w * ew - z
-        w1 = w + 1.0
-        # Halley step: f / (f' - f f'' / (2 f'))
-        denom = ew * w1 - (w + 2.0) * f / (2.0 * w1)
-        step = f / denom
-        w -= step
-        if abs(step) <= 1e-14 * max(1.0, abs(w)):
-            break
-    return w
-
-
-# ---------------------------------------------------------------------------
 # Logarithm-power ratio kappa(t)
 # ---------------------------------------------------------------------------
 
@@ -246,20 +181,6 @@ def _check_t(t: float) -> float:
     return t
 
 
-def kappa_fixed_point(t: float) -> float:
-    """The maximizer u*_t of log(1 + u) / u^t, for t in (0, 1).
-
-    Solves u = t (1 + u) log(1 + u).  Returns inf when u*_t ~ e^(1/t)
-    exceeds double range (t below roughly 1.4e-3); kappa(t) itself stays
-    finite and is computed from log(1 + u*) instead.
-    """
-    t = _check_t(t)
-    if t == 1.0:
-        raise DomainError("the fixed point diverges to 0/0 at t = 1")
-    v = _fixed_point_v(t)
-    return math.expm1(v) if v < 709.0 else math.inf
-
-
 def kappa(t: float) -> float:
     """kappa(t) = sup_{u > 0} log(1 + u) / u^t on (0, 1]; kappa(1) = 1.
 
@@ -274,17 +195,3 @@ def kappa(t: float) -> float:
     v = _fixed_point_v(t)
     return v * math.exp(-t * v - t * math.log(t * v))
 
-
-def kappa_via_lambert(t: float) -> float:
-    """kappa(t) through the closed form u*_t = exp(W(-(1/t) e^(-1/t)) + 1/t) - 1.
-
-    Independent of the Newton route in kappa(); used as a cross-check.
-    Loses accuracy as t -> 1 (the W argument approaches the branch point)
-    and overflows for t small enough that u*_t does; prefer kappa().
-    """
-    t = _check_t(t)
-    if t == 1.0:
-        return 1.0
-    arg = -(1.0 / t) * math.exp(-1.0 / t)
-    u = math.expm1(lambert_w0(arg) + 1.0 / t)
-    return math.log1p(u) / u**t

@@ -4,11 +4,17 @@ Each check pins one published identity, inequality or limit at an
 explicit tolerance and reports pass/fail with the worst observed
 deviation.  The CLI `verify` command prints these results and exits
 nonzero if anything fails; the acceptance tests assert them one by one.
+
+The library keeps one route per quantity.  The second routes that only
+serve as oracles live here, private: the Lambert W closed form of kappa,
+the Gaussian gap term Q_{r,n}(lam, z) with its lower bound, the large-n
+Gaussian gap rows, and the direct integral of |y|^s var(f(y|W)).  The
+test suite imports them from here.
 """
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List
+from typing import Callable, List, Tuple
 
 import numpy as np
 
@@ -21,6 +27,7 @@ from .distributions import (
     TwoPoint,
     iid_pair_sampler,
 )
+from .errors import DomainError, Infeasible
 from .moment_core import (
     MomentVector,
     Support,
@@ -33,11 +40,10 @@ from .moment_core import (
 from .quadrature import Domain, NumericsConfig, integrate, mc_expect, rng_for
 from .specfun import (
     LOG_2PI,
+    _check_t,
+    _fixed_point_v,
     beta_tilde,
     kappa,
-    kappa_fixed_point,
-    kappa_via_lambert,
-    lambert_w0,
     ln_gamma,
     log_beta_tilde,
     theta,
@@ -115,11 +121,90 @@ def check_beta_tilde_lower_bound(cfg) -> CheckResult:
     return _check("specfun.beta_tilde_lower_bound", worst, 1e-12)
 
 
+# Lambert W, principal branch: the independent route to kappa.
+
+# Taylor coefficients of W around the branch point in p = sqrt(2 (1 + e z)).
+_BRANCH_SERIES = (-1.0, 1.0, -1.0 / 3.0, 11.0 / 72.0, -43.0 / 540.0,
+                  769.0 / 17280.0, -221.0 / 8505.0)
+
+
+def _lambert_w0(z: float) -> float:
+    """Principal branch W_0 of the Lambert W function for z >= -1/e.
+
+    Returns the solution w >= -1 of w exp(w) = z.  Halley iteration from a
+    piecewise initial guess; near the branch point the series in
+    p = sqrt(2 (1 + e z)) is used, both as the guess and (for tiny p) as
+    the result, since the iteration loses its footing where W'(z) blows up.
+
+    The residual satisfies |w exp(w) - z| <= 1e-12 * max(1, |z|).
+    """
+    z = float(z)
+    if math.isnan(z):
+        raise DomainError("lambert_w0 requires z >= -1/e, got nan")
+    ez1 = 1.0 + math.e * z        # >= 0 on the domain, up to rounding
+    if ez1 < 0.0:
+        if ez1 > -1e-12:
+            ez1 = 0.0
+        else:
+            raise DomainError(f"lambert_w0 requires z >= -1/e, got {z!r}")
+    if ez1 == 0.0:
+        return -1.0
+
+    p = math.sqrt(2.0 * ez1)
+    if p < 1e-4:
+        # So close to the branch point that the series is already at
+        # full double precision.
+        w = 0.0
+        for c in reversed(_BRANCH_SERIES):
+            w = w * p + c
+        return w
+
+    # Initial guess.
+    if z < -0.25:
+        w = 0.0
+        for c in reversed(_BRANCH_SERIES):
+            w = w * p + c
+    elif z < 1.0:
+        # Pade-flavoured guess, good to a few percent on (-0.25, 1).
+        w = z * (1.0 - z * (1.0 - 1.5 * z) / (1.0 + z))
+    else:
+        lz = math.log(z)
+        llz = math.log(lz) if lz > 1.0 else 0.0
+        w = lz - llz
+
+    for _ in range(64):
+        ew = math.exp(w)
+        f = w * ew - z
+        w1 = w + 1.0
+        # Halley step: f / (f' - f f'' / (2 f'))
+        denom = ew * w1 - (w + 2.0) * f / (2.0 * w1)
+        step = f / denom
+        w -= step
+        if abs(step) <= 1e-14 * max(1.0, abs(w)):
+            break
+    return w
+
+
+def _kappa_via_lambert(t: float) -> float:
+    """kappa(t) through the closed form u*_t = exp(W(-(1/t) e^(-1/t)) + 1/t) - 1.
+
+    Independent of the Newton route in kappa(); used as a cross-check.
+    Loses accuracy as t -> 1 (the W argument approaches the branch point)
+    and overflows for t small enough that u*_t does; prefer kappa().
+    """
+    t = _check_t(t)
+    if t == 1.0:
+        return 1.0
+    arg = -(1.0 / t) * math.exp(-1.0 / t)
+    u = math.expm1(_lambert_w0(arg) + 1.0 / t)
+    return math.log1p(u) / u**t
+
+
 def check_lambert_residuals(cfg) -> CheckResult:
     zs = [-1.0 / math.e, -0.367, -0.2, -1e-6, 0.0, 1e-6, 0.5, math.e, 10.0, 1e4, 1e8]
     worst = 0.0
     for z in zs:
-        w = lambert_w0(z)
+        w = _lambert_w0(z)
         worst = max(worst, abs(w * math.exp(w) - z) / max(1.0, abs(z)))
     return _check("specfun.lambert_w_residuals", worst, 1e-12)
 
@@ -154,8 +239,8 @@ def check_kappa_two_solvers(cfg) -> CheckResult:
     worst_agree = 0.0
     worst_resid = 0.0
     for t in np.arange(0.05, 0.96, 0.05):
-        worst_agree = max(worst_agree, abs(kappa(t) - kappa_via_lambert(t)))
-        u = kappa_fixed_point(t)
+        worst_agree = max(worst_agree, abs(kappa(t) - _kappa_via_lambert(t)))
+        u = math.expm1(_fixed_point_v(float(t)))  # u*_t from the solver kappa uses
         resid = abs(u - t * (1.0 + u) * math.log1p(u)) / max(1.0, u)
         worst_resid = max(worst_resid, resid)
     passed = worst_agree <= 1e-9 and worst_resid <= 1e-12
@@ -271,6 +356,72 @@ def check_lognormal_r_to_one(cfg) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class _GaussGapParams:
+    """(r, n, lam, z) with the finiteness condition
+    (1 - lam) sqrt(2 (1-r) z / (lam (1-lam) n)) < 1, i.e. the lower
+    log-gamma argument in Q stays positive."""
+
+    r: float
+    n: int
+    lam: float
+    z: float
+
+    def __post_init__(self):
+        if not 0.0 < self.r < 1.0:
+            raise DomainError(f"r must lie in (0, 1), got {self.r!r}")
+        if not (isinstance(self.n, int) and self.n >= 1):
+            raise DomainError(f"n must be a positive integer, got {self.n!r}")
+        if not (0.0 < self.lam < 1.0 and self.z > 0.0):
+            raise DomainError("need lam in (0, 1) and z > 0")
+        guard = (1.0 - self.lam) * math.sqrt(
+            2.0 * (1.0 - self.r) * self.z / (self.lam * (1.0 - self.lam) * self.n)
+        )
+        if not guard < 1.0:
+            raise Infeasible(
+                f"(1-lam) sqrt(2 (1-r) z / (lam (1-lam) n)) = {guard!r} >= 1"
+            )
+
+
+def _gaussian_Q(gp: _GaussGapParams) -> float:
+    """Q_{r,n}(lam, z), the weighted second difference of log Gamma around
+    n/(2r) that carries the moment contribution of ||Y||."""
+    r, n, lam, z = gp.r, gp.n, gp.lam, gp.z
+    c = r / (1.0 - r)
+    s = math.sqrt((1.0 - r) * n * z / (2.0 * lam * (1.0 - lam)))
+    x0 = 0.5 * n / r
+    return c * (
+        lam * ln_gamma(x0 - (1.0 - lam) / r * s)
+        + (1.0 - lam) * ln_gamma(x0 + lam / r * s)
+        - ln_gamma(x0)
+    )
+
+
+def _gaussian_Q_lower_bound(gp: _GaussGapParams) -> float:
+    """(z/2) / (1 + sqrt(lam/(1-lam) * b z)), b = 2(1-r)/(9n); the convexity
+    lower bound on Q whose large-n limit z/2 matches Q's."""
+    b = 2.0 * (1.0 - gp.r) / (9.0 * gp.n)
+    return 0.5 * gp.z / (1.0 + math.sqrt(gp.lam / (1.0 - gp.lam) * b * gp.z))
+
+
+def _prop6_limit_check(r: float, n_max: int) -> List[Tuple[int, float, float]]:
+    """Rows (n, optimal Gaussian gap, lognormal gap) over doubling n.
+
+    The Gaussian column increases with n and converges to the lognormal
+    constant, which the last row should approach at O(1/n) speed.
+    """
+    if n_max < 16:
+        raise DomainError(f"n_max must be at least 16, got {n_max!r}")
+    target = eb.lognormal_gap_closed(r)
+    rows = []
+    n = 1
+    while n <= n_max:
+        rep = eb.optimal_gap(GaussianMagnitude(n), Support.euclidean(n), n, r)
+        rows.append((n, rep.gap, target))
+        n *= 2
+    return rows
+
+
 def check_gaussian_q_lower_bound(cfg) -> CheckResult:
     worst = -math.inf
     cases = 0
@@ -279,21 +430,21 @@ def check_gaussian_q_lower_bound(cfg) -> CheckResult:
             for lam in (0.25, 0.5, 0.75):
                 for z in (0.25, 1.0, 4.0):
                     try:
-                        gp = eb.GaussGapParams(r, n, lam, z)
-                    except eb.Infeasible:
+                        gp = _GaussGapParams(r, n, lam, z)
+                    except Infeasible:
                         continue
-                    worst = max(worst, eb.gaussian_Q_lower_bound(gp) - eb.gaussian_Q(gp))
+                    worst = max(worst, _gaussian_Q_lower_bound(gp) - _gaussian_Q(gp))
                     cases += 1
     return _check("entropy.gaussian_Q_lower_bound", worst, 1e-12, f"{cases} feasible")
 
 
 def check_gaussian_q_limit(cfg) -> CheckResult:
-    gp = eb.GaussGapParams(0.5, 10**4, 0.5, 1.0)
-    return _check("entropy.gaussian_Q_large_n", abs(eb.gaussian_Q(gp) - 0.5), 2e-2)
+    gp = _GaussGapParams(0.5, 10**4, 0.5, 1.0)
+    return _check("entropy.gaussian_Q_large_n", abs(_gaussian_Q(gp) - 0.5), 2e-2)
 
 
 def check_prop6_limit(cfg) -> CheckResult:
-    rows = eb.prop6_limit_check(0.1, 256)
+    rows = _prop6_limit_check(0.1, 256)
     gaps = [g for _, g, _ in rows]
     worst_mono = max(gaps[i] - gaps[i + 1] for i in range(len(gaps) - 1))
     final_dev = abs(rows[-1][1] - rows[-1][2])
@@ -356,12 +507,30 @@ def check_awgn_ordering(cfg) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
+def _V_s_quadrature(
+    ch, s: float, given: str = "X", cfg: NumericsConfig = NumericsConfig(), scale: float = 1.0
+) -> float:
+    """Direct integral int |y|^s var(f(y|W)) dy for the (optionally scaled)
+    output scale * Y; the independent route used to validate the kernel
+    decomposition and the |a|^(s-n) scaling law."""
+    if scale == 0.0:
+        raise DomainError("scale must be nonzero")
+    model = mi.variance_model(ch, given, cfg)
+    a = abs(scale)
+
+    def integrand(y):
+        lv = model.log_var(np.asarray(y) / a) - 2.0 * math.log(a)
+        return np.exp(mi._log_abs_pow(y, s) + lv)
+
+    return integrate(integrand, Domain.full_line(), cfg).value
+
+
 def check_vs_decomposition(cfg) -> CheckResult:
     d = TwoPoint(0.3, 2.5)
     ch = mi.AwgnChannel(d)
     # s = 0: direct integral vs Monte Carlo over the kernel expectation
     # E[K_0(X, X) - K_0(X1, X2)].
-    direct0 = mi.V_s_quadrature(ch, 0.0, "X", cfg)
+    direct0 = _V_s_quadrature(ch, 0.0, "X", cfg)
     k_diag = 1.0 / (2.0 * math.sqrt(math.pi))
 
     def g(pair):
@@ -372,7 +541,7 @@ def check_vs_decomposition(cfg) -> CheckResult:
     dev0 = abs(direct0 - res.value)
     ok0 = dev0 <= 4.0 * res.standard_error
     # s = 2: direct integral vs exact kernel sums.
-    direct2 = mi.V_s_quadrature(ch, 2.0, "X", cfg)
+    direct2 = _V_s_quadrature(ch, 2.0, "X", cfg)
     kernel2 = mi.V_s(ch, 2.0, "X", cfg).value
     dev2 = abs(direct2 - kernel2) / kernel2
     passed = bool(ok0 and dev2 <= 1e-6)
@@ -387,9 +556,9 @@ def check_vs_scaling_law(cfg) -> CheckResult:
     ch = mi.ScaleMixtureChannel(TwoPoint(0.4, 3.0))
     worst = 0.0
     for s in (0.0, 2.0):
-        base = mi.V_s_quadrature(ch, s, "U", cfg)
+        base = _V_s_quadrature(ch, s, "U", cfg)
         for a in (0.5, 2.0, 3.0):
-            scaled = mi.V_s_quadrature(ch, s, "U", cfg, scale=a)
+            scaled = _V_s_quadrature(ch, s, "U", cfg, scale=a)
             worst = max(worst, abs(scaled - a ** (s - 1.0) * base) / base)
     return _check("mi.vs_scaling_law", worst, 1e-8)
 

@@ -187,6 +187,13 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert "float range" in captured.err and captured.out == ""
 
+    def test_q_one_ulp_above_one_exit_2(self, capsys):
+        # lam = (q-1)/(q-p) rounds to 0: refused by name, not inside log_beta_tilde
+        assert main(["mi-bound", "--channel", "two-point-mixture", "--eps", "0.01",
+                     "--q", "1.0000000000000002"]) == 2
+        captured = capsys.readouterr()
+        assert "lam = 0.0" in captured.err and captured.out == ""
+
     def test_non_integer_env_seed_exit_2(self, monkeypatch, capsys):
         monkeypatch.setenv("RENYI_BOUNDS_SEED", "abc")
         assert main(["fig2", "--n-max", "2"]) == 2

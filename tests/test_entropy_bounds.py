@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from renyi_bounds.distributions import (
@@ -16,18 +16,11 @@ from renyi_bounds.distributions import (
     TwoPoint,
 )
 from renyi_bounds.entropy_bounds import (
-    GaussGapParams,
     diff_entropy_bounds,
     entropy_bound,
-    gaussian_Q,
-    gaussian_Q_lower_bound,
-    gaussian_gap,
-    lognormal_gap_at,
     lognormal_gap_closed,
-    lognormal_gap_p0,
     mult_bound_check,
     optimal_gap,
-    prop6_limit_check,
     two_moment_parametrization,
 )
 from renyi_bounds.errors import (
@@ -39,12 +32,84 @@ from renyi_bounds.errors import (
 )
 from renyi_bounds.moment_core import Support, TwoMomentParams, psi_r
 from renyi_bounds.quadrature import NumericsConfig
+from renyi_bounds.specfun import theta
+from renyi_bounds.verify import (
+    _GaussGapParams,
+    _gaussian_Q,
+    _gaussian_Q_lower_bound,
+    _prop6_limit_check,
+)
 
 CFG = NumericsConfig()
 SUP_POS = Support.positive_half_line()
 HALF_LOG_8PI = 1.6120857137646180512
 SQRT_2PI = 2.5066282746310005024
 LOG_GAP_HALF = 0.032644172084782122946  # lognormal optimal gap at r = 1/2 (mpmath)
+
+
+# Closed forms of the gap at a box point: oracles for the entropy_bound route.
+
+
+def _lognormal_gap_at(r: float, lam: float, u: float, sigma2: float) -> float:
+    """Lognormal gap at box coordinates (lam, u); depends on u sigma2 only
+    and not on mu.  Minimized at lam = 1/2, u = 1/sigma2."""
+    if not 0.0 < r < 1.0:
+        raise DomainError(f"r must lie in (0, 1), got {r!r}")
+    if not (0.0 < lam < 1.0 and u > 0.0 and sigma2 > 0.0):
+        raise DomainError("need lam in (0,1), u > 0, sigma2 > 0")
+    c = r / (1.0 - r)
+    us = u * sigma2
+    return (
+        theta(c * lam)
+        + theta(c * (1.0 - lam))
+        - theta(c)
+        + 0.5 * us
+        - 0.5 * math.log(us)
+        + 0.5 * math.log(r) / (1.0 - r)
+    )
+
+
+def _lognormal_gap_p0(r: float, q: float, sigma2: float) -> float:
+    """One-moment slice: gap at (0, q), from the simplified expansion
+
+    gap(0, q) = gap_opt + phi((q - (1-r)/r) sigma2) / 2
+                + theta(r/(1-r) - 1/q) + theta(1/q) - 2 theta(r/(2(1-r)))
+
+    with phi(x) = x - log x - 1."""
+    m = (1.0 - r) / r
+    if not q > m:
+        raise InvalidMomentOrder(f"q must exceed 1/r - 1 = {m!r}, got {q!r}")
+    x = (q - m) * sigma2
+    phi = x - math.log(x) - 1.0
+    c = r / (1.0 - r)
+    return (
+        lognormal_gap_closed(r)
+        + 0.5 * phi
+        + theta(c - 1.0 / q)
+        + theta(1.0 / q)
+        - 2.0 * theta(0.5 * c)
+    )
+
+
+def _gaussian_gap(gp: _GaussGapParams) -> float:
+    """Gap for Y ~ N(0, I_n) at (lam, z):
+
+    theta(r lam/(1-r)) + theta(r(1-lam)/(1-r)) - theta(r/(1-r))
+      + Q_{r,n}(lam, z) - (log z)/2 + log(r)/(2(1-r))
+      + (r/(1-r)) theta(n/(2r)) - (1/(1-r)) theta(n/2).
+    """
+    r, n, lam, z = gp.r, gp.n, gp.lam, gp.z
+    c = r / (1.0 - r)
+    return (
+        theta(c * lam)
+        + theta(c * (1.0 - lam))
+        - theta(c)
+        + _gaussian_Q(gp)
+        - 0.5 * math.log(z)
+        + 0.5 * math.log(r) / (1.0 - r)
+        + c * theta(0.5 * n / r)
+        - theta(0.5 * n) / (1.0 - r)
+    )
 
 
 class TestEntropyBound:
@@ -75,7 +140,7 @@ class TestEntropyBound:
         r, lam, u, s2 = 0.35, 0.3, 2.5, 1.7
         p, q = two_moment_parametrization(r, lam, u)
         rep = entropy_bound(Lognormal(1.1, s2), SUP_POS, 1, r, p, q)
-        assert rep.gap == pytest.approx(lognormal_gap_at(r, lam, u, s2), abs=1e-10)
+        assert rep.gap == pytest.approx(_lognormal_gap_at(r, lam, u, s2), abs=1e-10)
 
 
 class TestLognormalGap:
@@ -105,30 +170,30 @@ class TestLognormalGap:
     def test_gap_at_box_optimum_matches_closed(self):
         for r in (0.2, 0.5, 0.8):
             for s2 in (0.25, 1.0, 4.0):
-                val = lognormal_gap_at(r, 0.5, 1.0 / s2, s2)
+                val = _lognormal_gap_at(r, 0.5, 1.0 / s2, s2)
                 assert val == pytest.approx(lognormal_gap_closed(r), abs=1e-12)
 
     def test_gap_at_depends_on_u_sigma2_product_only(self):
-        a = lognormal_gap_at(0.5, 0.5, 1.0, 1.0)
-        b = lognormal_gap_at(0.5, 0.5, 0.25, 4.0)
+        a = _lognormal_gap_at(0.5, 0.5, 1.0, 1.0)
+        b = _lognormal_gap_at(0.5, 0.5, 0.25, 4.0)
         assert a == pytest.approx(b, rel=1e-14)
 
     def test_stationarity_in_lambda_and_u(self):
         r, s2 = 0.4, 1.3
-        centre = lognormal_gap_at(r, 0.5, 1.0 / s2, s2)
+        centre = _lognormal_gap_at(r, 0.5, 1.0 / s2, s2)
         for lam in np.arange(0.1, 0.95, 0.1):
-            assert lognormal_gap_at(r, float(lam), 1.0 / s2, s2) >= centre - 1e-12
+            assert _lognormal_gap_at(r, float(lam), 1.0 / s2, s2) >= centre - 1e-12
         for w in np.linspace(-3.0, 3.0, 13):
-            assert lognormal_gap_at(r, 0.5, math.exp(w) / s2, s2) >= centre - 1e-12
+            assert _lognormal_gap_at(r, 0.5, math.exp(w) / s2, s2) >= centre - 1e-12
 
     def test_p0_slice_matches_direct_gap(self):
         # the simplified p = 0 expansion against the bound evaluated at (0, q)
         r, s2 = 0.45, 2.2
         for q in (1.5, 2.4, 6.0):
             direct = entropy_bound(Lognormal(0.0, s2), SUP_POS, 1, r, 0.0, q).gap
-            assert lognormal_gap_p0(r, q, s2) == pytest.approx(direct, abs=1e-10)
+            assert _lognormal_gap_p0(r, q, s2) == pytest.approx(direct, abs=1e-10)
         with pytest.raises(InvalidMomentOrder):
-            lognormal_gap_p0(r, 1.0 / r - 1.0, s2)
+            _lognormal_gap_p0(r, 1.0 / r - 1.0, s2)
 
 
 class TestOptimalGap:
@@ -250,7 +315,7 @@ def test_lognormal_bound_valid_everywhere(r, lam, log_u, mu, log_s2):
     """Master validity property: the gap is nonnegative at every valid
     (r, p, q) for every lognormal input (all closed forms, no quadrature)."""
     s2 = math.exp(log_s2)
-    gap = lognormal_gap_at(r, lam, math.exp(log_u), s2)
+    gap = _lognormal_gap_at(r, lam, math.exp(log_u), s2)
     assert gap >= -1e-9
     # and the bound route agrees with the closed form
     p, q = two_moment_parametrization(r, lam, math.exp(log_u))
@@ -269,17 +334,17 @@ def test_gaussian_bound_valid_on_feasible_points(r, n, lam, log_z):
     from renyi_bounds.errors import Infeasible as _Infeasible
 
     try:
-        gp = GaussGapParams(r, n, lam, math.exp(log_z))
+        gp = _GaussGapParams(r, n, lam, math.exp(log_z))
     except _Infeasible:
         return
-    assert gaussian_gap(gp) >= -1e-9
+    assert _gaussian_gap(gp) >= -1e-9
 
 
 class TestGaussianGap:
     def test_feasibility_guard(self):
         with pytest.raises(Infeasible):
-            GaussGapParams(0.1, 1, 0.3, 2.0)
-        GaussGapParams(0.1, 4, 0.6, 0.5)  # feasible
+            _GaussGapParams(0.1, 1, 0.3, 2.0)
+        _GaussGapParams(0.1, 4, 0.6, 0.5)  # feasible
 
     def test_q_lower_bound_on_grid(self):
         for r in (0.1, 0.5, 0.9):
@@ -287,33 +352,33 @@ class TestGaussianGap:
                 for lam in (0.25, 0.5, 0.75):
                     for z in (0.25, 1.0, 4.0):
                         try:
-                            gp = GaussGapParams(r, n, lam, z)
+                            gp = _GaussGapParams(r, n, lam, z)
                         except Infeasible:
                             continue
-                        assert gaussian_Q(gp) >= gaussian_Q_lower_bound(gp) - 1e-12
+                        assert _gaussian_Q(gp) >= _gaussian_Q_lower_bound(gp) - 1e-12
 
     def test_q_large_n_limit(self):
-        gp = GaussGapParams(0.5, 10**4, 0.5, 1.0)
-        assert abs(gaussian_Q(gp) - 0.5) <= 2e-2
+        gp = _GaussGapParams(0.5, 10**4, 0.5, 1.0)
+        assert abs(_gaussian_Q(gp) - 0.5) <= 2e-2
 
     def test_closed_form_equals_generic_bound_route(self):
         # Eq-level identity: the (lam, z) closed form is the generic bound
         # evaluated at the corresponding (p, q).
         for (r, n, lam, z) in ((0.1, 4, 0.6, 0.5), (0.5, 16, 0.4, 1.2), (0.3, 2, 0.7, 0.8)):
-            gp = GaussGapParams(r, n, lam, z)
+            gp = _GaussGapParams(r, n, lam, z)
             u = 2.0 * z / (r * n)
             p, q = two_moment_parametrization(r, lam, u)
             rep = entropy_bound(GaussianMagnitude(n), Support.euclidean(n), n, r, p, q)
-            assert gaussian_gap(gp) == pytest.approx(rep.gap, abs=1e-10)
+            assert _gaussian_gap(gp) == pytest.approx(rep.gap, abs=1e-10)
 
     def test_optimized_gap_nondecreasing_in_n(self):
-        rows = prop6_limit_check(0.1, 256)
+        rows = _prop6_limit_check(0.1, 256)
         gaps = [g for _, g, _ in rows]
         for i in range(len(gaps) - 1):
             assert gaps[i + 1] >= gaps[i] - 1e-9
 
     def test_prop6_desk_scale_limit(self):
-        rows = prop6_limit_check(0.1, 256)
+        rows = _prop6_limit_check(0.1, 256)
         n, gap_y, gap_x = rows[-1]
         assert n == 256
         assert abs(gap_y - gap_x) < 0.05
@@ -330,7 +395,7 @@ class TestGaussianGap:
 
     def test_n_max_validation(self):
         with pytest.raises(DomainError):
-            prop6_limit_check(0.1, 8)
+            _prop6_limit_check(0.1, 8)
 
 
 class TestMultiplicationBound:
@@ -412,3 +477,153 @@ class TestDiffEntropyBounds:
         )
         with pytest.raises(MomentDiverges):
             diff_entropy_bounds(heavy, 1, 2.0)
+
+
+def _beta22_on(b):
+    """GenericPdf of b X for X ~ Beta(2, 2): 6 y (b - y) / b^3 on [0, b]."""
+    from renyi_bounds.distributions import GenericPdf
+    from renyi_bounds.quadrature import Domain
+
+    return GenericPdf(lambda y: 6.0 * y * (b - y) / b**3, Domain.finite(0.0, b), CFG)
+
+
+def test_optimal_gaps_scale_invariant():
+    # The gap at (p, q) of aX equals that of X: h_r and log E|X|^s shift by
+    # log a and s log a, which cancel in the bound.  So both optimal gaps of
+    # Beta(2,2) on [0, 1] and on [0, 2] agree, with no closed form needed.
+    r = 0.6
+    base, scaled = _beta22_on(1.0), _beta22_on(2.0)
+    two = [optimal_gap(d, SUP_POS, 1, r).gap for d in (base, scaled)]
+    one = [optimal_gap(d, SUP_POS, 1, r, constrain_p_zero=True).gap for d in (base, scaled)]
+    assert two[1] == pytest.approx(two[0], abs=1e-8)
+    assert one[1] == pytest.approx(one[0], abs=1e-12)
+
+
+# Fuzzing the public contract of the entropy layer and moment_core: every
+# call returns finite numbers (and a gap that is not below 0) or raises a
+# RenyiBoundsError; never a bare ValueError, ZeroDivisionError, nan or inf.
+_WILD = st.one_of(
+    st.sampled_from([0.0, -0.0, -1.0, 1.0, 1e-300, 1e300, -1e300, 1.7e308, 1.0 - 2.0**-53,
+                     1.0 + 2.0**-52, math.nan, math.inf, -math.inf]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+_DIM = st.one_of(st.integers(-2, 6), st.sampled_from([1.5, 0.0, math.nan, math.inf]))
+_FLAG = st.booleans()
+
+
+def _call(fn, **plausible):
+    """(fn, kwargs) with every argument drawn where fn can succeed, then up
+    to two of the float arguments replaced by any float at all."""
+    floats = sorted(k for k, v in plausible.items() if v is not _DIM and v is not _FLAG)
+    wild = st.lists(st.tuples(st.sampled_from(floats), _WILD), max_size=2)
+
+    def build(values, overrides):
+        values.update(overrides)
+        return fn, values
+
+    return st.builds(build, st.fixed_dictionaries(plausible), wild)
+
+
+def _open(lo, hi):
+    return st.floats(lo, hi, exclude_min=True, exclude_max=True)
+
+
+def _k_moment(s1, s2, nu1, nu2, m1, m2, r):
+    from renyi_bounds.moment_core import MomentVector, c_r_numeric, k_moment_bound
+
+    mv = MomentVector((s1, s2), (nu1, nu2))
+    bound = k_moment_bound(mv, [m1, m2], r, CFG)
+    if bound == math.inf and c_r_numeric(r, mv, CFG) == math.inf:
+        return 0.0  # a vacuous bound: no pair of exponents straddles (1-r)/r
+    return bound
+
+
+def _two_moment(mu_p, mu_q, r, p, q):
+    from renyi_bounds.moment_core import two_moment_bound
+
+    return two_moment_bound(mu_p, mu_q, TwoMomentParams(r, p, q))
+
+
+def _psi(r, p, q):
+    return psi_r(TwoMomentParams(r, p, q))
+
+
+def _entropy(mu, s2, n, r, p, q):
+    return entropy_bound(Lognormal(mu, s2), SUP_POS, n, r, p, q)
+
+
+def _gap(mu, s2, n, r, p0):
+    return optimal_gap(Lognormal(mu, s2), SUP_POS, n, r, constrain_p_zero=p0)
+
+
+def _diff(mu, s2, n, s):
+    return diff_entropy_bounds(Lognormal(mu, s2), n, s)
+
+
+def _mult(mu, s2, x, t, r, p, q):
+    return mult_bound_check(Lognormal(mu, s2), PointMass(x), t, r, p, q, CFG)
+
+
+_API_CALLS = st.one_of(
+    _call(two_moment_parametrization, r=_open(0.05, 0.95), lam=_open(0.0, 1.0),
+          u=_open(1e-3, 1e3)),
+    _call(_psi, r=_open(0.05, 0.95), p=_open(-1.0, 0.05), q=_open(1.0, 20.0)),
+    _call(_two_moment, mu_p=_open(0.0, 10.0), mu_q=_open(0.0, 10.0), r=_open(0.05, 0.95),
+          p=_open(-1.0, 0.05), q=_open(1.0, 20.0)),
+    _call(_k_moment, s1=_open(-0.5, 0.5), s2=_open(1.0, 6.0), nu1=_open(0.0, 2.0),
+          nu2=_open(0.0, 2.0), m1=_open(0.0, 5.0), m2=_open(0.0, 5.0), r=_open(0.2, 0.8)),
+    _call(_entropy, mu=_open(-3.0, 3.0), s2=_open(0.1, 4.0), n=_DIM, r=_open(0.05, 0.95),
+          p=_open(-1.0, 0.05), q=_open(1.0, 20.0)),
+    _call(_gap, mu=_open(-3.0, 3.0), s2=_open(0.1, 4.0), n=_DIM, r=_open(0.1, 0.9),
+          p0=_FLAG),
+    _call(_diff, mu=_open(-3.0, 3.0), s2=_open(0.1, 4.0), n=_DIM, s=_open(0.5, 4.0)),
+    _call(_mult, mu=_open(-1.0, 1.0), s2=_open(0.5, 2.0), x=_open(0.5, 1.0), t=_open(1.0, 2.0),
+          r=_open(0.3, 0.6), p=_open(0.0, 0.5), q=_open(2.5, 6.0)),
+)
+
+
+def _numbers(out):
+    """The floats of a result, and its gap when it reports one."""
+    if hasattr(out, "bound"):
+        vals = [out.r, out.p, out.q, out.bound]
+        gap = getattr(out, "gap", None)
+        return vals + ([out.entropy, gap] if gap is not None else []), gap
+    return (list(out) if isinstance(out, tuple) else [out]), None
+
+
+_LN = dict(mu=0.0, s2=1.0)
+
+
+@given(_API_CALLS)
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+# the cases that escaped the contract before they were refused
+@example((_gap, dict(_LN, n=0, r=0.5, p0=False)))  # a gap of -8.97
+@example((_entropy, dict(_LN, n=0, r=0.5, p=0.0, q=2.0)))
+@example((_entropy, dict(_LN, n=1.5, r=0.5, p=0.0, q=2.0)))
+@example((two_moment_parametrization, dict(r=1.5, lam=0.5, u=1.0)))  # ValueError
+@example((two_moment_parametrization, dict(r=0.0, lam=0.5, u=1.0)))  # ZeroDivisionError
+@example((two_moment_parametrization, dict(r=math.nan, lam=0.5, u=1.0)))
+@example((two_moment_parametrization, dict(r=0.5, lam=0.5, u=math.inf)))
+@example((_diff, dict(_LN, n=0, s=2.0)))
+@example((_mult, dict(_LN, x=1.0, t=math.nan, r=0.5, p=0.3, q=2.0)))
+@example((_mult, dict(_LN, x=1.0, t=math.inf, r=0.5, p=0.3, q=2.0)))
+@example((_k_moment, dict(s1=0.0, s2=2.0, nu1=math.nan, nu2=1.0, m1=1.0, m2=1.0, r=0.5)))
+@example((_k_moment, dict(s1=0.0, s2=2.0, nu1=1.0, nu2=1.0, m1=math.inf, m2=1.0, r=0.5)))
+@example((_psi, dict(r=0.5, p=1.0 - 2.0**-53, q=2.0)))  # lam rounds to 1
+@example((_psi, dict(r=0.5, p=0.0, q=1.0 + 2.0**-52)))  # lam rounds to 0
+@example((_entropy, dict(mu=-1.0, s2=0.125, n=2, r=0.5, p=0.0, q=3.0)))  # n-D bound, 1-D law
+@example((_diff, dict(_LN, n=1, s=math.inf)))  # nan
+@example((_k_moment, dict(s1=0.0, s2=4.0, nu1=1e-323, nu2=1e-323, m1=1.0, m2=1.0, r=0.25)))
+def test_api_contract_fuzz(call):
+    fn, kwargs = call
+    try:
+        out = fn(**kwargs)
+    except RenyiBoundsError:
+        return
+    vals, gap = _numbers(out)
+    assert all(math.isfinite(float(v)) for v in vals), (fn.__name__, kwargs, out)
+    if gap is not None:
+        # a bound below the entropy; the gap is a difference of terms of the
+        # entropy's size (mu = 1e13 leaves it a few 1e-3 of rounding)
+        assert gap >= -1e-9 * max(1.0, abs(out.entropy)), (fn.__name__, kwargs, out)

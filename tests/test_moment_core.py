@@ -218,3 +218,11 @@ class TestMomentVector:
         assert params.lam == pytest.approx(0.5)
         with pytest.raises(InvalidMomentOrder):
             TwoMomentParams(0.5, 2.0, 3.0)
+
+    @pytest.mark.parametrize("p,q", [(0.0, 1.0 + 2.0**-52), (1.0 - 2.0**-53, 2.0)],
+                             ids=["lam-rounds-to-0", "lam-rounds-to-1"])
+    def test_lambda_rounding_to_an_edge_refused(self, p, q):
+        # p < 1/r - 1 < q holds, but lam rounds to 0 or 1; log_beta_tilde then
+        # refused a zero argument with a message that did not name the cause
+        with pytest.raises(InvalidMomentOrder, match="lam = "):
+            TwoMomentParams(0.5, p, q)

@@ -11,16 +11,16 @@ from hypothesis import strategies as st
 
 from renyi_bounds.errors import DomainError
 from renyi_bounds.specfun import (
+    _check_t,
+    _fixed_point_v,
     beta,
     beta_tilde,
     kappa,
-    kappa_fixed_point,
-    kappa_via_lambert,
-    lambert_w0,
     ln_gamma,
     log_beta_tilde,
     theta,
 )
+from renyi_bounds.verify import _kappa_via_lambert, _lambert_w0
 
 # mpmath references, 20 significant digits
 THETA_HALF = 0.15342640972002734529
@@ -28,6 +28,20 @@ THETA_TWO = 0.041340695955409294094
 LN_GAMMA_03 = 1.0957979948180755217
 KAPPA_HALF = 0.80474234254941181121
 U_STAR_HALF = 3.9215536345675050925
+
+
+def _kappa_fixed_point(t: float) -> float:
+    """The maximizer u*_t of log(1 + u) / u^t, for t in (0, 1).
+
+    Solves u = t (1 + u) log(1 + u).  Returns inf when u*_t ~ e^(1/t)
+    exceeds double range (t below roughly 1.4e-3); kappa(t) itself stays
+    finite and is computed from log(1 + u*) instead.
+    """
+    t = _check_t(t)
+    if t == 1.0:
+        raise DomainError("the fixed point diverges to 0/0 at t = 1")
+    v = _fixed_point_v(t)
+    return math.expm1(v) if v < 709.0 else math.inf
 
 
 class TestLnGamma:
@@ -131,22 +145,22 @@ def test_beta_tilde_lower_bound_property(x, y):
 
 class TestLambertW:
     def test_branch_values(self):
-        assert lambert_w0(0.0) == 0.0
-        assert lambert_w0(math.e) == pytest.approx(1.0, abs=1e-13)
-        assert lambert_w0(-1.0 / math.e) == -1.0
+        assert _lambert_w0(0.0) == 0.0
+        assert _lambert_w0(math.e) == pytest.approx(1.0, abs=1e-13)
+        assert _lambert_w0(-1.0 / math.e) == -1.0
 
     def test_against_scipy(self):
         for z in (-0.36, -0.1, 0.1, 1.0, 5.0, 123.0, 1e6):
-            assert lambert_w0(z) == pytest.approx(float(sp.lambertw(z).real), rel=1e-12)
+            assert _lambert_w0(z) == pytest.approx(float(sp.lambertw(z).real), rel=1e-12)
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            lambert_w0(-0.4)
+            _lambert_w0(-0.4)
 
     @given(st.floats(min_value=-0.3678, max_value=1e8))
     @settings(max_examples=200)
     def test_residual_property(self, z):
-        w = lambert_w0(z)
+        w = _lambert_w0(z)
         assert abs(w * math.exp(w) - z) <= 1e-12 * max(1.0, abs(z))
 
 
@@ -156,7 +170,7 @@ class TestKappa:
 
     def test_half_reference(self):
         assert kappa(0.5) == pytest.approx(KAPPA_HALF, rel=1e-13)
-        assert kappa_fixed_point(0.5) == pytest.approx(U_STAR_HALF, rel=1e-12)
+        assert _kappa_fixed_point(0.5) == pytest.approx(U_STAR_HALF, rel=1e-12)
 
     def test_half_in_bounds(self):
         k = kappa(0.5)
@@ -164,11 +178,11 @@ class TestKappa:
 
     def test_two_solvers_agree(self):
         for t in np.arange(0.05, 0.96, 0.05):
-            assert abs(kappa(float(t)) - kappa_via_lambert(float(t))) <= 1e-9
+            assert abs(kappa(float(t)) - _kappa_via_lambert(float(t))) <= 1e-9
 
     def test_fixed_point_residual(self):
         for t in np.arange(0.05, 0.96, 0.05):
-            u = kappa_fixed_point(float(t))
+            u = _kappa_fixed_point(float(t))
             resid = abs(u - t * (1.0 + u) * math.log1p(u))
             assert resid <= 1e-12 * max(1.0, u)
 
@@ -190,11 +204,11 @@ class TestKappa:
         k = kappa(1e-3)
         assert math.isfinite(k)
         # u* itself exceeds double range here, by design reported as inf
-        assert kappa_fixed_point(1.2e-3) == math.inf
+        assert _kappa_fixed_point(1.2e-3) == math.inf
 
     def test_domain(self):
         for t in (0.0, -0.2, 1.5):
             with pytest.raises(DomainError):
                 kappa(t)
         with pytest.raises(DomainError):
-            kappa_fixed_point(1.0)
+            _kappa_fixed_point(1.0)
