@@ -21,8 +21,14 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError, DivergenceDetected, MomentDiverges, UnsupportedOperation
-from .moment_core import Support, TwoMomentParams
+from .errors import (
+    DivergenceDetected,
+    DomainError,
+    MomentDiverges,
+    RenyiBoundsError,
+    UnsupportedOperation,
+)
+from .moment_core import Support, TwoMomentParams, _check_n, _check_r, _moment_term
 from .quadrature import Domain, NumericsConfig, integrate
 from .specfun import LOG_2PI, ln_gamma
 
@@ -62,10 +68,14 @@ class ScalarDistribution:
         raise UnsupportedOperation(f"{type(self).__name__} is not atomic")
 
 
-def _check_r(r: float) -> float:
-    if not 0.0 < r < 1.0:
-        raise DomainError(f"Renyi order r must lie in (0, 1), got {r!r}")
-    return float(r)
+def _entropy_from_integral(integral: float, r: float) -> float:
+    """h_r = log(int f^r) / (1-r).  The integrand is positive, so a zero
+    integral is a quadrature that missed the density, and is refused."""
+    if not integral > 0.0:
+        raise RenyiBoundsError(
+            f"int f^r came out {integral!r}: the quadrature missed the density"
+        )
+    return math.log(integral) / (1.0 - r)
 
 
 @dataclass(frozen=True)
@@ -131,8 +141,7 @@ class GaussianMagnitude(ScalarDistribution):
     n: int = 1
 
     def __post_init__(self):
-        if not (isinstance(self.n, int) and self.n >= 1):
-            raise DomainError(f"dimension n must be a positive integer, got {self.n!r}")
+        _check_n(self.n)
 
     def log_moment(self, s: float) -> float:
         if s <= -self.n:
@@ -242,32 +251,20 @@ class GenericPdf(ScalarDistribution):
     def renyi_entropy(self, r: float) -> float:
         r = _check_r(r)
         val = integrate(lambda x: self._pdf(x) ** r, self.domain, self._cfg).value
-        return math.log(val) / (1.0 - r)
+        return _entropy_from_integral(val, r)
 
     def support(self) -> Support:
-        if self.domain.kind == "full_line" or (
-            self.domain.kind == "finite" and self.domain.a < 0.0
-        ):
+        """The real line when the domain reaches below 0 (|X| then has mass
+        from both sides of the origin), else the positive half-line."""
+        if self.domain.kind == "full_line" or self.domain.a < 0.0:
             return Support.real_line()
         return Support.positive_half_line()
-
-
-def _moment_term(d: ScalarDistribution, params: TwoMomentParams, n: int) -> float:
-    """(r lam / (1-r)) log E|X|^(np) + (r (1-lam) / (1-r)) log E|X|^(nq), the
-    moment term of every two-moment bound; +inf when either moment is
-    infinite."""
-    lp = d.log_moment(n * params.p)
-    lq = d.log_moment(n * params.q)
-    if math.isinf(lp) or math.isinf(lq):
-        return math.inf
-    c = params.r / (1.0 - params.r)
-    return c * params.lam * lp + c * (1.0 - params.lam) * lq
 
 
 def L_r(d: ScalarDistribution, r: float, p: float, q: float) -> float:
     """Moment mixture L_r(X; p, q) =
     (r lam / (1-r)) log E|X|^p + (r (1-lam) / (1-r)) log E|X|^q."""
-    L = _moment_term(d, TwoMomentParams(r, p, q), 1)
+    L = _moment_term(TwoMomentParams(r, p, q), d.log_moment(p), d.log_moment(q))
     if math.isinf(L):
         raise MomentDiverges(f"log-moment infinite at p={p!r} or q={q!r}")
     return L

@@ -32,16 +32,15 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .distributions import Lognormal, ScalarDistribution, _moment_term
+from .distributions import Lognormal, ScalarDistribution, _entropy_from_integral
 from .errors import (
     DomainError,
     InvalidMomentOrder,
     MomentDiverges,
     OptimizerNoConverge,
-    RenyiBoundsError,
     UnsupportedOperation,
 )
-from .moment_core import Support, TwoMomentParams, log_omega, log_psi_r
+from .moment_core import Support, TwoMomentParams, _check_n, _check_r, _log_two_moment, log_omega
 from .quadrature import Domain, NumericsConfig, integrate
 from .specfun import LOG_2PI, ln_gamma, theta
 
@@ -84,36 +83,32 @@ class GapReport:
     optimizer_trace: Tuple[tuple, ...]
 
 
-def _check_r(r: float) -> None:
-    if not 0.0 < r < 1.0:
-        raise DomainError(f"r must lie in (0, 1), got {r!r}")
-
-
-def _check_n(n: int) -> None:
-    """n is the dimension of X, a positive integer (at n = 0 the bound falls
-    below the entropy)."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-        raise DomainError(f"n must be a positive integer, got {n!r}")
-
-
-def _check_dimension(d: ScalarDistribution, sup: Support, n: int) -> None:
-    """The support S and the law d of ||X|| must both be n-dimensional: the
-    bound is for X in R^n, and d.renyi_entropy gives the h_r(X) it is
-    compared with (a 1-D entropy against an n = 2 bound gives a gap below 0)."""
+def _check_dimension(d: ScalarDistribution, sup: Support, n: int) -> float:
+    """log omega(sup), once sup fits the law d of ||X||: both n-dimensional
+    (a 1-D entropy against an n = 2 bound gives a gap below 0), and omega(S)
+    at least that of d.support() (a smaller one gives a bound below the
+    entropy; the 1e-12 slack lets R stand for R^1, a last bit apart)."""
     _check_n(n)
-    if not sup.n == d.support().n == n:
+    own = d.support()
+    if not sup.n == own.n == n:
         raise DomainError(
             f"n = {n} must be the dimension of the support ({sup.n}) "
-            f"and of the law of ||X|| ({d.support().n})"
+            f"and of the law of ||X|| ({own.n})"
         )
+    lw, lw_own = log_omega(sup), log_omega(own)
+    if lw < lw_own - 1e-12:
+        raise DomainError(
+            f"S ({sup.kind}, omega {math.exp(lw):.6g}) must cover the support "
+            f"of the law of ||X|| ({own.kind}, omega {math.exp(lw_own):.6g})"
+        )
+    return lw
 
 
 def two_moment_parametrization(r: float, lam: float, u: float) -> Tuple[float, float]:
     """(p, q) from the box coordinates (lam, u); inverse of the gap search."""
-    if not (0.0 < r < 1.0 and 0.0 < lam < 1.0 and 0.0 < u < math.inf):
-        raise DomainError(
-            f"need r and lam in (0, 1) and a finite u > 0, got r={r!r}, lam={lam!r}, u={u!r}"
-        )
+    _check_r(r)
+    if not (0.0 < lam < 1.0 and 0.0 < u < math.inf):
+        raise DomainError(f"need lam in (0, 1) and a finite u > 0, got lam={lam!r}, u={u!r}")
     m = (1.0 - r) / r
     denom = r * lam * (1.0 - lam)  # 0 when lam underflows it
     d = math.sqrt((1.0 - r) * u / denom) if denom > 0.0 else math.inf
@@ -136,10 +131,8 @@ def _gap_at(
         params = TwoMomentParams(r, p, q)
     except InvalidMomentOrder:
         return math.inf
-    L = _moment_term(d, params, n)
-    if math.isinf(L):
-        return math.inf
-    return log_omega_s + log_psi_r(params) + L - entropy
+    lp, lq = d.log_moment(n * p), d.log_moment(n * q)
+    return _log_two_moment(log_omega_s, params, lp, lq) - entropy
 
 
 def entropy_bound(
@@ -157,14 +150,13 @@ def entropy_bound(
     carries the exact entropy and gap whenever the family has a density;
     otherwise only the bound.
     """
-    _check_dimension(d, sup, n)
+    lw = _check_dimension(d, sup, n)
     params = TwoMomentParams(r, p, q)
-    L = _moment_term(d, params, n)
-    if math.isinf(L):
+    bound = _log_two_moment(lw, params, d.log_moment(n * p), d.log_moment(n * q))
+    if math.isinf(bound):
         raise MomentDiverges(
             f"moment of order n*p={n * p!r} or n*q={n * q!r} diverges"
         )
-    bound = log_omega(sup) + log_psi_r(params) + L
     try:
         h = d.renyi_entropy(r)
     except UnsupportedOperation:
@@ -253,9 +245,8 @@ def optimal_gap(
     constrain_p_zero the search is one-dimensional over q > 1/r - 1.
     """
     _check_r(r)
-    _check_dimension(d, sup, n)
+    lw = _check_dimension(d, sup, n)
     h = d.renyi_entropy(r)
-    lw = log_omega(sup)
 
     trace: List[tuple] = []
     if constrain_p_zero:
@@ -352,12 +343,7 @@ def mult_bound_check(
         log_mix = m + np.log(np.exp(logs - m).sum(axis=0))
         return np.exp(r * log_mix)
 
-    val = integrate(integrand, Domain.half_line(0.0), cfg).value
-    if not val > 0.0:
-        raise RenyiBoundsError(
-            "int f_XY^r came out 0: the quadrature missed the product density"
-        )
-    h_xy = math.log(val) / (1.0 - r)
+    h_xy = _entropy_from_integral(integrate(integrand, Domain.half_line(0.0), cfg).value, r)
     gap = entropy_bound(dY, dY.support(), 1, r, p, q).gap
     h_ty = dY.renyi_entropy(r) + math.log(t)
     return h_xy - h_ty - gap

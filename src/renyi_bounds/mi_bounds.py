@@ -34,9 +34,9 @@ from typing import Optional
 
 import numpy as np
 
-from .distributions import GenericPdf, ScalarDistribution, iid_pair_sampler
+from .distributions import GenericPdf, ScalarDistribution, _entropy_from_integral, iid_pair_sampler
 from .errors import DomainError, InvalidMomentOrder, RenyiBoundsError, UnsupportedOperation
-from .moment_core import Support, TwoMomentParams, log_omega, log_psi_r
+from .moment_core import Support, TwoMomentParams, _check_r, _log_two_moment, log_omega
 from .quadrature import Domain, NumericsConfig, integrate, mc_expect
 from .specfun import LOG_2PI, kappa, ln_gamma
 
@@ -134,6 +134,16 @@ class _AtomicConditionals:
             return 2.0 * m + np.log(var)
 
 
+def _log_var(lm, lm2):
+    """log var(f(y|W)) = log(E[f(y|W)^2] - f(y)^2) from lm = log f(y) and
+    lm2 = log E[f(y|W)^2]; -inf where the difference cancels to within
+    1e-15 relative (2 lm <= lm2 by Jensen) or lm2 is -inf."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        diff = 2.0 * lm - lm2
+        out = lm2 + np.log1p(-np.exp(np.minimum(diff, 0.0)))
+        return np.where(np.isfinite(lm2) & (diff < -1e-15), out, -np.inf)
+
+
 class _ScaleMixtureGivenX:
     """var(f(y|X)) for X = A sqrt(U) with atomic U, from two centred
     Gaussian mixtures over the atoms of U:
@@ -150,11 +160,7 @@ class _ScaleMixtureGivenX:
         return self.marginal.log_marginal(y)
 
     def log_var(self, y):
-        lm2 = self.second.log_marginal(y) - _LOG_2SQRTPI
-        diff = 2.0 * self.log_marginal(y) - lm2  # <= 0 by Jensen
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = lm2 + np.log1p(-np.exp(np.minimum(diff, 0.0)))
-        return np.where(diff >= -1e-15, -np.inf, out)
+        return _log_var(self.log_marginal(y), self.second.log_marginal(y) - _LOG_2SQRTPI)
 
 
 class _GenericAwgnConditionals:
@@ -183,14 +189,7 @@ class _GenericAwgnConditionals:
         return self._log_inner(y, 1.0)
 
     def log_var(self, y):
-        lm2 = self._log_inner(y, 2.0)
-        lm = self.log_marginal(y)
-        out = np.full_like(lm2, -np.inf)
-        with np.errstate(invalid="ignore"):
-            diff = 2.0 * lm - lm2
-            ok = np.isfinite(lm2) & (diff < -1e-13)
-        out[ok] = lm2[ok] + np.log1p(-np.exp(diff[ok]))
-        return out
+        return _log_var(self.log_marginal(y), self._log_inner(y, 2.0))
 
 
 def _given(ch, given: str) -> str:
@@ -430,27 +429,20 @@ def prop7_bound(
 
 def marginal_renyi_entropy(ch, r: float, cfg: NumericsConfig = NumericsConfig()) -> float:
     """h_r(Y) of the channel output, by quadrature of f(y)^r."""
-    if not 0.0 < r < 1.0:
-        raise DomainError(f"r must lie in (0, 1), got {r!r}")
+    _check_r(r)
     model = variance_model(ch, "X", cfg)
 
     def integrand(y):
         return np.exp(r * model.log_marginal(y))
 
-    val = integrate(integrand, _FULL, cfg).value
-    if not val > 0.0:
-        raise RenyiBoundsError(
-            "int f(y)^r dy came out 0: the quadrature missed the output density"
-        )
-    return math.log(val) / (1.0 - r)
+    return _entropy_from_integral(integrate(integrand, _FULL, cfg).value, r)
 
 
 def prop8_bound(
     ch, r: float, given: str = "X", cfg: NumericsConfig = NumericsConfig()
 ) -> float:
     """kappa(t) (e^{h_r(Y)} V_0(Y|W))^t with t = (1-r)/(2-r), r in (0, 1)."""
-    if not 0.0 < r < 1.0:
-        raise DomainError(f"r must lie in (0, 1), got {r!r}")
+    _check_r(r)
     t = (1.0 - r) / (2.0 - r)
     v0 = V_s(ch, 0.0, given, cfg).value
     if v0 == 0.0:
@@ -462,15 +454,17 @@ def prop8_bound(
 def prop9_bound(
     ch, p: float, q: float, given: str = "X", cfg: NumericsConfig = NumericsConfig()
 ) -> float:
-    """Two-moment MI bound
+    """Two-moment MI bound: Prop 7 at t = 1/2 with the two-moment
+    inequality of moment_core at r = 1/2 applied to var(f(y|W)),
 
-        I(W; Y) <= C(lam) sqrt(omega(R) V_p^lam V_q^(1-lam) / (q - p)),
+        I(W; Y) <= kappa(1/2) (int sqrt(var(f(y|W))) dy)
+                <= kappa(1/2) sqrt(two_moment_bound(V_p, V_q, (1/2, p, q), R))
+                 = C(lam) sqrt(omega(R) V_p^lam V_q^(1-lam) / (q - p)),
 
     for the scalar output Y (n = 1, so omega(S_Y) = omega(R) = 2),
-    lam = (q-1)/(q-p), built from two V_s evaluations.  The constant is
-    C(lam) = kappa(1/2) sqrt((q - p) psi_{1/2}(p, q)): psi_r of the entropy
-    bound at r = 1/2, where its lam is this one.  Requires 0 <= p < 1 < q
-    (the V_s orders must be nonnegative).
+    lam = (q-1)/(q-p), built from two V_s evaluations, with
+    C(lam) = kappa(1/2) sqrt((q - p) psi_{1/2}(p, q)).  Requires
+    0 <= p < 1 < q (the V_s orders must be nonnegative).
     """
     if not p < 1.0 < q:
         raise InvalidMomentOrder(f"need p < 1 < q, got ({p!r}, {q!r})")
@@ -481,12 +475,7 @@ def prop9_bound(
     if vp == 0.0 or vq == 0.0:
         return 0.0
     params = TwoMomentParams(0.5, p, q)
-    inner = (
-        log_omega(Support.real_line())
-        + log_psi_r(params)
-        + params.lam * math.log(vp)
-        + (1.0 - params.lam) * math.log(vq)
-    )
+    inner = _log_two_moment(log_omega(Support.real_line()), params, math.log(vp), math.log(vq))
     return kappa(0.5) * math.exp(0.5 * inner)
 
 

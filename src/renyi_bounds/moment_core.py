@@ -1,4 +1,5 @@
-"""Two-moment and k-moment integral inequalities for nonnegative functions.
+"""The two-moment inequality, used by the entropy bound and Prop 9, and
+the k-moment inequality it is the optimized case of.
 
 For 0 < r < 1 and moment orders p < 1/r - 1 < q, the r-quasinorm of any
 nonnegative f obeys
@@ -8,6 +9,12 @@ nonnegative f obeys
 with lam = (q + 1 - 1/r) / (q - p) and
 
     psi_r(p, q) = B~(r lam / (1-r), r (1-lam) / (1-r)) / (q - p).
+
+Raised to r/(1-r) and logged, the right side is log omega(S) +
+log psi_r(p, q) + L_r with L_r = (r/(1-r)) (lam log mu_np + (1-lam)
+log mu_nq), written once, in _log_two_moment: on the density of X it
+bounds h_r(X), and at r = 1/2 on var(f(y|W)) it is Prop 9.  The checks
+on r and on a dimension n live here too.
 
 The constant is the optimized form of the k-moment bound
 ||f||_r <= c_r(nu, s) * sum_i nu_i mu_{s_i}(f), where
@@ -44,14 +51,26 @@ __all__ = [
 ]
 
 
+def _check_r(r: float, error: type = DomainError) -> float:
+    """The Renyi order r as a float in (0, 1); error is raised otherwise."""
+    if not 0.0 < r < 1.0:
+        raise error(f"r must lie in (0, 1), got {r!r}")
+    return float(r)
+
+
+def _check_n(n: int) -> None:
+    """n is a dimension, a positive integer (not a bool, not 1.5)."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise DomainError(f"n must be a positive integer, got {n!r}")
+
+
 def lambda_of(r: float, p: float, q: float) -> float:
     """lam = (q + 1 - 1/r) / (q - p), in (0, 1) iff p < 1/r - 1 < q.
 
     Refuses (p, q) whose lam rounds to 0 or 1 (or is nan): p or q within
     rounding of 1/r - 1, or an infinite order, where the Beta constant
     would be evaluated at a zero argument."""
-    if not 0.0 < r < 1.0:
-        raise InvalidMomentOrder(f"r must lie in (0, 1), got {r!r}")
+    _check_r(r, InvalidMomentOrder)
     pivot = 1.0 / r - 1.0
     if not (p < pivot < q):
         raise InvalidMomentOrder(
@@ -122,8 +141,7 @@ class Support:
     def __post_init__(self):
         if self.kind not in self._KINDS:
             raise DomainError(f"unknown support kind {self.kind!r}")
-        if self.n < 1:
-            raise DomainError("dimension n must be >= 1")
+        _check_n(self.n)
         if self.kind == "custom":
             cap = omega(Support.euclidean(self.n))
             if self.omega_value is None or not 0.0 < self.omega_value <= cap:
@@ -193,8 +211,7 @@ def c_r_numeric(
     otherwise exhaust float resolution under the rational half-line map.
     Divergent cases decay nowhere and are caught by the tail test.
     """
-    if not 0.0 < r < 1.0:
-        raise InvalidMomentOrder(f"r must lie in (0, 1), got {r!r}")
+    _check_r(r, InvalidMomentOrder)
     terms = mv.active()
     if not terms:
         return math.inf
@@ -218,10 +235,31 @@ def c_r_numeric(
         raise DomainError(f"c_r = {val!r}^((1-r)/r) leaves the float range at r={r!r}") from None
 
 
-def _log_or_ninf(x: float) -> float:
-    if not 0.0 <= x < math.inf:
-        raise DomainError(f"moments must be finite and nonnegative, got {x!r}")
-    return math.log(x) if x > 0.0 else -math.inf
+def _check_moments(moments: Sequence[float]) -> None:
+    for m in moments:
+        if not 0.0 <= m < math.inf:
+            raise DomainError(f"moments must be finite and nonnegative, got {m!r}")
+
+
+def _moment_term(params: TwoMomentParams, log_mu_p: float, log_mu_q: float) -> float:
+    """L_r = (r lam / (1-r)) log mu_p + (r (1-lam) / (1-r)) log mu_q from two
+    log-moments; +inf when either is infinite."""
+    if math.isinf(log_mu_p) or math.isinf(log_mu_q):
+        return math.inf
+    c = params.r / (1.0 - params.r)
+    return c * params.lam * log_mu_p + c * (1.0 - params.lam) * log_mu_q
+
+
+def _log_two_moment(
+    log_omega_s: float, params: TwoMomentParams, log_mu_p: float, log_mu_q: float
+) -> float:
+    """log omega(S) + log psi_r(p, q) + L_r, the log of the two-moment bound
+    raised to r/(1-r): every two-moment bound of the package is this
+    number.  +inf when either log-moment is infinite."""
+    L = _moment_term(params, log_mu_p, log_mu_q)
+    if math.isinf(L):
+        return math.inf
+    return log_omega_s + log_psi_r(params) + L
 
 
 def two_moment_bound(
@@ -229,22 +267,17 @@ def two_moment_bound(
     mu_q: float,
     params: TwoMomentParams,
     sup: Support = Support.positive_half_line(),
-    n: int = 1,
 ) -> float:
-    """Upper bound on ||f||_r from the moments mu_np(f), mu_nq(f).
-
-    mu_p and mu_q are the moments of order n*p and n*q of the Euclidean
-    norm, matching the n-dimensional statement; for n = 1 they are plain
-    moments.  Assembled in log space and exponentiated once, since the
-    exponent (1-r)/r is unbounded as r -> 0.
-    """
-    if n < 1:
-        raise DomainError("n must be >= 1")
-    log_bound = (
-        ((1.0 - params.r) / params.r) * (log_omega(sup) + log_psi_r(params))
-        + params.lam * _log_or_ninf(mu_p)
-        + (1.0 - params.lam) * _log_or_ninf(mu_q)
-    )
+    """Upper bound on ||f||_r from the moments mu_np(f), mu_nq(f) of the
+    Euclidean norm on the n-dimensional support sup (plain moments for
+    n = 1): exp(((1-r)/r) _log_two_moment), exponentiated once since the
+    exponent is unbounded as r -> 0.  A zero moment means f = 0 almost
+    everywhere, and the bound is 0."""
+    _check_moments((mu_p, mu_q))
+    if mu_p == 0.0 or mu_q == 0.0:
+        return 0.0
+    log_h = _log_two_moment(log_omega(sup), params, math.log(mu_p), math.log(mu_q))
+    log_bound = ((1.0 - params.r) / params.r) * log_h
     try:
         return math.exp(log_bound)
     except OverflowError:
@@ -261,9 +294,7 @@ def k_moment_bound(
     (no active pair of exponents straddles (1-r)/r: the bound is vacuous)."""
     if len(moments) != len(mv.s):
         raise DomainError("moments must match the moment vector length")
-    for m in moments:
-        if not 0.0 <= m < math.inf:
-            raise DomainError(f"moments must be finite and nonnegative, got {m!r}")
+    _check_moments(moments)
     c = c_r_numeric(r, mv, cfg)
     if math.isinf(c):
         return math.inf

@@ -100,10 +100,11 @@ class NumericsConfig:
     rng_seed: int = 20170825
 
     def __post_init__(self):
-        if not self.rel_tol > 0.0:
-            raise DomainError(f"rel_tol must be positive, got {self.rel_tol!r}")
-        if self.rng_seed < 0:
-            raise DomainError(f"rng_seed must be nonnegative, got {self.rng_seed!r}")
+        if not 0.0 < self.rel_tol < math.inf:
+            raise DomainError(f"rel_tol must be positive and finite, got {self.rel_tol!r}")
+        seed = self.rng_seed
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise DomainError(f"rng_seed must be a nonnegative integer, got {seed!r}")
 
 
 class QuadratureResult(NamedTuple):

@@ -7,14 +7,14 @@ nonzero if anything fails; the acceptance tests assert them one by one.
 
 The library keeps one route per quantity.  The second routes that only
 serve as oracles live here, private: the Lambert W closed form of kappa,
-the Gaussian gap term Q_{r,n}(lam, z) with its lower bound, the large-n
-Gaussian gap rows, and the direct integral of |y|^s var(f(y|W)).  The
-test suite imports them from here.
+the Gaussian gap term Q_{r,n}(lam, z) with its lower bound, and the
+direct integral of |y|^s var(f(y|W)).  The test suite imports them from
+here.
 """
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Tuple
+from typing import Callable, List
 
 import numpy as np
 
@@ -32,6 +32,8 @@ from .moment_core import (
     MomentVector,
     Support,
     TwoMomentParams,
+    _check_n,
+    _check_r,
     c_r_numeric,
     lambda_of,
     psi_r,
@@ -286,7 +288,7 @@ def check_prop2_validity(cfg) -> CheckResult:
             mu_p = integrate(lambda x: x**p * pdf(x), half, cfg).value
             mu_q = integrate(lambda x: x**q * pdf(x), half, cfg).value
             norm_r = integrate(lambda x: pdf(x) ** r, half, cfg).value ** (1.0 / r)
-            bound = two_moment_bound(mu_p, mu_q, TwoMomentParams(r, p, q), sup, 1)
+            bound = two_moment_bound(mu_p, mu_q, TwoMomentParams(r, p, q), sup)
             worst = max(worst, norm_r - bound)
             cases += 1
     return _check("moment_core.prop2_validity", worst, 1e-9, f"{cases} cases")
@@ -368,10 +370,8 @@ class _GaussGapParams:
     z: float
 
     def __post_init__(self):
-        if not 0.0 < self.r < 1.0:
-            raise DomainError(f"r must lie in (0, 1), got {self.r!r}")
-        if not (isinstance(self.n, int) and self.n >= 1):
-            raise DomainError(f"n must be a positive integer, got {self.n!r}")
+        _check_r(self.r)
+        _check_n(self.n)
         if not (0.0 < self.lam < 1.0 and self.z > 0.0):
             raise DomainError("need lam in (0, 1) and z > 0")
         guard = (1.0 - self.lam) * math.sqrt(
@@ -404,24 +404,6 @@ def _gaussian_Q_lower_bound(gp: _GaussGapParams) -> float:
     return 0.5 * gp.z / (1.0 + math.sqrt(gp.lam / (1.0 - gp.lam) * b * gp.z))
 
 
-def _prop6_limit_check(r: float, n_max: int) -> List[Tuple[int, float, float]]:
-    """Rows (n, optimal Gaussian gap, lognormal gap) over doubling n.
-
-    The Gaussian column increases with n and converges to the lognormal
-    constant, which the last row should approach at O(1/n) speed.
-    """
-    if n_max < 16:
-        raise DomainError(f"n_max must be at least 16, got {n_max!r}")
-    target = eb.lognormal_gap_closed(r)
-    rows = []
-    n = 1
-    while n <= n_max:
-        rep = eb.optimal_gap(GaussianMagnitude(n), Support.euclidean(n), n, r)
-        rows.append((n, rep.gap, target))
-        n *= 2
-    return rows
-
-
 def check_gaussian_q_lower_bound(cfg) -> CheckResult:
     worst = -math.inf
     cases = 0
@@ -444,10 +426,12 @@ def check_gaussian_q_limit(cfg) -> CheckResult:
 
 
 def check_prop6_limit(cfg) -> CheckResult:
-    rows = _prop6_limit_check(0.1, 256)
-    gaps = [g for _, g, _ in rows]
+    from .sweeps import fig2_rows
+
+    _, rows = fig2_rows(0.1, 256)
+    gaps = [row[1] for row in rows]
     worst_mono = max(gaps[i] - gaps[i + 1] for i in range(len(gaps) - 1))
-    final_dev = abs(rows[-1][1] - rows[-1][2])
+    final_dev = abs(rows[-1][1] - rows[-1][3])
     passed = worst_mono <= 1e-9 and final_dev < 0.05
     return CheckResult(
         "entropy.prop6_gaussian_to_lognormal",

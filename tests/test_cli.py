@@ -106,6 +106,26 @@ class TestReproducibility:
         assert main([command, "--out", str(out)]) == 0
         assert hashlib.sha256(_read(out)).hexdigest() == self.DEFAULT_CSV_SHA256[command]
 
+    # The same for single-shot queries whose bound goes through the
+    # two-moment inequality (Prop 9 and the entropy bound).
+    QUERY_CSV_SHA256 = {
+        "mi-bound --channel awgn-gaussian":
+            "a02e2a5053a638b66f70b7516f1a4f2eb2e09caf32b26603df92d58511266ea8",
+        "mi-bound --channel two-point-mixture":
+            "36a4a3f3ef6c7d78bff7ca0ca1d36f606897085868c15e7de1a5ef58bef284f3",
+        "entropy-bound --family lognormal --sigma2 2 --r 0.5 --p 0 --q 2":
+            "76a784c42413d351ca9398eab0f91143e26f7c55c12d1cca9b20ff228b440701",
+        "entropy-bound --family gaussian --n 3 --r 0.4 --p 0.1 --q 2":
+            "99401fd6c9e5f84b3af1e54d2048c099320a7f60ce1a829249789beb715b329b",
+    }
+
+    @pytest.mark.parametrize("query", sorted(QUERY_CSV_SHA256))
+    def test_query_csv_pinned(self, query, tmp_path, monkeypatch):
+        monkeypatch.delenv("RENYI_BOUNDS_SEED", raising=False)
+        out = tmp_path / "query.csv"
+        assert main(query.split() + ["--out", str(out)]) == 0
+        assert hashlib.sha256(_read(out)).hexdigest() == self.QUERY_CSV_SHA256[query]
+
     def test_json_format(self, tmp_path):
         out = tmp_path / "fig3.json"
         assert main(["fig3", "--eps-grid", "0.01,0.1", "--format", "json",
@@ -199,6 +219,14 @@ class TestExitCodes:
         assert main(["fig2", "--n-max", "2"]) == 2
         captured = capsys.readouterr()
         assert "RENYI_BOUNDS_SEED" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("command", ["mi-bound --channel two-point-mixture", "fig3",
+                                         "verify"])
+    def test_infinite_tol_exit_2(self, command, capsys):
+        # mi-bound --tol inf used to exit 0 with prop8_bound off in the 7th digit
+        assert main(command.split() + ["--tol", "inf"]) == 2
+        captured = capsys.readouterr()
+        assert "rel_tol" in captured.err and captured.out == ""
 
     def test_negative_seed_exit_2(self, capsys):
         # verify used to report the bad seed as three failed checks (exit 1)

@@ -192,6 +192,10 @@ class TestValidation:
         with pytest.raises(DomainError):
             GaussianMagnitude(0)
         with pytest.raises(DomainError):
+            GaussianMagnitude(True)
+        with pytest.raises(DomainError):
+            GaussianMagnitude(2.0)
+        with pytest.raises(DomainError):
             TwoPoint(0.0, 2.0)
         with pytest.raises(DomainError):
             TwoPoint(0.5, -1.0)
@@ -217,6 +221,19 @@ class TestValidation:
     def test_coinciding_atoms_are_one_atom(self):
         atoms, probs = TwoPoint(0.1, 1.0).atoms_and_probs()
         assert atoms.tolist() == [1.0] and probs.tolist() == [1.0]
+
+    @pytest.mark.parametrize("domain,kind", [
+        (Domain.half_line(-1.0), "real_line"),
+        (Domain.finite(-1.0, 3.0), "real_line"),
+        (Domain.full_line(), "real_line"),
+        (Domain.half_line(0.0), "positive_half_line"),
+        (Domain.finite(0.5, 3.0), "positive_half_line"),
+    ], ids=["half-line-below-0", "finite-below-0", "full-line", "half-line", "finite"])
+    def test_generic_pdf_support_follows_the_lower_end(self, domain, kind):
+        # a half-line from -1 used to report the positive half-line
+        mass = integrate(lambda x: np.exp(-np.abs(x)), domain, CFG).value
+        d = GenericPdf(lambda x: np.exp(-np.abs(x)) / mass, domain, CFG)
+        assert d.support().kind == kind
 
     def test_generic_pdf_must_normalize(self):
         with pytest.raises(DomainError):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from renyi_bounds.distributions import (
     GaussianMagnitude,
+    GenericPdf,
     Lognormal,
     PointMass,
     TwoPoint,
@@ -30,14 +31,14 @@ from renyi_bounds.errors import (
     MomentDiverges,
     RenyiBoundsError,
 )
-from renyi_bounds.moment_core import Support, TwoMomentParams, psi_r
-from renyi_bounds.quadrature import NumericsConfig
+from renyi_bounds.moment_core import Support, TwoMomentParams, omega, psi_r, two_moment_bound
+from renyi_bounds.quadrature import Domain, NumericsConfig, rng_for
 from renyi_bounds.specfun import theta
+from renyi_bounds.sweeps import fig2_rows
 from renyi_bounds.verify import (
     _GaussGapParams,
     _gaussian_Q,
     _gaussian_Q_lower_bound,
-    _prop6_limit_check,
 )
 
 CFG = NumericsConfig()
@@ -141,6 +142,19 @@ class TestEntropyBound:
         p, q = two_moment_parametrization(r, lam, u)
         rep = entropy_bound(Lognormal(1.1, s2), SUP_POS, 1, r, p, q)
         assert rep.gap == pytest.approx(_lognormal_gap_at(r, lam, u, s2), abs=1e-10)
+
+    @pytest.mark.parametrize("d,sup,n", [
+        (Lognormal(0.3, 2.0), SUP_POS, 1),
+        (GaussianMagnitude(1), Support.euclidean(1), 1),
+        (GaussianMagnitude(3), Support.euclidean(3), 3),
+    ], ids=["lognormal", "gaussian-1", "gaussian-3"])
+    def test_is_the_two_moment_inequality_on_the_density(self, d, sup, n):
+        # h_r = (r/(1-r)) log ||f||_r, with the two-moment bound on ||f||_r
+        for r, p, q in ((0.5, 0.0, 2.0), (0.4, 0.1, 2.0), (0.7, -0.2, 1.5)):
+            mu_p, mu_q = math.exp(d.log_moment(n * p)), math.exp(d.log_moment(n * q))
+            tm = two_moment_bound(mu_p, mu_q, TwoMomentParams(r, p, q), sup)
+            rep = entropy_bound(d, sup, n, r, p, q)
+            assert rep.bound == pytest.approx((r / (1.0 - r)) * math.log(tm), rel=1e-13)
 
 
 class TestLognormalGap:
@@ -294,6 +308,26 @@ class TestOptimalGap:
         assert rep.gap >= -1e-9
         assert (1.0 / 0.75 - 1.0) < rep.q < 1.0
 
+    def test_undersized_support_refused(self):
+        # an omega(S) below that of the law's support gave gaps of -0.66 and -1.04
+        with pytest.raises(DomainError):
+            optimal_gap(Lognormal(), Support.custom(0.5), 1, 0.5)
+        with pytest.raises(DomainError):
+            entropy_bound(GaussianMagnitude(2), Support.custom(1.0, 2), 2, 0.5, 0.0, 2.0)
+        # a larger support is a valid, looser bound; R stands for R^1
+        on_r = entropy_bound(GaussianMagnitude(1), Support.real_line(), 1, 0.5, 0.0, 2.0)
+        own = entropy_bound(GaussianMagnitude(1), Support.euclidean(1), 1, 0.5, 0.0, 2.0)
+        assert on_r.bound == pytest.approx(own.bound, abs=1e-14)
+        wide = entropy_bound(Lognormal(), Support.real_line(), 1, 0.5, 0.0, 2.0)
+        assert wide.gap == pytest.approx(_entropy(0.0, 1.0, 1, 0.5, 0.0, 2.0).gap + math.log(2))
+
+    def test_generic_pdf_below_zero_gets_the_real_line(self):
+        # X = E - 1, E ~ Exp(1): |X| has mass from both sides of 0, so
+        # omega = 2; the positive half-line gave gaps of -0.24 and -0.05 here
+        d = GenericPdf(lambda x: np.exp(-(x + 1.0)), Domain.half_line(-1.0), CFG)
+        for r, p, q in ((0.5, 0.0, 2.0), (0.3, 0.5, 4.0)):
+            assert entropy_bound(d, d.support(), 1, r, p, q).gap >= 0.0
+
     def test_gap_never_negative(self):
         for r in (0.15, 0.5, 0.85):
             for d, sup, n in (
@@ -372,14 +406,14 @@ class TestGaussianGap:
             assert _gaussian_gap(gp) == pytest.approx(rep.gap, abs=1e-10)
 
     def test_optimized_gap_nondecreasing_in_n(self):
-        rows = _prop6_limit_check(0.1, 256)
-        gaps = [g for _, g, _ in rows]
+        _, rows = fig2_rows(0.1, 256)
+        gaps = [row[1] for row in rows]
         for i in range(len(gaps) - 1):
             assert gaps[i + 1] >= gaps[i] - 1e-9
 
     def test_prop6_desk_scale_limit(self):
-        rows = _prop6_limit_check(0.1, 256)
-        n, gap_y, gap_x = rows[-1]
+        _, rows = fig2_rows(0.1, 256)
+        n, gap_y, _, gap_x = rows[-1]
         assert n == 256
         assert abs(gap_y - gap_x) < 0.05
 
@@ -392,10 +426,6 @@ class TestGaussianGap:
         sup = Support.euclidean(1)
         assert optimal_gap(d, sup, 1, 0.99).gap < 0.05
         assert optimal_gap(d, sup, 1, 0.99, constrain_p_zero=True).gap < 0.05
-
-    def test_n_max_validation(self):
-        with pytest.raises(DomainError):
-            _prop6_limit_check(0.1, 8)
 
 
 class TestMultiplicationBound:
@@ -499,22 +529,39 @@ def test_optimal_gaps_scale_invariant():
     assert one[1] == pytest.approx(one[0], abs=1e-12)
 
 
-# Fuzzing the public contract of the entropy layer and moment_core: every
-# call returns finite numbers (and a gap that is not below 0) or raises a
-# RenyiBoundsError; never a bare ValueError, ZeroDivisionError, nan or inf.
+# Fuzzing the public contract of the entropy layer, moment_core and the
+# constructors they take (laws, supports, NumericsConfig): every call
+# returns finite numbers (and a gap that is not below 0) or raises a
+# RenyiBoundsError; never a bare ValueError, TypeError, nan or inf.
 _WILD = st.one_of(
     st.sampled_from([0.0, -0.0, -1.0, 1.0, 1e-300, 1e300, -1e300, 1.7e308, 1.0 - 2.0**-53,
                      1.0 + 2.0**-52, math.nan, math.inf, -math.inf]),
     st.floats(allow_nan=True, allow_infinity=True),
 )
-_DIM = st.one_of(st.integers(-2, 6), st.sampled_from([1.5, 0.0, math.nan, math.inf]))
+_DIM = st.one_of(st.integers(-2, 6), st.sampled_from([1.5, 0.0, True, math.nan, math.inf]))
 _FLAG = st.booleans()
+_SEED = st.one_of(st.integers(0, 2**64), st.sampled_from([-1, 1.5, True, math.nan, "7"]))
+_LAWS = {
+    "lognormal": lambda a, b, n: Lognormal(a, b),
+    "gaussian": lambda a, b, n: GaussianMagnitude(n),
+    "two_point": lambda a, b, n: TwoPoint(a, b),
+    "point_mass": lambda a, b, n: PointMass(b),
+}
+_SUPPORTS = {
+    "positive_half_line": lambda n, w: Support.positive_half_line(),
+    "real_line": lambda n, w: Support.real_line(),
+    "euclidean": lambda n, w: Support.euclidean(n),
+    "custom": lambda n, w: Support.custom(w, n),
+}
+_LAW = st.sampled_from(sorted(_LAWS))
+_SUP = st.sampled_from(sorted(_SUPPORTS))
+_NOT_FLOAT = (_DIM, _FLAG, _SEED, _LAW, _SUP)
 
 
 def _call(fn, **plausible):
     """(fn, kwargs) with every argument drawn where fn can succeed, then up
     to two of the float arguments replaced by any float at all."""
-    floats = sorted(k for k, v in plausible.items() if v is not _DIM and v is not _FLAG)
+    floats = sorted(k for k, v in plausible.items() if all(v is not s for s in _NOT_FLOAT))
     wild = st.lists(st.tuples(st.sampled_from(floats), _WILD), max_size=2)
 
     def build(values, overrides):
@@ -564,6 +611,27 @@ def _mult(mu, s2, x, t, r, p, q):
     return mult_bound_check(Lognormal(mu, s2), PointMass(x), t, r, p, q, CFG)
 
 
+def _law(law, a, b, n):
+    d = _LAWS[law](a, b, n)
+    return (d.log_moment(0.5), omega(d.support()))
+
+
+def _support(sup, n, w):
+    s = _SUPPORTS[sup](n, w)
+    return (s.n, omega(s))
+
+
+def _config(tol, seed):
+    cfg = NumericsConfig(tol, seed)
+    return (cfg.rel_tol, rng_for(cfg).random())
+
+
+def _pair(law, a, b, sup, w, n, r, p, q):
+    """entropy_bound on a random (law, support) pair; a support that does
+    not fit the law must be refused, not give a bound below the entropy."""
+    return entropy_bound(_LAWS[law](a, b, n), _SUPPORTS[sup](n, w), n, r, p, q)
+
+
 _API_CALLS = st.one_of(
     _call(two_moment_parametrization, r=_open(0.05, 0.95), lam=_open(0.0, 1.0),
           u=_open(1e-3, 1e3)),
@@ -579,6 +647,11 @@ _API_CALLS = st.one_of(
     _call(_diff, mu=_open(-3.0, 3.0), s2=_open(0.1, 4.0), n=_DIM, s=_open(0.5, 4.0)),
     _call(_mult, mu=_open(-1.0, 1.0), s2=_open(0.5, 2.0), x=_open(0.5, 1.0), t=_open(1.0, 2.0),
           r=_open(0.3, 0.6), p=_open(0.0, 0.5), q=_open(2.5, 6.0)),
+    _call(_law, law=_LAW, a=_open(0.0, 1.0), b=_open(0.0, 10.0), n=_DIM),
+    _call(_support, sup=_SUP, n=_DIM, w=_open(0.0, 4.0)),
+    _call(_config, tol=_open(0.0, 1e-3), seed=_SEED),
+    _call(_pair, law=_LAW, a=_open(0.0, 1.0), b=_open(0.0, 10.0), sup=_SUP, w=_open(0.0, 4.0),
+          n=_DIM, r=_open(0.05, 0.95), p=_open(-1.0, 0.05), q=_open(1.0, 20.0)),
 )
 
 
@@ -595,7 +668,7 @@ _LN = dict(mu=0.0, s2=1.0)
 
 
 @given(_API_CALLS)
-@settings(max_examples=300, deadline=None, derandomize=True,
+@settings(max_examples=500, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 # the cases that escaped the contract before they were refused
 @example((_gap, dict(_LN, n=0, r=0.5, p0=False)))  # a gap of -8.97
@@ -615,6 +688,12 @@ _LN = dict(mu=0.0, s2=1.0)
 @example((_entropy, dict(mu=-1.0, s2=0.125, n=2, r=0.5, p=0.0, q=3.0)))  # n-D bound, 1-D law
 @example((_diff, dict(_LN, n=1, s=math.inf)))  # nan
 @example((_k_moment, dict(s1=0.0, s2=4.0, nu1=1e-323, nu2=1e-323, m1=1.0, m2=1.0, r=0.25)))
+@example((_config, dict(tol=math.inf, seed=1)))  # every quadrature stopped after one panel
+@example((_config, dict(tol=1e-9, seed=1.5)))  # TypeError at the first draw
+@example((_pair, dict(law="lognormal", a=0.0, b=1.0, sup="custom", w=0.5, n=1, r=0.5,
+                      p=0.0, q=2.0)))  # omega(S) below the law's: a gap below 0
+@example((_pair, dict(law="gaussian", a=0.0, b=1.0, sup="custom", w=1.0, n=2, r=0.5,
+                      p=0.0, q=2.0)))
 def test_api_contract_fuzz(call):
     fn, kwargs = call
     try:

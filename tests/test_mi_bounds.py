@@ -39,6 +39,7 @@ from renyi_bounds.mi_bounds import (
     variance_model,
     vs_upper_bound_check,
 )
+from renyi_bounds.moment_core import Support, TwoMomentParams, two_moment_bound
 from renyi_bounds.quadrature import Domain, NumericsConfig, integrate, mc_expect
 from renyi_bounds.specfun import kappa
 from renyi_bounds.verify import _V_s_quadrature
@@ -405,6 +406,21 @@ class TestProp9:
             vq = V_s(ch, q, "U", CFG).value
             expected = c * math.sqrt(2.0 * vp**lam * vq ** (1.0 - lam) / (q - p))
             assert prop9_bound(ch, p, q, "U", CFG) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("ch,given", [
+        (ScaleMixtureChannel(PointMass(1.0)), "X"),
+        (ScaleMixtureChannel(TwoPoint(0.1, 1.0 + 0.1**-0.5)), "U"),
+    ], ids=["awgn-gaussian", "two-point-mixture"])
+    @pytest.mark.parametrize("p,q", [(0.0, 2.0), (0.5, 3.0)])
+    def test_is_the_two_moment_inequality_at_half(self, ch, given, p, q):
+        # Prop 9 is kappa(1/2) (int sqrt(var))  with the two-moment bound on
+        # ||var||_{1/2} = (int sqrt(var))^2 over S = R
+        vp = V_s(ch, p, given, CFG, stream=1).value
+        vq = V_s(ch, q, given, CFG, stream=2).value
+        tm = two_moment_bound(vp, vq, TwoMomentParams(0.5, p, q), Support.real_line())
+        assert prop9_bound(ch, p, q, given, CFG) == pytest.approx(
+            kappa(0.5) * math.sqrt(tm), rel=1e-14
+        )
 
     def test_validation(self):
         ch = ScaleMixtureChannel(PointMass(1.0))

@@ -137,6 +137,12 @@ class TestOmega:
         with pytest.raises(DomainError):
             Support.custom(0.0, n=1)
 
+    @pytest.mark.parametrize("n", [0, 1.5, 2.0, True, math.nan])
+    def test_dimension_must_be_a_positive_integer(self, n):
+        with pytest.raises(DomainError):
+            Support.euclidean(n)
+        assert Support.euclidean(np.int64(2)).n == 2
+
     def test_log_omega_consistency(self):
         for sup in (Support.positive_half_line(), Support.real_line(),
                     Support.euclidean(5), Support.custom(0.7, n=1)):

@@ -309,6 +309,19 @@ class TestMonteCarlo:
         with pytest.raises(DomainError):
             NumericsConfig(rel_tol=0.0)
 
+    @pytest.mark.parametrize("tol", [math.inf, math.nan], ids=["inf", "nan"])
+    def test_non_finite_tolerance_rejected(self, tol):
+        # rel_tol = inf stopped every quadrature after its first panel
+        with pytest.raises(DomainError):
+            NumericsConfig(rel_tol=tol)
+
+    @pytest.mark.parametrize("seed", [1.5, True, "7"], ids=["float", "bool", "str"])
+    def test_non_integer_seed_rejected(self, seed):
+        # 1.5 used to raise a bare TypeError at the first Monte Carlo call
+        with pytest.raises(DomainError):
+            NumericsConfig(rng_seed=seed)
+        assert NumericsConfig(rng_seed=np.int64(3)).rng_seed == 3
+
     def test_negative_seed_rejected(self):
         # SeedSequence would raise a bare ValueError at the first draw
         with pytest.raises(DomainError):
