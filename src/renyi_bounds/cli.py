@@ -16,7 +16,7 @@ import sys
 from typing import List, Optional, Sequence
 
 from . import __version__
-from .distributions import GaussianMagnitude, Lognormal, PointMass, TwoPoint
+from .distributions import GaussianMagnitude, Lognormal, PointMass
 from .entropy_bounds import entropy_bound
 from .errors import DomainError, RenyiBoundsError
 from .mi_bounds import (
@@ -28,7 +28,7 @@ from .mi_bounds import (
 )
 from .moment_core import Support
 from .quadrature import _ABS_TOL, _MAX_SUBDIVISIONS, _MC_SAMPLES, NumericsConfig
-from .sweeps import fig1_rows, fig2_rows, fig3_rows
+from .sweeps import _two_point_mixture, fig1_rows, fig2_rows, fig3_rows
 from .verify import run_verification
 
 DEFAULT_SEED = NumericsConfig().rng_seed
@@ -176,10 +176,7 @@ def _cmd_mi_bound(args, cfg):
     if args.channel == "awgn-gaussian":
         ch, given = ScaleMixtureChannel(PointMass(args.sigma2)), "X"
     else:
-        if not 0.0 < args.eps < 1.0:  # before it enters the default a
-            raise DomainError(f"eps must lie in (0, 1), got {args.eps!r}")
-        a = args.a if args.a is not None else 1.0 + 1.0 / math.sqrt(args.eps)
-        ch, given = ScaleMixtureChannel(TwoPoint(args.eps, a)), "U"
+        ch, given = _two_point_mixture(args.eps, args.a), "U"
     cols = ["mi_oracle", "prop8_bound", "prop9_bound", "chi2_bound"]
     rows = [(
         mi_oracle(ch, given, cfg),

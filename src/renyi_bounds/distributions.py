@@ -4,7 +4,8 @@ Each family descriptor is immutable and exposes the pieces the bound
 machinery needs:
 
 * log_moment(s)      log E|X|^s, with +inf (returned, never raised) outside
-                     the finiteness region;
+                     the finiteness region, and DomainError where a finite
+                     value leaves the float range;
 * renyi_entropy(r)   closed form where one exists, quadrature for generic
                      densities, UnsupportedOperation for purely atomic laws;
 * sample(rng, size)  for every family except generic densities.
@@ -28,7 +29,7 @@ from .errors import (
     RenyiBoundsError,
     UnsupportedOperation,
 )
-from .moment_core import Support, TwoMomentParams, _check_n, _check_r, _moment_term
+from .moment_core import Support, TwoMomentParams, _check_n, _check_r, _logsumexp, _moment_term
 from .quadrature import Domain, NumericsConfig, integrate
 from .specfun import LOG_2PI, ln_gamma
 
@@ -68,6 +69,47 @@ class ScalarDistribution:
         raise UnsupportedOperation(f"{type(self).__name__} is not atomic")
 
 
+def _log_npdf(y, var):
+    """log N(y; 0, var), elementwise."""
+    return -0.5 * y * y / var - 0.5 * (LOG_2PI + np.log(var))
+
+
+class _GaussianMixture:
+    """The finite mixture f = sum_i p_i N(mu_i, var_i), with its components
+    kept apart: in the MI layer the conditional densities f(y|w_i) of an
+    atomic W and the output density f(y) they make, in the
+    multiplication bound the density of log XY."""
+
+    def __init__(self, probs, means, variances):
+        self.probs = np.asarray(probs, dtype=float)
+        self.means = np.asarray(means, dtype=float)
+        self.vars = np.asarray(variances, dtype=float)
+        self.log_probs = np.log(self.probs)
+
+    def log_cond(self, y):
+        """log N(y; mu_i, var_i), one row per component."""
+        y = np.atleast_1d(np.asarray(y, dtype=float))
+        return _log_npdf(y[None, :] - self.means[:, None], self.vars[:, None])
+
+    def marginal_of(self, lc):
+        """log f(y) from the components lc = log_cond(y) at the same y."""
+        return _logsumexp(lc + self.log_probs[:, None])
+
+    def log_marginal(self, y):
+        return self.marginal_of(self.log_cond(y))
+
+    def log_var(self, y):
+        """log var(f(y|W)), with the largest component factored out so the
+        squared deviations never underflow prematurely."""
+        lc = self.log_cond(y)
+        m = lc.max(axis=0)
+        scaled = np.exp(lc - m)
+        mean = self.probs @ scaled
+        var = self.probs @ (scaled - mean) ** 2
+        with np.errstate(divide="ignore"):
+            return 2.0 * m + np.log(var)
+
+
 def _entropy_from_integral(integral: float, r: float) -> float:
     """h_r = log(int f^r) / (1-r).  The integrand is positive, so a zero
     integral is a quadrature that missed the density, and is refused."""
@@ -93,40 +135,41 @@ class Lognormal(ScalarDistribution):
             raise DomainError(f"mu must be finite, got {self.mu!r}")
         if not 0.0 < self.sigma2 < math.inf:
             raise DomainError(f"sigma2 must be positive and finite, got {self.sigma2!r}")
+        # Python floats: an overflow below is an inf to refuse, not a numpy warning
+        object.__setattr__(self, "mu", float(self.mu))
+        object.__setattr__(self, "sigma2", float(self.sigma2))
 
     def log_moment(self, s: float) -> float:
-        return self.mu * s + 0.5 * self.sigma2 * s * s
+        s = float(s)
+        value = self.mu * s + 0.5 * self.sigma2 * s * s
+        if not math.isfinite(value):
+            raise DomainError(f"log E X^{s!r} of {self} leaves the float range")
+        return value
 
     def renyi_entropy(self, r: float) -> float:
         r = _check_r(r)
-        return (
+        h = (
             self.mu
             + 0.5 * ((1.0 - r) / r) * self.sigma2
             + 0.5 * (LOG_2PI + math.log(r) / (r - 1.0) + math.log(self.sigma2))
         )
+        if not math.isfinite(h):
+            raise DomainError(f"h_{r!r} of {self} leaves the float range")
+        return h
 
     def shannon_entropy(self) -> float:
         """r -> 1 limit: mu + (1/2) log(2 pi e sigma2)."""
         return self.mu + 0.5 * (LOG_2PI + 1.0 + math.log(self.sigma2))
 
     def log_pdf(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        lx = np.log(x)
-        return -lx - 0.5 * (LOG_2PI + math.log(self.sigma2)) - (lx - self.mu) ** 2 / (
-            2.0 * self.sigma2
-        )
+        lx = np.log(np.asarray(x, dtype=float))
+        return _log_npdf(lx - self.mu, self.sigma2) - lx
 
     def pdf(self, x: np.ndarray) -> np.ndarray:
         return np.exp(self.log_pdf(x))
 
     def sample(self, rng, size=None):
         return rng.lognormal(self.mu, math.sqrt(self.sigma2), size)
-
-    def scaled(self, factor: float) -> "Lognormal":
-        """Law of factor * X, again lognormal (log-location shift)."""
-        if not factor > 0.0:
-            raise DomainError("scaling factor must be positive")
-        return Lognormal(self.mu + math.log(factor), self.sigma2)
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .distributions import Lognormal, ScalarDistribution, _entropy_from_integral
+from .distributions import Lognormal, ScalarDistribution, _entropy_from_integral, _GaussianMixture
 from .errors import (
     DomainError,
     InvalidMomentOrder,
@@ -210,7 +210,7 @@ def _grid_golden(fun, lo: float, hi: float, ngrid: int = 25, iters: int = 48):
     The scan makes the search robust to the +inf plateaus that infeasible
     parameters produce, where plain golden section can stall.
     """
-    xs = np.linspace(lo, hi, ngrid)
+    xs = np.linspace(lo, hi, ngrid).tolist()  # Python floats: overflow is inf, not a warning
     fs = [fun(x) for x in xs]
     i = int(np.argmin(fs))
     if math.isinf(fs[i]):
@@ -318,8 +318,8 @@ def mult_bound_check(
     """Residual h_r(XY) - h_r(tY) - gap_r(Y; p, q) for 0 < X <= t a.s.
 
     Nonpositive up to quadrature error when the preconditions hold.  X
-    must be atomic (the product density is then an exact lognormal
-    mixture, integrated by quadrature) and Y lognormal.
+    must be atomic and Y lognormal: T = log XY is then a Gaussian mixture,
+    and h_r(XY) is the quadrature of f_XY(z)^r = (f_T(log z) / z)^r.
     """
     if not isinstance(dY, Lognormal):
         raise UnsupportedOperation("mult_bound_check requires lognormal Y")
@@ -334,14 +334,11 @@ def mult_bound_check(
     if np.any(atoms <= 0.0) or np.any(atoms > t * (1.0 + 1e-12)):
         raise DomainError("X must satisfy 0 < X <= t almost surely")
 
-    components = [dY.scaled(float(x)) for x in atoms]
-    log_w = np.log(probs)
+    log_xy = _GaussianMixture(probs, dY.mu + np.log(atoms), np.full_like(atoms, dY.sigma2))
 
     def integrand(z):
-        logs = np.stack([lw + comp.log_pdf(z) for lw, comp in zip(log_w, components)])
-        m = logs.max(axis=0)
-        log_mix = m + np.log(np.exp(logs - m).sum(axis=0))
-        return np.exp(r * log_mix)
+        lz = np.log(z)
+        return np.exp(r * (log_xy.log_marginal(lz) - lz))
 
     h_xy = _entropy_from_integral(integrate(integrand, Domain.half_line(0.0), cfg).value, r)
     gap = entropy_bound(dY, dY.support(), 1, r, p, q).gap
@@ -365,14 +362,16 @@ def diff_entropy_bounds(
                          + (n/2) log pi + (n/s) log(e s E[||X||^s] / n),
                          valid for any s > 0 (s = 2 is the Gaussian case);
 
-      log_moment_bound = E[log ||X||] + (1/2) log(2 pi e Var(log ||X||)),
+      log_moment_bound = log omega(S) + n E[log ||X||]
+                         + (1/2) log(2 pi e n^2 Var(log ||X||)) on S =
+                         d.support(), the r -> 1 limit of entropy_bound,
                          with equality exactly for lognormal laws.
 
     The log-moments' mean and variance come from central differences of
     s -> log E||X||^s at zero, exact for lognormal inputs because their
     cumulant function is quadratic.
     """
-    _check_n(n)
+    lw = _check_dimension(d, d.support(), n)
     if not 0.0 < s < math.inf:
         raise DomainError(f"moment order s must be positive and finite, got {s!r}")
     ls = d.log_moment(s)
@@ -393,5 +392,5 @@ def diff_entropy_bounds(
     var_log = (lp + lm) / (_FD_STEP * _FD_STEP)
     if not var_log > 0.0:
         raise DomainError("Var(log ||X||) must be positive for the log-moment bound")
-    log_moment_bound = mean_log + 0.5 * (LOG_2PI + 1.0 + math.log(var_log))
+    log_moment_bound = lw + n * mean_log + 0.5 * (LOG_2PI + 1.0 + math.log(n * n * var_log))
     return moment_bound, log_moment_bound

@@ -34,7 +34,14 @@ from typing import Optional
 
 import numpy as np
 
-from .distributions import GenericPdf, ScalarDistribution, _entropy_from_integral, iid_pair_sampler
+from .distributions import (
+    GenericPdf,
+    ScalarDistribution,
+    _entropy_from_integral,
+    _GaussianMixture,
+    _log_npdf,
+    iid_pair_sampler,
+)
 from .errors import DomainError, InvalidMomentOrder, RenyiBoundsError, UnsupportedOperation
 from .moment_core import Support, TwoMomentParams, _check_r, _log_two_moment, log_omega
 from .quadrature import Domain, NumericsConfig, integrate, mc_expect
@@ -62,16 +69,11 @@ _EXP_CLIP = -745.0  # exp() underflows to 0 below this
 _LOG_2SQRTPI = math.log(2.0) + 0.5 * math.log(math.pi)
 
 
-def _log_npdf(y, var):
-    return -0.5 * y * y / var - 0.5 * (LOG_2PI + np.log(var))
-
-
 @dataclass(frozen=True)
 class AwgnChannel:
     """Y = X + W with W ~ N(0, 1) independent of the input X."""
 
     input: ScalarDistribution
-    kind = "awgn"
 
 
 @dataclass(frozen=True)
@@ -82,7 +84,6 @@ class ScaleMixtureChannel:
     (given="X") or I(U; Y) (given="U")."""
 
     mixing: ScalarDistribution
-    kind = "scale_mixture"
 
 
 @dataclass(frozen=True)
@@ -100,102 +101,50 @@ class VsValue:
 # ---------------------------------------------------------------------------
 
 
-class _AtomicConditionals:
-    """Finite mixture of Gaussian conditionals N(mu_i, var_i) with weights."""
+class _AwgnOverContinuousInput:
+    """f(y) and var(f(y|X)) for Y = X + W and a non-atomic input X, from
+    log_smoothed(y, v) = log E_X N(y; X, v) at two variances:
 
-    def __init__(self, probs, means, variances):
-        self.probs = np.asarray(probs, dtype=float)
-        self.means = np.asarray(means, dtype=float)
-        self.vars = np.asarray(variances, dtype=float)
-        self.log_probs = np.log(self.probs)
-
-    def log_cond(self, y):
-        y = np.atleast_1d(np.asarray(y, dtype=float))
-        return _log_npdf(y[None, :] - self.means[:, None], self.vars[:, None])
-
-    def marginal_of(self, lc):
-        """log f(y) from the conditionals lc = log_cond(y) at the same y."""
-        lc = lc + self.log_probs[:, None]
-        m = lc.max(axis=0)
-        return m + np.log(np.exp(lc - m).sum(axis=0))
-
-    def log_marginal(self, y):
-        return self.marginal_of(self.log_cond(y))
-
-    def log_var(self, y):
-        # Scaled mixture variance: factor out the largest conditional so
-        # the squared deviations never underflow prematurely.
-        lc = self.log_cond(y)
-        m = lc.max(axis=0)
-        scaled = np.exp(lc - m)
-        mean = self.probs @ scaled
-        var = self.probs @ (scaled - mean) ** 2
-        with np.errstate(divide="ignore"):
-            return 2.0 * m + np.log(var)
-
-
-def _log_var(lm, lm2):
-    """log var(f(y|W)) = log(E[f(y|W)^2] - f(y)^2) from lm = log f(y) and
-    lm2 = log E[f(y|W)^2]; -inf where the difference cancels to within
-    1e-15 relative (2 lm <= lm2 by Jensen) or lm2 is -inf."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        diff = 2.0 * lm - lm2
-        out = lm2 + np.log1p(-np.exp(np.minimum(diff, 0.0)))
-        return np.where(np.isfinite(lm2) & (diff < -1e-15), out, -np.inf)
-
-
-class _ScaleMixtureGivenX:
-    """var(f(y|X)) for X = A sqrt(U) with atomic U, from two centred
-    Gaussian mixtures over the atoms of U:
-
-        f(y)          = E_U N(y; 0, 1 + U)
-        E[f(y|X)^2]   = (2 sqrt(pi))^-1 E_U N(y; 0, 1/2 + U).
+        f(y)          = E_X N(y; X, 1)
+        E[f(y|X)^2]   = (2 sqrt(pi))^-1 E_X N(y; X, 1/2).
     """
 
-    def __init__(self, probs, us):
-        self.marginal = _AtomicConditionals(probs, np.zeros_like(us), 1.0 + us)
-        self.second = _AtomicConditionals(probs, np.zeros_like(us), 0.5 + us)
+    def __init__(self, log_smoothed):
+        self.log_smoothed = log_smoothed
 
     def log_marginal(self, y):
-        return self.marginal.log_marginal(y)
+        return self.log_smoothed(y, 1.0)
 
     def log_var(self, y):
-        return _log_var(self.log_marginal(y), self.second.log_marginal(y) - _LOG_2SQRTPI)
+        """log(E[f(y|X)^2] - f(y)^2); -inf where the difference cancels to
+        within 1e-15 relative (2 log f <= log E[f^2] by Jensen) or E[f^2]
+        underflows."""
+        lm, lm2 = self.log_marginal(y), self.log_smoothed(y, 0.5) - _LOG_2SQRTPI
+        with np.errstate(divide="ignore", invalid="ignore"):
+            diff = 2.0 * lm - lm2
+            out = lm2 + np.log1p(-np.exp(np.minimum(diff, 0.0)))
+            return np.where(np.isfinite(lm2) & (diff < -1e-15), out, -np.inf)
 
 
-class _GenericAwgnConditionals:
-    """Marginal and second moment of f(y|X) by inner quadrature, for a
-    generic (non-atomic) input density.  Slow path: one adaptive inner
-    integral per requested y, so an outer integrand call costs one inner
-    quadrature per abscissa (240 for the outer seed grid, 120 per block of
-    the tail pre-scan)."""
+def _log_smoothed_pdf(dist: GenericPdf, cfg: NumericsConfig, y, v: float):
+    """log E_X N(y; X, v) for a GenericPdf input: one inner quadrature per
+    requested y, so an outer integrand call costs one per abscissa (240 for
+    the outer seed grid, 120 per block of the tail pre-scan)."""
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+    out = np.empty_like(y)
+    for i, yi in enumerate(y):
+        def f(x):
+            return np.exp(_log_npdf(yi - x, v)) * dist.pdf(x)
 
-    def __init__(self, pdf_dist: GenericPdf, cfg: NumericsConfig):
-        self.dist = pdf_dist
-        self.cfg = cfg
-
-    def _log_inner(self, y, power):
-        y = np.atleast_1d(np.asarray(y, dtype=float))
-        out = np.empty_like(y)
-        for i, yi in enumerate(y):
-            def f(x):
-                return np.exp(power * _log_npdf(yi - x, 1.0)) * self.dist.pdf(x)
-
-            val = integrate(f, self.dist.domain, self.cfg).value
-            out[i] = math.log(val) if val > 0.0 else -math.inf
-        return out
-
-    def log_marginal(self, y):
-        return self._log_inner(y, 1.0)
-
-    def log_var(self, y):
-        return _log_var(self.log_marginal(y), self._log_inner(y, 2.0))
+        val = integrate(f, dist.domain, cfg).value
+        out[i] = math.log(val) if val > 0.0 else -math.inf
+    return out
 
 
 def _given(ch, given: str) -> str:
     if given not in ("X", "U"):
         raise DomainError(f"given must be 'X' or 'U', got {given!r}")
-    if ch.kind == "awgn" and given != "X":
+    if isinstance(ch, AwgnChannel) and given != "X":
         raise UnsupportedOperation("an AWGN channel has no mixing variable U")
     return given
 
@@ -203,12 +152,12 @@ def _given(ch, given: str) -> str:
 def variance_model(ch, given: str = "X", cfg: NumericsConfig = NumericsConfig()):
     """Pointwise model of (log f(y), log var(f(y|W))) for W = X or U."""
     given = _given(ch, given)
-    if ch.kind == "awgn":
+    if isinstance(ch, AwgnChannel):
         if ch.input.is_discrete:
             atoms, probs = ch.input.atoms_and_probs()
-            return _AtomicConditionals(probs, atoms, np.ones_like(atoms))
+            return _GaussianMixture(probs, atoms, np.ones_like(atoms))
         if isinstance(ch.input, GenericPdf):
-            return _GenericAwgnConditionals(ch.input, cfg)
+            return _AwgnOverContinuousInput(lambda y, v: _log_smoothed_pdf(ch.input, cfg, y, v))
         raise UnsupportedOperation(
             f"AWGN input family {type(ch.input).__name__} has no variance model"
         )
@@ -218,9 +167,12 @@ def variance_model(ch, given: str = "X", cfg: NumericsConfig = NumericsConfig())
             "use V_s with Monte Carlo for continuous U"
         )
     us, probs = ch.mixing.atoms_and_probs()
-    model = _ScaleMixtureGivenX(probs, us)
-    # f(y|U) = N(y; 0, 1 + U) is the mixture that gives f(y)
-    return model.marginal if given == "U" else model
+    if given == "U":  # f(y|U) = N(y; 0, 1 + U)
+        return _GaussianMixture(probs, np.zeros_like(us), 1.0 + us)
+    # X | U ~ N(0, U), so E_X N(y; X, v) = E_U N(y; 0, v + U)
+    return _AwgnOverContinuousInput(
+        lambda y, v: _GaussianMixture(probs, np.zeros_like(us), v + us).log_marginal(y)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +210,7 @@ def _abs_moment_shifted_normal(s: float, m: float, cfg: NumericsConfig) -> float
     return mom
 
 
-def kernel_Ks(ch, x1: float, x2: float, s: float, cfg: NumericsConfig = NumericsConfig()) -> float:
+def kernel_Ks(x1: float, x2: float, s: float, cfg: NumericsConfig = NumericsConfig()) -> float:
     """Expected-likelihood-style kernel K_s(x1, x2) = int |y|^s f(y|x1) f(y|x2) dy
     for the AWGN channel, via the factorization
 
@@ -267,8 +219,6 @@ def kernel_Ks(ch, x1: float, x2: float, s: float, cfg: NumericsConfig = Numerics
     the absolute moment by quadrature, not by a confluent-hypergeometric
     closed form.  K_s(x1, x2) and K_s(x2, x1) agree bit for bit.
     """
-    if ch.kind != "awgn":
-        raise UnsupportedOperation("K_s applies to the AWGN channel")
     if s < 0.0:
         raise DomainError(f"s must be nonnegative, got {s!r}")
     m = (x1 + x2) / math.sqrt(2.0)
@@ -350,7 +300,7 @@ def _vs_awgn(ch, s, cfg, stream):
     k = {}
     for i in idx:  # K_s is symmetric: one kernel per unordered pair
         for j in idx[i:]:
-            k[i, j] = k[j, i] = kernel_Ks(ch, xs[i], xs[j], s, cfg)
+            k[i, j] = k[j, i] = kernel_Ks(xs[i], xs[j], s, cfg)
     k_diag = sum(probs[i] * k[i, i] for i in idx)
     k_cross = sum(probs[i] * probs[j] * k[i, j] for i in idx for j in idx)
     return _vs_value(s, k_diag - k_cross, k_diag, "quadrature" if s > 0.0 else "closed_form")
@@ -377,7 +327,7 @@ def V_s(
     if s < 0.0:
         raise DomainError(f"s must be nonnegative, got {s!r}")
     given = _given(ch, given)
-    if ch.kind == "scale_mixture":
+    if isinstance(ch, ScaleMixtureChannel):
         return _vs_scale_mixture(ch.mixing, s, given, cfg, stream)
     return _vs_awgn(ch, s, cfg, stream)
 
@@ -500,7 +450,7 @@ def mi_oracle(ch, given: str = "X", cfg: NumericsConfig = NumericsConfig()) -> f
     because the noise is additive: h(Y|X) = h(W) = (1/2) log(2 pi e).
     """
     model = variance_model(ch, given, cfg)
-    if isinstance(model, _AtomicConditionals):
+    if isinstance(model, _GaussianMixture):
         return _mi_discrete(model, cfg)
 
     def integrand(y):
@@ -522,7 +472,7 @@ def vs_upper_bound_check(ch, s: float, cfg: NumericsConfig = NumericsConfig()) -
     mixture experiments); the residual can be negative outside it, so it
     is returned rather than asserted.
     """
-    if ch.kind != "scale_mixture" or not ch.mixing.is_discrete:
+    if not isinstance(ch, ScaleMixtureChannel) or not ch.mixing.is_discrete:
         raise UnsupportedOperation("the V_s upper bound check needs atomic mixing")
     # V_s first: it refuses the orders s at which these terms leave the float range
     vs = V_s(ch, s, "U", cfg).value

@@ -193,6 +193,12 @@ def psi_r(params: TwoMomentParams) -> float:
     return math.exp(log_psi_r(params))
 
 
+def _logsumexp(a: np.ndarray) -> np.ndarray:
+    """log sum_i exp(a[i]) over the first axis, the largest term factored out."""
+    m = a.max(axis=0)
+    return m + np.log(np.exp(a - m).sum(axis=0))
+
+
 def c_r_numeric(
     r: float,
     mv: MomentVector,
@@ -220,9 +226,7 @@ def c_r_numeric(
     ss = np.array([si for si, _ in terms])
 
     def integrand(t):
-        logs = log_nu[None, :] + t[:, None] * ss[None, :]
-        m = logs.max(axis=1)
-        log_g = m + np.log(np.exp(logs - m[:, None]).sum(axis=1))
+        log_g = _logsumexp((log_nu[None, :] + t[:, None] * ss[None, :]).T)
         return np.exp(np.minimum(expo * log_g + t, 700.0))
 
     try:

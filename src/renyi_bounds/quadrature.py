@@ -30,7 +30,7 @@ failure modes are explicit:
   so batching changes no panel's value.  The pre-scan
   may evaluate it on up to _SCAN_BLOCK - 1 windows beyond the one where
   the scan stops.  Its cost is per point, not per call, when each point
-  runs work of its own (mi_bounds._GenericAwgnConditionals runs one inner
+  runs work of its own (mi_bounds._log_smoothed_pdf runs one inner
   quadrature per abscissa).
 
 * mc_expect() is a seeded Monte Carlo mean with standard error, built on
@@ -68,6 +68,8 @@ class Domain:
     def __post_init__(self):
         if self.kind not in ("finite", "half_line", "full_line"):
             raise DomainError(f"unknown domain kind {self.kind!r}")
+        if not (math.isfinite(self.a) and math.isfinite(self.b)):
+            raise DomainError(f"domain endpoints must be finite, got {self.a!r}, {self.b!r}")
         if self.kind == "finite" and not self.a < self.b:
             raise DomainError(f"finite domain requires a < b, got [{self.a}, {self.b}]")
 

@@ -5,7 +5,8 @@ are evaluated in grid order, and any Monte Carlo inside a point draws
 from its own seed stream, so a row does not depend on the others.
 """
 
-from typing import List, Sequence, Tuple
+import math
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -17,25 +18,17 @@ from .moment_core import Support
 from .quadrature import NumericsConfig
 
 __all__ = [
-    "default_r_grid",
-    "default_sigma2_grid",
-    "default_eps_grid",
+    "DEFAULT_R_GRID",
+    "DEFAULT_SIGMA2_GRID",
+    "DEFAULT_EPS_GRID",
     "fig1_rows",
     "fig2_rows",
     "fig3_rows",
 ]
 
-
-def default_r_grid() -> List[float]:
-    return [round(0.1 * k, 10) for k in range(1, 10)]
-
-
-def default_sigma2_grid() -> List[float]:
-    return [0.1, 1.0, 10.0]
-
-
-def default_eps_grid(num: int = 25) -> List[float]:
-    return [float(e) for e in np.geomspace(1e-4, 0.5, num)]
+DEFAULT_R_GRID = tuple(round(0.1 * k, 10) for k in range(1, 10))
+DEFAULT_SIGMA2_GRID = (0.1, 1.0, 10.0)
+DEFAULT_EPS_GRID = tuple(float(e) for e in np.geomspace(1e-4, 0.5, 25))
 
 
 def fig1_rows(
@@ -47,8 +40,8 @@ def fig1_rows(
     The two-moment column is parameter-free in exact arithmetic; the
     one-moment column genuinely depends on sigma2.
     """
-    r_grid = list(r_grid) or default_r_grid()
-    sigma2_grid = list(sigma2_grid) or default_sigma2_grid()
+    r_grid = list(r_grid) or DEFAULT_R_GRID
+    sigma2_grid = list(sigma2_grid) or DEFAULT_SIGMA2_GRID
     sup = Support.positive_half_line()
     rows = []
     for r in r_grid:
@@ -81,6 +74,15 @@ def fig2_rows(
     return ["n", "delta_two_moment", "delta_one_moment", "lognormal_limit"], rows
 
 
+def _two_point_mixture(eps: float, a: Optional[float] = None) -> ScaleMixtureChannel:
+    """Scale mixture over U ~ (1-eps) d_1 + eps d_a, by default a = 1 + 1/sqrt(eps)."""
+    if not 0.0 < eps < 1.0:
+        raise DomainError(f"eps must lie in (0, 1), got {eps!r}")
+    if a is None:
+        a = 1.0 + 1.0 / math.sqrt(eps)
+    return ScaleMixtureChannel(TwoPoint(eps, a))
+
+
 def fig3_rows(
     eps_grid: Sequence[float] = (),
     p: float = 0.0,
@@ -94,8 +96,8 @@ def fig3_rows(
     carry no Monte Carlo noise.
     """
     rows = []
-    for eps in list(eps_grid) or default_eps_grid():
-        ch = ScaleMixtureChannel(TwoPoint(eps, 1.0 + 1.0 / np.sqrt(eps)))
+    for eps in list(eps_grid) or DEFAULT_EPS_GRID:
+        ch = _two_point_mixture(eps)
         mi = mi_oracle(ch, "U", cfg)
         p9 = prop9_bound(ch, p, q, "U", cfg)
         c2 = chi2_mi_bound(ch, "U", cfg)

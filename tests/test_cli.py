@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from renyi_bounds.cli import main
@@ -234,6 +234,13 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert "error:" in captured.err and captured.out == ""
 
+    def test_lognormal_moment_overflow_exit_2(self, capsys):
+        # said the moment "diverges", although every lognormal moment is finite
+        assert main(["entropy-bound", "--family", "lognormal", "--mu", "1e308",
+                     "--r", "0.5", "--p", "0", "--q", "2"]) == 2
+        captured = capsys.readouterr()
+        assert "float range" in captured.err and captured.out == ""
+
     def test_invalid_moment_order_exit_2(self, capsys):
         rc = main(["entropy-bound", "--family", "lognormal", "--sigma2", "1",
                    "--r", "0.5", "--p", "3", "--q", "4"])
@@ -278,16 +285,54 @@ _MI_ARGV = _argv(
 )
 
 
-@given(st.one_of(_ENTROPY_ARGV, _MI_ARGV))
-@settings(max_examples=200, deadline=None, derandomize=True,
-          suppress_health_check=[HealthCheck.too_slow])
-def test_cli_contract_fuzz(argv):
+def _check_contract(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = main(argv)
     assert rc in (0, 1, 2)
     if rc == 0:
-        row = out.getvalue().strip().splitlines()[-1].split(",")
-        assert all(math.isfinite(float(v)) for v in row), (argv, row)
+        for line in out.getvalue().strip().splitlines()[2:]:  # header, columns
+            row = line.split(",")
+            assert all(math.isfinite(float(v)) for v in row), (argv, row)
     else:
         assert err.getvalue().startswith("error:"), (argv, err.getvalue())
+
+
+@given(st.one_of(_ENTROPY_ARGV, _MI_ARGV))
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_cli_contract_fuzz(argv):
+    _check_contract(argv)
+
+
+def _maybe_wild(plausible):
+    return st.one_of(plausible, _WILD)
+
+
+def _grid(lo, hi, max_size):
+    """A grid flag value of 1 to max_size points, each drawn where the
+    command can succeed or as any float at all."""
+    points = st.lists(_maybe_wild(_open(lo, hi)), min_size=1, max_size=max_size)
+    return points.map(lambda xs: ",".join(map(repr, xs)))
+
+
+_FIG_ARGV = st.one_of(
+    st.builds(lambda r, s2: ["fig1", f"--r-grid={r}", f"--sigma2={s2}"],
+              _grid(0.0, 1.0, 3), _grid(0.0, 20.0, 3)),
+    st.builds(lambda r, n: ["fig2", f"--r={r!r}", f"--n-max={n}"],
+              _maybe_wild(_open(0.0, 1.0)), st.integers(-2, 64)),
+    st.builds(lambda eps, p, q: ["fig3", f"--eps-grid={eps}", f"--p={p!r}", f"--q={q!r}"],
+              _grid(0.0, 1.0, 3), _maybe_wild(_open(0.0, 1.0)),
+              _maybe_wild(_open(1.0, 10.0))),
+)
+
+
+@given(_FIG_ARGV)
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+# the grid points that leaked a numpy warning before they were refused
+@example(["fig3", "--eps-grid=0.0", "--p=0.0", "--q=2.0"])
+@example(["fig3", "--eps-grid=-1.0", "--p=0.0", "--q=2.0"])
+@example(["fig1", "--r-grid=0.5", "--sigma2=1e+300"])  # also printed a gap of 5.6e292
+def test_figure_flags_contract_fuzz(argv):
+    _check_contract(argv)

@@ -218,6 +218,18 @@ class TestValidation:
         with pytest.raises(DomainError):
             make()
 
+    @pytest.mark.parametrize("call", [
+        lambda: Lognormal(1.7e308, 1.7e308).renyi_entropy(0.5),
+        lambda: Lognormal(1.7e308, 1.7e308).log_moment(2.0),
+        lambda: Lognormal(1e308, 1.0).log_moment(2.0),
+        lambda: Lognormal(0.0, 1e300).log_moment(np.float64(-1e5)),
+        lambda: Lognormal(0.0, 1.0).log_moment(math.nan),
+    ], ids=["entropy", "moment", "mu-moment", "numpy-order", "nan-order"])
+    def test_lognormal_overflow_refused(self, call):
+        # these returned inf, which the bound code reads as a divergent moment
+        with pytest.raises(DomainError, match="float range"):
+            call()
+
     def test_coinciding_atoms_are_one_atom(self):
         atoms, probs = TwoPoint(0.1, 1.0).atoms_and_probs()
         assert atoms.tolist() == [1.0] and probs.tolist() == [1.0]

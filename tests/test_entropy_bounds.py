@@ -451,13 +451,6 @@ class TestMultiplicationBound:
             return
         assert res == pytest.approx(-gap, abs=1e-9)
 
-    def test_scale_shift_identity(self):
-        d = Lognormal(0.4, 1.5)
-        t, r = 3.0, 0.5
-        assert d.scaled(t).renyi_entropy(r) == pytest.approx(
-            d.renyi_entropy(r) + math.log(t), rel=1e-12
-        )
-
     def test_preconditions(self):
         with pytest.raises(InvalidMomentOrder):
             mult_bound_check(Lognormal(0.0, 1.0), PointMass(1.0), 1.0, 0.5, 0.0, 2.0, CFG)
@@ -483,6 +476,22 @@ class TestDiffEntropyBounds:
             d = Lognormal(mu, s2)
             _, log_bound = diff_entropy_bounds(d, 1, 2.0)
             assert log_bound == pytest.approx(d.shannon_entropy(), abs=1e-6)
+
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_log_moment_bound_holds_for_gaussian_vectors(self, n):
+        # it ignored omega(S) and n, and gave 0.889, 1.057 and 1.071 here
+        d = GaussianMagnitude(n)
+        h = 0.5 * n * math.log(2 * math.pi * math.e)
+        moment_bound, log_bound = diff_entropy_bounds(d, n, 2.0)
+        assert moment_bound == pytest.approx(h, abs=1e-8)  # s = 2 is tight for Gaussians
+        assert log_bound >= h
+
+    def test_wrong_dimension_refused(self):
+        # n = 1 against the 3-D law gave a moment bound of 1.968 < h = 4.257
+        with pytest.raises(DomainError):
+            diff_entropy_bounds(GaussianMagnitude(3), 1, 2.0)
+        with pytest.raises(DomainError):
+            diff_entropy_bounds(Lognormal(0.0, 1.0), 2, 2.0)
 
     def test_psi_limit_at_p0(self):
         # lim_{r->1} psi_r(0, q) = (e q)^(1/q) Gamma(1/q + 1), q = 2

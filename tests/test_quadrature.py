@@ -6,8 +6,15 @@ import math
 import numpy as np
 import pytest
 import scipy.integrate as si
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from renyi_bounds.errors import DivergenceDetected, DomainError, MaxSubdivisionsExceeded
+from renyi_bounds.errors import (
+    DivergenceDetected,
+    DomainError,
+    MaxSubdivisionsExceeded,
+    RenyiBoundsError,
+)
 from renyi_bounds.quadrature import (
     _ABS_TOL,
     _GAUSS_IDX,
@@ -34,6 +41,17 @@ class TestDomains:
     def test_unknown_kind(self):
         with pytest.raises(DomainError):
             Domain("circle")
+
+    @pytest.mark.parametrize("make", [
+        lambda: Domain.half_line(math.nan),  # "tail mass fails decay test"
+        lambda: Domain.half_line(math.inf),
+        lambda: Domain.finite(0.0, math.inf),  # "integrand not finite"
+        lambda: Domain.finite(-math.inf, 0.0),
+        lambda: Domain.finite(math.nan, 1.0),
+    ], ids=["half-nan", "half-inf", "finite-inf", "finite-minus-inf", "finite-nan"])
+    def test_non_finite_endpoints_refused(self, make):
+        with pytest.raises(DomainError):
+            make()
 
 
 class TestIntegrate:
@@ -327,3 +345,56 @@ class TestMonteCarlo:
         with pytest.raises(DomainError):
             NumericsConfig(rng_seed=-1)
         assert NumericsConfig(rng_seed=0).rng_seed == 0
+
+
+# Fuzzing the contract of integrate: a finite value whose error estimate
+# meets the stated tolerance, or a RenyiBoundsError.  Whether the value is
+# right is checked elsewhere; far peaks that the quadrature misses are a
+# known fault, and the ranges below do not avoid them.
+_ANY_FLOAT = st.one_of(
+    st.sampled_from([0.0, -1.0, 1e-300, 1e300, -1e300, math.nan, math.inf, -math.inf]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+def _maybe_wild(plausible):
+    return st.one_of(plausible, _ANY_FLOAT)
+
+
+_INTEGRANDS = {
+    # shape -> (centre c, width w, exponent k) -> integrand
+    "gauss": lambda c, w, k: lambda x: np.exp(-0.5 * ((x - c) / w) ** 2),
+    "laplace": lambda c, w, k: lambda x: np.exp(-np.abs(x - c) / w),
+    "power": lambda c, w, k: lambda x: (1.0 + np.abs(x - c) / w) ** -k,
+    "pole": lambda c, w, k: lambda x: np.abs(x - c) ** (k - 2.0),
+    "smooth-pole": lambda c, w, k: lambda x: np.abs(x - c) ** (k - 2.0) * np.exp(-np.abs(x) / w),
+}
+
+_DOMAINS = st.one_of(
+    st.builds(lambda a, width: ("finite", a, a + width),
+              _maybe_wild(st.floats(-50.0, 50.0)), _maybe_wild(st.floats(1e-3, 100.0))),
+    st.builds(lambda a: ("half_line", a, 0.0), _maybe_wild(st.floats(-50.0, 50.0))),
+    st.just(("full_line", 0.0, 0.0)),
+)
+
+
+@given(
+    shape=st.sampled_from(sorted(_INTEGRANDS)),
+    centre=_maybe_wild(st.floats(-200.0, 200.0)),
+    width=st.floats(1e-3, 1e3),
+    k=st.floats(0.0, 5.0),
+    domain=_DOMAINS,
+    rel_tol=st.floats(1e-12, 1e-3),
+)
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_integrate_contract_fuzz(shape, centre, width, k, domain, rel_tol):
+    f = _INTEGRANDS[shape](centre, width, k)
+    cfg = NumericsConfig(rel_tol=rel_tol)
+    kind, a, b = domain
+    try:
+        res = integrate(f, Domain(kind, a, b), cfg)
+    except RenyiBoundsError:
+        return
+    assert math.isfinite(res.value) and math.isfinite(res.error), (res, domain)
+    assert res.error <= max(rel_tol * abs(res.value), _ABS_TOL), (res, domain)
