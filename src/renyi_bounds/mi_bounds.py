@@ -170,9 +170,8 @@ def variance_model(ch, given: str = "X", cfg: NumericsConfig = NumericsConfig())
     if given == "U":  # f(y|U) = N(y; 0, 1 + U)
         return _GaussianMixture(probs, np.zeros_like(us), 1.0 + us)
     # X | U ~ N(0, U), so E_X N(y; X, v) = E_U N(y; 0, v + U)
-    return _AwgnOverContinuousInput(
-        lambda y, v: _GaussianMixture(probs, np.zeros_like(us), v + us).log_marginal(y)
-    )
+    mix = {v: _GaussianMixture(probs, np.zeros_like(us), v + us) for v in (1.0, 0.5)}
+    return _AwgnOverContinuousInput(lambda y, v: mix[v].log_marginal(y))
 
 
 # ---------------------------------------------------------------------------
