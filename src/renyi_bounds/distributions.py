@@ -261,8 +261,8 @@ class PointMass(ScalarDistribution):
 class GenericPdf(ScalarDistribution):
     """Numeric density on a Domain; all quantities come from quadrature.
 
-    The density is validated to integrate to one (within 1e-6) at
-    construction.  Not samplable.
+    Validated at construction: finite, nonnegative and of mass one (within
+    1e-6) on the nodes of the mass integral.  Not samplable.
     """
 
     def __init__(
@@ -274,7 +274,14 @@ class GenericPdf(ScalarDistribution):
         self._pdf = pdf
         self.domain = domain
         self._cfg = cfg
-        mass = integrate(pdf, domain, cfg).value
+
+        def checked(x):  # here only: log_moment is the optimiser's hot path
+            y = np.asarray(pdf(x), dtype=float)
+            if not ((y >= 0.0) & (y < math.inf)).all():
+                raise DomainError(f"pdf must be finite and nonnegative on {domain}")
+            return y
+
+        mass = integrate(checked, domain, cfg).value
         if abs(mass - 1.0) > 1e-6:
             raise DomainError(f"pdf integrates to {mass!r}, expected 1 within 1e-6")
 

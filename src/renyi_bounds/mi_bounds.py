@@ -15,17 +15,17 @@ Two channel shapes are implemented, both with unit Gaussian noise W:
     AwgnChannel:          Y = X + W
     ScaleMixtureChannel:  X = A sqrt(U), A ~ N(0,1), U >= 0,  Y = X + W
 
-For the scale mixture everything reduces to expectations over U (or
-pairs U1, U2), evaluated as exact finite sums for atomic mixing laws --
-the figure-3 sweep is therefore free of Monte Carlo noise -- and by
-seeded Monte Carlo otherwise.  The AWGN channel uses the kernel sums at
-every s over atomic inputs, and the same Monte Carlo route at s = 0
-otherwise.  Each quantity has one route; the independent oracles, such
-as the direct integral of |y|^s var(f(y|W)), live in verify and the
-tests.  Densities enter the quadrature integrands only through their
-logarithms, and np.where masks keep the -inf log of a vanishing
-conditional variance out of every ratio, so the heavy-tailed ratios in
-the chi-square and small-t bounds cannot produce NaNs.
+Every pointwise model of f(y) and var(f(y|W)) is made of finite Gaussian
+mixtures with explicit means and variances: over the atoms of an atomic
+input or mixing law, and over the nodes and weights of the density's own
+quadrature rule for a GenericPdf input, so no integrand runs a quadrature.
+V_s is an exact finite sum over atomic U and over atomic AWGN inputs (the
+kernel sums, at every s) -- the figure-3 sweep is free of Monte Carlo
+noise -- and seeded Monte Carlo otherwise.  Each quantity has one route;
+its oracles live in verify and the tests.  Densities enter the integrands
+only through their logarithms, and np.where masks keep the -inf log of a
+vanishing conditional variance out of every ratio, so the heavy-tailed
+ratios in the chi-square and small-t bounds cannot produce NaNs.
 """
 
 import math
@@ -44,7 +44,7 @@ from .distributions import (
 )
 from .errors import DomainError, InvalidMomentOrder, RenyiBoundsError, UnsupportedOperation
 from .moment_core import Support, TwoMomentParams, _check_r, _log_two_moment, log_omega
-from .quadrature import Domain, NumericsConfig, integrate, mc_expect
+from .quadrature import Domain, NumericsConfig, _rule, integrate, mc_expect
 from .specfun import LOG_2PI, kappa, ln_gamma
 
 __all__ = [
@@ -102,43 +102,28 @@ class VsValue:
 
 
 class _AwgnOverContinuousInput:
-    """f(y) and var(f(y|X)) for Y = X + W and a non-atomic input X, from
-    log_smoothed(y, v) = log E_X N(y; X, v) at two variances:
+    """f(y) and var(f(y|X)) for Y = X + W and X ~ sum_i p_i N(mean_i, var_i),
+    from E_X N(y; X, v) = sum_i p_i N(y; mean_i, var_i + v) at two variances:
 
         f(y)          = E_X N(y; X, 1)
         E[f(y|X)^2]   = (2 sqrt(pi))^-1 E_X N(y; X, 1/2).
     """
 
-    def __init__(self, log_smoothed):
-        self.log_smoothed = log_smoothed
+    def __init__(self, probs, means, variances):
+        self.mix = {v: _GaussianMixture(probs, means, variances + v) for v in (1.0, 0.5)}
 
     def log_marginal(self, y):
-        return self.log_smoothed(y, 1.0)
+        return self.mix[1.0].log_marginal(y)
 
     def log_var(self, y):
         """log(E[f(y|X)^2] - f(y)^2); -inf where the difference cancels to
         within 1e-15 relative (2 log f <= log E[f^2] by Jensen) or E[f^2]
         underflows."""
-        lm, lm2 = self.log_marginal(y), self.log_smoothed(y, 0.5) - _LOG_2SQRTPI
+        lm, lm2 = self.log_marginal(y), self.mix[0.5].log_marginal(y) - _LOG_2SQRTPI
         with np.errstate(divide="ignore", invalid="ignore"):
             diff = 2.0 * lm - lm2
             out = lm2 + np.log1p(-np.exp(np.minimum(diff, 0.0)))
             return np.where(np.isfinite(lm2) & (diff < -1e-15), out, -np.inf)
-
-
-def _log_smoothed_pdf(dist: GenericPdf, cfg: NumericsConfig, y, v: float):
-    """log E_X N(y; X, v) for a GenericPdf input: one inner quadrature per
-    requested y, so an outer integrand call costs one per abscissa (240 for
-    the outer seed grid, 120 per block of the tail pre-scan)."""
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    out = np.empty_like(y)
-    for i, yi in enumerate(y):
-        def f(x):
-            return np.exp(_log_npdf(yi - x, v)) * dist.pdf(x)
-
-        val = integrate(f, dist.domain, cfg).value
-        out[i] = math.log(val) if val > 0.0 else -math.inf
-    return out
 
 
 def _given(ch, given: str) -> str:
@@ -157,7 +142,9 @@ def variance_model(ch, given: str = "X", cfg: NumericsConfig = NumericsConfig())
             atoms, probs = ch.input.atoms_and_probs()
             return _GaussianMixture(probs, atoms, np.ones_like(atoms))
         if isinstance(ch.input, GenericPdf):
-            return _AwgnOverContinuousInput(lambda y, v: _log_smoothed_pdf(ch.input, cfg, y, v))
+            # X ~ sum_k w_k delta(x_k), the density's own quadrature rule
+            xs, ws = _rule(ch.input.pdf, ch.input.domain, cfg)
+            return _AwgnOverContinuousInput(ws, xs, np.zeros_like(xs))
         raise UnsupportedOperation(
             f"AWGN input family {type(ch.input).__name__} has no variance model"
         )
@@ -169,9 +156,8 @@ def variance_model(ch, given: str = "X", cfg: NumericsConfig = NumericsConfig())
     us, probs = ch.mixing.atoms_and_probs()
     if given == "U":  # f(y|U) = N(y; 0, 1 + U)
         return _GaussianMixture(probs, np.zeros_like(us), 1.0 + us)
-    # X | U ~ N(0, U), so E_X N(y; X, v) = E_U N(y; 0, v + U)
-    mix = {v: _GaussianMixture(probs, np.zeros_like(us), v + us) for v in (1.0, 0.5)}
-    return _AwgnOverContinuousInput(lambda y, v: mix[v].log_marginal(y))
+    # X | U ~ N(0, U), so E_X N(y; X, v) = E_U N(y; 0, U + v)
+    return _AwgnOverContinuousInput(probs, np.zeros_like(us), us)
 
 
 # ---------------------------------------------------------------------------

@@ -222,7 +222,8 @@ def c_r_numeric(
     if not terms:
         return math.inf
     expo = -r / (1.0 - r)
-    log_nu = np.array([math.log(w) for _, w in terms])
+    top = max(w for _, w in terms)  # c_r(a nu) = c_r(nu) / a: integrate at max nu = 1
+    log_nu = np.array([math.log(w) for _, w in terms]) - math.log(top)
     ss = np.array([si for si, _ in terms])
 
     def integrand(t):
@@ -234,9 +235,12 @@ def c_r_numeric(
     except DivergenceDetected:
         return math.inf
     try:
-        return float(val) ** ((1.0 - r) / r)
+        c = float(val) ** ((1.0 - r) / r) / top
     except OverflowError:
-        raise DomainError(f"c_r = {val!r}^((1-r)/r) leaves the float range at r={r!r}") from None
+        c = math.inf
+    if math.isinf(c):
+        raise DomainError(f"c_r = {val!r}^((1-r)/r) / {top!r} leaves the float range at r={r!r}")
+    return c
 
 
 def _check_moments(moments: Sequence[float]) -> None:

@@ -24,14 +24,13 @@ failure modes are explicit:
 
 * Panels are evaluated in batches: the seed grid is one integrand call,
   each bisection one call for both children, and the tail pre-scan one
-  call per block of _SCAN_BLOCK windows.  The integrand contract follows
-  from this.  An integrand receives a 1-D contiguous array of any length
-  and must be elementwise: each value depends on its own abscissa only,
-  so batching changes no panel's value.  The pre-scan
-  may evaluate it on up to _SCAN_BLOCK - 1 windows beyond the one where
-  the scan stops.  Its cost is per point, not per call, when each point
-  runs work of its own (mi_bounds._log_smoothed_pdf runs one inner
-  quadrature per abscissa).
+  call per block of _SCAN_BLOCK windows.  The integrand contract that
+  follows from this is in the integrate() docstring.
+
+* One adaptive loop, _converged_panels(): integrate() sums its panels,
+  and _rule() turns those of a density into nodes and weights, so that
+  E h(X) over a numeric density is a finite sum (mi_bounds smooths a
+  GenericPdf input this way, as a Gaussian mixture over the nodes).
 
 * mc_expect() is a seeded Monte Carlo mean with standard error, built on
   the counter-based Philox generator so that results are reproducible
@@ -269,25 +268,9 @@ def _tails_diverge(f: Callable, domain: Domain, floor: float) -> bool:
     return False
 
 
-def integrate(
-    f: Callable[[np.ndarray], np.ndarray],
-    domain: Domain,
-    cfg: NumericsConfig = NumericsConfig(),
-) -> QuadratureResult:
-    """Adaptive integral of a vectorized integrand over domain.
-
-    f must be elementwise: it receives a 1-D contiguous array of abscissae
-    of any length (the nodes of many panels at once) and returns an array
-    of the same length, each value depending on its own abscissa only.  It
-    must be finite on the interior of the domain (endpoints are never
-    sampled); on an unbounded domain it is also evaluated on up to
-    _SCAN_BLOCK - 1 tail windows beyond the one where the pre-scan stops.
-
-    Returns value and an error estimate <= max(rel_tol * |value|, _ABS_TOL)
-    on success.  Raises DivergenceDetected when the tail decay test fails
-    (or the integrand itself is non-finite), MaxSubdivisionsExceeded when
-    the panel budget runs out first.
-    """
+def _converged_panels(f: Callable, domain: Domain, cfg: NumericsConfig):
+    """The adaptive loop of integrate -> (g, to_x, lo, hi, value, error): f
+    on the unit coordinate, the map to x, and the converged panels."""
     if domain.kind != "finite" and _tails_diverge(f, domain, _ABS_TOL * 1e-3):
         raise DivergenceDetected(f"tail mass fails decay test on {domain.kind}")
 
@@ -308,7 +291,7 @@ def integrate(
         total = sum(vals)
         total_err = sum(errs)
         if total_err <= max(cfg.rel_tol * abs(total), _ABS_TOL):
-            return QuadratureResult(total, total_err)
+            return g, to_x, np.array(los), np.array(his), total, total_err
         worst = errs.index(max(errs))  # the first of equal worst panels
         plo, phi = los.pop(worst), his.pop(worst)
         del vals[worst], errs[worst]
@@ -325,6 +308,43 @@ def integrate(
         f"error {total_err:.3e} above tolerance after "
         f"{_MAX_SUBDIVISIONS} subdivisions (value ~ {total:.6e})"
     )
+
+
+def integrate(
+    f: Callable[[np.ndarray], np.ndarray],
+    domain: Domain,
+    cfg: NumericsConfig = NumericsConfig(),
+) -> QuadratureResult:
+    """Adaptive integral of a vectorized integrand over domain.
+
+    f must be elementwise: it receives a 1-D contiguous array of abscissae
+    of any length (the nodes of many panels at once) and returns an array
+    of the same length, each value depending on its own abscissa only.  It
+    must be finite on the interior of the domain (endpoints are never
+    sampled); on an unbounded domain it is also evaluated on up to
+    _SCAN_BLOCK - 1 tail windows beyond the one where the pre-scan stops.
+
+    Returns value and an error estimate <= max(rel_tol * |value|, _ABS_TOL)
+    on success, each summed over the converged panels in creation order.
+    Raises DivergenceDetected when the tail decay test fails (or the
+    integrand itself is non-finite), MaxSubdivisionsExceeded when the
+    panel budget runs out first.
+    """
+    *_, total, total_err = _converged_panels(f, domain, cfg)
+    return QuadratureResult(total, total_err)
+
+
+def _rule(f: Callable, domain: Domain, cfg: NumericsConfig):
+    """The K15 nodes x_k of the panels on which integrate(f) converges, and
+    weights w_k = panel weight * jacobian * f(x_k): sum_k w_k h(x_k) ~ int h f
+    for a smooth h.  Zero weights are dropped; negative ones are refused."""
+    g, to_x, lo, hi, *_ = _converged_panels(f, domain, cfg)
+    with np.errstate(all="ignore"):
+        half, xs, _ = _node_values(to_x, lo, hi)
+        w = (half[:, None] * _KWEIGHTS * _node_values(g, lo, hi)[1]).ravel()
+    if (w < 0.0).any():
+        raise DomainError(f"a density on {domain} is negative at a node of its rule")
+    return xs.ravel()[w > 0.0], w[w > 0.0]
 
 
 def rng_for(cfg: NumericsConfig, stream: int = 0) -> np.random.Generator:

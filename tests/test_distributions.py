@@ -250,3 +250,13 @@ class TestValidation:
     def test_generic_pdf_must_normalize(self):
         with pytest.raises(DomainError):
             GenericPdf(lambda x: 2.0 * np.exp(-x), Domain.half_line(0.0), CFG)
+
+    @pytest.mark.parametrize("pdf", [
+        lambda x: 1.0 + 2.0 * np.sin(2.0 * np.pi * x),  # integrates to 1, dips below 0
+        lambda x: np.where(x < 0.5, np.nan, 2.0),
+        lambda x: np.where(x < 0.5, np.inf, 2.0),
+    ], ids=["signed", "nan", "inf"])
+    def test_generic_pdf_must_be_finite_and_nonnegative(self, pdf):
+        # a signed "density" passed the mass check and gave a negative MI
+        with pytest.raises(DomainError, match="finite and nonnegative"):
+            GenericPdf(pdf, Domain.finite(0.0, 1.0), CFG)

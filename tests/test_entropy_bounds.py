@@ -538,6 +538,14 @@ def test_optimal_gaps_scale_invariant():
     assert one[1] == pytest.approx(one[0], abs=1e-12)
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 3: the two-moment search stalls")
+def test_two_moment_gap_at_most_p0_gap():
+    # p = 0 lies inside the two-moment family, so Delta_r <= Delta~_r
+    d, r = _beta22_on(1.0), 0.3
+    two = optimal_gap(d, SUP_POS, 1, r).gap
+    assert two <= optimal_gap(d, SUP_POS, 1, r, constrain_p_zero=True).gap
+
+
 # Fuzzing the public contract of the entropy layer, moment_core and the
 # constructors they take (laws, supports, NumericsConfig): every call
 # returns finite numbers (and a gap that is not below 0) or raises a

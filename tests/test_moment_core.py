@@ -112,6 +112,16 @@ class TestCr:
         for v in vals:
             assert v == pytest.approx(ref, rel=1e-8)
 
+    @pytest.mark.parametrize("r", [0.5, 0.7, 0.9])
+    @pytest.mark.parametrize("a", [1e-300, 1e-150, 1e50, 1e100])
+    def test_scale_of_the_weights(self, r, a):
+        # c_r(a nu) = c_r(nu) / a exactly; far from max nu = 1 the integral
+        # used to underflow to a silent 0 or plateau into a false +inf
+        mv, scaled = MomentVector((0.0, 2.0), (1.0, 1.0)), MomentVector((0.0, 2.0), (a, a))
+        c = c_r_numeric(r, mv, CFG)
+        assert a * c_r_numeric(r, scaled, CFG) == pytest.approx(c, rel=1e-13)
+        assert k_moment_bound(scaled, [1.0, 1.0], r, CFG) == pytest.approx(2.0 * c, rel=1e-13)
+
     def test_near_pivot_exponent_converges(self):
         # s_j r/(1-r) barely above one: a slow power tail the log
         # substitution must integrate accurately.

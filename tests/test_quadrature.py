@@ -24,6 +24,7 @@ from renyi_bounds.quadrature import (
     _NODES,
     Domain,
     NumericsConfig,
+    _rule,
     _unit_transform,
     integrate,
     mc_expect,
@@ -290,6 +291,22 @@ class TestBatchedPanels:
             pass
         assert len(sizes) <= max_calls
         assert all(n % 15 == 0 for n in sizes)
+
+
+class TestRule:
+    def test_weights_integrate_smooth_functions(self):
+        # the rule of N(0, 1) integrates x^2 and cos x against it; the pdf
+        # underflows to 0 at the far nodes, whose weights are dropped
+        xs, ws = _rule(lambda x: np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi),
+                       Domain.full_line(), CFG)
+        assert (ws > 0.0).all() and np.isfinite(xs).all()
+        assert ws.sum() == pytest.approx(1.0, rel=1e-9)
+        assert ws @ xs**2 == pytest.approx(1.0, rel=1e-9)
+        assert ws @ np.cos(xs) == pytest.approx(math.exp(-0.5), rel=1e-9)
+
+    def test_refuses_negative_weights(self):
+        with pytest.raises(DomainError, match="negative"):
+            _rule(lambda x: 1.0 + 2.0 * np.sin(2.0 * np.pi * x), Domain.finite(0.0, 1.0), CFG)
 
 
 class TestMonteCarlo:
