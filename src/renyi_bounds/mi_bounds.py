@@ -19,6 +19,9 @@ Every pointwise model of f(y) and var(f(y|W)) is made of finite Gaussian
 mixtures with explicit means and variances: over the atoms of an atomic
 input or mixing law, and over the nodes and weights of the density's own
 quadrature rule for a GenericPdf input, so no integrand runs a quadrature.
+The rule's panels are no wider than _RULE_WIDTH wherever the density has
+not underflowed, so the mixture is no comb on the noise scale; a power-law
+tail, which no such rule covers, is refused.
 V_s is an exact finite sum over atomic U and over atomic AWGN inputs (the
 kernel sums, at every s) -- the figure-3 sweep is free of Monte Carlo
 noise -- and seeded Monte Carlo otherwise.  Each quantity has one route;
@@ -67,6 +70,10 @@ __all__ = [
 _FULL = Domain.full_line()
 _EXP_CLIP = -745.0  # exp() underflows to 0 below this
 _LOG_2SQRTPI = math.log(2.0) + 0.5 * math.log(math.pi)
+# The widest panel of a GenericPdf input's rule: 4 sds of the narrower
+# smoothing kernel N(0, 1/2).  The K15 sums of a Gaussian over a panel this
+# wide are exact to ~1e-14; they reach 1e-9 near 12 sds.
+_RULE_WIDTH = 4.0 * math.sqrt(0.5)
 
 
 @dataclass(frozen=True)
@@ -143,7 +150,7 @@ def variance_model(ch, given: str = "X", cfg: NumericsConfig = NumericsConfig())
             return _GaussianMixture(probs, atoms, np.ones_like(atoms))
         if isinstance(ch.input, GenericPdf):
             # X ~ sum_k w_k delta(x_k), the density's own quadrature rule
-            xs, ws = _rule(ch.input.pdf, ch.input.domain, cfg)
+            xs, ws = _rule(ch.input.pdf, ch.input.domain, cfg, _RULE_WIDTH)
             return _AwgnOverContinuousInput(ws, xs, np.zeros_like(xs))
         raise UnsupportedOperation(
             f"AWGN input family {type(ch.input).__name__} has no variance model"

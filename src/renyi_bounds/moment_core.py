@@ -234,10 +234,8 @@ def c_r_numeric(
         val = integrate(integrand, Domain.full_line(), cfg).value
     except DivergenceDetected:
         return math.inf
-    try:
-        c = float(val) ** ((1.0 - r) / r) / top
-    except OverflowError:
-        c = math.inf
+    with np.errstate(over="ignore"):
+        c = float(np.float64(val) ** ((1.0 - r) / r)) / top
     if math.isinf(c):
         raise DomainError(f"c_r = {val!r}^((1-r)/r) / {top!r} leaves the float range at r={r!r}")
     return c

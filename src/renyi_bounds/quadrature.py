@@ -30,7 +30,10 @@ failure modes are explicit:
 * One adaptive loop, _converged_panels(): integrate() sums its panels,
   and _rule() turns those of a density into nodes and weights, so that
   E h(X) over a numeric density is a finite sum (mi_bounds smooths a
-  GenericPdf input this way, as a Gaussian mixture over the nodes).
+  GenericPdf input this way, as a Gaussian mixture over the nodes).  The
+  rule bisects its panels down to the scale on which h varies, wherever
+  the density has not underflowed; a power-law tail, which never does
+  within the panel budget, is refused.
 
 * mc_expect() is a seeded Monte Carlo mean with standard error, built on
   the counter-based Philox generator so that results are reproducible
@@ -269,8 +272,9 @@ def _tails_diverge(f: Callable, domain: Domain, floor: float) -> bool:
 
 
 def _converged_panels(f: Callable, domain: Domain, cfg: NumericsConfig):
-    """The adaptive loop of integrate -> (g, to_x, lo, hi, value, error): f
-    on the unit coordinate, the map to x, and the converged panels."""
+    """The adaptive loop of integrate -> (lo, hi, value, error): the
+    converged panels on the unit coordinate and their summed K15 value
+    and error estimate."""
     if domain.kind != "finite" and _tails_diverge(f, domain, _ABS_TOL * 1e-3):
         raise DivergenceDetected(f"tail mass fails decay test on {domain.kind}")
 
@@ -291,7 +295,7 @@ def _converged_panels(f: Callable, domain: Domain, cfg: NumericsConfig):
         total = sum(vals)
         total_err = sum(errs)
         if total_err <= max(cfg.rel_tol * abs(total), _ABS_TOL):
-            return g, to_x, np.array(los), np.array(his), total, total_err
+            return np.array(los), np.array(his), total, total_err
         worst = errs.index(max(errs))  # the first of equal worst panels
         plo, phi = los.pop(worst), his.pop(worst)
         del vals[worst], errs[worst]
@@ -334,17 +338,34 @@ def integrate(
     return QuadratureResult(total, total_err)
 
 
-def _rule(f: Callable, domain: Domain, cfg: NumericsConfig):
+def _rule(f: Callable, domain: Domain, cfg: NumericsConfig, width: float):
     """The K15 nodes x_k of the panels on which integrate(f) converges, and
     weights w_k = panel weight * jacobian * f(x_k): sum_k w_k h(x_k) ~ int h f
-    for a smooth h.  Zero weights are dropped; negative ones are refused."""
-    g, to_x, lo, hi, *_ = _converged_panels(f, domain, cfg)
+    for an h that is smooth on the scale of width.  Panels wider than width
+    in x are bisected until their weights underflow to 0, within
+    _MAX_SUBDIVISIONS bisections.  Zero weights are dropped; negative or
+    nan ones are refused."""
+    lo, hi, *_ = _converged_panels(f, domain, cfg)
+    _, _, to_x, jac = _unit_transform(domain)
+    xs, ws, budget = [], [], _MAX_SUBDIVISIONS
     with np.errstate(all="ignore"):
-        half, xs, _ = _node_values(to_x, lo, hi)
-        w = (half[:, None] * _KWEIGHTS * _node_values(g, lo, hi)[1]).ravel()
-    if (w < 0.0).any():
-        raise DomainError(f"a density on {domain} is negative at a node of its rule")
-    return xs.ravel()[w > 0.0], w[w > 0.0]
+        while len(lo):
+            half, u, _ = _node_values(lambda u: u, lo, hi)
+            x = to_x(u)
+            fx = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
+            w = half[:, None] * _KWEIGHTS * jac(u) * fx
+            wide = (to_x(hi) - to_x(lo) > width) & (w != 0.0).any(axis=1)
+            xs.append(x[~wide].ravel())
+            ws.append(w[~wide].ravel())
+            budget -= int(wide.sum())
+            if budget < 0:
+                raise MaxSubdivisionsExceeded(f"no panels narrower than {width:g} on {domain}")
+            mid = 0.5 * (lo[wide] + hi[wide])
+            lo, hi = np.concatenate([lo[wide], mid]), np.concatenate([mid, hi[wide]])
+    xs, w = np.concatenate(xs), np.concatenate(ws)
+    if not (w >= 0.0).all():
+        raise DomainError(f"a density on {domain} is negative or nan at a node of its rule")
+    return xs[w > 0.0], w[w > 0.0]
 
 
 def rng_for(cfg: NumericsConfig, stream: int = 0) -> np.random.Generator:

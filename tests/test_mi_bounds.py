@@ -2,6 +2,7 @@
 ordering against the exact-mixture oracle, and the scale-mixture
 phenomenology."""
 
+import itertools
 import math
 
 import numpy as np
@@ -21,6 +22,7 @@ from renyi_bounds.distributions import (
 from renyi_bounds.errors import (
     DomainError,
     InvalidMomentOrder,
+    MaxSubdivisionsExceeded,
     RenyiBoundsError,
     UnsupportedOperation,
 )
@@ -530,40 +532,62 @@ class TestMarginals:
                 assert lhs <= eps * eps + 2.0 * tail + 1e-12
 
 
-def _log_smooth_uniform(y, v):
-    """log E_X N(y; X, v) for X ~ U(0, 1): Phi(y / sqrt v) - Phi((y - 1) / sqrt v),
-    taken on the side of 1/2 where it does not cancel."""
-    y = min(y, 1.0 - y)
-    a, b = sp.log_ndtr(y / math.sqrt(v)), sp.log_ndtr((y - 1.0) / math.sqrt(v))
-    return a + math.log1p(-math.exp(b - a))
+def _log_smooth_uniform(y, v, a=0.0, b=1.0):
+    """log E_X N(y; X, v) for X ~ U(a, b):
+    (Phi((y - a) / sqrt v) - Phi((y - b) / sqrt v)) / (b - a), taken on the
+    side of the midpoint where it does not cancel."""
+    z, s = min(y - a, b - y), math.sqrt(v)
+    p, q = sp.log_ndtr(z / s), sp.log_ndtr((z - (b - a)) / s)
+    return p + math.log1p(-math.exp(q - p)) - math.log(b - a)
 
 
 def _log_npdf(y, var):
     return -0.5 * y * y / var - 0.5 * math.log(2.0 * math.pi * var)
 
 
-# GenericPdf inputs with closed-form smoothings log E_X N(y; X, v):
-# (pdf, domain, smoothing).  The half-normal one is a skew normal.
-_SMOOTHED_INPUTS = {
-    "normal": (
-        lambda x: np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi),
+def _normal_input(sd):
+    return (
+        lambda x: np.exp(-0.5 * x * x / sd**2) / (sd * math.sqrt(2.0 * math.pi)),
         Domain.full_line(),
-        lambda y, v: _log_npdf(y, 1.0 + v),
+        lambda y, v: _log_npdf(y, sd**2 + v),
+        tuple(sd * c for c in _UNIT_CUTS),
+    )
+
+
+# The breakpoints of the scipy references; for unit-scale inputs the mass
+# beyond |y| = 60 is below e^-800.
+_UNIT_CUTS = (-60.0, -10.0, 0.0, 1.0, 10.0, 60.0)
+
+# GenericPdf inputs with closed-form smoothings log E_X N(y; X, v):
+# (pdf, domain, smoothing, breakpoints).  The half-normal one is a skew
+# normal.  The wide inputs have mass integrals that converge on panels far
+# wider than the noise.
+_SMOOTHED_INPUTS = {
+    "normal": _normal_input(1.0),
+    "normal-sd3": _normal_input(3.0),
+    "normal-sd30": _normal_input(30.0),
+    "uniform": (lambda x: np.ones_like(x), Domain.finite(0.0, 1.0), _log_smooth_uniform,
+                _UNIT_CUTS),
+    "uniform-0-100": (
+        lambda x: np.full_like(x, 0.01),
+        Domain.finite(0.0, 100.0),
+        lambda y, v: _log_smooth_uniform(y, v, 0.0, 100.0),
+        (-60.0, -10.0, 0.0, 50.0, 100.0, 110.0, 160.0),
     ),
-    "uniform": (lambda x: np.ones_like(x), Domain.finite(0.0, 1.0), _log_smooth_uniform),
     "half-normal": (
         lambda x: 2.0 * np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi),
         Domain.half_line(),
         lambda y, v: (math.log(2.0) + _log_npdf(y, 1.0 + v)
                       + sp.log_ndtr(y / math.sqrt(v * (1.0 + v)))),
+        _UNIT_CUTS,
     ),
 }
 
 
-def _smoothing_oracle(log_smooth, quantity):
+def _smoothing_oracle(log_smooth, cuts, quantity):
     """chi^2, h_{1/2}(Y), Prop 7 at t = 1/2 or I(X; Y) by scipy quadrature
     of the closed-form f(y) = E_X N(y; X, 1) and
-    E[f(y|X)^2] = E_X N(y; X, 1/2) / (2 sqrt(pi))."""
+    E[f(y|X)^2] = E_X N(y; X, 1/2) / (2 sqrt(pi)), over the given breakpoints."""
 
     def lf(y):
         return log_smooth(y, 1.0)
@@ -578,7 +602,6 @@ def _smoothing_oracle(log_smooth, quantity):
         "prop7_half": lambda y: math.exp(0.5 * lvar(y)),
         "mi": lambda y: -math.exp(lf(y)) * lf(y),
     }[quantity]
-    cuts = (-60.0, -10.0, 0.0, 1.0, 10.0, 60.0)  # the mass beyond |y| = 60 is below e^-800
     total = sum(
         si.quad(integrand, a, b, epsabs=0.0, epsrel=1e-13, limit=400)[0]
         for a, b in zip(cuts[:-1], cuts[1:])
@@ -602,13 +625,29 @@ class TestContinuousInput:
         "mi": lambda ch: mi_oracle(ch, "X", CFG),
     }
 
-    @pytest.mark.parametrize("quantity", sorted(QUANTITIES))
-    @pytest.mark.parametrize("name", sorted(_SMOOTHED_INPUTS))
+    @pytest.mark.parametrize("name,quantity", [
+        case for case in itertools.product(sorted(_SMOOTHED_INPUTS), sorted(QUANTITIES))
+        if case != ("normal-sd30", "chi2")  # test_chi2_of_wide_normal_input
+    ])
     def test_matches_closed_form_smoothing(self, name, quantity):
-        pdf, domain, log_smooth = _SMOOTHED_INPUTS[name]
+        pdf, domain, log_smooth, cuts = _SMOOTHED_INPUTS[name]
         ch = AwgnChannel(GenericPdf(pdf, domain, CFG))
-        expected = _smoothing_oracle(log_smooth, quantity)
+        expected = _smoothing_oracle(log_smooth, cuts, quantity)
         assert self.QUANTITIES[quantity](ch) == pytest.approx(expected, rel=1e-9)
+
+    @pytest.mark.xfail(strict=True, reason="the pdf underflows near |x| = 1150, where "
+                       "the integrand E[f(y|X)^2] / f(y) is still 2/3 of its peak")
+    def test_chi2_of_wide_normal_input(self):
+        # rho^2 / (1 - rho^2) = sd^2 for X ~ N(0, sd^2)
+        ch = AwgnChannel(GenericPdf(*_SMOOTHED_INPUTS["normal-sd30"][:2], CFG))
+        assert chi2_divergence(ch, "X", CFG) == pytest.approx(900.0, rel=1e-9)
+
+    def test_power_law_input_refused(self):
+        # a Lomax(3) tail never underflows, so no rule resolves it at the
+        # noise scale; the mixture over a coarser one would be a comb
+        ch = AwgnChannel(GenericPdf(lambda x: 3.0 * (1.0 + x) ** -4.0, Domain.half_line(), CFG))
+        with pytest.raises(MaxSubdivisionsExceeded):
+            marginal_renyi_entropy(ch, 0.5, CFG)
 
 
 class TestInvariants:

@@ -298,15 +298,34 @@ class TestRule:
         # the rule of N(0, 1) integrates x^2 and cos x against it; the pdf
         # underflows to 0 at the far nodes, whose weights are dropped
         xs, ws = _rule(lambda x: np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi),
-                       Domain.full_line(), CFG)
+                       Domain.full_line(), CFG, 1.0)
         assert (ws > 0.0).all() and np.isfinite(xs).all()
         assert ws.sum() == pytest.approx(1.0, rel=1e-9)
         assert ws @ xs**2 == pytest.approx(1.0, rel=1e-9)
         assert ws @ np.cos(xs) == pytest.approx(math.exp(-0.5), rel=1e-9)
 
+    @pytest.mark.parametrize("f,domain", [
+        (lambda x: np.full_like(x, 0.01), Domain.finite(0.0, 100.0)),
+        (lambda x: np.exp(-0.5 * x * x / 900.0) / math.sqrt(1800.0 * math.pi), Domain.full_line()),
+        (lambda x: np.exp(-x), Domain.half_line()),
+    ])
+    def test_nodes_no_farther_apart_than_width(self, f, domain):
+        # the mass integrals are easy here (that of U(0, 100) converges on
+        # its 8 seed panels of width 12.5), but the rule must resolve h on
+        # the scale width: its panels are no wider, and K15 nodes are at
+        # most 0.104 panel widths apart
+        xs, ws = _rule(f, domain, CFG, 2.0)
+        assert np.diff(np.sort(xs)).max() <= 0.104 * 2.0
+        assert ws.sum() == pytest.approx(1.0, rel=1e-9)
+
+    def test_power_law_tail_refused(self):
+        # a Cauchy tail never underflows within the panel budget
+        with pytest.raises(MaxSubdivisionsExceeded):
+            _rule(lambda x: 1.0 / (math.pi * (1.0 + x * x)), Domain.full_line(), CFG, 2.0)
+
     def test_refuses_negative_weights(self):
         with pytest.raises(DomainError, match="negative"):
-            _rule(lambda x: 1.0 + 2.0 * np.sin(2.0 * np.pi * x), Domain.finite(0.0, 1.0), CFG)
+            _rule(lambda x: 1.0 + 2.0 * np.sin(2.0 * np.pi * x), Domain.finite(0.0, 1.0), CFG, 2.0)
 
 
 class TestMonteCarlo:
