@@ -22,10 +22,10 @@ quadrature rule for a GenericPdf input, so no integrand runs a quadrature.
 The rule's panels are no wider than _RULE_WIDTH wherever the density has
 not underflowed, so the mixture is no comb on the noise scale; a power-law
 tail, which no such rule covers, is refused.
-V_s is an exact finite sum over atomic U and over atomic AWGN inputs (the
-kernel sums, at every s) -- the figure-3 sweep is free of Monte Carlo
-noise -- and seeded Monte Carlo otherwise.  Each quantity has one route;
-its oracles live in verify and the tests.  Densities enter the integrands
+V_s over an atomic W is an exact sum of closed-form kernels between the
+mixtures' components -- no quadrature, no Monte Carlo noise in the
+figure-3 sweep -- and seeded Monte Carlo otherwise.  Each quantity has one
+route; its oracles live in verify and the tests.  Densities enter the integrands
 only through their logarithms, and np.where masks keep the -inf log of a
 vanishing conditional variance out of every ratio, so the heavy-tailed
 ratios in the chi-square and small-t bounds cannot produce NaNs.
@@ -46,7 +46,7 @@ from .distributions import (
     iid_pair_sampler,
 )
 from .errors import DomainError, InvalidMomentOrder, RenyiBoundsError, UnsupportedOperation
-from .moment_core import Support, TwoMomentParams, _check_r, _log_two_moment, log_omega
+from .moment_core import Support, TwoMomentParams, _check_r, _log_two_moment, _logsumexp, log_omega
 from .quadrature import Domain, NumericsConfig, _rule, integrate, mc_expect
 from .specfun import LOG_2PI, kappa, ln_gamma
 
@@ -70,6 +70,7 @@ __all__ = [
 _FULL = Domain.full_line()
 _EXP_CLIP = -745.0  # exp() underflows to 0 below this
 _LOG_2SQRTPI = math.log(2.0) + 0.5 * math.log(math.pi)
+_MAX_TERMS = 2**22  # of one E|N|^s series: z to ~4e6, AWGN atoms ~2,000 sds out
 # The widest panel of a GenericPdf input's rule: 4 sds of the narrower
 # smoothing kernel N(0, 1/2).  The K15 sums of a Gaussian over a panel this
 # wide are exact to ~1e-14; they reach 1e-9 near 12 sds.
@@ -99,7 +100,7 @@ class VsValue:
 
     s: float
     value: float
-    method: str  # closed_form | quadrature | monte_carlo
+    method: str  # closed_form | monte_carlo
     standard_error: Optional[float] = None
 
 
@@ -172,53 +173,52 @@ def variance_model(ch, given: str = "X", cfg: NumericsConfig = NumericsConfig())
 # ---------------------------------------------------------------------------
 
 
-def _log_abs_pow(y, s: float):
-    """s log|y|, the log of the weight |y|^s (-inf at y = 0 when s > 0)."""
+def _log_abs_moment(mean, var, s: float):
+    """log E|N(mean, var)|^s, broadcasting; exactly 0 at s = 0.  With
+    a = (1+s)/2, z = mean^2/(2 var) it is (2 var)^(s/2) G(a)/sqrt(pi) times
+    e^-z 1F1(a; 1/2; z) = sum_k Pois(k; z) (a)_k/(1/2)_k, summed in log space
+    over k in z +- 20 sqrt(z) (+ 60 + 2s) and divided by the Poisson mass
+    there, so the rounding of the cumulative log ratios cancels."""
     if s == 0.0:
-        return 0.0
-    with np.errstate(divide="ignore"):
-        return np.where(y != 0.0, s * np.log(np.abs(y)), -np.inf)
+        return np.zeros(np.broadcast(mean, var).shape)
+    a = 0.5 * (1.0 + s)
+    with np.errstate(over="ignore", divide="ignore"):
+        z = np.asarray(mean * mean / (2.0 * var), dtype=float)
+        log_z, log_2var = np.log(z), np.log(2.0 * var)
+    z_max = float(np.max(z))
+    if not z_max + 20.0 * math.sqrt(z_max) + 60.0 + 2.0 * s <= _MAX_TERMS:
+        raise DomainError(f"E|N(m, v)|^s needs over {_MAX_TERMS} series terms at s = {s:g}")
+    width = 20.0 * np.sqrt(z)
+    lo = np.floor(np.maximum(z - width, 0.0))
+    n = int(np.max(z + width - lo)) + 60 + 2 * math.ceil(s)
+    j = np.arange(int(np.max(lo)) + n - 1)  # log (a)_k / (1/2)_k, one row for all
+    log_rising = np.concatenate(([0.0], np.cumsum(np.log((a + j) / (0.5 + j)))))
+    k = lo + np.arange(n).reshape((n,) + (1,) * z.ndim)
+    log_pois = np.concatenate((np.zeros((1,) + z.shape), np.cumsum(log_z - np.log(k[1:]), axis=0)))
+    log_series = _logsumexp(log_pois + log_rising[k.astype(int)]) - _logsumexp(log_pois)
+    return 0.5 * s * log_2var + ln_gamma(a) - 0.5 * math.log(math.pi) + log_series
 
 
-def _abs_moment_shifted_normal(s: float, m: float, cfg: NumericsConfig) -> float:
-    """E|W + m|^s for W ~ N(0,1): exactly 1 at s = 0, otherwise with M = |m|
-
-        int_0^M (M - w)^s phi(w) dw + int_0^inf [(w + M)^s phi(w) + w^s phi(w + M)] dw,
-
-    which puts the normal peak and both kinks at endpoints, however far M is."""
-    if s == 0.0:
-        return 1.0
-    m = abs(m)
-
-    def near(w):
-        return np.exp(_log_abs_pow(m - w, s) + _log_npdf(w, 1.0))
-
-    def tail(w):
-        return near(-w) + np.exp(_log_abs_pow(w, s) + _log_npdf(w + m, 1.0))
-
-    mom = integrate(tail, Domain.half_line(), cfg).value
-    if m > 0.0:
-        mom += integrate(near, Domain.finite(0.0, m), cfg).value
-    return mom
+def _log_kernel(m1, v1, m2, v2, s: float):
+    """log int |y|^s N(y; m1, v1) N(y; m2, v2) dy = log N(m1 - m2; 0, v1 + v2)
+    + log E|N(mu, v)|^s, v = 1/(1/v1 + 1/v2) (v1 v2/(v1 + v2) overflows),
+    mu = v (m1/v1 + m2/v2); symmetric bit for bit."""
+    v = 1.0 / (1.0 / v1 + 1.0 / v2)
+    with np.errstate(over="ignore"):
+        return _log_npdf(m1 - m2, v1 + v2) + _log_abs_moment(v * (m1 / v1 + m2 / v2), v, s)
 
 
-def kernel_Ks(x1: float, x2: float, s: float, cfg: NumericsConfig = NumericsConfig()) -> float:
+def kernel_Ks(x1: float, x2: float, s: float) -> float:
     """Expected-likelihood-style kernel K_s(x1, x2) = int |y|^s f(y|x1) f(y|x2) dy
-    for the AWGN channel, via the factorization
-
-        K_s = 2^(-(1+s)/2) E|W + (x1+x2)/sqrt(2)|^s * phi((x1-x2)/sqrt(2)),
-
-    the absolute moment by quadrature, not by a confluent-hypergeometric
-    closed form.  K_s(x1, x2) and K_s(x2, x1) agree bit for bit.
-    """
-    if s < 0.0:
+    for the AWGN channel, N(x1 - x2; 0, 2) E|N((x1 + x2)/2, 1/2)|^s with the
+    absolute moment in confluent-hypergeometric closed form; symmetric bit
+    for bit."""
+    if not s >= 0.0:
         raise DomainError(f"s must be nonnegative, got {s!r}")
-    m = (x1 + x2) / math.sqrt(2.0)
-    mom = _abs_moment_shifted_normal(s, m, cfg)
-    if not mom > 0.0:  # the integrand is positive: a zero is a missed peak
-        raise RenyiBoundsError(f"E|W + m|^s came out {mom:g} at m = {float(m):.6g}, s = {s:g}")
-    log_phi = _log_npdf((x1 - x2) / math.sqrt(2.0), 1.0)
-    return math.exp(-0.5 * (1.0 + s) * math.log(2.0) + math.log(mom) + log_phi)
+    try:
+        return math.exp(_log_kernel(x1, 1.0, x2, 1.0, s))
+    except OverflowError:
+        raise DomainError(f"K_s leaves the float range at s = {s:g}") from None
 
 
 def _vs_value(s, value, scale, method, se=None) -> VsValue:
@@ -232,6 +232,27 @@ def _vs_value(s, value, scale, method, se=None) -> VsValue:
             raise RenyiBoundsError(f"V_s produced a negative value {value!r} beyond noise")
         value = 0.0
     return VsValue(s, value, method, se)
+
+
+def _vs_atomic(model, s) -> VsValue:
+    """E K_s(W, W) - E K_s(W1, W2) = p.S - p'Kp over the model's mixture
+    sum_i p_i N(m_i, v_i), as p.(S - diag K) + p'Dp/2, D_ij = K_ii + K_jj - 2K_ij,
+    so no rare atom's share is a difference of terms of size 1.  S = diag K
+    for a _GaussianMixture, so one atom gives exactly 0."""
+    mix = model.mix[1.0] if isinstance(model, _AwgnOverContinuousInput) else model
+    m, v, p = mix.means, mix.vars, mix.probs
+    log_k = _log_kernel(m[:, None], v[:, None], m[None, :], v[None, :], s)
+    if mix is model:
+        log_self = np.diag(log_k)
+    else:  # E f(y|X)^2 = (2 sqrt(pi))^-1 E_X N(y; X, 1/2)
+        log_self = _log_abs_moment(model.mix[0.5].means, model.mix[0.5].vars, s) - _LOG_2SQRTPI
+    top = max(log_k.max(), log_self.max())
+    with np.errstate(over="ignore", invalid="ignore"):  # top = inf is refused below
+        k, own = np.exp(log_k - top), np.exp(log_self - top)
+        d = np.diag(k)
+        rel = p @ (own - d) + 0.5 * (p @ (d[:, None] + d[None, :] - 2.0 * k) @ p)
+        value, scale = np.exp(top) * rel, np.exp(top) * (p @ own)
+    return _vs_value(s, float(value), float(scale), "closed_form")
 
 
 def _vs_monte_carlo(g, dist, coef, s, cfg, stream) -> VsValue:
@@ -250,78 +271,42 @@ def _vs_coef(s: float) -> float:
         raise DomainError(f"G((1+s)/2) leaves the float range at s = {s:g}") from None
 
 
-def _vs_scale_mixture(mixing, s, given, cfg, stream):
-    coef = _vs_coef(s)
+def V_s(
+    ch, s: float, given: str = "X", cfg: NumericsConfig = NumericsConfig(), stream: int = 0
+) -> VsValue:
+    """The s-th moment of the variance of the conditional density.
 
-    def first(u):
-        if given == "U":
-            return (1.0 + u) ** (0.5 * (s - 1.0))
-        return (1.0 + 2.0 * u) ** (0.5 * s)
+    Over an atomic W it is E K_s(W, W) - E K_s(W1, W2), an exact sum over
+    the Gaussian mixtures of variance_model with every kernel in closed
+    form.  Continuous mixing laws use seeded Monte Carlo (standard error) of
 
-    def cross(u1, u2):
-        num = (1.0 + u1) ** (0.5 * s) * (1.0 + u2) ** (0.5 * s)
-        return num / (1.0 + 0.5 * (u1 + u2)) ** (0.5 * (s + 1.0))
+      given X: G((1+s)/2)/(2 pi) E[(1+2U)^(s/2) - cross(U1, U2)]
+      given U: G((1+s)/2)/(2 pi) E[(1+U)^((s-1)/2) - cross(U1, U2)]
+      cross   = (1+U1)^(s/2) (1+U2)^(s/2) / (1 + (U1+U2)/2)^((s+1)/2);
 
-    if not mixing.is_discrete:
-        return _vs_monte_carlo(
-            lambda uu: first(uu[0]) - cross(uu[0], uu[1]), mixing, coef, s, cfg, stream
-        )
-    us, probs = mixing.atoms_and_probs()
-    with np.errstate(over="ignore", invalid="ignore"):
-        t1 = float(probs @ first(us))
-        t2 = float(probs @ (cross(us[:, None], us[None, :]) @ probs))
-    value = coef * (t1 - t2)
-    if given == "U" and us.size == 1:
-        # f(y|U) is one fixed density: no variance.  first(u) and
-        # cross(u, u) agree only to an ulp, and the residue, raised to
-        # a power, would make prop8/prop9 nonzero.
-        value = 0.0
-    return _vs_value(s, value, coef * t1, "closed_form")
+    over a non-atomic AWGN input only s = 0 is available, by seeded Monte
+    Carlo of (2 sqrt(pi))^-1 [1 - E exp(-(X1-X2)^2 / 4)].  Terms that leave
+    the float range (large s) raise DomainError."""
+    if not s >= 0.0:
+        raise DomainError(f"s must be nonnegative, got {s!r}")
+    given = _given(ch, given)
+    if isinstance(ch, ScaleMixtureChannel) and not ch.mixing.is_discrete:
+        def g(uu):
+            u1, u2 = uu
+            first = ((1.0 + u1) ** (0.5 * (s - 1.0)) if given == "U"
+                     else (1.0 + 2.0 * u1) ** (0.5 * s))
+            num = (1.0 + u1) ** (0.5 * s) * (1.0 + u2) ** (0.5 * s)
+            return first - num / (1.0 + 0.5 * (u1 + u2)) ** (0.5 * (s + 1.0))
 
-
-def _vs_awgn(ch, s, cfg, stream):
-    if not ch.input.is_discrete:
+        return _vs_monte_carlo(g, ch.mixing, _vs_coef(s), s, cfg, stream)
+    if isinstance(ch, AwgnChannel) and not ch.input.is_discrete:
         if s > 0.0:
             raise UnsupportedOperation("AWGN V_s with s > 0 needs an atomic input law")
         return _vs_monte_carlo(
             lambda xx: 1.0 - np.exp(-0.25 * (xx[0] - xx[1]) ** 2),
             ch.input, 1.0 / (2.0 * math.sqrt(math.pi)), s, cfg, stream,
         )
-    xs, probs = ch.input.atoms_and_probs()
-    idx = range(xs.size)
-    k = {}
-    for i in idx:  # K_s is symmetric: one kernel per unordered pair
-        for j in idx[i:]:
-            k[i, j] = k[j, i] = kernel_Ks(xs[i], xs[j], s, cfg)
-    k_diag = sum(probs[i] * k[i, i] for i in idx)
-    k_cross = sum(probs[i] * probs[j] * k[i, j] for i in idx for j in idx)
-    return _vs_value(s, k_diag - k_cross, k_diag, "quadrature" if s > 0.0 else "closed_form")
-
-
-def V_s(
-    ch, s: float, given: str = "X", cfg: NumericsConfig = NumericsConfig(), stream: int = 0
-) -> VsValue:
-    """The s-th moment of the variance of the conditional density.
-
-    Scale mixtures use the explicit U-expectations
-
-      given X: G((1+s)/2)/(2 pi) E[(1+2U)^(s/2) - cross(U1, U2)]
-      given U: G((1+s)/2)/(2 pi) E[(1+U)^((s-1)/2) - cross(U1, U2)]
-      cross   = (1+U1)^(s/2) (1+U2)^(s/2) / (1 + (U1+U2)/2)^((s+1)/2),
-
-    exactly for atomic U and by seeded Monte Carlo (with standard error)
-    otherwise.  The AWGN channel over an atomic input uses, for every
-    s >= 0, the kernel sums E K_s(X, X) - E K_s(X1, X2), one kernel_Ks per
-    unordered atom pair; over a non-atomic input only s = 0 is available,
-    by seeded Monte Carlo of (2 sqrt(pi))^-1 [1 - E exp(-(X1-X2)^2 / 4)].
-    Terms that leave the float range (large s) raise DomainError.
-    """
-    if s < 0.0:
-        raise DomainError(f"s must be nonnegative, got {s!r}")
-    given = _given(ch, given)
-    if isinstance(ch, ScaleMixtureChannel):
-        return _vs_scale_mixture(ch.mixing, s, given, cfg, stream)
-    return _vs_awgn(ch, s, cfg, stream)
+    return _vs_atomic(variance_model(ch, given, cfg), s)
 
 
 # ---------------------------------------------------------------------------

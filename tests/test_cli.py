@@ -93,10 +93,10 @@ class TestReproducibility:
     # SHA-256 of the default CSVs under the default seed.  A change that
     # moves any of them must fix a numerical bug and say so.
     DEFAULT_CSV_SHA256 = {
-        "fig1": "fb928ba28a8b1e506be00c2775b2970b74b2a59a6a9be5e7c80778671fce4391",
-        "fig2": "442d03148c971996afe7b687d548e5ba1d96ff451f4d096c2a824df1cc1e2b93",
+        "fig1": "7c6b6dae47ca6c6ab544622a9be18d87110cf2e5536835e9675c7f59c6575381",
+        "fig2": "cffb5eec3da4c81fd96daab0ff529d66e5a51f27a99f636929e5c79a9c58ee2c",
         "fig3": "0b2402467422c53c999695f9c57f03d2e066c5ec5ed1c5008e771b05366a624c",
-        "verify": "fc73cce61cc181fa48bef1f8773b0e2961b9ddba6b8180849ea4c8cbc2d09ac0",
+        "verify": "2d3c74a6a6aed123ac27aa1e997dc75a432a5701cc03eb154b79b1743404e191",
     }
 
     @pytest.mark.parametrize("command", sorted(DEFAULT_CSV_SHA256))

@@ -45,7 +45,7 @@ from renyi_bounds.mi_bounds import (
 from renyi_bounds.moment_core import Support, TwoMomentParams, two_moment_bound
 from renyi_bounds.quadrature import Domain, NumericsConfig, integrate, mc_expect
 from renyi_bounds.specfun import kappa
-from renyi_bounds.verify import _V_s_quadrature
+from renyi_bounds.verify import _log_abs_pow, _V_s_quadrature
 
 CFG = NumericsConfig()
 INV_2SQRTPI = 1.0 / (2.0 * math.sqrt(math.pi))
@@ -63,24 +63,63 @@ def _abs_moment_exact(s, m):
     )
 
 
-def _awgn_vs_exact_s2(d):
-    # V_2 from the kernel sums with E|W + m|^2 = 1 + m^2
-    def k2(x1, x2):
-        m = (x1 + x2) / math.sqrt(2.0)
-        return 2.0**-1.5 * (1.0 + m * m) * _phi((x1 - x2) / math.sqrt(2.0))
+def _abs_moment_quadrature(s, m):
+    """E|W + m|^s for W ~ N(0,1): exactly 1 at s = 0, otherwise with M = |m|
 
+        int_0^M (M - w)^s phi(w) dw + int_0^inf [(w + M)^s phi(w) + w^s phi(w + M)] dw,
+
+    which puts the normal peak and both kinks at endpoints, however far M is."""
+    if s == 0.0:
+        return 1.0
+    m = abs(m)
+
+    def near(w):
+        return np.exp(_log_abs_pow(m - w, s) + _log_npdf(w, 1.0))
+
+    def tail(w):
+        return near(-w) + np.exp(_log_abs_pow(w, s) + _log_npdf(w + m, 1.0))
+
+    mom = integrate(tail, Domain.half_line(), CFG).value
+    if m > 0.0:
+        mom += integrate(near, Domain.finite(0.0, m), CFG).value
+    return mom
+
+
+def _log_even_abs_moment(k, m):
+    """log E(W + m)^(2k) = log sum_j C(2k, 2j) m^(2k-2j) (2j-1)!!, exact at
+    every integer k >= 0, summed in log space."""
+    terms = [
+        math.lgamma(2 * k + 1) - math.lgamma(2 * k - 2 * j + 1) - j * math.log(2.0)
+        - math.lgamma(j + 1) + (2 * k - 2 * j) * math.log(abs(m))
+        for j in range(k + 1) if m != 0.0 or j == k
+    ]
+    top = max(terms)
+    return top + math.log(sum(math.exp(t - top) for t in terms))
+
+
+def _awgn_vs_exact_even(d, k):
+    # V_2k from the kernel sums, K_s = 2^(-(1+s)/2) E|W + m|^s phi((x1-x2)/sqrt(2))
+    # with m = (x1+x2)/sqrt(2), in log space with the largest term factored out
     xs, ps = d.atoms_and_probs()
-    diag = sum(p * k2(x, x) for x, p in zip(xs, ps))
-    return diag - sum(p1 * p2 * k2(x1, x2) for x1, p1 in zip(xs, ps) for x2, p2 in zip(xs, ps))
+
+    def log_k(x1, x2):
+        return (-(k + 0.5) * math.log(2.0) + _log_even_abs_moment(k, (x1 + x2) / math.sqrt(2.0))
+                + _log_npdf((x1 - x2) / math.sqrt(2.0), 1.0))
+
+    own = [math.log(p) + log_k(x, x) for x, p in zip(xs, ps)]
+    cross = [math.log(p1 * p2) + log_k(x1, x2) for x1, p1 in zip(xs, ps) for x2, p2 in zip(xs, ps)]
+    top = max(own + cross)
+    return math.exp(top) * (sum(math.exp(t - top) for t in own)
+                            - sum(math.exp(t - top) for t in cross))
 
 
 class TestKernel:
     def test_diagonal_s0(self):
-        assert kernel_Ks(1.0, 1.0, 0.0, CFG) == pytest.approx(INV_2SQRTPI, rel=1e-10)
+        assert kernel_Ks(1.0, 1.0, 0.0) == pytest.approx(INV_2SQRTPI, rel=1e-10)
 
     def test_offdiagonal_s0(self):
         expect = 2.0**-0.5 * _phi(2.0 / math.sqrt(2.0))
-        assert kernel_Ks(2.0, 0.0, 0.0, CFG) == pytest.approx(expect, rel=1e-10)
+        assert kernel_Ks(2.0, 0.0, 0.0) == pytest.approx(expect, rel=1e-10)
 
     def test_s0_equals_product_density_integral(self):
         # K_0(x1, x2) = int f(y|x1) f(y|x2) dy, checked by quadrature
@@ -90,18 +129,18 @@ class TestKernel:
             Domain.full_line(),
             CFG,
         ).value
-        assert kernel_Ks(x1, x2, 0.0, CFG) == pytest.approx(direct, rel=1e-9)
+        assert kernel_Ks(x1, x2, 0.0) == pytest.approx(direct, rel=1e-9)
 
     def test_s2_shifted_second_moment(self):
         # E|W + m|^2 = 1 + m^2 makes K_2 elementary.
         x1, x2 = 1.2, 0.4
         m = (x1 + x2) / math.sqrt(2.0)
         expect = 2.0 ** (-1.5) * (1.0 + m * m) * _phi((x1 - x2) / math.sqrt(2.0))
-        assert kernel_Ks(x1, x2, 2.0, CFG) == pytest.approx(expect, rel=1e-9)
+        assert kernel_Ks(x1, x2, 2.0) == pytest.approx(expect, rel=1e-9)
 
     def test_gram_matrix_positive_semidefinite(self):
         xs = [-1.0, 0.0, 1.0]
-        gram = np.array([[kernel_Ks(a, b, 0.0, CFG) for b in xs] for a in xs])
+        gram = np.array([[kernel_Ks(a, b, 0.0) for b in xs] for a in xs])
         assert np.linalg.eigvalsh(gram).min() >= -1e-12
 
     def test_far_peak_found_or_refused(self):
@@ -109,7 +148,7 @@ class TestKernel:
         # never a silent underflow or a bare ValueError
         m = 160.0 / math.sqrt(2.0)
         try:
-            k = kernel_Ks(80.0, 80.0, 2.0, CFG)
+            k = kernel_Ks(80.0, 80.0, 2.0)
         except RenyiBoundsError:
             return
         assert k == pytest.approx(2.0**-1.5 * (1.0 + m * m) * _phi(0.0), rel=1e-8)
@@ -117,20 +156,25 @@ class TestKernel:
     @pytest.mark.parametrize("s", [0.5, 2.0, 3.0])
     @pytest.mark.parametrize("m", [0.0, 0.5, 3.0, 40.0, 141.0])
     def test_abs_moment_matches_hypergeometric_form(self, s, m):
-        # the far shifts are where a quadrature around t = 0 missed the peak at m
-        got = mi_bounds._abs_moment_shifted_normal(s, m, CFG)
-        assert got == pytest.approx(_abs_moment_exact(s, m), rel=4e-10)
+        # E|W + m|^s, W ~ N(0, 1): the series against scipy's 1F1 and against
+        # quadrature; the far shifts are where a quadrature around t = 0
+        # missed the peak at m
+        got = math.exp(mi_bounds._log_abs_moment(m, 1.0, s))
+        assert got == pytest.approx(_abs_moment_exact(s, m), rel=1e-13)
+        assert got == pytest.approx(_abs_moment_quadrature(s, m), rel=4e-10)
 
     def test_s0_moment_is_exactly_one(self):
-        assert mi_bounds._abs_moment_shifted_normal(0.0, 7.0, CFG) == 1.0
+        assert mi_bounds._log_abs_moment(7.0, 1.0, 0.0) == 0.0
+        assert _abs_moment_quadrature(0.0, 7.0) == 1.0
 
     def test_symmetric_bit_for_bit(self):
         for x1, x2, s in ((0.3, 2.5, 0.5), (1.0, 28.0, 2.0), (-1.2, 4.0, 3.0), (1.0, 2.5, 0.0)):
-            assert kernel_Ks(x1, x2, s, CFG) == kernel_Ks(x2, x1, s, CFG)
+            assert kernel_Ks(x1, x2, s) == kernel_Ks(x2, x1, s)
 
     def test_negative_order_rejected(self):
-        with pytest.raises(DomainError):
-            kernel_Ks(0.0, 1.0, -1.0, CFG)
+        for s in (-1.0, math.nan):
+            with pytest.raises(DomainError, match="nonnegative"):
+                kernel_Ks(0.0, 1.0, s)
 
 
 class TestVs:
@@ -142,7 +186,7 @@ class TestVs:
     def test_constant_mixing_given_u_is_zero(self):
         ch = ScaleMixtureChannel(PointMass(2.0))
         for s in (0.0, 1.0, 2.0):
-            assert V_s(ch, s, "U", CFG).value == pytest.approx(0.0, abs=1e-15)
+            assert V_s(ch, s, "U", CFG).value == 0.0
 
     def test_constant_mixing_given_x_matches_awgn_closed_form(self):
         # two code paths: the scale-mixture pair expectation vs the
@@ -171,35 +215,32 @@ class TestVs:
         # from a = 28 on, a kernel quadrature around t = 0 missed the peak at m
         d = TwoPoint(0.3, a)
         got = V_s(AwgnChannel(d), 2.0, "X", CFG).value
-        assert got == pytest.approx(_awgn_vs_exact_s2(d), rel=1e-9)
-
-    def test_one_kernel_per_unordered_atom_pair(self, monkeypatch):
-        calls = []
-
-        def counting(*args):
-            calls.append(args)
-            return kernel(*args)
-
-        kernel = mi_bounds.kernel_Ks
-        monkeypatch.setattr(mi_bounds, "kernel_Ks", counting)
-        for s in (0.0, 0.5, 2.0):
-            calls.clear()
-            V_s(AwgnChannel(TwoPoint(0.3, 2.5)), s, "X", CFG)
-            assert len(calls) == 3
+        assert got == pytest.approx(_awgn_vs_exact_even(d, 1), rel=1e-9)
 
     @pytest.mark.parametrize("d", [TwoPoint(0.3, 2.5), TwoPoint(0.1, 20.0), TwoPoint(0.5, 1.5)])
     def test_kernel_sum_in_pairwise_order(self, d):
-        # the earlier route: N diagonal and N^2 ordered-pair kernels, summed in this order
-        ch = AwgnChannel(d)
+        # V_s = p . diag(K) - p' K p with K the matrix of kernel_Ks over atom pairs
         xs, ps = d.atoms_and_probs()
-        for s in (0.5, 2.0, 3.0):
-            k_diag = sum(p * kernel_Ks(x, x, s, CFG) for x, p in zip(xs, ps))
-            k_cross = sum(
-                p1 * p2 * kernel_Ks(x1, x2, s, CFG)
-                for x1, p1 in zip(xs, ps)
-                for x2, p2 in zip(xs, ps)
+        for s in (0.0, 0.5, 2.0, 3.0):
+            k = np.array([[kernel_Ks(x1, x2, s) for x2 in xs] for x1 in xs])
+            assert V_s(AwgnChannel(d), s, "X", CFG).value == pytest.approx(
+                ps @ np.diag(k) - ps @ k @ ps, rel=1e-14
             )
-            assert V_s(ch, s, "X", CFG).value == k_diag - k_cross
+
+    @pytest.mark.parametrize("a,s", [(100.0, 150.0), (2.5, 280.0)])
+    def test_far_atoms_at_large_orders(self, a, s):
+        # E|W + m|^s alone overflows (141^150) or defeats quadrature before the
+        # Gaussian factor of K_s brings it back: these were refused
+        d = TwoPoint(0.3, a)
+        assert V_s(AwgnChannel(d), s, "X", CFG).value == pytest.approx(
+            _awgn_vs_exact_even(d, int(s) // 2), rel=1e-10
+        )
+
+    def test_prop9_at_far_atoms_and_large_order(self):
+        # atoms 99 noise sds apart: I(X; Y) = H_b(0.3) up to e^-1000
+        h_b = -0.3 * math.log(0.3) - 0.7 * math.log(0.7)
+        bound = prop9_bound(AwgnChannel(TwoPoint(0.3, 100.0)), 0.5, 150.0, "X", CFG)
+        assert math.isfinite(bound) and bound >= h_b
 
     @pytest.mark.parametrize("d", [TwoPoint(0.3, 2.5), TwoPoint(0.1, 20.0), TwoPoint(0.5, 1.5)])
     def test_v0_from_kernels_matches_pairwise_closed_form(self, d):
@@ -276,8 +317,9 @@ class TestVs:
             V_s(AwgnChannel(PointMass(1.0)), 0.0, "U", CFG)
         with pytest.raises(UnsupportedOperation):
             V_s(AwgnChannel(Lognormal(0.0, 1.0)), 2.0, "X", CFG)  # s>0 needs atoms
-        with pytest.raises(DomainError):
-            V_s(AwgnChannel(PointMass(1.0)), -0.5, "X", CFG)
+        for s in (-0.5, math.nan):
+            with pytest.raises(DomainError, match="nonnegative"):
+                V_s(AwgnChannel(PointMass(1.0)), s, "X", CFG)
 
 
 @given(

@@ -121,18 +121,25 @@ class TestBeta:
         assert beta_tilde(2.0, 3.0) >= (2.0 + 3.0) / (2.0 * 3.0)
 
     def test_binet_identity(self):
+        # log_beta_tilde is the Binet form; check it against the definition
+        # with scipy's log B, on arguments where the definition does not cancel
         grid = [0.3, 1.0, 2.7, 10.5, 100.0]
         for x in grid:
             for y in grid:
-                lhs = log_beta_tilde(x, y) + 0.5 * math.log(
-                    x * y / (2.0 * math.pi * (x + y))
-                )
-                rhs = theta(x) + theta(y) - theta(x + y)
-                assert abs(lhs - rhs) <= 1e-10
+                direct = (float(sp.betaln(x, y)) + (x + y) * math.log(x + y)
+                          - x * math.log(x) - y * math.log(y))
+                assert abs(log_beta_tilde(x, y) - direct) <= 1e-10
 
     def test_against_scipy(self):
         for x, y in ((0.5, 0.5), (2.0, 3.0), (7.5, 0.25)):
             assert beta(x, y) == pytest.approx(float(sp.beta(x, y)), rel=1e-12)
+
+    @pytest.mark.parametrize("a", [499999.5, 1e7, 3e8])
+    def test_log_beta_tilde_large_equal_arguments(self, a):
+        # B~(a, a) = 2 sqrt(pi) G(a) / G(a + 1/2); near r = 1 the terms of
+        # log B + 2a log(2a) - 2a log a are 1e7 and cancel to a few units
+        expect = math.log(2.0 * math.sqrt(math.pi)) - math.log(sp.poch(a, 0.5))
+        assert log_beta_tilde(a, a) == pytest.approx(expect, abs=1e-14)
 
 
 @given(
