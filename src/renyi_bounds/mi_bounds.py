@@ -238,10 +238,13 @@ def _vs_atomic(model, s) -> VsValue:
     """E K_s(W, W) - E K_s(W1, W2) = p.S - p'Kp over the model's mixture
     sum_i p_i N(m_i, v_i), as p.(S - diag K) + p'Dp/2, D_ij = K_ii + K_jj - 2K_ij,
     so no rare atom's share is a difference of terms of size 1.  S = diag K
-    for a _GaussianMixture, so one atom gives exactly 0."""
+    for a _GaussianMixture, so one atom gives exactly 0.  K is symmetric, so
+    one kernel is evaluated per unordered pair and mirrored."""
     mix = model.mix[1.0] if isinstance(model, _AwgnOverContinuousInput) else model
     m, v, p = mix.means, mix.vars, mix.probs
-    log_k = _log_kernel(m[:, None], v[:, None], m[None, :], v[None, :], s)
+    i, j = np.triu_indices(len(p))
+    log_k = np.empty((len(p), len(p)))
+    log_k[i, j] = log_k[j, i] = _log_kernel(m[i], v[i], m[j], v[j], s)
     if mix is model:
         log_self = np.diag(log_k)
     else:  # E f(y|X)^2 = (2 sqrt(pi))^-1 E_X N(y; X, 1/2)

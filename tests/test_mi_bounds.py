@@ -217,6 +217,21 @@ class TestVs:
         got = V_s(AwgnChannel(d), 2.0, "X", CFG).value
         assert got == pytest.approx(_awgn_vs_exact_even(d, 1), rel=1e-9)
 
+    def test_one_kernel_per_unordered_atom_pair(self, monkeypatch):
+        sizes = []
+
+        def counting(*args):
+            out = log_kernel(*args)
+            sizes.append(np.size(out))
+            return out
+
+        log_kernel = mi_bounds._log_kernel
+        monkeypatch.setattr(mi_bounds, "_log_kernel", counting)
+        for s in (0.0, 0.5, 2.0):
+            sizes.clear()
+            V_s(AwgnChannel(TwoPoint(0.3, 2.5)), s, "X", CFG)
+            assert sum(sizes) == 3
+
     @pytest.mark.parametrize("d", [TwoPoint(0.3, 2.5), TwoPoint(0.1, 20.0), TwoPoint(0.5, 1.5)])
     def test_kernel_sum_in_pairwise_order(self, d):
         # V_s = p . diag(K) - p' K p with K the matrix of kernel_Ks over atom pairs
