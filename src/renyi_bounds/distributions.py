@@ -30,7 +30,7 @@ from .errors import (
     UnsupportedOperation,
 )
 from .moment_core import Support, TwoMomentParams, _check_n, _check_r, _logsumexp, _moment_term
-from .quadrature import Domain, NumericsConfig, integrate
+from .quadrature import Domain, NumericsConfig, _converged_panels, _DensityPanels, integrate
 from .specfun import LOG_2PI, ln_gamma
 
 __all__ = [
@@ -262,7 +262,13 @@ class GenericPdf(ScalarDistribution):
     """Numeric density on a Domain; all quantities come from quadrature.
 
     Validated at construction: finite, nonnegative and of mass one (within
-    1e-6) on the nodes of the mass integral.  Not samplable.
+    1e-6) on the nodes of the mass integral.  The panels that integral
+    converged on, the pdf on their nodes and on every tail pre-scan window
+    are cached then (quadrature._DensityPanels, read-only): each
+    log_moment(s) is a sum of |x|^s times those values, refined per call
+    only where |x|^s needs more panels, so its value does not depend on
+    earlier calls.  The pdf is evaluated once on every pre-scan window,
+    also past the window where the mass scan stops.  Not samplable.
     """
 
     def __init__(
@@ -281,19 +287,17 @@ class GenericPdf(ScalarDistribution):
                 raise DomainError(f"pdf must be finite and nonnegative on {domain}")
             return y
 
-        mass = integrate(checked, domain, cfg).value
+        lo, hi, mass, _ = _converged_panels(checked, domain, cfg)
         if abs(mass - 1.0) > 1e-6:
             raise DomainError(f"pdf integrates to {mass!r}, expected 1 within 1e-6")
+        self._panels = _DensityPanels(pdf, domain, lo, hi)
 
     def pdf(self, x):
         return self._pdf(x)
 
     def log_moment(self, s: float) -> float:
-        def integrand(x):
-            return np.abs(x) ** s * self._pdf(x)
-
         try:
-            val = integrate(integrand, self.domain, self._cfg).value
+            val = self._panels.integral(lambda x: np.abs(x) ** s, self._cfg).value
         except DivergenceDetected:
             return math.inf
         return math.log(val) if val > 0.0 else -math.inf

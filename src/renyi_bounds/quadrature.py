@@ -35,6 +35,15 @@ failure modes are explicit:
   the density has not underflowed; a power-law tail, which never does
   within the panel budget, is refused.
 
+* _DensityPanels keeps a density's converged panels and its values on
+  every tail pre-scan window, so that each int h f (a GenericPdf's
+  log-moments) takes the pre-scan verdict and K15/G7 sums from the cache
+  and refines only where h needs it, in bulk: one call of f per step for
+  all panels over their share of the tolerance, a graded split toward a
+  finite lower end, plain bisection elsewhere.  A GenericPdf evaluates its
+  pdf once on every pre-scan window, also past the window where a scan
+  stops; values there never reach a verdict.
+
 * mc_expect() is a seeded Monte Carlo mean with standard error, built on
   the counter-based Philox generator so that results are reproducible
   bit-for-bit for a fixed NumericsConfig.
@@ -150,8 +159,13 @@ _OUT_LO = np.ldexp(1.0, np.arange(52))
 _OUT_HI = 2.0 * _OUT_LO
 _IN_HI = 1.0 / _OUT_LO
 _IN_LO = 0.5 * _IN_HI
-# Windows evaluated per integrand call of the pre-scan.
+# Windows evaluated per integrand call of the pre-scan, and the window mass
+# below which a tail counts as gone.
 _SCAN_BLOCK = 8
+_SCAN_FLOOR = _ABS_TOL * 1e-3
+# Panel edges, as fractions of the panel, of the graded split toward a finite
+# lower end: 0, 2^-40, 2^-39, ..., 1/2, 1, laid out like the inward windows.
+_GRADED = np.concatenate([[0.0], np.ldexp(1.0, np.arange(-40, 1))])
 
 
 def _unit_transform(domain: Domain):
@@ -193,6 +207,15 @@ def _node_values(fn: Callable, lo: np.ndarray, hi: np.ndarray):
     return half, y, np.isfinite(y).all(axis=1)
 
 
+def _density_at_nodes(f: Callable, to_x: Callable, lo: np.ndarray, hi: np.ndarray):
+    """The K15 nodes u of the unit panels [lo[i], hi[i]], their abscissae
+    x = to_x(u) and f(x) from one call of f, one row per panel ->
+    (half-widths, u, x, f(x))."""
+    half, u, _ = _node_values(lambda u: u, lo, hi)
+    x = to_x(u)
+    return half, u, x, np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
+
+
 def _panels(g: Callable, lo: np.ndarray, hi: np.ndarray):
     """Gauss-Kronrod evaluations of g on the panels [lo[i], hi[i]], from one
     call of g on all their nodes -> (values, errors) as lists of np.float64.
@@ -232,50 +255,57 @@ def _window_masses(f: Callable, lo: np.ndarray, hi: np.ndarray):
         yield from masses
 
 
-def _tails_diverge(f: Callable, domain: Domain, floor: float) -> bool:
-    """Doubling-window decay test toward every unbounded (or pole-prone) end.
-
-    Windows W_k with geometrically growing (or shrinking) extent are
-    scanned outward.  Growth toward an interior peak is normal, so the
-    verdict is taken at the end of the scan: divergent iff the mass never
-    decays to the noise floor and the last three ratios
-    mass(W_{k+1}) / mass(W_k) all fail to drop below one.  A borderline
-    x^-1 tail gives ratios of exactly one and is flagged; any window with
-    non-finite mass is flagged outright.
-    """
+def _scan_windows(domain: Domain):
+    """The (lo, hi) window arrays of the tail pre-scan, one pair per
+    direction in scan order: none on a finite domain."""
     if domain.kind == "half_line":
         a = domain.a
-        scans = ((a + _OUT_LO, a + _OUT_HI), (a + _IN_LO, a + _IN_HI))
-    elif domain.kind == "full_line":
-        scans = ((_OUT_LO, _OUT_HI), (-_OUT_HI, -_OUT_LO))
-    else:
-        scans = ()
-    for lo, hi in scans:
-        streak = 0
-        prev = None
-        decayed = False
-        for mass in _window_masses(f, lo, hi):
-            if not math.isfinite(mass):
-                return True
-            if prev is not None:
-                if prev > floor and mass >= prev * (1.0 - 1e-10):
-                    streak += 1
-                else:
-                    streak = 0
-            if mass <= floor and (prev is None or prev <= floor):
-                decayed = True  # tail is numerically gone; this end is fine
-                break
-            prev = mass
-        if not decayed and streak >= 3:
+        return ((a + _OUT_LO, a + _OUT_HI), (a + _IN_LO, a + _IN_HI))
+    if domain.kind == "full_line":
+        return ((_OUT_LO, _OUT_HI), (-_OUT_HI, -_OUT_LO))
+    return ()
+
+
+def _decay_fails(masses, floor: float) -> bool:
+    """The verdict of one scan direction on its window masses, consumed in
+    scan order and only up to the window where the scan stops.
+
+    Growth toward an interior peak is normal, so the verdict is taken at
+    the end of the scan: divergent iff the mass never decays to the noise
+    floor and the last three ratios mass(W_{k+1}) / mass(W_k) all fail to
+    drop below one.  A borderline x^-1 tail gives ratios of exactly one and
+    is flagged; any window with non-finite mass is flagged outright.
+    """
+    streak = 0
+    prev = None
+    for mass in masses:
+        if not math.isfinite(mass):
             return True
-    return False
+        if prev is not None:
+            if prev > floor and mass >= prev * (1.0 - 1e-10):
+                streak += 1
+            else:
+                streak = 0
+        if mass <= floor and (prev is None or prev <= floor):
+            return False  # tail is numerically gone; this end is fine
+        prev = mass
+    return streak >= 3
+
+
+def _tails_diverge(f: Callable, domain: Domain, floor: float) -> bool:
+    """Doubling-window decay test toward every unbounded (or pole-prone) end:
+    windows W_k with geometrically growing (or shrinking) extent are
+    scanned outward, and each direction is judged by _decay_fails."""
+    return any(
+        _decay_fails(_window_masses(f, lo, hi), floor) for lo, hi in _scan_windows(domain)
+    )
 
 
 def _converged_panels(f: Callable, domain: Domain, cfg: NumericsConfig):
     """The adaptive loop of integrate -> (lo, hi, value, error): the
     converged panels on the unit coordinate and their summed K15 value
     and error estimate."""
-    if domain.kind != "finite" and _tails_diverge(f, domain, _ABS_TOL * 1e-3):
+    if domain.kind != "finite" and _tails_diverge(f, domain, _SCAN_FLOOR):
         raise DivergenceDetected(f"tail mass fails decay test on {domain.kind}")
 
     lo, hi, to_x, jac = _unit_transform(domain)
@@ -327,6 +357,9 @@ def integrate(
     must be finite on the interior of the domain (endpoints are never
     sampled); on an unbounded domain it is also evaluated on up to
     _SCAN_BLOCK - 1 tail windows beyond the one where the pre-scan stops.
+    Values past that window never affect the verdict.  (A GenericPdf
+    evaluates its pdf once on all 52 windows of each scan direction, for
+    the _DensityPanels cache its log-moments are taken from.)
 
     Returns value and an error estimate <= max(rel_tol * |value|, _ABS_TOL)
     on success, each summed over the converged panels in creation order.
@@ -350,9 +383,7 @@ def _rule(f: Callable, domain: Domain, cfg: NumericsConfig, width: float):
     xs, ws, budget = [], [], _MAX_SUBDIVISIONS
     with np.errstate(all="ignore"):
         while len(lo):
-            half, u, _ = _node_values(lambda u: u, lo, hi)
-            x = to_x(u)
-            fx = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
+            half, u, x, fx = _density_at_nodes(f, to_x, lo, hi)
             w = half[:, None] * _KWEIGHTS * jac(u) * fx
             wide = (to_x(hi) - to_x(lo) > width) & (w != 0.0).any(axis=1)
             xs.append(x[~wide].ravel())
@@ -366,6 +397,95 @@ def _rule(f: Callable, domain: Domain, cfg: NumericsConfig, width: float):
     if not (w >= 0.0).all():
         raise DomainError(f"a density on {domain} is negative or nan at a node of its rule")
     return xs[w > 0.0], w[w > 0.0]
+
+
+class _DensityPanels:
+    """The converged panels of a density's mass integral, kept so that each
+    int h f is a sum over them rather than a fresh adaptive quadrature.
+
+    Built from _converged_panels(f)'s (lo, hi).  Holds, as read-only
+    arrays, the unit panels, their K15 nodes x with the values
+    v = half-width * jacobian * f(x), and, for each direction of the tail
+    pre-scan, the nodes of all 52 windows with their half-widths and f
+    there.  f is evaluated once on every window, also past the one where a
+    scan stops; a value there never reaches a verdict, so it may be
+    anything.  Nothing here changes after construction.
+    """
+
+    def __init__(self, f: Callable, domain: Domain, lo: np.ndarray, hi: np.ndarray):
+        self._f = f
+        self._domain = domain
+        _, _, self._to_x, self._jac = _unit_transform(domain)
+        with np.errstate(all="ignore"):
+            self.x, self.v = self._values(lo, hi)
+            self.scans = []
+            for wlo, whi in _scan_windows(domain):
+                half, _, x, fx = _density_at_nodes(f, lambda t: t, wlo, whi)
+                self.scans.append((x, half, fx))
+        self.lo, self.hi = np.array(lo), np.array(hi)
+        arrays = [self.lo, self.hi, self.x, self.v] + [a for scan in self.scans for a in scan]
+        for a in arrays:
+            a.setflags(write=False)
+
+    def _values(self, lo, hi):
+        half, u, x, fx = _density_at_nodes(self._f, self._to_x, lo, hi)
+        return x, half[:, None] * self._jac(u) * fx
+
+    def integral(self, h: Callable, cfg: NumericsConfig) -> QuadratureResult:
+        """int h f over the domain, for an elementwise h, to the tolerance
+        of integrate(): the same tail pre-scan verdict, on the cached
+        windows, then K15 sums with G7 error estimates on the cached panels.
+
+        While the total error misses max(rel_tol |value|, _ABS_TOL), every
+        panel over its share (the tolerance over the panel count) is split,
+        all in one call of f: the panel at the finite lower end u = 0 at
+        _GRADED, every other one by bisection.  The upper end u -> 1 is
+        only bisected: a graded split there rounds nodes to u = 1.
+        Refinements are dropped on return.  Raises DivergenceDetected when
+        the pre-scan flags a tail or a node value is not finite, and
+        MaxSubdivisionsExceeded past _MAX_SUBDIVISIONS added panels.
+        """
+        graded = self._domain.kind != "full_line"
+        with np.errstate(all="ignore"):
+            for x, half, fx in self.scans:
+                y = h(x) * fx
+                mass = np.abs(half * (y @ _KWEIGHTS))
+                masses = np.where(np.isfinite(y).all(axis=1), mass, math.inf)
+                if _decay_fails(masses.tolist(), _SCAN_FLOOR):
+                    raise DivergenceDetected(f"tail mass fails decay test on {self._domain.kind}")
+            lo, hi, y = self.lo, self.hi, h(self.x) * self.v
+            added = 0
+            while True:
+                finite = np.isfinite(y).all(axis=1)
+                if not finite.all():
+                    i = int(finite.argmin())
+                    raise DivergenceDetected(
+                        f"integrand not finite on panel [{lo[i]!r}, {hi[i]!r}]"
+                    )
+                k15 = y @ _KWEIGHTS
+                err = np.abs(k15 - y[:, _GAUSS_IDX] @ _GWEIGHTS)
+                total, total_err = float(k15.sum()), float(err.sum())
+                tol = max(cfg.rel_tol * abs(total), _ABS_TOL)
+                if total_err <= tol:
+                    return QuadratureResult(total, total_err)
+                bad = err > tol / len(err)
+                end = bad & (lo == 0.0) if graded else np.zeros_like(bad)
+                split = bad & ~end
+                mid = 0.5 * (lo[split] + hi[split])
+                edges = hi[end, None] * _GRADED  # lo is 0 there
+                new_lo = np.concatenate([lo[split], mid, edges[:, :-1].ravel()])
+                new_hi = np.concatenate([mid, hi[split], edges[:, 1:].ravel()])
+                added += len(new_lo) - int(bad.sum())
+                if added > _MAX_SUBDIVISIONS:
+                    raise MaxSubdivisionsExceeded(
+                        f"error {total_err:.3e} above tolerance after "
+                        f"{_MAX_SUBDIVISIONS} subdivisions (value ~ {total:.6e})"
+                    )
+                x, v = self._values(new_lo, new_hi)
+                keep = ~bad
+                lo = np.concatenate([lo[keep], new_lo])
+                hi = np.concatenate([hi[keep], new_hi])
+                y = np.concatenate([y[keep], h(x) * v])
 
 
 def rng_for(cfg: NumericsConfig, stream: int = 0) -> np.random.Generator:

@@ -90,6 +90,11 @@ def ln_gamma(x: float) -> float:
     x = float(x)
     if not x > 0.0 or math.isinf(x):
         raise DomainError(f"ln_gamma requires finite x > 0, got {x!r}")
+    return _ln_gamma(x)
+
+
+def _ln_gamma(x: float) -> float:
+    """ln_gamma for a float x that is already known to be finite and > 0."""
     if x >= 10.0:
         return (x - 0.5) * math.log(x) - x + 0.5 * LOG_2PI + _theta_series(x)
     if x < 0.5:
@@ -110,7 +115,7 @@ def theta(x: float) -> float:
         raise DomainError(f"theta requires finite x > 0, got {x!r}")
     if x >= 10.0:
         return _theta_series(x)
-    return ln_gamma(x) - (x - 0.5) * math.log(x) + x - 0.5 * LOG_2PI
+    return _ln_gamma(x) - (x - 0.5) * math.log(x) + x - 0.5 * LOG_2PI
 
 
 def log_beta(x: float, y: float) -> float:

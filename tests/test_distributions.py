@@ -15,10 +15,58 @@ from renyi_bounds.distributions import (
     L_r,
     iid_pair_sampler,
 )
+from renyi_bounds.entropy_bounds import optimal_gap
 from renyi_bounds.errors import DomainError, MomentDiverges, UnsupportedOperation
+from renyi_bounds.moment_core import Support
 from renyi_bounds.quadrature import Domain, NumericsConfig, integrate, mc_expect, rng_for
 
 CFG = NumericsConfig()
+
+
+def _lomax(a, near):
+    return (
+        lambda x: a * (1.0 + x) ** (-(a + 1.0)),
+        Domain.half_line(0.0),
+        lambda s: math.lgamma(s + 1.0) + math.lgamma(a - s) - math.lgamma(a),
+        # up to alpha - 0.55: closer to alpha a K15 node rounds to u = 1 and
+        # the moment reads +inf (CHANGES.md, FOUND).  `near` is where a graded
+        # split toward u = 1 gave a false +inf.
+        list(np.linspace(-0.9, a - 0.55, 25)) + [near],
+    )
+
+
+def _weibull(k):
+    return (
+        lambda x: k * x ** (k - 1.0) * np.exp(-(x**k)),
+        Domain.half_line(0.0),
+        lambda s: math.lgamma(1.0 + s / k),
+        np.linspace(-0.9, 10.0, 25),
+    )
+
+
+# name -> (pdf, domain, closed-form log E X^s, orders s checked)
+_CLOSED_FORM = {
+    "lognormal": (
+        Lognormal(0.0, 1.0).pdf, Domain.half_line(0.0), lambda s: 0.5 * s * s,
+        list(np.linspace(-0.9, 4.0, 25)) + [2.0],
+    ),
+    "half-normal": (
+        lambda x: math.sqrt(2.0 / math.pi) * np.exp(-0.5 * x * x),
+        Domain.half_line(0.0),
+        lambda s: 0.5 * s * math.log(2.0) + math.lgamma(0.5 * (s + 1.0)) - 0.5 * math.log(math.pi),
+        np.linspace(-0.9, 10.0, 25),
+    ),
+    "weibull1.8": _weibull(1.8),
+    "weibull3": _weibull(3.0),
+    "lomax4": _lomax(4.0, 3.4242),
+    "lomax6": _lomax(6.0, 5.4071),
+    "beta22": (
+        lambda x: 6.0 * x * (1.0 - x),
+        Domain.finite(0.0, 1.0),
+        lambda s: math.log(6.0 / ((s + 2.0) * (s + 3.0))),
+        np.linspace(-0.9, 10.0, 25),
+    ),
+}
 HALF_LOG_8PI = 1.6120857137646180512   # h_{1/2} of a standard normal
 HALF_LOG_2PIE = 1.4189385332046727418  # Shannon entropy of N(0,1) / lognormal(0,1)
 
@@ -40,9 +88,38 @@ class TestLogMoments:
         assert d.log_moment(1.0) == pytest.approx(math.log(2.0), rel=1e-13)
         assert PointMass(2.0).log_moment(3.0) == pytest.approx(3.0 * math.log(2.0), rel=1e-14)
 
-    def test_generic_matches_closed_form(self):
-        d = GenericPdf(Lognormal(0.0, 1.0).pdf, Domain.half_line(0.0), CFG)
-        assert d.log_moment(2.0) == pytest.approx(2.0, abs=1e-8)
+    @pytest.mark.parametrize("name", list(_CLOSED_FORM), ids=list(_CLOSED_FORM))
+    def test_generic_matches_closed_form(self, name):
+        pdf, domain, exact, orders = _CLOSED_FORM[name]
+        d = GenericPdf(pdf, domain, CFG)
+        for s in orders:
+            # E|X|^s itself at rel 1e-8: a log-moment near 0 has no relative scale
+            got = d.log_moment(s)
+            assert math.exp(got - exact(s)) == pytest.approx(1.0, rel=1e-8), (s, got, exact(s))
+
+    @pytest.mark.parametrize("name,s", [
+        ("half-normal", -1.0), ("half-normal", -1.5), ("lomax4", -1.0), ("lomax6", -1.5),
+        ("lomax4", 4.0), ("lomax4", 5.0), ("lomax6", 6.0), ("lomax6", 6.5),
+    ])
+    def test_generic_divergent_moment_is_inf(self, name, s):
+        pdf, domain, *_ = _CLOSED_FORM[name]
+        assert GenericPdf(pdf, domain, CFG).log_moment(s) == math.inf
+
+    def test_generic_moment_ignores_call_history(self):
+        # each log-moment starts from the panels cached at construction and
+        # drops its own refinements, so it cannot depend on earlier calls
+        pdf, domain, *_ = _CLOSED_FORM["lomax4"]
+        used, fresh = GenericPdf(pdf, domain, CFG), GenericPdf(pdf, domain, CFG)
+        optimal_gap(used, Support.positive_half_line(), 1, 0.6)
+        for s in (-0.9, -0.3, 0.0, 0.7, 2.0, 3.4242, 4.0):
+            assert used.log_moment(s) == fresh.log_moment(s)
+        cache = used._panels
+        arrays = [cache.lo, cache.hi, cache.x, cache.v] + [a for scan in cache.scans for a in scan]
+        assert len(arrays) == 10
+        for a in arrays:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0.0
 
     def test_generic_heavy_tail_returns_inf(self):
         # standard Cauchy on the half line (doubled): no first moment
