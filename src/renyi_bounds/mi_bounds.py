@@ -143,15 +143,19 @@ def _given(ch, given: str) -> str:
 
 
 def variance_model(ch, given: str = "X", cfg: NumericsConfig = NumericsConfig()):
-    """Pointwise model of (log f(y), log var(f(y|W))) for W = X or U."""
+    """Pointwise model of (log f(y), log var(f(y|W))) for W = X or U.
+
+    No adaptive quadrature runs here: a GenericPdf input's rule starts
+    from the panels its mass integral converged on under its own cfg."""
     given = _given(ch, given)
     if isinstance(ch, AwgnChannel):
         if ch.input.is_discrete:
             atoms, probs = ch.input.atoms_and_probs()
             return _GaussianMixture(probs, atoms, np.ones_like(atoms))
         if isinstance(ch.input, GenericPdf):
-            # X ~ sum_k w_k delta(x_k), the density's own quadrature rule
-            xs, ws = _rule(ch.input.pdf, ch.input.domain, cfg, _RULE_WIDTH)
+            # X ~ sum_k w_k delta(x_k), the rule on the density's own cached panels
+            panels = ch.input._panels
+            xs, ws = _rule(ch.input.pdf, ch.input.domain, panels.lo, panels.hi, _RULE_WIDTH)
             return _AwgnOverContinuousInput(ws, xs, np.zeros_like(xs))
         raise UnsupportedOperation(
             f"AWGN input family {type(ch.input).__name__} has no variance model"

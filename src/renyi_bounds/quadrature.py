@@ -10,9 +10,9 @@ failure modes are explicit:
       half line:  x = a + u / (1 - u),        u in (0, 1)
       full line:  x = u / (1 - u^2),          u in (-1, 1)
 
-  and then applies a 7/15-point Gauss-Kronrod pair per panel with
-  bisection of the worst panel until the error estimate meets the
-  tolerance.  The rational maps keep heavy power-law tails resolvable,
+  and then applies a 7/15-point Gauss-Kronrod pair per panel, refining
+  until the error estimate meets the tolerance (see the adaptive loop
+  below).  The rational maps keep heavy power-law tails resolvable,
   which matters for integrands like (sum nu_i x^(s_i))^(-r/(1-r)).
 
 * Divergence is detected, not guessed: on unbounded domains the mass on
@@ -23,26 +23,26 @@ failure modes are explicit:
   exactly one and is flagged.
 
 * Panels are evaluated in batches: the seed grid is one integrand call,
-  each bisection one call for both children, and the tail pre-scan one
-  call per block of _SCAN_BLOCK windows.  The integrand contract that
-  follows from this is in the integrate() docstring.
+  each refinement step one call for all new panels, and the tail
+  pre-scan one call per block of _SCAN_BLOCK windows.  The integrand
+  contract that follows from this is in the integrate() docstring.
 
-* One adaptive loop, _converged_panels(): integrate() sums its panels,
-  and _rule() turns those of a density into nodes and weights, so that
-  E h(X) over a numeric density is a finite sum (mi_bounds smooths a
-  GenericPdf input this way, as a Gaussian mixture over the nodes).  The
-  rule bisects its panels down to the scale on which h varies, wherever
-  the density has not underflowed; a power-law tail, which never does
-  within the panel budget, is refused.
-
-* _DensityPanels keeps a density's converged panels and its values on
-  every tail pre-scan window, so that each int h f (a GenericPdf's
-  log-moments) takes the pre-scan verdict and K15/G7 sums from the cache
-  and refines only where h needs it, in bulk: one call of f per step for
-  all panels over their share of the tolerance, a graded split toward a
-  finite lower end, plain bisection elsewhere.  A GenericPdf evaluates its
-  pdf once on every pre-scan window, also past the window where a scan
-  stops; values there never reach a verdict.
+* One adaptive loop, _refine(), from given seed panels: K15 sums with G7
+  error estimates, and while the total error misses the tolerance every
+  panel over its share is split in one call of the integrand, with a
+  graded split toward a finite lower end and bisection elsewhere.
+  integrate() runs it from uniform seed panels.  _DensityPanels keeps a
+  density's converged panels and its values on every tail pre-scan
+  window, so that each int h f (a GenericPdf's log-moments) takes the
+  pre-scan verdict from the cache and runs the loop from the cached
+  panels.  A GenericPdf evaluates its pdf once on every pre-scan window,
+  also past the window where a scan stops; values there never reach a
+  verdict.  _rule() turns the cached panels into nodes and weights, so
+  that E h(X) over a numeric density is a finite sum (mi_bounds smooths
+  a GenericPdf input this way, as a Gaussian mixture over the nodes).
+  The rule bisects its panels down to the scale on which h varies,
+  wherever the density has not underflowed; a power-law tail, which
+  never does within the panel budget, is refused.
 
 * mc_expect() is a seeded Monte Carlo mean with standard error, built on
   the counter-based Philox generator so that results are reproducible
@@ -195,63 +195,41 @@ def _unit_transform(domain: Domain):
     return -1.0, 1.0, to_x, jac
 
 
-def _node_values(fn: Callable, lo: np.ndarray, hi: np.ndarray):
-    """fn on the K15 nodes of every panel [lo[i], hi[i]], in one call ->
-    (half-widths, one row of 15 values per panel, whether each row is
-    finite).  Callers run it, and the sums over its rows, inside
-    np.errstate: node values and their dot products may overflow."""
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    y = np.asarray(fn((mid[:, None] + half[:, None] * _NODES).ravel()), dtype=float)
-    y = y.reshape(len(lo), 15)
-    return half, y, np.isfinite(y).all(axis=1)
-
-
 def _density_at_nodes(f: Callable, to_x: Callable, lo: np.ndarray, hi: np.ndarray):
     """The K15 nodes u of the unit panels [lo[i], hi[i]], their abscissae
     x = to_x(u) and f(x) from one call of f, one row per panel ->
-    (half-widths, u, x, f(x))."""
-    half, u, _ = _node_values(lambda u: u, lo, hi)
+    (half-widths, u, x, f(x)).  Callers run it, and the sums over its rows,
+    inside np.errstate: node values and their sums may overflow."""
+    half = 0.5 * (hi - lo)
+    u = 0.5 * (hi + lo)[:, None] + half[:, None] * _NODES
     x = to_x(u)
     return half, u, x, np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
 
 
-def _panels(g: Callable, lo: np.ndarray, hi: np.ndarray):
-    """Gauss-Kronrod evaluations of g on the panels [lo[i], hi[i]], from one
-    call of g on all their nodes -> (values, errors) as lists of np.float64.
+def _weighted_rows(f: Callable, to_x: Callable, jac: Callable, lo: np.ndarray, hi: np.ndarray):
+    """The K15 abscissae x of the unit panels [lo[i], hi[i]] and the values
+    v = half-width * jacobian * f(x), one row per panel -> (x, v): a row of
+    v times _KWEIGHTS is the K15 sum of f over its panel."""
+    half, u, x, fx = _density_at_nodes(f, to_x, lo, hi)
+    return x, half[:, None] * jac(u) * fx
 
-    Each panel's K15 and G7 sums stay one np.dot on a contiguous 1-D row,
-    as for a lone panel: a gemv over the whole batch (or a dot on a strided
-    row) adds in another order and moves the last bit.
-    """
-    with np.errstate(all="ignore"):
-        half, y, finite = _node_values(g, lo, hi)
-        if not finite.all():
-            i = int(finite.argmin())  # the first non-finite panel
-            raise DivergenceDetected(
-                f"integrand not finite on panel [{lo[i]!r}, {hi[i]!r}]"
-            )
-        vals, errs = [], []
-        for h, row in zip(half, y):
-            k15 = h * float(np.dot(_KWEIGHTS, row))
-            g7 = h * float(np.dot(_GWEIGHTS, row[_GAUSS_IDX]))
-            vals.append(k15)
-            errs.append(abs(k15 - g7))
-    return vals, errs
+
+def _masses(half: np.ndarray, y: np.ndarray) -> list:
+    """The K15 integral magnitudes of panels with half-widths half and node
+    values y, one row per panel; inf for a row with a non-finite value."""
+    mass = np.abs(half * (y @ _KWEIGHTS))
+    return np.where(np.isfinite(y).all(axis=1), mass, math.inf).tolist()
 
 
 def _window_masses(f: Callable, lo: np.ndarray, hi: np.ndarray):
     """Integral magnitudes of f over the windows [lo[i], hi[i]] in scan
-    order, each from one non-adaptive K15 panel; inf for a window with a
-    non-finite node value.  One call of f covers _SCAN_BLOCK windows."""
+    order, each from one non-adaptive K15 panel (see _masses).  One call
+    of f covers _SCAN_BLOCK windows."""
     for k in range(0, len(lo), _SCAN_BLOCK):
         block = slice(k, k + _SCAN_BLOCK)
         with np.errstate(all="ignore"):
-            half, y, finite = _node_values(f, lo[block], hi[block])
-            masses = [
-                abs(h * float(np.dot(_KWEIGHTS, row))) if ok else math.inf
-                for h, row, ok in zip(half, y, finite.tolist())
-            ]
+            half, _, _, fx = _density_at_nodes(f, lambda t: t, lo[block], hi[block])
+            masses = _masses(half, fx)
         yield from masses
 
 
@@ -301,47 +279,75 @@ def _tails_diverge(f: Callable, domain: Domain, floor: float) -> bool:
     )
 
 
+def _refine(lo, hi, y, rows: Callable, domain: Domain, cfg: NumericsConfig):
+    """The adaptive loop, from the unit panels [lo[i], hi[i]] with K15 node
+    rows y (half-width * jacobian * integrand, so that a row times
+    _KWEIGHTS is its panel's K15 sum) -> (lo, hi, value, error): the
+    converged panels and their summed K15 value and G7 error estimate, as
+    np.float64.
+
+    While the total error misses max(rel_tol |value|, _ABS_TOL), every
+    panel over its share (the tolerance over the panel count) is split,
+    and rows(new_lo, new_hi) gives the rows of all new panels in one call:
+    the panel at a finite lower end u = 0 at _GRADED, every other one by
+    bisection.  The upper end u -> 1 is only bisected: a graded split there
+    rounds nodes to u = 1.  Raises DivergenceDetected when a node value or
+    a sum is not finite and MaxSubdivisionsExceeded past _MAX_SUBDIVISIONS
+    added panels.
+    """
+    graded = domain.kind != "full_line"  # u = 0 is x = 0 on the full line
+    added = 0
+    with np.errstate(all="ignore"):
+        while True:
+            k15 = y @ _KWEIGHTS
+            err = np.abs(k15 - y[:, _GAUSS_IDX] @ _GWEIGHTS)
+            finite = np.isfinite(err)  # false at a non-finite node value or sum
+            if not finite.all():
+                i = int(finite.argmin())  # the first non-finite panel
+                raise DivergenceDetected(
+                    f"integrand not finite on panel [{lo[i]!r}, {hi[i]!r}]"
+                )
+            total, total_err = k15.sum(), err.sum()
+            if not np.isfinite(total + total_err):
+                raise DivergenceDetected(f"integral overflows on {domain.kind}")
+            tol = max(cfg.rel_tol * abs(total), _ABS_TOL)
+            if total_err <= tol:
+                return lo, hi, total, total_err
+            bad = err > tol / len(err)
+            end = bad & (lo == 0.0) if graded else np.zeros_like(bad)
+            split = bad & ~end
+            mid = 0.5 * (lo[split] + hi[split])
+            edges = hi[end, None] * _GRADED  # lo is 0 there
+            new_lo = np.concatenate([lo[split], mid, edges[:, :-1].ravel()])
+            new_hi = np.concatenate([mid, hi[split], edges[:, 1:].ravel()])
+            added += len(new_lo) - int(bad.sum())
+            if added > _MAX_SUBDIVISIONS:
+                raise MaxSubdivisionsExceeded(
+                    f"error {total_err:.3e} above tolerance after "
+                    f"{_MAX_SUBDIVISIONS} subdivisions (value ~ {total:.6e})"
+                )
+            keep = ~bad
+            lo = np.concatenate([lo[keep], new_lo])
+            hi = np.concatenate([hi[keep], new_hi])
+            y = np.concatenate([y[keep], rows(new_lo, new_hi)])
+
+
 def _converged_panels(f: Callable, domain: Domain, cfg: NumericsConfig):
-    """The adaptive loop of integrate -> (lo, hi, value, error): the
-    converged panels on the unit coordinate and their summed K15 value
-    and error estimate."""
+    """The adaptive loop of integrate -> (lo, hi, value, error): _refine
+    from 8 (finite domain) or 16 uniform seed panels on the unit coordinate,
+    after the tail pre-scan."""
     if domain.kind != "finite" and _tails_diverge(f, domain, _SCAN_FLOOR):
         raise DivergenceDetected(f"tail mass fails decay test on {domain.kind}")
 
     lo, hi, to_x, jac = _unit_transform(domain)
+    edges = np.linspace(lo, hi, (8 if domain.kind == "finite" else 16) + 1)
 
-    def g(u):
-        return np.asarray(f(to_x(u)), dtype=float) * jac(u)
+    def rows(lo, hi):
+        return _weighted_rows(f, to_x, jac, lo, hi)[1]
 
-    nseed = 8 if domain.kind == "finite" else 16
-    edges = np.linspace(lo, hi, nseed + 1)
-    # The panels as parallel lists in creation order.  The totals are summed
-    # afresh in that order on each pass: a running sum would add in another
-    # order and move the last bits of the result.
-    los, his = list(edges[:-1]), list(edges[1:])
-    vals, errs = _panels(g, edges[:-1], edges[1:])
-
-    for _ in range(_MAX_SUBDIVISIONS):
-        total = sum(vals)
-        total_err = sum(errs)
-        if total_err <= max(cfg.rel_tol * abs(total), _ABS_TOL):
-            return np.array(los), np.array(his), total, total_err
-        worst = errs.index(max(errs))  # the first of equal worst panels
-        plo, phi = los.pop(worst), his.pop(worst)
-        del vals[worst], errs[worst]
-        mid = 0.5 * (plo + phi)
-        v, e = _panels(g, np.array([plo, mid]), np.array([mid, phi]))
-        los += [plo, mid]
-        his += [mid, phi]
-        vals += v
-        errs += e
-
-    total = sum(vals)
-    total_err = sum(errs)
-    raise MaxSubdivisionsExceeded(
-        f"error {total_err:.3e} above tolerance after "
-        f"{_MAX_SUBDIVISIONS} subdivisions (value ~ {total:.6e})"
-    )
+    with np.errstate(all="ignore"):
+        y = rows(edges[:-1], edges[1:])
+    return _refine(edges[:-1], edges[1:], y, rows, domain, cfg)
 
 
 def integrate(
@@ -362,23 +368,22 @@ def integrate(
     the _DensityPanels cache its log-moments are taken from.)
 
     Returns value and an error estimate <= max(rel_tol * |value|, _ABS_TOL)
-    on success, each summed over the converged panels in creation order.
-    Raises DivergenceDetected when the tail decay test fails (or the
-    integrand itself is non-finite), MaxSubdivisionsExceeded when the
-    panel budget runs out first.
+    on success, each an np.float64.  Raises DivergenceDetected when the
+    tail decay test fails (or the integrand itself is non-finite),
+    MaxSubdivisionsExceeded when the panel budget runs out first.
     """
     *_, total, total_err = _converged_panels(f, domain, cfg)
     return QuadratureResult(total, total_err)
 
 
-def _rule(f: Callable, domain: Domain, cfg: NumericsConfig, width: float):
-    """The K15 nodes x_k of the panels on which integrate(f) converges, and
-    weights w_k = panel weight * jacobian * f(x_k): sum_k w_k h(x_k) ~ int h f
-    for an h that is smooth on the scale of width.  Panels wider than width
-    in x are bisected until their weights underflow to 0, within
+def _rule(f: Callable, domain: Domain, lo: np.ndarray, hi: np.ndarray, width: float):
+    """The K15 nodes x_k of the unit panels [lo[i], hi[i]] on which the mass
+    integral of f converged (a GenericPdf's cached panels), and weights
+    w_k = panel weight * jacobian * f(x_k): sum_k w_k h(x_k) ~ int h f for
+    an h that is smooth on the scale of width.  Panels wider than width in
+    x are bisected until their weights underflow to 0, within
     _MAX_SUBDIVISIONS bisections.  Zero weights are dropped; negative or
     nan ones are refused."""
-    lo, hi, *_ = _converged_panels(f, domain, cfg)
     _, _, to_x, jac = _unit_transform(domain)
     xs, ws, budget = [], [], _MAX_SUBDIVISIONS
     with np.errstate(all="ignore"):
@@ -417,7 +422,7 @@ class _DensityPanels:
         self._domain = domain
         _, _, self._to_x, self._jac = _unit_transform(domain)
         with np.errstate(all="ignore"):
-            self.x, self.v = self._values(lo, hi)
+            self.x, self.v = _weighted_rows(f, self._to_x, self._jac, lo, hi)
             self.scans = []
             for wlo, whi in _scan_windows(domain):
                 half, _, x, fx = _density_at_nodes(f, lambda t: t, wlo, whi)
@@ -427,65 +432,23 @@ class _DensityPanels:
         for a in arrays:
             a.setflags(write=False)
 
-    def _values(self, lo, hi):
-        half, u, x, fx = _density_at_nodes(self._f, self._to_x, lo, hi)
-        return x, half[:, None] * self._jac(u) * fx
-
     def integral(self, h: Callable, cfg: NumericsConfig) -> QuadratureResult:
         """int h f over the domain, for an elementwise h, to the tolerance
         of integrate(): the same tail pre-scan verdict, on the cached
-        windows, then K15 sums with G7 error estimates on the cached panels.
+        windows, then _refine from the cached panels, with one call of f
+        per refinement step.  Refinements are dropped on return."""
 
-        While the total error misses max(rel_tol |value|, _ABS_TOL), every
-        panel over its share (the tolerance over the panel count) is split,
-        all in one call of f: the panel at the finite lower end u = 0 at
-        _GRADED, every other one by bisection.  The upper end u -> 1 is
-        only bisected: a graded split there rounds nodes to u = 1.
-        Refinements are dropped on return.  Raises DivergenceDetected when
-        the pre-scan flags a tail or a node value is not finite, and
-        MaxSubdivisionsExceeded past _MAX_SUBDIVISIONS added panels.
-        """
-        graded = self._domain.kind != "full_line"
+        def rows(lo, hi):
+            x, v = _weighted_rows(self._f, self._to_x, self._jac, lo, hi)
+            return h(x) * v
+
         with np.errstate(all="ignore"):
             for x, half, fx in self.scans:
-                y = h(x) * fx
-                mass = np.abs(half * (y @ _KWEIGHTS))
-                masses = np.where(np.isfinite(y).all(axis=1), mass, math.inf)
-                if _decay_fails(masses.tolist(), _SCAN_FLOOR):
+                if _decay_fails(_masses(half, h(x) * fx), _SCAN_FLOOR):
                     raise DivergenceDetected(f"tail mass fails decay test on {self._domain.kind}")
-            lo, hi, y = self.lo, self.hi, h(self.x) * self.v
-            added = 0
-            while True:
-                finite = np.isfinite(y).all(axis=1)
-                if not finite.all():
-                    i = int(finite.argmin())
-                    raise DivergenceDetected(
-                        f"integrand not finite on panel [{lo[i]!r}, {hi[i]!r}]"
-                    )
-                k15 = y @ _KWEIGHTS
-                err = np.abs(k15 - y[:, _GAUSS_IDX] @ _GWEIGHTS)
-                total, total_err = float(k15.sum()), float(err.sum())
-                tol = max(cfg.rel_tol * abs(total), _ABS_TOL)
-                if total_err <= tol:
-                    return QuadratureResult(total, total_err)
-                bad = err > tol / len(err)
-                end = bad & (lo == 0.0) if graded else np.zeros_like(bad)
-                split = bad & ~end
-                mid = 0.5 * (lo[split] + hi[split])
-                edges = hi[end, None] * _GRADED  # lo is 0 there
-                new_lo = np.concatenate([lo[split], mid, edges[:, :-1].ravel()])
-                new_hi = np.concatenate([mid, hi[split], edges[:, 1:].ravel()])
-                added += len(new_lo) - int(bad.sum())
-                if added > _MAX_SUBDIVISIONS:
-                    raise MaxSubdivisionsExceeded(
-                        f"error {total_err:.3e} above tolerance after "
-                        f"{_MAX_SUBDIVISIONS} subdivisions (value ~ {total:.6e})"
-                    )
-                x, v = self._values(new_lo, new_hi)
-                keep = ~bad
-                lo = np.concatenate([lo[keep], new_lo])
-                hi = np.concatenate([hi[keep], new_hi])
-                y = np.concatenate([y[keep], h(x) * v])
+            y = h(self.x) * self.v
+        *_, total, total_err = _refine(self.lo, self.hi, y, rows, self._domain, cfg)
+        return QuadratureResult(total, total_err)
 
 
 def rng_for(cfg: NumericsConfig, stream: int = 0) -> np.random.Generator:

@@ -96,7 +96,7 @@ class TestReproducibility:
         "fig1": "7c6b6dae47ca6c6ab544622a9be18d87110cf2e5536835e9675c7f59c6575381",
         "fig2": "cffb5eec3da4c81fd96daab0ff529d66e5a51f27a99f636929e5c79a9c58ee2c",
         "fig3": "0b2402467422c53c999695f9c57f03d2e066c5ec5ed1c5008e771b05366a624c",
-        "verify": "2d3c74a6a6aed123ac27aa1e997dc75a432a5701cc03eb154b79b1743404e191",
+        "verify": "76f85fe016d13c18f40f0f773bb18a76f13aa85df3f039dad797f837721485a6",
     }
 
     @pytest.mark.parametrize("command", sorted(DEFAULT_CSV_SHA256))

@@ -26,7 +26,7 @@ from renyi_bounds.errors import (
     RenyiBoundsError,
     UnsupportedOperation,
 )
-from renyi_bounds import mi_bounds
+from renyi_bounds import mi_bounds, quadrature
 from renyi_bounds.mi_bounds import (
     AwgnChannel,
     ScaleMixtureChannel,
@@ -698,6 +698,18 @@ class TestContinuousInput:
         # rho^2 / (1 - rho^2) = sd^2 for X ~ N(0, sd^2)
         ch = AwgnChannel(GenericPdf(*_SMOOTHED_INPUTS["normal-sd30"][:2], CFG))
         assert chi2_divergence(ch, "X", CFG) == pytest.approx(900.0, rel=1e-9)
+
+    def test_rule_starts_from_cached_panels(self, monkeypatch):
+        # the model runs no second mass integral: its rule starts from the
+        # panels the GenericPdf cached at construction
+        ch = AwgnChannel(GenericPdf(*_SMOOTHED_INPUTS["normal-sd30"][:2], CFG))
+
+        def refused(*args):
+            raise AssertionError("the mass integral ran again")
+
+        monkeypatch.setattr(quadrature, "_converged_panels", refused)
+        model = variance_model(ch, "X", CFG)
+        assert np.isfinite(model.log_marginal(np.array([0.0]))).all()
 
     def test_power_law_input_refused(self):
         # a Lomax(3) tail never underflows, so no rule resolves it at the

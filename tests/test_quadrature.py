@@ -15,17 +15,16 @@ from renyi_bounds.errors import (
     MaxSubdivisionsExceeded,
     RenyiBoundsError,
 )
+from renyi_bounds.distributions import GenericPdf
 from renyi_bounds.quadrature import (
     _ABS_TOL,
-    _GAUSS_IDX,
-    _GWEIGHTS,
     _KWEIGHTS,
-    _MAX_SUBDIVISIONS,
     _NODES,
     Domain,
     NumericsConfig,
+    _converged_panels,
     _rule,
-    _unit_transform,
+    _tails_diverge,
     integrate,
     mc_expect,
     rng_for,
@@ -118,6 +117,22 @@ class TestDivergence:
         ref = si.quad(f, 0, np.inf, limit=300)[0]
         assert res.value == pytest.approx(ref, rel=1e-8)
 
+    @pytest.mark.parametrize("f, domain", [
+        (lambda x: np.abs(x + 164.0) ** -1.772, Domain.full_line()),
+        (lambda x: np.abs(x - 100.0) ** -1.5 * np.exp(-x / 100.0), Domain.half_line(0.0)),
+    ], ids=["|x+164|^-1.772 full line", "|x-100|^-1.5 e^(-x/100) half line"])
+    def test_non_integrable_interior_pole_refused(self, f, domain):
+        # |x - c|^p with p <= -1 at an interior c has no finite integral
+        with pytest.raises(RenyiBoundsError):
+            integrate(f, domain, CFG)
+
+    @pytest.mark.parametrize("c", [0.9e308, 0.2e308], ids=["panel sum", "total"])
+    def test_overflowing_sum_refused(self, c):
+        # every node value is finite, but a panel's K15 sum or the total
+        # overflows: a refusal, not a value of inf
+        with pytest.raises(DivergenceDetected):
+            integrate(lambda x: np.full_like(x, c), Domain.finite(0.0, 16.0), CFG)
+
     def test_max_subdivisions(self):
         # sin(1/x) oscillates without end toward 0: no panel budget resolves it
         with pytest.raises(MaxSubdivisionsExceeded):
@@ -125,22 +140,9 @@ class TestDivergence:
 
 
 # ---------------------------------------------------------------------------
-# Oracle for the batched panels: the one-panel-per-call integrate and tail
-# pre-scan they replaced, as they were apart from names and comments.
+# Oracle for the batched tail pre-scan: the one-window-per-call scan it
+# replaced, as it was apart from names and comments.
 # ---------------------------------------------------------------------------
-
-
-def _seq_panel(g, lo, hi):
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    u = mid + half * _NODES
-    with np.errstate(all="ignore"):
-        y = np.asarray(g(u), dtype=float)
-    if not np.all(np.isfinite(y)):
-        raise DivergenceDetected(f"integrand not finite on panel [{lo!r}, {hi!r}]")
-    k15 = half * float(np.dot(_KWEIGHTS, y))
-    g7 = half * float(np.dot(_GWEIGHTS, y[_GAUSS_IDX]))
-    return k15, abs(k15 - g7)
 
 
 def _seq_window_mass(f, lo, hi):
@@ -184,39 +186,6 @@ def _seq_tails_diverge(f, domain, floor):
     return False
 
 
-def _seq_integrate(f, domain, cfg):
-    if domain.kind != "finite" and _seq_tails_diverge(f, domain, _ABS_TOL * 1e-3):
-        raise DivergenceDetected(f"tail mass fails decay test on {domain.kind}")
-    lo, hi, to_x, jac = _unit_transform(domain)
-
-    def g(u):
-        return np.asarray(f(to_x(u)), dtype=float) * jac(u)
-
-    nseed = 8 if domain.kind == "finite" else 16
-    edges = np.linspace(lo, hi, nseed + 1)
-    panels = []
-    for i in range(nseed):
-        val, err = _seq_panel(g, edges[i], edges[i + 1])
-        panels.append([err, edges[i], edges[i + 1], val])
-    for _ in range(_MAX_SUBDIVISIONS):
-        total = sum(p[3] for p in panels)
-        total_err = sum(p[0] for p in panels)
-        if total_err <= max(cfg.rel_tol * abs(total), _ABS_TOL):
-            return total, total_err
-        worst = max(range(len(panels)), key=lambda i: panels[i][0])
-        _, plo, phi, _ = panels.pop(worst)
-        mid = 0.5 * (plo + phi)
-        for a, b in ((plo, mid), (mid, phi)):
-            val, err = _seq_panel(g, a, b)
-            panels.append([err, a, b, val])
-    total = sum(p[3] for p in panels)
-    total_err = sum(p[0] for p in panels)
-    raise MaxSubdivisionsExceeded(
-        f"error {total_err:.3e} above tolerance after "
-        f"{_MAX_SUBDIVISIONS} subdivisions (value ~ {total:.6e})"
-    )
-
-
 _HALF = Domain.half_line(0.0)
 _EQUIVALENCE_CASES = {
     "normal full line": (
@@ -243,18 +212,42 @@ def _outcome(fn, f, domain):
     return float(value).hex(), float(error).hex()
 
 
+# The exact integrals of the converging cases above.
+_EXACT = {
+    "normal full line": 1.0,
+    "x^-0.9 gaussian": 2.0**-0.95 * math.gamma(0.05),
+    "x^0.1 gaussian": 2.0**-0.45 * math.gamma(0.55),
+    "x^2.5 gaussian": 2.0**0.75 * math.gamma(1.75),
+    "lomax": 1.0 / 5.0,
+    "x^-0.5 exp": math.sqrt(math.pi),
+    "beta(2,2)": 1.0,
+}
+
+
 class TestBatchedPanels:
-    @pytest.mark.parametrize("name", list(_EQUIVALENCE_CASES))
-    def test_bit_identical_to_one_panel_per_call(self, name):
-        # Same panels in the same order: the same (value, error) to the
-        # bit, or the same exception naming the same panel.
+    @pytest.mark.parametrize("name", [
+        pytest.param(name, marks=pytest.mark.xfail(
+            strict=True,
+            reason="ROADMAP item 1: the estimate is not honest at an x^-0.9 endpoint "
+                   "singularity, off by 1.4e-8 while reporting 3.0e-9",
+        )) if name == "x^-0.9 gaussian" else name
+        for name in _EXACT
+    ])
+    def test_matches_closed_form(self, name):
         f, domain = _EQUIVALENCE_CASES[name]
-        assert _outcome(integrate, f, domain) == _outcome(_seq_integrate, f, domain)
+        exact = _EXACT[name]
+        value = integrate(f, domain, CFG).value
+        assert abs(value - exact) <= max(CFG.rel_tol * abs(exact), _ABS_TOL), (value, exact)
+
+    @pytest.mark.parametrize("name", list(_EQUIVALENCE_CASES))
+    def test_tail_verdict_matches_one_window_per_call(self, name):
+        f, domain = _EQUIVALENCE_CASES[name]
+        floor = _ABS_TOL * 1e-3
+        assert _tails_diverge(f, domain, floor) == _seq_tails_diverge(f, domain, floor)
 
     def test_totals_are_numpy_scalars(self):
-        # Panel values stay np.float64, so builtin sum adds them in plain
-        # order on every Python version (its compensated path takes exact
-        # floats only), and callers keep numpy's scalar arithmetic.
+        # The totals are numpy sums over the panels, and stay np.float64 so
+        # that callers keep numpy's scalar arithmetic.
         res = integrate(*_EQUIVALENCE_CASES["normal full line"], CFG)
         assert type(res.value) is np.float64
         assert type(res.error) is np.float64
@@ -275,8 +268,10 @@ class TestBatchedPanels:
             (lambda x: 6.0 * x * (1.0 - x), Domain.finite(0.0, 1.0), 1),  # seed grid only
             (lambda x: np.exp(-0.5 * x * x), Domain.full_line(), 6),
             (lambda x: 1.0 / (1.0 + x), _HALF, 8),  # a full 52-window scan
+            # a graded split resolves the x^-0.5 pole in one step
+            (lambda x: x**-0.5 * np.exp(-x), _HALF, 16),
         ],
-        ids=["finite seed grid", "normal full line", "1/(1+x) half line"],
+        ids=["finite seed grid", "normal full line", "1/(1+x) half line", "x^-0.5 exp half line"],
     )
     def test_integrand_calls(self, f, domain, max_calls):
         sizes = []
@@ -293,12 +288,18 @@ class TestBatchedPanels:
         assert all(n % 15 == 0 for n in sizes)
 
 
+def _density_rule(f, domain, width):
+    # the rule on a GenericPdf's cached panels, as mi_bounds builds it
+    panels = GenericPdf(f, domain, CFG)._panels
+    return _rule(f, domain, panels.lo, panels.hi, width)
+
+
 class TestRule:
     def test_weights_integrate_smooth_functions(self):
         # the rule of N(0, 1) integrates x^2 and cos x against it; the pdf
         # underflows to 0 at the far nodes, whose weights are dropped
-        xs, ws = _rule(lambda x: np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi),
-                       Domain.full_line(), CFG, 1.0)
+        xs, ws = _density_rule(lambda x: np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi),
+                               Domain.full_line(), 1.0)
         assert (ws > 0.0).all() and np.isfinite(xs).all()
         assert ws.sum() == pytest.approx(1.0, rel=1e-9)
         assert ws @ xs**2 == pytest.approx(1.0, rel=1e-9)
@@ -314,18 +315,22 @@ class TestRule:
         # its 8 seed panels of width 12.5), but the rule must resolve h on
         # the scale width: its panels are no wider, and K15 nodes are at
         # most 0.104 panel widths apart
-        xs, ws = _rule(f, domain, CFG, 2.0)
+        xs, ws = _density_rule(f, domain, 2.0)
         assert np.diff(np.sort(xs)).max() <= 0.104 * 2.0
         assert ws.sum() == pytest.approx(1.0, rel=1e-9)
 
     def test_power_law_tail_refused(self):
         # a Cauchy tail never underflows within the panel budget
         with pytest.raises(MaxSubdivisionsExceeded):
-            _rule(lambda x: 1.0 / (math.pi * (1.0 + x * x)), Domain.full_line(), CFG, 2.0)
+            _density_rule(lambda x: 1.0 / (math.pi * (1.0 + x * x)), Domain.full_line(), 2.0)
 
     def test_refuses_negative_weights(self):
+        # a GenericPdf refuses this signed density, so its panels come from
+        # the mass integral itself
+        f, domain = lambda x: 1.0 + 2.0 * np.sin(2.0 * np.pi * x), Domain.finite(0.0, 1.0)
+        lo, hi, *_ = _converged_panels(f, domain, CFG)
         with pytest.raises(DomainError, match="negative"):
-            _rule(lambda x: 1.0 + 2.0 * np.sin(2.0 * np.pi * x), Domain.finite(0.0, 1.0), CFG, 2.0)
+            _rule(f, domain, lo, hi, 2.0)
 
 
 class TestMonteCarlo:
