@@ -47,7 +47,7 @@ from .distributions import (
 )
 from .errors import DomainError, InvalidMomentOrder, RenyiBoundsError, UnsupportedOperation
 from .moment_core import Support, TwoMomentParams, _check_r, _log_two_moment, _logsumexp, log_omega
-from .quadrature import Domain, NumericsConfig, _rule, integrate, mc_expect
+from .quadrature import Domain, NumericsConfig, integrate, mc_expect
 from .specfun import LOG_2PI, kappa, ln_gamma
 
 __all__ = [
@@ -142,7 +142,7 @@ def _given(ch, given: str) -> str:
     return given
 
 
-def variance_model(ch, given: str = "X", cfg: NumericsConfig = NumericsConfig()):
+def variance_model(ch, given: str = "X"):
     """Pointwise model of (log f(y), log var(f(y|W))) for W = X or U.
 
     No adaptive quadrature runs here: a GenericPdf input's rule starts
@@ -154,8 +154,7 @@ def variance_model(ch, given: str = "X", cfg: NumericsConfig = NumericsConfig())
             return _GaussianMixture(probs, atoms, np.ones_like(atoms))
         if isinstance(ch.input, GenericPdf):
             # X ~ sum_k w_k delta(x_k), the rule on the density's own cached panels
-            panels = ch.input._panels
-            xs, ws = _rule(ch.input.pdf, ch.input.domain, panels.lo, panels.hi, _RULE_WIDTH)
+            xs, ws = ch.input._panels.rule(_RULE_WIDTH)
             return _AwgnOverContinuousInput(ws, xs, np.zeros_like(xs))
         raise UnsupportedOperation(
             f"AWGN input family {type(ch.input).__name__} has no variance model"
@@ -313,7 +312,7 @@ def V_s(
             lambda xx: 1.0 - np.exp(-0.25 * (xx[0] - xx[1]) ** 2),
             ch.input, 1.0 / (2.0 * math.sqrt(math.pi)), s, cfg, stream,
         )
-    return _vs_atomic(variance_model(ch, given, cfg), s)
+    return _vs_atomic(variance_model(ch, given), s)
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +323,7 @@ def V_s(
 def _prop7_integral(ch, t, given, cfg) -> float:
     """int f(y)^(1-2t) var(f(y|W))^t dy, in log space: f(y)^(1-2t) alone
     overflows in the tails for t > 1/2 while var^t vanishes faster."""
-    model = variance_model(ch, given, cfg)
+    model = variance_model(ch, given)
 
     def integrand(y):
         lv = model.log_var(y)
@@ -364,7 +363,7 @@ def prop7_bound(
 def marginal_renyi_entropy(ch, r: float, cfg: NumericsConfig = NumericsConfig()) -> float:
     """h_r(Y) of the channel output, by quadrature of f(y)^r."""
     _check_r(r)
-    model = variance_model(ch, "X", cfg)
+    model = variance_model(ch, "X")
 
     def integrand(y):
         return np.exp(r * model.log_marginal(y))
@@ -413,29 +412,22 @@ def prop9_bound(
     return kappa(0.5) * math.exp(0.5 * inner)
 
 
-def _mi_discrete(model, cfg):
-    """Sum over conditioning atoms of int f(y|w) log(f(y|w)/f(y)) dy."""
-    total = 0.0
-    for i, w in enumerate(model.probs):
-        def integrand(y, i=i):
-            lcs = model.log_cond(y)
-            lc, lm = lcs[i], model.marginal_of(lcs)
-            return np.where(lc > _EXP_CLIP, np.exp(lc) * (lc - lm), 0.0)
-
-        total += w * integrate(integrand, _FULL, cfg).value
-    return total
-
-
 def mi_oracle(ch, given: str = "X", cfg: NumericsConfig = NumericsConfig()) -> float:
-    """I(W; Y) computed from the definition.
+    """I(W; Y) computed from the definition, by one quadrature over y.
 
-    Atomic conditioning variables use the exact outer sum with a y-
-    quadrature per atom.  Continuous X reduces to h(Y) - h(W), valid
-    because the noise is additive: h(Y|X) = h(W) = (1/2) log(2 pi e).
+    Over an atomic conditioning law the integrand is the exact sum over
+    the atoms, sum_w p_w f(y|w) log(f(y|w)/f(y)) = f(y) KL(P(W|y) || P(W)),
+    which is nonnegative pointwise.  Continuous X reduces to h(Y) - h(W),
+    valid because the noise is additive: h(Y|X) = h(W) = (1/2) log(2 pi e).
     """
-    model = variance_model(ch, given, cfg)
+    model = variance_model(ch, given)
     if isinstance(model, _GaussianMixture):
-        return _mi_discrete(model, cfg)
+        def integrand(y):
+            lcs = model.log_cond(y)
+            lm = model.marginal_of(lcs)
+            return model.probs @ np.where(lcs > _EXP_CLIP, np.exp(lcs) * (lcs - lm), 0.0)
+
+        return integrate(integrand, _FULL, cfg).value
 
     def integrand(y):
         lm = model.log_marginal(y)
@@ -446,7 +438,7 @@ def mi_oracle(ch, given: str = "X", cfg: NumericsConfig = NumericsConfig()) -> f
     return h_y - 0.5 * (LOG_2PI + 1.0)
 
 
-def vs_upper_bound_check(ch, s: float, cfg: NumericsConfig = NumericsConfig()) -> float:
+def vs_upper_bound_check(ch, s: float) -> float:
     """Residual of V_s(Y|U) <= G((1+s)/2)/(2 pi) P(U1 != U2) E(1+U)^((s-1)/2),
     both sides as exact sums over an atomic mixing law.
 
@@ -459,7 +451,7 @@ def vs_upper_bound_check(ch, s: float, cfg: NumericsConfig = NumericsConfig()) -
     if not isinstance(ch, ScaleMixtureChannel) or not ch.mixing.is_discrete:
         raise UnsupportedOperation("the V_s upper bound check needs atomic mixing")
     # V_s first: it refuses the orders s at which these terms leave the float range
-    vs = V_s(ch, s, "U", cfg).value
+    vs = V_s(ch, s, "U").value
     us, probs = ch.mixing.atoms_and_probs()
     p_neq = 1.0 - float(probs @ probs)
     bound = _vs_coef(s) * p_neq * float(probs @ (1.0 + us) ** (0.5 * (s - 1.0)))

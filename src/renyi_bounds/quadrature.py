@@ -37,12 +37,12 @@ failure modes are explicit:
   pre-scan verdict from the cache and runs the loop from the cached
   panels.  A GenericPdf evaluates its pdf once on every pre-scan window,
   also past the window where a scan stops; values there never reach a
-  verdict.  _rule() turns the cached panels into nodes and weights, so
-  that E h(X) over a numeric density is a finite sum (mi_bounds smooths
-  a GenericPdf input this way, as a Gaussian mixture over the nodes).
-  The rule bisects its panels down to the scale on which h varies,
-  wherever the density has not underflowed; a power-law tail, which
-  never does within the panel budget, is refused.
+  verdict.  The cache's rule() turns its panels into nodes and weights,
+  so that E h(X) over a numeric density is a finite sum (mi_bounds
+  smooths a GenericPdf input this way, as a Gaussian mixture over the
+  nodes).  The rule bisects its panels down to the scale on which h
+  varies, wherever the density has not underflowed; a power-law tail,
+  which never does within the panel budget, is refused.
 
 * mc_expect() is a seeded Monte Carlo mean with standard error, built on
   the counter-based Philox generator so that results are reproducible
@@ -376,34 +376,6 @@ def integrate(
     return QuadratureResult(total, total_err)
 
 
-def _rule(f: Callable, domain: Domain, lo: np.ndarray, hi: np.ndarray, width: float):
-    """The K15 nodes x_k of the unit panels [lo[i], hi[i]] on which the mass
-    integral of f converged (a GenericPdf's cached panels), and weights
-    w_k = panel weight * jacobian * f(x_k): sum_k w_k h(x_k) ~ int h f for
-    an h that is smooth on the scale of width.  Panels wider than width in
-    x are bisected until their weights underflow to 0, within
-    _MAX_SUBDIVISIONS bisections.  Zero weights are dropped; negative or
-    nan ones are refused."""
-    _, _, to_x, jac = _unit_transform(domain)
-    xs, ws, budget = [], [], _MAX_SUBDIVISIONS
-    with np.errstate(all="ignore"):
-        while len(lo):
-            half, u, x, fx = _density_at_nodes(f, to_x, lo, hi)
-            w = half[:, None] * _KWEIGHTS * jac(u) * fx
-            wide = (to_x(hi) - to_x(lo) > width) & (w != 0.0).any(axis=1)
-            xs.append(x[~wide].ravel())
-            ws.append(w[~wide].ravel())
-            budget -= int(wide.sum())
-            if budget < 0:
-                raise MaxSubdivisionsExceeded(f"no panels narrower than {width:g} on {domain}")
-            mid = 0.5 * (lo[wide] + hi[wide])
-            lo, hi = np.concatenate([lo[wide], mid]), np.concatenate([mid, hi[wide]])
-    xs, w = np.concatenate(xs), np.concatenate(ws)
-    if not (w >= 0.0).all():
-        raise DomainError(f"a density on {domain} is negative or nan at a node of its rule")
-    return xs[w > 0.0], w[w > 0.0]
-
-
 class _DensityPanels:
     """The converged panels of a density's mass integral, kept so that each
     int h f is a sum over them rather than a fresh adaptive quadrature.
@@ -414,7 +386,8 @@ class _DensityPanels:
     pre-scan, the nodes of all 52 windows with their half-widths and f
     there.  f is evaluated once on every window, also past the one where a
     scan stops; a value there never reaches a verdict, so it may be
-    anything.  Nothing here changes after construction.
+    anything.  Nothing here changes after construction: integral() and
+    rule() refine copies.
     """
 
     def __init__(self, f: Callable, domain: Domain, lo: np.ndarray, hi: np.ndarray):
@@ -449,6 +422,32 @@ class _DensityPanels:
             y = h(self.x) * self.v
         *_, total, total_err = _refine(self.lo, self.hi, y, rows, self._domain, cfg)
         return QuadratureResult(total, total_err)
+
+    def rule(self, width: float):
+        """The K15 nodes x_k of the cached panels and weights
+        w_k = panel weight * jacobian * f(x_k): sum_k w_k h(x_k) ~ int h f
+        for an h that is smooth on the scale of width.  Panels wider than
+        width in x are bisected until their weights underflow to 0, within
+        _MAX_SUBDIVISIONS bisections.  Zero weights are dropped; negative
+        or nan ones are refused."""
+        lo, hi, to_x, domain = self.lo, self.hi, self._to_x, self._domain
+        xs, ws, budget = [], [], _MAX_SUBDIVISIONS
+        with np.errstate(all="ignore"):
+            while len(lo):
+                half, u, x, fx = _density_at_nodes(self._f, to_x, lo, hi)
+                w = half[:, None] * _KWEIGHTS * self._jac(u) * fx
+                wide = (to_x(hi) - to_x(lo) > width) & (w != 0.0).any(axis=1)
+                xs.append(x[~wide].ravel())
+                ws.append(w[~wide].ravel())
+                budget -= int(wide.sum())
+                if budget < 0:
+                    raise MaxSubdivisionsExceeded(f"no panels narrower than {width:g} on {domain}")
+                mid = 0.5 * (lo[wide] + hi[wide])
+                lo, hi = np.concatenate([lo[wide], mid]), np.concatenate([mid, hi[wide]])
+        xs, w = np.concatenate(xs), np.concatenate(ws)
+        if not (w >= 0.0).all():
+            raise DomainError(f"a density on {domain} is negative or nan at a node of its rule")
+        return xs[w > 0.0], w[w > 0.0]
 
 
 def rng_for(cfg: NumericsConfig, stream: int = 0) -> np.random.Generator:

@@ -1,8 +1,9 @@
 """Parameter sweeps behind the figure commands.
 
 Pure row producers: no I/O here, the CLI owns formatting.  Grid points
-are evaluated in grid order, and any Monte Carlo inside a point draws
-from its own seed stream, so a row does not depend on the others.
+are evaluated in grid order, and a row depends only on its own point:
+no sweep runs Monte Carlo (fig3's mixing law is atomic, so its V_s are
+exact sums).
 """
 
 import math

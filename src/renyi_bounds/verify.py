@@ -509,7 +509,7 @@ def _V_s_quadrature(
     decomposition and the |a|^(s-n) scaling law."""
     if scale == 0.0:
         raise DomainError("scale must be nonzero")
-    model = mi.variance_model(ch, given, cfg)
+    model = mi.variance_model(ch, given)
     a = abs(scale)
 
     def integrand(y):
@@ -572,7 +572,7 @@ def check_vs_upper_bound(cfg) -> CheckResult:
     for eps, a in ((0.5, 3.0), (0.1, 11.0)):
         ch = mi.ScaleMixtureChannel(TwoPoint(eps, a))
         for s in (0.0, 2.0):
-            worst = max(worst, -mi.vs_upper_bound_check(ch, s, cfg))
+            worst = max(worst, -mi.vs_upper_bound_check(ch, s))
     return _check("mi.vs_given_u_upper_bound", worst, 1e-12)
 
 

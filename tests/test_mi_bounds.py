@@ -45,6 +45,7 @@ from renyi_bounds.mi_bounds import (
 from renyi_bounds.moment_core import Support, TwoMomentParams, two_moment_bound
 from renyi_bounds.quadrature import Domain, NumericsConfig, integrate, mc_expect
 from renyi_bounds.specfun import kappa
+from renyi_bounds.sweeps import DEFAULT_EPS_GRID, _two_point_mixture
 from renyi_bounds.verify import _log_abs_pow, _V_s_quadrature
 
 CFG = NumericsConfig()
@@ -111,6 +112,21 @@ def _awgn_vs_exact_even(d, k):
     top = max(own + cross)
     return math.exp(top) * (sum(math.exp(t - top) for t in own)
                             - sum(math.exp(t - top) for t in cross))
+
+
+def _mi_per_atom(ch, given):
+    # I(W; Y) atom by atom, sum_i p_i int f(y|w_i) log(f(y|w_i)/f(y)) dy, with
+    # one quadrature per atom (mi_oracle folds the sum into one integrand)
+    model = variance_model(ch, given)
+    total = 0.0
+    for i, p in enumerate(model.probs):
+        def integrand(y, i=i):
+            lcs = model.log_cond(y)
+            lc, lm = lcs[i], model.marginal_of(lcs)
+            return np.where(lc > -745.0, np.exp(lc) * (lc - lm), 0.0)
+
+        total += p * integrate(integrand, Domain.full_line(), CFG).value
+    return total
 
 
 class TestKernel:
@@ -284,6 +300,21 @@ class TestVs:
                 scaled = _V_s_quadrature(ch, s, "U", CFG, scale=a)
                 assert scaled == pytest.approx(a ** (s - 1.0) * base, rel=1e-8)
 
+    def test_monte_carlo_awgn_input_at_s0(self):
+        # V_0 = (2 sqrt(pi))^-1 [1 - E exp(-(X1 - X2)^2 / 4)] for X = e^T,
+        # T ~ N(0, 1/4), with the expectation by scipy in t over mu +- 12 sd
+        sd = 0.5
+
+        def term(t2, t1):
+            dens = math.exp(-0.5 * (t1 * t1 + t2 * t2) / sd**2) / (2.0 * math.pi * sd**2)
+            return -dens * math.expm1(-0.25 * (math.exp(t1) - math.exp(t2)) ** 2)
+
+        e_gap = si.dblquad(term, -12.0 * sd, 12.0 * sd, -12.0 * sd, 12.0 * sd,
+                           epsabs=1e-13, epsrel=1e-10)[0]
+        res = V_s(AwgnChannel(Lognormal(0.0, sd**2)), 0.0, "X", CFG)
+        assert res.method == "monte_carlo"
+        assert abs(res.value - INV_2SQRTPI * e_gap) <= 4.0 * res.standard_error
+
     def test_monte_carlo_mixing(self):
         ch = ScaleMixtureChannel(Lognormal(0.0, 0.25))
         res = V_s(ch, 0.0, "U", CFG)
@@ -295,11 +326,11 @@ class TestVs:
         for eps, a in ((0.5, 3.0), (0.1, 11.0)):
             ch = ScaleMixtureChannel(TwoPoint(eps, a))
             for s in (0.0, 2.0):
-                assert vs_upper_bound_check(ch, s, CFG) >= -1e-12
+                assert vs_upper_bound_check(ch, s) >= -1e-12
 
     def test_given_u_upper_bound_degenerate(self):
         ch = ScaleMixtureChannel(PointMass(1.5))
-        assert vs_upper_bound_check(ch, 0.0, CFG) == pytest.approx(0.0, abs=1e-15)
+        assert vs_upper_bound_check(ch, 0.0) == pytest.approx(0.0, abs=1e-15)
 
     @pytest.mark.parametrize("q", [250.0, 300.0, 400.0])
     @pytest.mark.parametrize("ch,given", [
@@ -362,7 +393,7 @@ def test_vs_upper_bound_property_in_its_regime(eps, a, s):
     function nonincreasing.  Outside this regime the bound can genuinely
     fail, e.g. (eps, a, s) = (0.4, 100, 2) gives a residual of -0.021."""
     ch = ScaleMixtureChannel(TwoPoint(eps, a))
-    assert vs_upper_bound_check(ch, s, CFG) >= -1e-12
+    assert vs_upper_bound_check(ch, s) >= -1e-12
 
 
 class TestChiSquare:
@@ -414,7 +445,7 @@ class TestProp7:
 
     def test_half_t_is_kappa_times_sqrt_var_integral(self):
         ch = ScaleMixtureChannel(TwoPoint(0.2, 3.0))
-        model = variance_model(ch, "U", CFG)
+        model = variance_model(ch, "U")
 
         def sqrt_var(y):
             return np.exp(0.5 * model.log_var(y))
@@ -538,6 +569,32 @@ class TestOracle:
         ch = ScaleMixtureChannel(TwoPoint(0.4, 3.0))
         assert mi_oracle(ch, "U", CFG) <= mi_oracle(ch, "X", CFG) + 1e-8
 
+    def test_fig3_grid_matches_per_atom_route(self):
+        for eps in DEFAULT_EPS_GRID:
+            ch = _two_point_mixture(eps)
+            assert mi_oracle(ch, "U", CFG) == pytest.approx(_mi_per_atom(ch, "U"), rel=1e-9)
+
+    @pytest.mark.parametrize("eps,a", itertools.product((0.05, 0.3, 0.5), (0.5, 3.0, 12.0, 20.0)))
+    def test_awgn_two_point_matches_per_atom_route(self, eps, a):
+        ch = AwgnChannel(TwoPoint(eps, a))
+        assert mi_oracle(ch, "X", CFG) == pytest.approx(_mi_per_atom(ch, "X"), rel=1e-9)
+
+    @pytest.mark.parametrize("ch,given", [
+        (AwgnChannel(TwoPoint(0.3, 4.0)), "X"),
+        (ScaleMixtureChannel(TwoPoint(0.1, 5.0)), "U"),
+        (ScaleMixtureChannel(TwoPoint(0.1, 5.0)), "X"),
+    ])
+    def test_one_quadrature_per_call(self, ch, given, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return integrate(*args, **kwargs)
+
+        monkeypatch.setattr(mi_bounds, "integrate", counted)
+        mi_oracle(ch, given, CFG)
+        assert len(calls) == 1
+
     def test_generic_input_matches_mixture_route(self):
         # AWGN with X ~ N(0,1) two ways: the mixture over a generic
         # density's quadrature rule vs the exact point-mass mixture marginal.
@@ -560,7 +617,7 @@ class TestMarginals:
             (ScaleMixtureChannel(PointMass(2.0)), "X"),
         ]
         for ch, given in channels:
-            model = variance_model(ch, given, CFG)
+            model = variance_model(ch, given)
             mass = integrate(
                 lambda y: np.exp(model.log_marginal(y)), Domain.full_line(), CFG
             ).value
@@ -708,7 +765,7 @@ class TestContinuousInput:
             raise AssertionError("the mass integral ran again")
 
         monkeypatch.setattr(quadrature, "_converged_panels", refused)
-        model = variance_model(ch, "X", CFG)
+        model = variance_model(ch, "X")
         assert np.isfinite(model.log_marginal(np.array([0.0]))).all()
 
     def test_power_law_input_refused(self):
@@ -728,7 +785,6 @@ class TestInvariants:
         h = [marginal_renyi_entropy(AwgnChannel(PointMass(c)), 0.5, CFG) for c in (1.0, 200.0)]
         assert h[1] == pytest.approx(h[0], abs=1e-9)
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: integrate misses a far peak")
     def test_mi_does_not_fall_as_atoms_separate(self):
         mi = [mi_oracle(AwgnChannel(TwoPoint(0.3, a)), "X", CFG) for a in (20.0, 40.0)]
         assert mi[1] >= mi[0] - 1e-9
@@ -745,11 +801,11 @@ class TestVarianceModels:
     def test_continuous_mixing_pointwise_unsupported(self):
         ch = ScaleMixtureChannel(Lognormal(0.0, 1.0))
         with pytest.raises(UnsupportedOperation):
-            variance_model(ch, "U", CFG)
+            variance_model(ch, "U")
 
     def test_given_validation(self):
         ch = AwgnChannel(PointMass(1.0))
         with pytest.raises(UnsupportedOperation):
-            variance_model(ch, "U", CFG)
+            variance_model(ch, "U")
         with pytest.raises(DomainError):
-            variance_model(ch, "Z", CFG)
+            variance_model(ch, "Z")

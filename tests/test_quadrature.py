@@ -23,7 +23,7 @@ from renyi_bounds.quadrature import (
     Domain,
     NumericsConfig,
     _converged_panels,
-    _rule,
+    _DensityPanels,
     _tails_diverge,
     integrate,
     mc_expect,
@@ -290,8 +290,7 @@ class TestBatchedPanels:
 
 def _density_rule(f, domain, width):
     # the rule on a GenericPdf's cached panels, as mi_bounds builds it
-    panels = GenericPdf(f, domain, CFG)._panels
-    return _rule(f, domain, panels.lo, panels.hi, width)
+    return GenericPdf(f, domain, CFG)._panels.rule(width)
 
 
 class TestRule:
@@ -330,7 +329,7 @@ class TestRule:
         f, domain = lambda x: 1.0 + 2.0 * np.sin(2.0 * np.pi * x), Domain.finite(0.0, 1.0)
         lo, hi, *_ = _converged_panels(f, domain, CFG)
         with pytest.raises(DomainError, match="negative"):
-            _rule(f, domain, lo, hi, 2.0)
+            _DensityPanels(f, domain, lo, hi).rule(2.0)
 
 
 class TestMonteCarlo:
