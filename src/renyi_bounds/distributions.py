@@ -41,7 +41,6 @@ __all__ = [
     "PointMass",
     "GenericPdf",
     "L_r",
-    "iid_pair_sampler",
 ]
 
 
@@ -322,12 +321,3 @@ def L_r(d: ScalarDistribution, r: float, p: float, q: float) -> float:
     if math.isinf(L):
         raise MomentDiverges(f"log-moment infinite at p={p!r} or q={q!r}")
     return L
-
-
-def iid_pair_sampler(d: ScalarDistribution):
-    """Sampler producing two independent copies, for pair expectations."""
-
-    def pair(rng, size):
-        return d.sample(rng, size), d.sample(rng, size)
-
-    return pair

@@ -24,11 +24,13 @@ not underflowed, so the mixture is no comb on the noise scale; a power-law
 tail, which no such rule covers, is refused.
 V_s over an atomic W is an exact sum of closed-form kernels between the
 mixtures' components -- no quadrature, no Monte Carlo noise in the
-figure-3 sweep -- and seeded Monte Carlo otherwise.  Each quantity has one
-route; its oracles live in verify and the tests.  Densities enter the integrands
-only through their logarithms, and np.where masks keep the -inf log of a
-vanishing conditional variance out of every ratio, so the heavy-tailed
-ratios in the chi-square and small-t bounds cannot produce NaNs.
+figure-3 sweep -- and Monte Carlo under a fixed seed over a continuous
+mixing law; V_s of a non-atomic AWGN input is refused.  Each quantity
+has one route; its oracles live in verify and the tests.  Densities enter
+the integrands only through their logarithms, and np.where masks keep the
+-inf log of a vanishing conditional variance out of every ratio, so the
+heavy-tailed ratios in the chi-square and small-t bounds cannot produce
+NaNs.
 """
 
 import math
@@ -43,7 +45,6 @@ from .distributions import (
     _entropy_from_integral,
     _GaussianMixture,
     _log_npdf,
-    iid_pair_sampler,
 )
 from .errors import DomainError, InvalidMomentOrder, RenyiBoundsError, UnsupportedOperation
 from .moment_core import Support, TwoMomentParams, _check_r, _log_two_moment, _logsumexp, log_omega
@@ -224,17 +225,16 @@ def kernel_Ks(x1: float, x2: float, s: float) -> float:
         raise DomainError(f"K_s leaves the float range at s = {s:g}") from None
 
 
-def _vs_value(s, value, scale, method, se=None) -> VsValue:
-    """V_s from a difference of terms of size scale: refused out of float
-    range, clipped to 0 when negative within rounding (or 4 standard errors)."""
-    if not all(math.isfinite(v) for v in (value, scale, se or 0.0)):
+def _vs_value(s, value, scale) -> VsValue:
+    """Exact V_s from a difference of terms of size scale: refused out of
+    float range, clipped to 0 when negative within rounding."""
+    if not (math.isfinite(value) and math.isfinite(scale)):
         raise DomainError(f"the terms of V_s at s = {s:g} leave the float range")
     if value < 0.0:
-        tol = 4.0 * se if se else 1e-13 * max(scale, 1e-300)
-        if -value > tol:
-            raise RenyiBoundsError(f"V_s produced a negative value {value!r} beyond noise")
+        if -value > 1e-13 * max(scale, 1e-300):
+            raise RenyiBoundsError(f"V_s produced a negative value {value!r} beyond rounding")
         value = 0.0
-    return VsValue(s, value, method, se)
+    return VsValue(s, value, "closed_form")
 
 
 def _vs_atomic(model, s) -> VsValue:
@@ -258,15 +258,7 @@ def _vs_atomic(model, s) -> VsValue:
         d = np.diag(k)
         rel = p @ (own - d) + 0.5 * (p @ (d[:, None] + d[None, :] - 2.0 * k) @ p)
         value, scale = np.exp(top) * rel, np.exp(top) * (p @ own)
-    return _vs_value(s, float(value), float(scale), "closed_form")
-
-
-def _vs_monte_carlo(g, dist, coef, s, cfg, stream) -> VsValue:
-    """coef E[g(S1, S2)] over i.i.d. pairs drawn from dist."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        res = mc_expect(g, iid_pair_sampler(dist), cfg, stream=stream)
-    se = coef * res.standard_error
-    return _vs_value(s, coef * res.value, coef, "monte_carlo", se)
+    return _vs_value(s, float(value), float(scale))
 
 
 def _vs_coef(s: float) -> float:
@@ -277,41 +269,55 @@ def _vs_coef(s: float) -> float:
         raise DomainError(f"G((1+s)/2) leaves the float range at s = {s:g}") from None
 
 
-def V_s(
-    ch, s: float, given: str = "X", cfg: NumericsConfig = NumericsConfig(), stream: int = 0
-) -> VsValue:
+def _vs_monte_carlo(mixing, s, given, stream) -> VsValue:
+    """V_s over a continuous mixing law: G((1+s)/2)/(2 pi) E[first(U1) -
+    cross(U1, U2)] over i.i.d. pairs drawn from it.  An estimate that is not
+    above 0 is refused: it says only that V_s is within noise of 0."""
+    coef = _vs_coef(s)
+
+    def g(uu):
+        u1, u2 = uu
+        first = ((1.0 + u1) ** (0.5 * (s - 1.0)) if given == "U"
+                 else (1.0 + 2.0 * u1) ** (0.5 * s))
+        num = (1.0 + u1) ** (0.5 * s) * (1.0 + u2) ** (0.5 * s)
+        return first - num / (1.0 + 0.5 * (u1 + u2)) ** (0.5 * (s + 1.0))
+
+    def pairs(rng, n):
+        return mixing.sample(rng, n), mixing.sample(rng, n)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = mc_expect(g, pairs, stream=stream)
+    value, se = coef * res.value, coef * res.standard_error
+    if not (math.isfinite(value) and math.isfinite(se)):
+        raise DomainError(f"the terms of V_s at s = {s:g} leave the float range")
+    if not value > 0.0:
+        raise RenyiBoundsError(
+            f"Monte Carlo V_s at s = {s:g} is {value!r} with standard error {se!r}, not above 0"
+        )
+    return VsValue(s, value, "monte_carlo", se)
+
+
+def V_s(ch, s: float, given: str = "X", *, stream: int = 0) -> VsValue:
     """The s-th moment of the variance of the conditional density.
 
     Over an atomic W it is E K_s(W, W) - E K_s(W1, W2), an exact sum over
     the Gaussian mixtures of variance_model with every kernel in closed
-    form.  Continuous mixing laws use seeded Monte Carlo (standard error) of
+    form.  A continuous mixing law uses Monte Carlo (with standard error,
+    on substream `stream` of the fixed seed) of
 
       given X: G((1+s)/2)/(2 pi) E[(1+2U)^(s/2) - cross(U1, U2)]
       given U: G((1+s)/2)/(2 pi) E[(1+U)^((s-1)/2) - cross(U1, U2)]
-      cross   = (1+U1)^(s/2) (1+U2)^(s/2) / (1 + (U1+U2)/2)^((s+1)/2);
+      cross   = (1+U1)^(s/2) (1+U2)^(s/2) / (1 + (U1+U2)/2)^((s+1)/2).
 
-    over a non-atomic AWGN input only s = 0 is available, by seeded Monte
-    Carlo of (2 sqrt(pi))^-1 [1 - E exp(-(X1-X2)^2 / 4)].  Terms that leave
+    A non-atomic AWGN input raises UnsupportedOperation.  Terms that leave
     the float range (large s) raise DomainError."""
     if not s >= 0.0:
         raise DomainError(f"s must be nonnegative, got {s!r}")
     given = _given(ch, given)
     if isinstance(ch, ScaleMixtureChannel) and not ch.mixing.is_discrete:
-        def g(uu):
-            u1, u2 = uu
-            first = ((1.0 + u1) ** (0.5 * (s - 1.0)) if given == "U"
-                     else (1.0 + 2.0 * u1) ** (0.5 * s))
-            num = (1.0 + u1) ** (0.5 * s) * (1.0 + u2) ** (0.5 * s)
-            return first - num / (1.0 + 0.5 * (u1 + u2)) ** (0.5 * (s + 1.0))
-
-        return _vs_monte_carlo(g, ch.mixing, _vs_coef(s), s, cfg, stream)
+        return _vs_monte_carlo(ch.mixing, s, given, stream)
     if isinstance(ch, AwgnChannel) and not ch.input.is_discrete:
-        if s > 0.0:
-            raise UnsupportedOperation("AWGN V_s with s > 0 needs an atomic input law")
-        return _vs_monte_carlo(
-            lambda xx: 1.0 - np.exp(-0.25 * (xx[0] - xx[1]) ** 2),
-            ch.input, 1.0 / (2.0 * math.sqrt(math.pi)), s, cfg, stream,
-        )
+        raise UnsupportedOperation("AWGN V_s needs an atomic input law")
     return _vs_atomic(variance_model(ch, given), s)
 
 
@@ -377,16 +383,14 @@ def prop8_bound(
     """kappa(t) (e^{h_r(Y)} V_0(Y|W))^t with t = (1-r)/(2-r), r in (0, 1)."""
     _check_r(r)
     t = (1.0 - r) / (2.0 - r)
-    v0 = V_s(ch, 0.0, given, cfg).value
+    v0 = V_s(ch, 0.0, given).value
     if v0 == 0.0:
         return 0.0
     hr = marginal_renyi_entropy(ch, r, cfg)
     return kappa(t) * math.exp(t * (hr + math.log(v0)))
 
 
-def prop9_bound(
-    ch, p: float, q: float, given: str = "X", cfg: NumericsConfig = NumericsConfig()
-) -> float:
+def prop9_bound(ch, p: float, q: float, given: str = "X") -> float:
     """Two-moment MI bound: Prop 7 at t = 1/2 with the two-moment
     inequality of moment_core at r = 1/2 applied to var(f(y|W)),
 
@@ -403,8 +407,8 @@ def prop9_bound(
         raise InvalidMomentOrder(f"need p < 1 < q, got ({p!r}, {q!r})")
     if p < 0.0:
         raise InvalidMomentOrder("p must be nonnegative (V_s orders are)")
-    vp = V_s(ch, p, given, cfg, stream=1).value
-    vq = V_s(ch, q, given, cfg, stream=2).value
+    vp = V_s(ch, p, given, stream=1).value
+    vq = V_s(ch, q, given, stream=2).value
     if vp == 0.0 or vq == 0.0:
         return 0.0
     params = TwoMomentParams(0.5, p, q)

@@ -44,14 +44,15 @@ failure modes are explicit:
   varies, wherever the density has not underflowed; a power-law tail,
   which never does within the panel budget, is refused.
 
-* mc_expect() is a seeded Monte Carlo mean with standard error, built on
-  the counter-based Philox generator so that results are reproducible
-  bit-for-bit for a fixed NumericsConfig.
+* mc_expect() is a Monte Carlo mean with standard error from a sampler
+  (rng, n) -> batch, built on the counter-based Philox generator under the
+  fixed seed _MC_SEED, so every draw is reproducible bit for bit; a stream
+  number selects an independent substream.
 """
 
 from dataclasses import dataclass
 import math
-from typing import Callable, NamedTuple, Union
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -98,26 +99,23 @@ class Domain:
 
 
 # Fixed numerics: the absolute quadrature tolerance, the panel budget of
-# one integrate call and the Monte Carlo sample count.
+# one integrate call, and the Monte Carlo sample count and seed.
 _ABS_TOL = 1e-12
 _MAX_SUBDIVISIONS = 2000
 _MC_SAMPLES = 200_000
+_MC_SEED = 20170825
 
 
 @dataclass(frozen=True)
 class NumericsConfig:
-    """The relative quadrature tolerance and the RNG seed shared by all
-    numeric routines; the other settings are the module constants above."""
+    """The relative quadrature tolerance shared by all numeric routines;
+    the other settings are the module constants above."""
 
     rel_tol: float = 1e-9
-    rng_seed: int = 20170825
 
     def __post_init__(self):
         if not 0.0 < self.rel_tol < math.inf:
             raise DomainError(f"rel_tol must be positive and finite, got {self.rel_tol!r}")
-        seed = self.rng_seed
-        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-            raise DomainError(f"rng_seed must be a nonnegative integer, got {seed!r}")
 
 
 class QuadratureResult(NamedTuple):
@@ -450,30 +448,24 @@ class _DensityPanels:
         return xs[w > 0.0], w[w > 0.0]
 
 
-def rng_for(cfg: NumericsConfig, stream: int = 0) -> np.random.Generator:
-    """Philox generator for the configured seed; stream selects an
+def rng_for(stream: int = 0) -> np.random.Generator:
+    """Philox generator for the fixed seed _MC_SEED; stream selects an
     independent substream, so a draw does not depend on the draws made
     before it."""
-    ss = np.random.SeedSequence(cfg.rng_seed, spawn_key=(stream,))
+    ss = np.random.SeedSequence(_MC_SEED, spawn_key=(stream,))
     return np.random.Generator(np.random.Philox(ss))
 
 
-def mc_expect(
-    g: Callable,
-    sampler: Union["ScalarDistribution", Callable],
-    cfg: NumericsConfig = NumericsConfig(),
-    stream: int = 0,
-) -> MCResult:
+def mc_expect(g: Callable, sampler: Callable, *, stream: int = 0) -> MCResult:
     """Monte Carlo estimate of E[g(S)] with standard error.
 
-    sampler is either a distribution object exposing .sample(rng, size)
-    or a callable (rng, size) -> batch; g receives the batch exactly as
-    produced (so pair samplers can return tuples) and must return an
-    array of per-sample values.  Deterministic for fixed cfg and stream.
+    sampler is a callable (rng, n) -> batch, such as a distribution's
+    sample method; g receives the batch exactly as produced (so pair
+    samplers can return tuples) and must return an array of per-sample
+    values.  Deterministic for a fixed stream.
     """
-    rng = rng_for(cfg, stream)
     n = _MC_SAMPLES
-    batch = sampler.sample(rng, n) if hasattr(sampler, "sample") else sampler(rng, n)
+    batch = sampler(rng_for(stream), n)
     vals = np.asarray(g(batch), dtype=float)
     if vals.shape != (n,):
         raise DomainError(f"g must map the batch to {n} values, got {vals.shape}")

@@ -100,7 +100,7 @@ def fig3_rows(
     for eps in list(eps_grid) or DEFAULT_EPS_GRID:
         ch = _two_point_mixture(eps)
         mi = mi_oracle(ch, "U", cfg)
-        p9 = prop9_bound(ch, p, q, "U", cfg)
+        p9 = prop9_bound(ch, p, q, "U")
         c2 = chi2_mi_bound(ch, "U", cfg)
         rows.append((eps, mi, p9, c2))
     return ["eps", "mi_oracle", "prop9_bound", "chi2_bound"], rows

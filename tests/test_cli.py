@@ -1,4 +1,4 @@
-"""Command-line front end: formats, exit codes, seeds and reproducibility."""
+"""Command-line front end: formats, exit codes and reproducibility."""
 
 import contextlib
 import hashlib
@@ -76,19 +76,19 @@ class TestFigureCommands:
 class TestReproducibility:
     def test_fig3_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        args = ["fig3", "--eps-grid", "0.001,0.1", "--seed", "42"]
+        args = ["fig3", "--eps-grid", "0.001,0.1"]
         assert main(args + ["--out", str(a)]) == 0
         assert main(args + ["--out", str(b)]) == 0
         assert _read(a) == _read(b)
 
-    def test_env_seed_used_when_flag_absent(self, tmp_path, monkeypatch):
-        out = tmp_path / "o.csv"
-        monkeypatch.setenv("RENYI_BOUNDS_SEED", "12345")
-        main(["fig3", "--eps-grid", "0.01", "--out", str(out)])
-        assert b"seed=12345" in _read(out)
-        # explicit flag wins over the environment
-        main(["fig3", "--eps-grid", "0.01", "--seed", "99", "--out", str(out)])
-        assert b"seed=99" in _read(out)
+    def test_seed_environment_variable_ignored(self, tmp_path, monkeypatch):
+        # the Monte Carlo seed is a constant: the variable that once set it moves no byte
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        monkeypatch.delenv("RENYI_BOUNDS_SEED", raising=False)
+        assert main(["fig3", "--eps-grid", "0.01", "--out", str(a)]) == 0
+        monkeypatch.setenv("RENYI_BOUNDS_SEED", "1")
+        assert main(["fig3", "--eps-grid", "0.01", "--out", str(b)]) == 0
+        assert _read(a) == _read(b) and b" seed=20170825 " in _read(a)
 
     # SHA-256 of the default CSVs under the default seed.  A change that
     # moves any of them must fix a numerical bug and say so.
@@ -214,12 +214,6 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert "lam = 0.0" in captured.err and captured.out == ""
 
-    def test_non_integer_env_seed_exit_2(self, monkeypatch, capsys):
-        monkeypatch.setenv("RENYI_BOUNDS_SEED", "abc")
-        assert main(["fig2", "--n-max", "2"]) == 2
-        captured = capsys.readouterr()
-        assert "RENYI_BOUNDS_SEED" in captured.err and captured.out == ""
-
     @pytest.mark.parametrize("command", ["mi-bound --channel two-point-mixture", "fig3",
                                          "verify"])
     def test_infinite_tol_exit_2(self, command, capsys):
@@ -228,11 +222,12 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert "rel_tol" in captured.err and captured.out == ""
 
-    def test_negative_seed_exit_2(self, capsys):
-        # verify used to report the bad seed as three failed checks (exit 1)
-        assert main(["verify", "--seed", "-1"]) == 2
-        captured = capsys.readouterr()
-        assert "error:" in captured.err and captured.out == ""
+    @pytest.mark.parametrize("command", ["fig1", "fig3", "verify"])
+    def test_seed_option_exits_2(self, command):
+        # the Monte Carlo seed is fixed; --seed is no option
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--seed", "1"])
+        assert exc.value.code == 2
 
     def test_lognormal_moment_overflow_exit_2(self, capsys):
         # said the moment "diverges", although every lognormal moment is finite

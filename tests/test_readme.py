@@ -1,11 +1,19 @@
-"""The README's Python examples run as written, so a renamed or removed
-export cannot leave them stale."""
+"""The README's Python examples and CLI lines run as written, so a renamed
+or removed export or option cannot leave them stale."""
 
+import importlib
 import os
 import pathlib
+import pkgutil
 import re
+import shlex
 import subprocess
 import sys
+
+import pytest
+
+import renyi_bounds
+from renyi_bounds.cli import _build_parser, main
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -28,3 +36,37 @@ def test_runtime_loads_neither_scipy_nor_mpmath():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
                          check=True)
     assert out.stdout.strip() == "[]"
+
+
+def _cli_section():
+    return README.read_text().split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_readme_cli_block_runs(tmp_path):
+    block = re.search(r"```sh\n(.*?)```", _cli_section(), re.S).group(1)
+    lines = [shlex.split(line, comments=True) for line in block.splitlines()]
+    lines = [argv[1:] for argv in lines if argv and argv[0] == "renyi-bounds"]
+    assert lines, "the README's CLI block has no renyi-bounds line"
+    for i, argv in enumerate(lines):
+        if "--out" in argv:
+            k = argv.index("--out") + 1
+            argv[k] = str(tmp_path / argv[k])
+        else:
+            argv += ["--out", str(tmp_path / f"{i}.csv")]
+        assert main(argv) == 0, argv
+
+
+def test_readme_cli_flags_exist():
+    subparsers = next(a for a in _build_parser()._actions if a.dest == "command").choices
+    options = {opt for sp in subparsers.values() for opt in sp._option_string_actions}
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", _cli_section()))
+    assert named and named <= options, sorted(named - options)
+
+
+@pytest.mark.parametrize("module", sorted(m.name for m in pkgutil.iter_modules(renyi_bounds.__path__)))
+def test_every_all_entry_resolves(module):
+    # the exports are looked up by name (the benchmark's tracer does so), so a
+    # stale entry must fail here
+    mod = importlib.import_module(f"renyi_bounds.{module}")
+    missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
+    assert not missing
