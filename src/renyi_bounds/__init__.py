@@ -16,7 +16,7 @@ from .errors import (
     RenyiBoundsError,
     UnsupportedOperation,
 )
-from .quadrature import Domain, MCResult, NumericsConfig, QuadratureResult, integrate, mc_expect
+from .quadrature import Domain, MCResult, QuadratureResult, integrate, mc_expect
 from .specfun import beta, beta_tilde, kappa, ln_gamma, theta
 from .moment_core import (
     MomentVector,

@@ -2,10 +2,10 @@
 and the verification command.
 
 Output files are reproducible byte for byte: a single `#` header comment
-records tool version, command and the fixed numerics, the Monte Carlo
-seed among them (no timestamps), numbers are printed with 12 significant
-digits, newlines are Unix.  Exit codes: 0 success, 1 failed verification,
-2 invalid invocation.
+records tool version, command and the fixed numerics, the quadrature
+tolerances and the Monte Carlo seed among them (no timestamps), numbers
+are printed with 12 significant digits, newlines are Unix.  Exit codes:
+0 success, 1 failed verification, 2 invalid invocation.
 """
 
 import argparse
@@ -26,7 +26,7 @@ from .mi_bounds import (
     prop9_bound,
 )
 from .moment_core import Support
-from .quadrature import _ABS_TOL, _MAX_SUBDIVISIONS, _MC_SAMPLES, _MC_SEED, NumericsConfig
+from .quadrature import _ABS_TOL, _MAX_SUBDIVISIONS, _MC_SAMPLES, _MC_SEED, _REL_TOL
 from .sweeps import _two_point_mixture, fig1_rows, fig2_rows, fig3_rows
 from .verify import run_verification
 
@@ -47,10 +47,10 @@ def _write(path: Optional[str], text: str) -> None:
             fh.write(text)
 
 
-def _render(command: str, cfg: NumericsConfig, columns: List[str], rows, fmt: str) -> str:
+def _render(command: str, columns: List[str], rows, fmt: str) -> str:
     config = {
         "seed": _MC_SEED,
-        "rel_tol": cfg.rel_tol,
+        "rel_tol": _REL_TOL,
         "abs_tol": _ABS_TOL,
         "max_subdivisions": _MAX_SUBDIVISIONS,
         "mc_samples": _MC_SAMPLES,
@@ -89,11 +89,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", default="-", help="output path ('-' = stdout)")
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
 
-    def tol(sp):
-        # only the commands that run a quadrature take a tolerance
-        sp.add_argument("--tol", type=float, default=NumericsConfig().rel_tol,
-                        help="relative quadrature tolerance")
-
     sp = sub.add_parser("fig1", help="lognormal gaps vs r for several sigma2")
     sp.add_argument("--r-grid", type=_floats, default=None)
     sp.add_argument("--sigma2", type=_floats, default=None)
@@ -109,7 +104,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=float, default=0.0)
     sp.add_argument("--q", type=float, default=2.0)
     common(sp)
-    tol(sp)
 
     sp = sub.add_parser("entropy-bound", help="one evaluation of the entropy bound")
     sp.add_argument("--family", choices=("lognormal", "gaussian"), required=True)
@@ -132,11 +126,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--q", type=float, default=2.0)
     sp.add_argument("--r", type=float, default=0.5)
     common(sp)
-    tol(sp)
 
     sp = sub.add_parser("verify", help="run the oracle cross-check suite")
     common(sp)
-    tol(sp)
     return parser
 
 
@@ -155,17 +147,17 @@ def _cmd_entropy_bound(args):
     return cols, rows
 
 
-def _cmd_mi_bound(args, cfg):
+def _cmd_mi_bound(args):
     if args.channel == "awgn-gaussian":
         ch, given = ScaleMixtureChannel(PointMass(args.sigma2)), "X"
     else:
         ch, given = _two_point_mixture(args.eps, args.a), "U"
     cols = ["mi_oracle", "prop8_bound", "prop9_bound", "chi2_bound"]
     rows = [(
-        mi_oracle(ch, given, cfg),
-        prop8_bound(ch, args.r, given, cfg),
+        mi_oracle(ch, given),
+        prop8_bound(ch, args.r, given),
         prop9_bound(ch, args.p, args.q, given),
-        chi2_mi_bound(ch, given, cfg),
+        chi2_mi_bound(ch, given),
     )]
     return cols, rows
 
@@ -175,22 +167,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     results = []
     try:
-        cfg = NumericsConfig(getattr(args, "tol", NumericsConfig().rel_tol))
         if args.command == "fig1":
             cols, rows = fig1_rows(args.r_grid or (), args.sigma2 or ())
         elif args.command == "fig2":
             cols, rows = fig2_rows(args.r, args.n_max)
         elif args.command == "fig3":
-            cols, rows = fig3_rows(args.eps_grid or (), args.p, args.q, cfg)
+            cols, rows = fig3_rows(args.eps_grid or (), args.p, args.q)
         elif args.command == "entropy-bound":
             cols, rows = _cmd_entropy_bound(args)
         elif args.command == "mi-bound":
-            cols, rows = _cmd_mi_bound(args, cfg)
+            cols, rows = _cmd_mi_bound(args)
         else:  # verify
-            results = run_verification(cfg)
+            results = run_verification()
             cols = ["check", "passed", "detail"]
             rows = [(r.name, bool(r.passed), r.detail.replace(",", ";")) for r in results]
-        _write(args.out, _render(args.command, cfg, cols, rows, args.format))
+        _write(args.out, _render(args.command, cols, rows, args.format))
     except (RenyiBoundsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

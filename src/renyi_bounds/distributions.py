@@ -30,7 +30,7 @@ from .errors import (
     UnsupportedOperation,
 )
 from .moment_core import Support, TwoMomentParams, _check_n, _check_r, _logsumexp, _moment_term
-from .quadrature import Domain, NumericsConfig, _converged_panels, _DensityPanels, integrate
+from .quadrature import Domain, _converged_panels, _DensityPanels, integrate
 from .specfun import LOG_2PI, ln_gamma
 
 __all__ = [
@@ -270,15 +270,9 @@ class GenericPdf(ScalarDistribution):
     also past the window where the mass scan stops.  Not samplable.
     """
 
-    def __init__(
-        self,
-        pdf: Callable[[np.ndarray], np.ndarray],
-        domain: Domain,
-        cfg: NumericsConfig = NumericsConfig(),
-    ):
+    def __init__(self, pdf: Callable[[np.ndarray], np.ndarray], domain: Domain):
         self._pdf = pdf
         self.domain = domain
-        self._cfg = cfg
 
         def checked(x):  # here only: log_moment is the optimiser's hot path
             y = np.asarray(pdf(x), dtype=float)
@@ -286,7 +280,7 @@ class GenericPdf(ScalarDistribution):
                 raise DomainError(f"pdf must be finite and nonnegative on {domain}")
             return y
 
-        lo, hi, mass, _ = _converged_panels(checked, domain, cfg)
+        lo, hi, mass, _ = _converged_panels(checked, domain)
         if abs(mass - 1.0) > 1e-6:
             raise DomainError(f"pdf integrates to {mass!r}, expected 1 within 1e-6")
         self._panels = _DensityPanels(pdf, domain, lo, hi)
@@ -296,14 +290,14 @@ class GenericPdf(ScalarDistribution):
 
     def log_moment(self, s: float) -> float:
         try:
-            val = self._panels.integral(lambda x: np.abs(x) ** s, self._cfg).value
+            val = self._panels.integral(lambda x: np.abs(x) ** s).value
         except DivergenceDetected:
             return math.inf
         return math.log(val) if val > 0.0 else -math.inf
 
     def renyi_entropy(self, r: float) -> float:
         r = _check_r(r)
-        val = integrate(lambda x: self._pdf(x) ** r, self.domain, self._cfg).value
+        val = integrate(lambda x: self._pdf(x) ** r, self.domain).value
         return _entropy_from_integral(val, r)
 
     def support(self) -> Support:

@@ -41,7 +41,7 @@ from .errors import (
     UnsupportedOperation,
 )
 from .moment_core import Support, TwoMomentParams, _check_n, _check_r, _log_two_moment, log_omega
-from .quadrature import Domain, NumericsConfig, integrate
+from .quadrature import Domain, integrate
 from .specfun import LOG_2PI, ln_gamma, theta
 
 __all__ = [
@@ -313,7 +313,6 @@ def mult_bound_check(
     r: float,
     p: float,
     q: float,
-    cfg: NumericsConfig = NumericsConfig(),
 ) -> float:
     """Residual h_r(XY) - h_r(tY) - gap_r(Y; p, q) for 0 < X <= t a.s.
 
@@ -340,7 +339,7 @@ def mult_bound_check(
         lz = np.log(z)
         return np.exp(r * (log_xy.log_marginal(lz) - lz))
 
-    h_xy = _entropy_from_integral(integrate(integrand, Domain.half_line(0.0), cfg).value, r)
+    h_xy = _entropy_from_integral(integrate(integrand, Domain.half_line(0.0)).value, r)
     gap = entropy_bound(dY, dY.support(), 1, r, p, q).gap
     h_ty = dY.renyi_entropy(r) + math.log(t)
     return h_xy - h_ty - gap

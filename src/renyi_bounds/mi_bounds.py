@@ -48,7 +48,7 @@ from .distributions import (
 )
 from .errors import DomainError, InvalidMomentOrder, RenyiBoundsError, UnsupportedOperation
 from .moment_core import Support, TwoMomentParams, _check_r, _log_two_moment, _logsumexp, log_omega
-from .quadrature import Domain, NumericsConfig, integrate, mc_expect
+from .quadrature import Domain, integrate, mc_expect
 from .specfun import LOG_2PI, kappa, ln_gamma
 
 __all__ = [
@@ -147,7 +147,7 @@ def variance_model(ch, given: str = "X"):
     """Pointwise model of (log f(y), log var(f(y|W))) for W = X or U.
 
     No adaptive quadrature runs here: a GenericPdf input's rule starts
-    from the panels its mass integral converged on under its own cfg."""
+    from the panels its mass integral converged on."""
     given = _given(ch, given)
     if isinstance(ch, AwgnChannel):
         if ch.input.is_discrete:
@@ -326,7 +326,7 @@ def V_s(ch, s: float, given: str = "X", *, stream: int = 0) -> VsValue:
 # ---------------------------------------------------------------------------
 
 
-def _prop7_integral(ch, t, given, cfg) -> float:
+def _prop7_integral(ch, t, given) -> float:
     """int f(y)^(1-2t) var(f(y|W))^t dy, in log space: f(y)^(1-2t) alone
     overflows in the tails for t > 1/2 while var^t vanishes faster."""
     model = variance_model(ch, given)
@@ -339,23 +339,21 @@ def _prop7_integral(ch, t, given, cfg) -> float:
             )
         return np.exp(z)
 
-    return integrate(integrand, _FULL, cfg).value
+    return integrate(integrand, _FULL).value
 
 
-def chi2_divergence(ch, given: str = "X", cfg: NumericsConfig = NumericsConfig()) -> float:
+def chi2_divergence(ch, given: str = "X") -> float:
     """chi^2(P_{W,Y}, P_W x P_Y) = int var(f(y|W)) / f(y) dy: the integral
     of Prop 7 at t = 1, where kappa(1) = 1."""
-    return _prop7_integral(ch, 1.0, given, cfg)
+    return _prop7_integral(ch, 1.0, given)
 
 
-def chi2_mi_bound(ch, given: str = "X", cfg: NumericsConfig = NumericsConfig()) -> float:
+def chi2_mi_bound(ch, given: str = "X") -> float:
     """I(W; Y) <= log(1 + chi^2): the baseline every other bound competes with."""
-    return math.log1p(chi2_divergence(ch, given, cfg))
+    return math.log1p(chi2_divergence(ch, given))
 
 
-def prop7_bound(
-    ch, t: float, given: str = "X", cfg: NumericsConfig = NumericsConfig()
-) -> float:
+def prop7_bound(ch, t: float, given: str = "X") -> float:
     """kappa(t) int f(y)^(1-2t) var(f(y|W))^t dy for t in (0, 1].
 
     t = 1 is the chi-square divergence (kappa(1) = 1); t = 1/2 is the
@@ -363,10 +361,10 @@ def prop7_bound(
     """
     if not 0.0 < t <= 1.0:
         raise DomainError(f"t must lie in (0, 1], got {t!r}")
-    return kappa(t) * _prop7_integral(ch, t, given, cfg)
+    return kappa(t) * _prop7_integral(ch, t, given)
 
 
-def marginal_renyi_entropy(ch, r: float, cfg: NumericsConfig = NumericsConfig()) -> float:
+def marginal_renyi_entropy(ch, r: float) -> float:
     """h_r(Y) of the channel output, by quadrature of f(y)^r."""
     _check_r(r)
     model = variance_model(ch, "X")
@@ -374,19 +372,22 @@ def marginal_renyi_entropy(ch, r: float, cfg: NumericsConfig = NumericsConfig())
     def integrand(y):
         return np.exp(r * model.log_marginal(y))
 
-    return _entropy_from_integral(integrate(integrand, _FULL, cfg).value, r)
+    return _entropy_from_integral(integrate(integrand, _FULL).value, r)
 
 
-def prop8_bound(
-    ch, r: float, given: str = "X", cfg: NumericsConfig = NumericsConfig()
-) -> float:
-    """kappa(t) (e^{h_r(Y)} V_0(Y|W))^t with t = (1-r)/(2-r), r in (0, 1)."""
+def prop8_bound(ch, r: float, given: str = "X") -> float:
+    """kappa(t) (e^{h_r(Y)} V_0(Y|W))^t with t = (1-r)/(2-r), r in (0, 1).
+
+    h_r(Y) needs an atomic mixing law (see variance_model), so a continuous
+    one is refused before V_0 is drawn by Monte Carlo."""
     _check_r(r)
+    if isinstance(ch, ScaleMixtureChannel) and not ch.mixing.is_discrete:
+        raise UnsupportedOperation("h_r(Y) in prop8_bound needs an atomic mixing law")
     t = (1.0 - r) / (2.0 - r)
     v0 = V_s(ch, 0.0, given).value
     if v0 == 0.0:
         return 0.0
-    hr = marginal_renyi_entropy(ch, r, cfg)
+    hr = marginal_renyi_entropy(ch, r)
     return kappa(t) * math.exp(t * (hr + math.log(v0)))
 
 
@@ -416,7 +417,7 @@ def prop9_bound(ch, p: float, q: float, given: str = "X") -> float:
     return kappa(0.5) * math.exp(0.5 * inner)
 
 
-def mi_oracle(ch, given: str = "X", cfg: NumericsConfig = NumericsConfig()) -> float:
+def mi_oracle(ch, given: str = "X") -> float:
     """I(W; Y) computed from the definition, by one quadrature over y.
 
     Over an atomic conditioning law the integrand is the exact sum over
@@ -431,14 +432,14 @@ def mi_oracle(ch, given: str = "X", cfg: NumericsConfig = NumericsConfig()) -> f
             lm = model.marginal_of(lcs)
             return model.probs @ np.where(lcs > _EXP_CLIP, np.exp(lcs) * (lcs - lm), 0.0)
 
-        return integrate(integrand, _FULL, cfg).value
+        return integrate(integrand, _FULL).value
 
     def integrand(y):
         lm = model.log_marginal(y)
         with np.errstate(invalid="ignore"):
             return np.where(lm > _EXP_CLIP, -np.exp(lm) * lm, 0.0)
 
-    h_y = integrate(integrand, _FULL, cfg).value
+    h_y = integrate(integrand, _FULL).value
     return h_y - 0.5 * (LOG_2PI + 1.0)
 
 

@@ -33,7 +33,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DivergenceDetected, DomainError, InvalidMomentOrder
-from .quadrature import Domain, NumericsConfig, integrate
+from .quadrature import Domain, integrate
 from .specfun import ln_gamma, log_beta_tilde
 
 __all__ = [
@@ -199,11 +199,7 @@ def _logsumexp(a: np.ndarray) -> np.ndarray:
     return m + np.log(np.exp(a - m).sum(axis=0))
 
 
-def c_r_numeric(
-    r: float,
-    mv: MomentVector,
-    cfg: NumericsConfig = NumericsConfig(),
-) -> float:
+def c_r_numeric(r: float, mv: MomentVector) -> float:
     """c_r(nu, s) by quadrature; +inf when the defining integral diverges.
 
     Evaluated after the substitution x = e^t, which turns every power
@@ -231,7 +227,7 @@ def c_r_numeric(
         return np.exp(np.minimum(expo * log_g + t, 700.0))
 
     try:
-        val = integrate(integrand, Domain.full_line(), cfg).value
+        val = integrate(integrand, Domain.full_line()).value
     except DivergenceDetected:
         return math.inf
     with np.errstate(over="ignore"):
@@ -290,18 +286,13 @@ def two_moment_bound(
         raise DomainError(f"the bound exp({log_bound:.6g}) leaves the float range") from None
 
 
-def k_moment_bound(
-    mv: MomentVector,
-    moments: Sequence[float],
-    r: float,
-    cfg: NumericsConfig = NumericsConfig(),
-) -> float:
+def k_moment_bound(mv: MomentVector, moments: Sequence[float], r: float) -> float:
     """Prop-1-style bound c_r(nu, s) * sum_i nu_i mu_{s_i}(f); +inf if c_r is
     (no active pair of exponents straddles (1-r)/r: the bound is vacuous)."""
     if len(moments) != len(mv.s):
         raise DomainError("moments must match the moment vector length")
     _check_moments(moments)
-    c = c_r_numeric(r, mv, cfg)
+    c = c_r_numeric(r, mv)
     if math.isinf(c):
         return math.inf
     bound = c * sum(w * m for w, m in zip(mv.nu, moments))

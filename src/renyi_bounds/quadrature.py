@@ -60,7 +60,6 @@ from .errors import DivergenceDetected, DomainError, MaxSubdivisionsExceeded
 
 __all__ = [
     "Domain",
-    "NumericsConfig",
     "QuadratureResult",
     "MCResult",
     "integrate",
@@ -98,24 +97,14 @@ class Domain:
         return Domain("full_line")
 
 
-# Fixed numerics: the absolute quadrature tolerance, the panel budget of
-# one integrate call, and the Monte Carlo sample count and seed.
+# Fixed numerics: the relative and absolute quadrature tolerances, the
+# panel budget of one integrate call, and the Monte Carlo sample count and
+# seed.
+_REL_TOL = 1e-9
 _ABS_TOL = 1e-12
 _MAX_SUBDIVISIONS = 2000
 _MC_SAMPLES = 200_000
 _MC_SEED = 20170825
-
-
-@dataclass(frozen=True)
-class NumericsConfig:
-    """The relative quadrature tolerance shared by all numeric routines;
-    the other settings are the module constants above."""
-
-    rel_tol: float = 1e-9
-
-    def __post_init__(self):
-        if not 0.0 < self.rel_tol < math.inf:
-            raise DomainError(f"rel_tol must be positive and finite, got {self.rel_tol!r}")
 
 
 class QuadratureResult(NamedTuple):
@@ -277,14 +266,14 @@ def _tails_diverge(f: Callable, domain: Domain, floor: float) -> bool:
     )
 
 
-def _refine(lo, hi, y, rows: Callable, domain: Domain, cfg: NumericsConfig):
+def _refine(lo, hi, y, rows: Callable, domain: Domain):
     """The adaptive loop, from the unit panels [lo[i], hi[i]] with K15 node
     rows y (half-width * jacobian * integrand, so that a row times
     _KWEIGHTS is its panel's K15 sum) -> (lo, hi, value, error): the
     converged panels and their summed K15 value and G7 error estimate, as
     np.float64.
 
-    While the total error misses max(rel_tol |value|, _ABS_TOL), every
+    While the total error misses max(_REL_TOL |value|, _ABS_TOL), every
     panel over its share (the tolerance over the panel count) is split,
     and rows(new_lo, new_hi) gives the rows of all new panels in one call:
     the panel at a finite lower end u = 0 at _GRADED, every other one by
@@ -308,7 +297,7 @@ def _refine(lo, hi, y, rows: Callable, domain: Domain, cfg: NumericsConfig):
             total, total_err = k15.sum(), err.sum()
             if not np.isfinite(total + total_err):
                 raise DivergenceDetected(f"integral overflows on {domain.kind}")
-            tol = max(cfg.rel_tol * abs(total), _ABS_TOL)
+            tol = max(_REL_TOL * abs(total), _ABS_TOL)
             if total_err <= tol:
                 return lo, hi, total, total_err
             bad = err > tol / len(err)
@@ -330,7 +319,7 @@ def _refine(lo, hi, y, rows: Callable, domain: Domain, cfg: NumericsConfig):
             y = np.concatenate([y[keep], rows(new_lo, new_hi)])
 
 
-def _converged_panels(f: Callable, domain: Domain, cfg: NumericsConfig):
+def _converged_panels(f: Callable, domain: Domain):
     """The adaptive loop of integrate -> (lo, hi, value, error): _refine
     from 8 (finite domain) or 16 uniform seed panels on the unit coordinate,
     after the tail pre-scan."""
@@ -345,14 +334,10 @@ def _converged_panels(f: Callable, domain: Domain, cfg: NumericsConfig):
 
     with np.errstate(all="ignore"):
         y = rows(edges[:-1], edges[1:])
-    return _refine(edges[:-1], edges[1:], y, rows, domain, cfg)
+    return _refine(edges[:-1], edges[1:], y, rows, domain)
 
 
-def integrate(
-    f: Callable[[np.ndarray], np.ndarray],
-    domain: Domain,
-    cfg: NumericsConfig = NumericsConfig(),
-) -> QuadratureResult:
+def integrate(f: Callable[[np.ndarray], np.ndarray], domain: Domain) -> QuadratureResult:
     """Adaptive integral of a vectorized integrand over domain.
 
     f must be elementwise: it receives a 1-D contiguous array of abscissae
@@ -365,12 +350,12 @@ def integrate(
     evaluates its pdf once on all 52 windows of each scan direction, for
     the _DensityPanels cache its log-moments are taken from.)
 
-    Returns value and an error estimate <= max(rel_tol * |value|, _ABS_TOL)
+    Returns value and an error estimate <= max(_REL_TOL * |value|, _ABS_TOL)
     on success, each an np.float64.  Raises DivergenceDetected when the
     tail decay test fails (or the integrand itself is non-finite),
     MaxSubdivisionsExceeded when the panel budget runs out first.
     """
-    *_, total, total_err = _converged_panels(f, domain, cfg)
+    *_, total, total_err = _converged_panels(f, domain)
     return QuadratureResult(total, total_err)
 
 
@@ -403,7 +388,7 @@ class _DensityPanels:
         for a in arrays:
             a.setflags(write=False)
 
-    def integral(self, h: Callable, cfg: NumericsConfig) -> QuadratureResult:
+    def integral(self, h: Callable) -> QuadratureResult:
         """int h f over the domain, for an elementwise h, to the tolerance
         of integrate(): the same tail pre-scan verdict, on the cached
         windows, then _refine from the cached panels, with one call of f
@@ -418,7 +403,7 @@ class _DensityPanels:
                 if _decay_fails(_masses(half, h(x) * fx), _SCAN_FLOOR):
                     raise DivergenceDetected(f"tail mass fails decay test on {self._domain.kind}")
             y = h(self.x) * self.v
-        *_, total, total_err = _refine(self.lo, self.hi, y, rows, self._domain, cfg)
+        *_, total, total_err = _refine(self.lo, self.hi, y, rows, self._domain)
         return QuadratureResult(total, total_err)
 
     def rule(self, width: float):

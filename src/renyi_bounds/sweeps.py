@@ -16,7 +16,6 @@ from .entropy_bounds import lognormal_gap_closed, optimal_gap
 from .errors import DomainError
 from .mi_bounds import ScaleMixtureChannel, chi2_mi_bound, mi_oracle, prop9_bound
 from .moment_core import Support
-from .quadrature import NumericsConfig
 
 __all__ = [
     "DEFAULT_R_GRID",
@@ -88,7 +87,6 @@ def fig3_rows(
     eps_grid: Sequence[float] = (),
     p: float = 0.0,
     q: float = 2.0,
-    cfg: NumericsConfig = NumericsConfig(),
 ) -> Tuple[List[str], List[tuple]]:
     """Bounds on I(U; Y) for the two-point Gaussian scalar mixture
     U ~ (1-eps) d_1 + eps d_a, a(eps) = 1 + 1/sqrt(eps).
@@ -99,8 +97,8 @@ def fig3_rows(
     rows = []
     for eps in list(eps_grid) or DEFAULT_EPS_GRID:
         ch = _two_point_mixture(eps)
-        mi = mi_oracle(ch, "U", cfg)
+        mi = mi_oracle(ch, "U")
         p9 = prop9_bound(ch, p, q, "U")
-        c2 = chi2_mi_bound(ch, "U", cfg)
+        c2 = chi2_mi_bound(ch, "U")
         rows.append((eps, mi, p9, c2))
     return ["eps", "mi_oracle", "prop9_bound", "chi2_bound"], rows

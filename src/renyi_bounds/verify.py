@@ -38,7 +38,7 @@ from .moment_core import (
     psi_r,
     two_moment_bound,
 )
-from .quadrature import Domain, NumericsConfig, integrate, mc_expect, rng_for
+from .quadrature import Domain, integrate, mc_expect, rng_for
 from .specfun import (
     LOG_2PI,
     _check_t,
@@ -75,7 +75,7 @@ def _check(name: str, worst: float, tol: float, note: str = "") -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def check_reflection(cfg) -> CheckResult:
+def check_reflection() -> CheckResult:
     worst = max(
         abs(ln_gamma(x) + ln_gamma(1.0 - x) - math.log(math.pi / math.sin(math.pi * x)))
         for x in np.arange(0.1, 0.95, 0.1)
@@ -83,7 +83,7 @@ def check_reflection(cfg) -> CheckResult:
     return _check("specfun.reflection_identity", worst, 1e-10)
 
 
-def check_theta_shape(cfg) -> CheckResult:
+def check_theta_shape() -> CheckResult:
     xs = [0.1 * 2.0**k for k in range(0, 24)]
     ts = [theta(x) for x in xs]
     worst_mono = max(ts[i + 1] - ts[i] for i in range(len(ts) - 1))
@@ -92,7 +92,7 @@ def check_theta_shape(cfg) -> CheckResult:
     return _check("specfun.theta_monotone_convex", max(worst_mono, worst_conv), 1e-8)
 
 
-def check_theta_asymptotic(cfg) -> CheckResult:
+def check_theta_asymptotic() -> CheckResult:
     x = 1e6
     t = theta(x)
     small_ok = t < 1e-6
@@ -106,7 +106,7 @@ def check_theta_asymptotic(cfg) -> CheckResult:
     )
 
 
-def check_beta_tilde_identity(cfg) -> CheckResult:
+def check_beta_tilde_identity() -> CheckResult:
     # the library's Binet form against the definition B(x, y) (x+y)^(x+y) x^-x y^-y,
     # term by term, on arguments too moderate for those terms to cancel badly
     grid = [0.3, 1.0, 2.7, 10.5, 100.0]
@@ -118,7 +118,7 @@ def check_beta_tilde_identity(cfg) -> CheckResult:
     return _check("specfun.beta_tilde_binet_identity", worst, 1e-10)
 
 
-def check_beta_tilde_lower_bound(cfg) -> CheckResult:
+def check_beta_tilde_lower_bound() -> CheckResult:
     grid = [0.2, 0.7, 1.0, 3.0, 12.0]
     worst = max((x + y) / (x * y) - beta_tilde(x, y) for x in grid for y in grid)
     return _check("specfun.beta_tilde_lower_bound", worst, 1e-12)
@@ -203,7 +203,7 @@ def _kappa_via_lambert(t: float) -> float:
     return math.log1p(u) / u**t
 
 
-def check_lambert_residuals(cfg) -> CheckResult:
+def check_lambert_residuals() -> CheckResult:
     zs = [-1.0 / math.e, -0.367, -0.2, -1e-6, 0.0, 1e-6, 0.5, math.e, 10.0, 1e4, 1e8]
     worst = 0.0
     for z in zs:
@@ -212,7 +212,7 @@ def check_lambert_residuals(cfg) -> CheckResult:
     return _check("specfun.lambert_w_residuals", worst, 1e-12)
 
 
-def check_kappa_properties(cfg) -> CheckResult:
+def check_kappa_properties() -> CheckResult:
     exact_at_one = kappa(1.0) == 1.0
     ts = np.geomspace(1e-3, 1.0, 40)
     worst_bounds = -math.inf
@@ -238,7 +238,7 @@ def check_kappa_properties(cfg) -> CheckResult:
     )
 
 
-def check_kappa_two_solvers(cfg) -> CheckResult:
+def check_kappa_two_solvers() -> CheckResult:
     worst_agree = 0.0
     worst_resid = 0.0
     for t in np.arange(0.05, 0.96, 0.05):
@@ -279,27 +279,27 @@ def _rpq_grid():
     return out
 
 
-def check_prop2_validity(cfg) -> CheckResult:
+def check_prop2_validity() -> CheckResult:
     half = Domain.half_line(0.0)
     sup = Support.positive_half_line()
     worst = -math.inf
     cases = 0
     for _, pdf in _test_densities():
         for r, p, q in _rpq_grid():
-            mu_p = integrate(lambda x: x**p * pdf(x), half, cfg).value
-            mu_q = integrate(lambda x: x**q * pdf(x), half, cfg).value
-            norm_r = integrate(lambda x: pdf(x) ** r, half, cfg).value ** (1.0 / r)
+            mu_p = integrate(lambda x: x**p * pdf(x), half).value
+            mu_q = integrate(lambda x: x**q * pdf(x), half).value
+            norm_r = integrate(lambda x: pdf(x) ** r, half).value ** (1.0 / r)
             bound = two_moment_bound(mu_p, mu_q, TwoMomentParams(r, p, q), sup)
             worst = max(worst, norm_r - bound)
             cases += 1
     return _check("moment_core.prop2_validity", worst, 1e-9, f"{cases} cases")
 
 
-def check_psi_vs_cr_oracle(cfg) -> CheckResult:
+def check_psi_vs_cr_oracle() -> CheckResult:
     worst = 0.0
     for r, p, q in _rpq_grid():
         lam = lambda_of(r, p, q)
-        c = c_r_numeric(r, MomentVector((p, q), (1.0, 1.0)), cfg)
+        c = c_r_numeric(r, MomentVector((p, q), (1.0, 1.0)))
         oracle = (c * lam**-lam * (1.0 - lam) ** (lam - 1.0)) ** (r / (1.0 - r))
         closed = psi_r(TwoMomentParams(r, p, q))
         worst = max(worst, abs(oracle - closed) / closed)
@@ -324,7 +324,7 @@ def _lognormal_gap_btilde(r: float) -> float:
     )
 
 
-def check_lognormal_forms(cfg) -> CheckResult:
+def check_lognormal_forms() -> CheckResult:
     worst = max(
         abs(eb.lognormal_gap_closed(r) - _lognormal_gap_btilde(r))
         for r in np.arange(0.1, 0.95, 0.1)
@@ -332,7 +332,7 @@ def check_lognormal_forms(cfg) -> CheckResult:
     return _check("entropy.lognormal_gap_two_forms", worst, 1e-10)
 
 
-def check_lognormal_optimizer(cfg) -> CheckResult:
+def check_lognormal_optimizer() -> CheckResult:
     r = 0.5
     target = eb.lognormal_gap_closed(r)
     sup = Support.positive_half_line()
@@ -350,7 +350,7 @@ def check_lognormal_optimizer(cfg) -> CheckResult:
     )
 
 
-def check_lognormal_r_to_one(cfg) -> CheckResult:
+def check_lognormal_r_to_one() -> CheckResult:
     return _check("entropy.lognormal_gap_vanishes", eb.lognormal_gap_closed(0.999), 1e-2)
 
 
@@ -405,7 +405,7 @@ def _gaussian_Q_lower_bound(gp: _GaussGapParams) -> float:
     return 0.5 * gp.z / (1.0 + math.sqrt(gp.lam / (1.0 - gp.lam) * b * gp.z))
 
 
-def check_gaussian_q_lower_bound(cfg) -> CheckResult:
+def check_gaussian_q_lower_bound() -> CheckResult:
     worst = -math.inf
     cases = 0
     for r in (0.1, 0.5, 0.9):
@@ -421,12 +421,12 @@ def check_gaussian_q_lower_bound(cfg) -> CheckResult:
     return _check("entropy.gaussian_Q_lower_bound", worst, 1e-12, f"{cases} feasible")
 
 
-def check_gaussian_q_limit(cfg) -> CheckResult:
+def check_gaussian_q_limit() -> CheckResult:
     gp = _GaussGapParams(0.5, 10**4, 0.5, 1.0)
     return _check("entropy.gaussian_Q_large_n", abs(_gaussian_Q(gp) - 0.5), 2e-2)
 
 
-def check_prop6_limit(cfg) -> CheckResult:
+def check_prop6_limit() -> CheckResult:
     from .sweeps import fig2_rows
 
     _, rows = fig2_rows(0.1, 256)
@@ -446,13 +446,13 @@ def check_prop6_limit(cfg) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def check_diff_entropy_gaussian(cfg) -> CheckResult:
+def check_diff_entropy_gaussian() -> CheckResult:
     moment_bound, _ = eb.diff_entropy_bounds(GaussianMagnitude(1), 1, 2.0)
     target = 0.5 * math.log(2.0 * math.pi * math.e)
     return _check("entropy.h_moment_bound_unit_normal", abs(moment_bound - target), 1e-8)
 
 
-def check_diff_entropy_lognormal(cfg) -> CheckResult:
+def check_diff_entropy_lognormal() -> CheckResult:
     worst = 0.0
     for mu, s2 in ((0.0, 1.0), (0.7, 2.3)):
         d = Lognormal(mu, s2)
@@ -466,23 +466,23 @@ def check_diff_entropy_lognormal(cfg) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def check_awgn_oracle(cfg) -> CheckResult:
+def check_awgn_oracle() -> CheckResult:
     worst = 0.0
     for s2 in (0.5, 1.0, 4.0):
         ch = mi.ScaleMixtureChannel(PointMass(s2))
-        worst = max(worst, abs(mi.mi_oracle(ch, "X", cfg) - 0.5 * math.log1p(s2)))
+        worst = max(worst, abs(mi.mi_oracle(ch, "X") - 0.5 * math.log1p(s2)))
     return _check("mi.awgn_capacity_identity", worst, 1e-6)
 
 
-def check_awgn_ordering(cfg) -> CheckResult:
+def check_awgn_ordering() -> CheckResult:
     worst = -math.inf
     for s2 in (0.5, 1.0, 4.0):
         ch = mi.ScaleMixtureChannel(PointMass(s2))
-        val = mi.mi_oracle(ch, "X", cfg)
-        bounds = [mi.prop7_bound(ch, t, "X", cfg) for t in (0.3, 0.5, 0.8, 1.0)]
-        bounds += [mi.prop8_bound(ch, r, "X", cfg) for r in (0.3, 0.5, 0.8)]
+        val = mi.mi_oracle(ch, "X")
+        bounds = [mi.prop7_bound(ch, t, "X") for t in (0.3, 0.5, 0.8, 1.0)]
+        bounds += [mi.prop8_bound(ch, r, "X") for r in (0.3, 0.5, 0.8)]
         bounds.append(mi.prop9_bound(ch, 0.0, 2.0, "X"))
-        bounds.append(mi.chi2_mi_bound(ch, "X", cfg))
+        bounds.append(mi.chi2_mi_bound(ch, "X"))
         worst = max(worst, val - min(bounds))
     return _check("mi.awgn_bound_ordering", worst, 1e-9)
 
@@ -500,9 +500,7 @@ def _log_abs_pow(y, s: float):
         return np.where(y != 0.0, s * np.log(np.abs(y)), -np.inf)
 
 
-def _V_s_quadrature(
-    ch, s: float, given: str = "X", cfg: NumericsConfig = NumericsConfig(), scale: float = 1.0
-) -> float:
+def _V_s_quadrature(ch, s: float, given: str = "X", scale: float = 1.0) -> float:
     """Direct integral int |y|^s var(f(y|W)) dy for the (optionally scaled)
     output scale * Y; the independent route used to validate the kernel
     decomposition and the |a|^(s-n) scaling law."""
@@ -515,15 +513,15 @@ def _V_s_quadrature(
         lv = model.log_var(np.asarray(y) / a) - 2.0 * math.log(a)
         return np.exp(_log_abs_pow(y, s) + lv)
 
-    return integrate(integrand, Domain.full_line(), cfg).value
+    return integrate(integrand, Domain.full_line()).value
 
 
-def check_vs_decomposition(cfg) -> CheckResult:
+def check_vs_decomposition() -> CheckResult:
     d = TwoPoint(0.3, 2.5)
     ch = mi.AwgnChannel(d)
     # s = 0: direct integral vs Monte Carlo over the kernel expectation
     # E[K_0(X, X) - K_0(X1, X2)].
-    direct0 = _V_s_quadrature(ch, 0.0, "X", cfg)
+    direct0 = _V_s_quadrature(ch, 0.0, "X")
     k_diag = 1.0 / (2.0 * math.sqrt(math.pi))
 
     def g(pair):
@@ -534,7 +532,7 @@ def check_vs_decomposition(cfg) -> CheckResult:
     dev0 = abs(direct0 - res.value)
     ok0 = dev0 <= 4.0 * res.standard_error
     # s = 2: direct integral vs exact kernel sums.
-    direct2 = _V_s_quadrature(ch, 2.0, "X", cfg)
+    direct2 = _V_s_quadrature(ch, 2.0, "X")
     kernel2 = mi.V_s(ch, 2.0, "X").value
     dev2 = abs(direct2 - kernel2) / kernel2
     passed = bool(ok0 and dev2 <= 1e-6)
@@ -545,18 +543,18 @@ def check_vs_decomposition(cfg) -> CheckResult:
     )
 
 
-def check_vs_scaling_law(cfg) -> CheckResult:
+def check_vs_scaling_law() -> CheckResult:
     ch = mi.ScaleMixtureChannel(TwoPoint(0.4, 3.0))
     worst = 0.0
     for s in (0.0, 2.0):
-        base = _V_s_quadrature(ch, s, "U", cfg)
+        base = _V_s_quadrature(ch, s, "U")
         for a in (0.5, 2.0, 3.0):
-            scaled = _V_s_quadrature(ch, s, "U", cfg, scale=a)
+            scaled = _V_s_quadrature(ch, s, "U", scale=a)
             worst = max(worst, abs(scaled - a ** (s - 1.0) * base) / base)
     return _check("mi.vs_scaling_law", worst, 1e-8)
 
 
-def check_vs_constant_mixture(cfg) -> CheckResult:
+def check_vs_constant_mixture() -> CheckResult:
     worst = 0.0
     for c in (0.5, 1.0, 4.0):
         ch = mi.ScaleMixtureChannel(PointMass(c))
@@ -566,7 +564,7 @@ def check_vs_constant_mixture(cfg) -> CheckResult:
     return _check("mi.vs_constant_mixture_vs_awgn", worst, 1e-9)
 
 
-def check_vs_upper_bound(cfg) -> CheckResult:
+def check_vs_upper_bound() -> CheckResult:
     worst = -math.inf
     for eps, a in ((0.5, 3.0), (0.1, 11.0)):
         ch = mi.ScaleMixtureChannel(TwoPoint(eps, a))
@@ -580,10 +578,10 @@ def check_vs_upper_bound(cfg) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def check_fig3_phenomenon(cfg) -> CheckResult:
+def check_fig3_phenomenon() -> CheckResult:
     from .sweeps import fig3_rows
 
-    _, rows = fig3_rows(cfg=cfg)
+    _, rows = fig3_rows()
     eps = np.array([row[0] for row in rows])
     mi_vals = np.array([row[1] for row in rows])
     p9 = np.array([row[2] for row in rows])
@@ -608,7 +606,7 @@ def check_fig3_phenomenon(cfg) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def check_mc_determinism(cfg) -> CheckResult:
+def check_mc_determinism() -> CheckResult:
     d = Lognormal(0.0, 1.0)
     a = mc_expect(lambda x: np.log(x), d.sample)
     b = mc_expect(lambda x: np.log(x), d.sample)
@@ -621,23 +619,23 @@ def check_mc_determinism(cfg) -> CheckResult:
     )
 
 
-def check_sweep_determinism(cfg) -> CheckResult:
+def check_sweep_determinism() -> CheckResult:
     from .sweeps import fig3_rows
 
     grid = [1e-3, 1e-2, 0.1]
-    _, rows1 = fig3_rows(grid, cfg=cfg)
-    _, rows2 = fig3_rows(grid, cfg=cfg)
+    _, rows1 = fig3_rows(grid)
+    _, rows2 = fig3_rows(grid)
     return CheckResult("sweeps.fig3_repeatable", rows1 == rows2, f"rows={len(rows1)}")
 
 
-def check_mc_quadrature_agreement(cfg) -> CheckResult:
+def check_mc_quadrature_agreement() -> CheckResult:
     d = Lognormal(0.0, 0.25)
 
     def g(x):
         return 1.0 / (1.0 + x)
 
     res = mc_expect(g, d.sample)
-    quad = integrate(lambda x: g(x) * d.pdf(x), Domain.half_line(0.0), cfg).value
+    quad = integrate(lambda x: g(x) * d.pdf(x), Domain.half_line(0.0)).value
     dev = abs(res.value - quad)
     return CheckResult(
         "quadrature.mc_vs_quadrature",
@@ -678,12 +676,12 @@ _CHECKS: List[Callable] = [
 ]
 
 
-def run_verification(cfg: NumericsConfig = NumericsConfig()) -> List[CheckResult]:
+def run_verification() -> List[CheckResult]:
     """Run every check; failures are reported in the results, not raised."""
     results = []
     for fn in _CHECKS:
         try:
-            results.append(fn(cfg))
+            results.append(fn())
         except Exception as exc:  # a crash is a failed check, not a crash of verify
             results.append(CheckResult(fn.__name__, False, f"raised {exc!r}"))
     return results

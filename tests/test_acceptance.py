@@ -10,10 +10,8 @@ reproducibility, which only makes sense at the process boundary.
 import pytest
 
 from renyi_bounds.cli import main
-from renyi_bounds.quadrature import NumericsConfig
 from renyi_bounds.verify import run_verification
 
-CFG = NumericsConfig()
 
 CRITERIA = {
     1: (
@@ -101,7 +99,7 @@ CRITERIA = {
 
 @pytest.fixture(scope="module")
 def verification():
-    return {res.name: res for res in run_verification(CFG)}
+    return {res.name: res for res in run_verification()}
 
 
 @pytest.mark.parametrize("criterion", sorted(CRITERIA))

@@ -147,16 +147,6 @@ class TestExitCodes:
             main(["fig9"])
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("argv", [
-        ["fig1"],
-        ["fig2"],
-        ["entropy-bound", "--family", "lognormal", "--r", "0.5", "--p", "0", "--q", "2"],
-    ], ids=["fig1", "fig2", "entropy-bound"])
-    def test_tol_rejected_where_no_quadrature_runs(self, argv):
-        with pytest.raises(SystemExit) as exc:
-            main(argv + ["--tol", "1e-6"])
-        assert exc.value.code == 2
-
     def test_invalid_parameters_exit_2(self, capsys):
         rc = main(["entropy-bound", "--family", "lognormal", "--sigma2", "-1",
                    "--r", "0.5", "--p", "0", "--q", "2"])
@@ -214,13 +204,20 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert "lam = 0.0" in captured.err and captured.out == ""
 
-    @pytest.mark.parametrize("command", ["mi-bound --channel two-point-mixture", "fig3",
-                                         "verify"])
-    def test_infinite_tol_exit_2(self, command, capsys):
-        # mi-bound --tol inf used to exit 0 with prop8_bound off in the 7th digit
-        assert main(command.split() + ["--tol", "inf"]) == 2
-        captured = capsys.readouterr()
-        assert "rel_tol" in captured.err and captured.out == ""
+    @pytest.mark.parametrize("argv", [
+        ["fig1"],
+        ["fig2"],
+        ["fig3"],
+        ["entropy-bound", "--family", "lognormal", "--r", "0.5", "--p", "0", "--q", "2"],
+        ["mi-bound", "--channel", "two-point-mixture"],
+        ["verify"],
+    ], ids=["fig1", "fig2", "fig3", "entropy-bound", "mi-bound", "verify"])
+    def test_tol_option_exits_2(self, argv, capsys):
+        # the quadrature tolerance is fixed; --tol is no option
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--tol", "1e-6"])
+        assert exc.value.code == 2
+        assert "--tol" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["fig1", "fig3", "verify"])
     def test_seed_option_exits_2(self, command):

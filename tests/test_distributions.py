@@ -17,9 +17,8 @@ from renyi_bounds.distributions import (
 from renyi_bounds.entropy_bounds import optimal_gap
 from renyi_bounds.errors import DomainError, MomentDiverges, UnsupportedOperation
 from renyi_bounds.moment_core import Support
-from renyi_bounds.quadrature import Domain, NumericsConfig, integrate, mc_expect, rng_for
+from renyi_bounds.quadrature import Domain, integrate, mc_expect, rng_for
 
-CFG = NumericsConfig()
 
 
 def _lomax(a, near):
@@ -90,7 +89,7 @@ class TestLogMoments:
     @pytest.mark.parametrize("name", list(_CLOSED_FORM), ids=list(_CLOSED_FORM))
     def test_generic_matches_closed_form(self, name):
         pdf, domain, exact, orders = _CLOSED_FORM[name]
-        d = GenericPdf(pdf, domain, CFG)
+        d = GenericPdf(pdf, domain)
         for s in orders:
             # E|X|^s itself at rel 1e-8: a log-moment near 0 has no relative scale
             got = d.log_moment(s)
@@ -102,13 +101,13 @@ class TestLogMoments:
     ])
     def test_generic_divergent_moment_is_inf(self, name, s):
         pdf, domain, *_ = _CLOSED_FORM[name]
-        assert GenericPdf(pdf, domain, CFG).log_moment(s) == math.inf
+        assert GenericPdf(pdf, domain).log_moment(s) == math.inf
 
     def test_generic_moment_ignores_call_history(self):
         # each log-moment starts from the panels cached at construction and
         # drops its own refinements, so it cannot depend on earlier calls
         pdf, domain, *_ = _CLOSED_FORM["lomax4"]
-        used, fresh = GenericPdf(pdf, domain, CFG), GenericPdf(pdf, domain, CFG)
+        used, fresh = GenericPdf(pdf, domain), GenericPdf(pdf, domain)
         optimal_gap(used, Support.positive_half_line(), 1, 0.6)
         for s in (-0.9, -0.3, 0.0, 0.7, 2.0, 3.4242, 4.0):
             assert used.log_moment(s) == fresh.log_moment(s)
@@ -123,7 +122,7 @@ class TestLogMoments:
     def test_generic_heavy_tail_returns_inf(self):
         # standard Cauchy on the half line (doubled): no first moment
         pdf = lambda x: 2.0 / (math.pi * (1.0 + x * x))
-        d = GenericPdf(pdf, Domain.half_line(0.0), CFG)
+        d = GenericPdf(pdf, Domain.half_line(0.0))
         assert d.log_moment(1.0) == math.inf
 
 
@@ -141,26 +140,25 @@ class TestRenyiEntropy:
         h = integrate(
             lambda x: np.where(x > 0, -d.pdf(x) * d.log_pdf(x), 0.0),
             Domain.half_line(0.0),
-            CFG,
         ).value
         assert h == pytest.approx(HALF_LOG_2PIE, abs=1e-9)
 
     def test_lognormal_closed_vs_quadrature(self):
         d = Lognormal(0.3, 0.7)
         r = 0.45
-        val = integrate(lambda x: d.pdf(x) ** r, Domain.half_line(0.0), CFG).value
+        val = integrate(lambda x: d.pdf(x) ** r, Domain.half_line(0.0)).value
         assert d.renyi_entropy(r) == pytest.approx(math.log(val) / (1.0 - r), abs=1e-9)
 
     def test_generic_normal_matches_gaussian(self):
         pdf = lambda x: np.exp(-0.5 * x * x) / math.sqrt(2 * math.pi)
-        d = GenericPdf(pdf, Domain.full_line(), CFG)
+        d = GenericPdf(pdf, Domain.full_line())
         assert d.renyi_entropy(0.5) == pytest.approx(
             GaussianMagnitude(1).renyi_entropy(0.5), abs=1e-8
         )
 
     def test_monotone_in_r(self):
         grid = [0.2, 0.4, 0.6, 0.8]
-        generic = GenericPdf(lambda x: np.exp(-x), Domain.half_line(0.0), CFG)
+        generic = GenericPdf(lambda x: np.exp(-x), Domain.half_line(0.0))
         for d in (Lognormal(0.0, 1.0), Lognormal(1.0, 3.0), GaussianMagnitude(2), generic):
             hs = [d.renyi_entropy(r) for r in grid]
             for i in range(len(hs) - 1):
@@ -224,7 +222,7 @@ class TestLyapunov:
             GaussianMagnitude(3),
             TwoPoint(0.3, 5.0),
             PointMass(2.0),
-            GenericPdf(lambda x: np.exp(-x), Domain.half_line(0.0), CFG),
+            GenericPdf(lambda x: np.exp(-x), Domain.half_line(0.0)),
         ]
         for d in families:
             vals = [d.log_moment(s) / s for s in grid]
@@ -251,7 +249,7 @@ class TestSampling:
         assert abs(res.value - math.exp(d.log_moment(2.0))) <= 4.0 * res.standard_error
 
     def test_generic_not_samplable(self):
-        d = GenericPdf(lambda x: np.exp(-x), Domain.half_line(0.0), CFG)
+        d = GenericPdf(lambda x: np.exp(-x), Domain.half_line(0.0))
         with pytest.raises(UnsupportedOperation):
             d.sample(rng_for(), 10)
 
@@ -314,13 +312,13 @@ class TestValidation:
     ], ids=["half-line-below-0", "finite-below-0", "full-line", "half-line", "finite"])
     def test_generic_pdf_support_follows_the_lower_end(self, domain, kind):
         # a half-line from -1 used to report the positive half-line
-        mass = integrate(lambda x: np.exp(-np.abs(x)), domain, CFG).value
-        d = GenericPdf(lambda x: np.exp(-np.abs(x)) / mass, domain, CFG)
+        mass = integrate(lambda x: np.exp(-np.abs(x)), domain).value
+        d = GenericPdf(lambda x: np.exp(-np.abs(x)) / mass, domain)
         assert d.support().kind == kind
 
     def test_generic_pdf_must_normalize(self):
         with pytest.raises(DomainError):
-            GenericPdf(lambda x: 2.0 * np.exp(-x), Domain.half_line(0.0), CFG)
+            GenericPdf(lambda x: 2.0 * np.exp(-x), Domain.half_line(0.0))
 
     @pytest.mark.parametrize("pdf", [
         lambda x: 1.0 + 2.0 * np.sin(2.0 * np.pi * x),  # integrates to 1, dips below 0
@@ -330,4 +328,4 @@ class TestValidation:
     def test_generic_pdf_must_be_finite_and_nonnegative(self, pdf):
         # a signed "density" passed the mass check and gave a negative MI
         with pytest.raises(DomainError, match="finite and nonnegative"):
-            GenericPdf(pdf, Domain.finite(0.0, 1.0), CFG)
+            GenericPdf(pdf, Domain.finite(0.0, 1.0))

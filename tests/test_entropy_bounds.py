@@ -32,7 +32,7 @@ from renyi_bounds.errors import (
     RenyiBoundsError,
 )
 from renyi_bounds.moment_core import Support, TwoMomentParams, omega, psi_r, two_moment_bound
-from renyi_bounds.quadrature import Domain, NumericsConfig
+from renyi_bounds.quadrature import Domain
 from renyi_bounds.specfun import theta
 from renyi_bounds.sweeps import fig2_rows
 from renyi_bounds.verify import (
@@ -41,7 +41,6 @@ from renyi_bounds.verify import (
     _gaussian_Q_lower_bound,
 )
 
-CFG = NumericsConfig()
 SUP_POS = Support.positive_half_line()
 HALF_LOG_8PI = 1.6120857137646180512
 SQRT_2PI = 2.5066282746310005024
@@ -301,7 +300,7 @@ class TestOptimalGap:
         from renyi_bounds.quadrature import Domain
 
         heavy = GenericPdf(
-            lambda x: 2.0 / (math.pi * (1.0 + x * x)), Domain.half_line(0.0), CFG
+            lambda x: 2.0 / (math.pi * (1.0 + x * x)), Domain.half_line(0.0)
         )
         rep = optimal_gap(heavy, SUP_POS, 1, 0.75, constrain_p_zero=True)
         assert math.isfinite(rep.gap)
@@ -324,7 +323,7 @@ class TestOptimalGap:
     def test_generic_pdf_below_zero_gets_the_real_line(self):
         # X = E - 1, E ~ Exp(1): |X| has mass from both sides of 0, so
         # omega = 2; the positive half-line gave gaps of -0.24 and -0.05 here
-        d = GenericPdf(lambda x: np.exp(-(x + 1.0)), Domain.half_line(-1.0), CFG)
+        d = GenericPdf(lambda x: np.exp(-(x + 1.0)), Domain.half_line(-1.0))
         for r, p, q in ((0.5, 0.0, 2.0), (0.3, 0.5, 4.0)):
             assert entropy_bound(d, d.support(), 1, r, p, q).gap >= 0.0
 
@@ -431,14 +430,14 @@ class TestGaussianGap:
 class TestMultiplicationBound:
     def test_point_mass_residual_is_minus_gap(self):
         gap = entropy_bound(Lognormal(0.0, 1.0), SUP_POS, 1, 0.5, 0.3, 2.0).gap
-        res = mult_bound_check(Lognormal(0.0, 1.0), PointMass(2.0), 2.0, 0.5, 0.3, 2.0, CFG)
+        res = mult_bound_check(Lognormal(0.0, 1.0), PointMass(2.0), 2.0, 0.5, 0.3, 2.0)
         assert res == pytest.approx(-gap, abs=1e-9)
         assert res <= 0.0
 
     def test_two_point_mixture_residual(self):
         # X on {t/2, t}: the product density is a two-component lognormal
         # mixture with closed-form pdf, integrated by quadrature.
-        res = mult_bound_check(Lognormal(0.0, 1.0), TwoPoint(0.5, 2.0), 2.0, 0.5, 0.3, 2.0, CFG)
+        res = mult_bound_check(Lognormal(0.0, 1.0), TwoPoint(0.5, 2.0), 2.0, 0.5, 0.3, 2.0)
         assert res <= 1e-3
 
     def test_far_product_density_found_or_refused(self):
@@ -446,17 +445,17 @@ class TestMultiplicationBound:
         # call refuses; never a bare ValueError or a garbage entropy
         gap = entropy_bound(Lognormal(60.0, 0.01), SUP_POS, 1, 0.5, 0.5, 2.0).gap
         try:
-            res = mult_bound_check(Lognormal(60.0, 0.01), PointMass(1.0), 1.0, 0.5, 0.5, 2.0, CFG)
+            res = mult_bound_check(Lognormal(60.0, 0.01), PointMass(1.0), 1.0, 0.5, 0.5, 2.0)
         except RenyiBoundsError:
             return
         assert res == pytest.approx(-gap, abs=1e-9)
 
     def test_preconditions(self):
         with pytest.raises(InvalidMomentOrder):
-            mult_bound_check(Lognormal(0.0, 1.0), PointMass(1.0), 1.0, 0.5, 0.0, 2.0, CFG)
+            mult_bound_check(Lognormal(0.0, 1.0), PointMass(1.0), 1.0, 0.5, 0.0, 2.0)
         with pytest.raises(DomainError):
             # atom above t violates X <= t
-            mult_bound_check(Lognormal(0.0, 1.0), PointMass(3.0), 2.0, 0.5, 0.3, 2.0, CFG)
+            mult_bound_check(Lognormal(0.0, 1.0), PointMass(3.0), 2.0, 0.5, 0.3, 2.0)
 
 
 class TestDiffEntropyBounds:
@@ -512,7 +511,7 @@ class TestDiffEntropyBounds:
         from renyi_bounds.quadrature import Domain
 
         heavy = GenericPdf(
-            lambda x: 2.0 / (math.pi * (1.0 + x * x)), Domain.half_line(0.0), CFG
+            lambda x: 2.0 / (math.pi * (1.0 + x * x)), Domain.half_line(0.0)
         )
         with pytest.raises(MomentDiverges):
             diff_entropy_bounds(heavy, 1, 2.0)
@@ -523,7 +522,7 @@ def _beta22_on(b):
     from renyi_bounds.distributions import GenericPdf
     from renyi_bounds.quadrature import Domain
 
-    return GenericPdf(lambda y: 6.0 * y * (b - y) / b**3, Domain.finite(0.0, b), CFG)
+    return GenericPdf(lambda y: 6.0 * y * (b - y) / b**3, Domain.finite(0.0, b))
 
 
 def test_optimal_gaps_scale_invariant():
@@ -547,9 +546,9 @@ def test_two_moment_gap_at_most_p0_gap():
 
 
 # Fuzzing the public contract of the entropy layer, moment_core and the
-# constructors they take (laws, supports, NumericsConfig): every call
-# returns finite numbers (and a gap that is not below 0) or raises a
-# RenyiBoundsError; never a bare ValueError, TypeError, nan or inf.
+# constructors they take (laws, supports): every call returns finite
+# numbers (and a gap that is not below 0) or raises a RenyiBoundsError;
+# never a bare ValueError, TypeError, nan or inf.
 _WILD = st.one_of(
     st.sampled_from([0.0, -0.0, -1.0, 1.0, 1e-300, 1e300, -1e300, 1.7e308, 1.0 - 2.0**-53,
                      1.0 + 2.0**-52, math.nan, math.inf, -math.inf]),
@@ -595,8 +594,8 @@ def _k_moment(s1, s2, nu1, nu2, m1, m2, r):
     from renyi_bounds.moment_core import MomentVector, c_r_numeric, k_moment_bound
 
     mv = MomentVector((s1, s2), (nu1, nu2))
-    bound = k_moment_bound(mv, [m1, m2], r, CFG)
-    if bound == math.inf and c_r_numeric(r, mv, CFG) == math.inf:
+    bound = k_moment_bound(mv, [m1, m2], r)
+    if bound == math.inf and c_r_numeric(r, mv) == math.inf:
         return 0.0  # a vacuous bound: no pair of exponents straddles (1-r)/r
     return bound
 
@@ -624,7 +623,7 @@ def _diff(mu, s2, n, s):
 
 
 def _mult(mu, s2, x, t, r, p, q):
-    return mult_bound_check(Lognormal(mu, s2), PointMass(x), t, r, p, q, CFG)
+    return mult_bound_check(Lognormal(mu, s2), PointMass(x), t, r, p, q)
 
 
 def _law(law, a, b, n):
@@ -635,10 +634,6 @@ def _law(law, a, b, n):
 def _support(sup, n, w):
     s = _SUPPORTS[sup](n, w)
     return (s.n, omega(s))
-
-
-def _config(tol):
-    return NumericsConfig(tol).rel_tol
 
 
 def _pair(law, a, b, sup, w, n, r, p, q):
@@ -664,7 +659,6 @@ _API_CALLS = st.one_of(
           r=_open(0.3, 0.6), p=_open(0.0, 0.5), q=_open(2.5, 6.0)),
     _call(_law, law=_LAW, a=_open(0.0, 1.0), b=_open(0.0, 10.0), n=_DIM),
     _call(_support, sup=_SUP, n=_DIM, w=_open(0.0, 4.0)),
-    _call(_config, tol=_open(0.0, 1e-3)),
     _call(_pair, law=_LAW, a=_open(0.0, 1.0), b=_open(0.0, 10.0), sup=_SUP, w=_open(0.0, 4.0),
           n=_DIM, r=_open(0.05, 0.95), p=_open(-1.0, 0.05), q=_open(1.0, 20.0)),
 )
@@ -703,7 +697,6 @@ _LN = dict(mu=0.0, s2=1.0)
 @example((_entropy, dict(mu=-1.0, s2=0.125, n=2, r=0.5, p=0.0, q=3.0)))  # n-D bound, 1-D law
 @example((_diff, dict(_LN, n=1, s=math.inf)))  # nan
 @example((_k_moment, dict(s1=0.0, s2=4.0, nu1=1e-323, nu2=1e-323, m1=1.0, m2=1.0, r=0.25)))
-@example((_config, dict(tol=math.inf)))  # every quadrature stopped after one panel
 @example((_pair, dict(law="lognormal", a=0.0, b=1.0, sup="custom", w=0.5, n=1, r=0.5,
                       p=0.0, q=2.0)))  # omega(S) below the law's: a gap below 0
 @example((_pair, dict(law="gaussian", a=0.0, b=1.0, sup="custom", w=1.0, n=2, r=0.5,

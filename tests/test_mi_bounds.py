@@ -42,12 +42,11 @@ from renyi_bounds.mi_bounds import (
     vs_upper_bound_check,
 )
 from renyi_bounds.moment_core import Support, TwoMomentParams, two_moment_bound
-from renyi_bounds.quadrature import Domain, NumericsConfig, integrate, mc_expect
+from renyi_bounds.quadrature import Domain, integrate, mc_expect
 from renyi_bounds.specfun import kappa
 from renyi_bounds.sweeps import DEFAULT_EPS_GRID, _two_point_mixture
 from renyi_bounds.verify import _log_abs_pow, _V_s_quadrature
 
-CFG = NumericsConfig()
 INV_2SQRTPI = 1.0 / (2.0 * math.sqrt(math.pi))
 V2_POINT_U1 = 0.22367104746010087624  # V_2(Y|X) at U = 1 (mpmath exact sums)
 
@@ -91,9 +90,9 @@ def _abs_moment_quadrature(s, m):
     def tail(w):
         return near(-w) + np.exp(_log_abs_pow(w, s) + _log_npdf(w + m, 1.0))
 
-    mom = integrate(tail, Domain.half_line(), CFG).value
+    mom = integrate(tail, Domain.half_line()).value
     if m > 0.0:
-        mom += integrate(near, Domain.finite(0.0, m), CFG).value
+        mom += integrate(near, Domain.finite(0.0, m)).value
     return mom
 
 
@@ -136,7 +135,7 @@ def _mi_per_atom(ch, given):
             lc, lm = lcs[i], model.marginal_of(lcs)
             return np.where(lc > -745.0, np.exp(lc) * (lc - lm), 0.0)
 
-        total += p * integrate(integrand, Domain.full_line(), CFG).value
+        total += p * integrate(integrand, Domain.full_line()).value
     return total
 
 
@@ -154,7 +153,6 @@ class TestKernel:
         direct = integrate(
             lambda y: np.exp(-0.5 * ((y - x1) ** 2 + (y - x2) ** 2)) / (2 * math.pi),
             Domain.full_line(),
-            CFG,
         ).value
         assert kernel_Ks(x1, x2, 0.0) == pytest.approx(direct, rel=1e-9)
 
@@ -234,7 +232,7 @@ class TestVs:
         ch = AwgnChannel(TwoPoint(0.3, 2.5))
         for s in (0.0, 2.0):
             kernel_route = V_s(ch, s, "X").value
-            direct = _V_s_quadrature(ch, s, "X", CFG)
+            direct = _V_s_quadrature(ch, s, "X")
             assert kernel_route == pytest.approx(direct, rel=1e-6)
 
     @pytest.mark.parametrize("a", [28.0, 50.0, 100.0])
@@ -294,7 +292,7 @@ class TestVs:
 
     def test_kernel_decomposition_monte_carlo(self):
         ch = AwgnChannel(TwoPoint(0.3, 2.5))
-        direct = _V_s_quadrature(ch, 0.0, "X", CFG)
+        direct = _V_s_quadrature(ch, 0.0, "X")
 
         def g(pair):
             x1, x2 = pair
@@ -307,9 +305,9 @@ class TestVs:
     def test_scaling_law(self):
         ch = ScaleMixtureChannel(TwoPoint(0.4, 3.0))
         for s in (0.0, 2.0):
-            base = _V_s_quadrature(ch, s, "U", CFG)
+            base = _V_s_quadrature(ch, s, "U")
             for a in (0.5, 2.0, 3.0):
-                scaled = _V_s_quadrature(ch, s, "U", CFG, scale=a)
+                scaled = _V_s_quadrature(ch, s, "U", scale=a)
                 assert scaled == pytest.approx(a ** (s - 1.0) * base, rel=1e-8)
 
     def test_monte_carlo_mixing(self):
@@ -322,12 +320,6 @@ class TestVs:
             want = _vs_lognormal_mixing(mu, s2, s, given)
             worst = max(worst, abs(res.value - want) / res.standard_error)
         assert worst <= 4.0
-
-    def test_stale_positional_cfg_refused(self):
-        # stream is keyword-only, so a config passed where V_s once took one
-        # is refused rather than read as a stream number
-        with pytest.raises(TypeError):
-            V_s(ScaleMixtureChannel(Lognormal(0.0, 1.0)), 0.0, "U", CFG)
 
     def test_given_u_upper_bound_residuals(self):
         for eps, a in ((0.5, 3.0), (0.1, 11.0)):
@@ -407,13 +399,13 @@ def test_vs_upper_bound_property_in_its_regime(eps, a, s):
 
 class TestChiSquare:
     def test_degenerate_is_zero(self):
-        assert chi2_mi_bound(AwgnChannel(PointMass(2.0)), "X", CFG) == pytest.approx(0.0, abs=1e-12)
+        assert chi2_mi_bound(AwgnChannel(PointMass(2.0)), "X") == pytest.approx(0.0, abs=1e-12)
 
     def test_gaussian_input_identity(self):
         # bivariate-normal identity: chi^2 = rho^2/(1 - rho^2) = sigma^2
         for s2 in (0.5, 1.0, 4.0):
             ch = ScaleMixtureChannel(PointMass(s2))
-            assert chi2_divergence(ch, "X", CFG) == pytest.approx(s2, rel=1e-8)
+            assert chi2_divergence(ch, "X") == pytest.approx(s2, rel=1e-8)
 
     @pytest.mark.parametrize("ch,given", [
         (ScaleMixtureChannel(TwoPoint(0.1, 2.0)), "U"),
@@ -421,12 +413,12 @@ class TestChiSquare:
         (AwgnChannel(TwoPoint(0.3, 2.5)), "X"),
     ])
     def test_chi2_is_prop7_at_t1_bitwise(self, ch, given):
-        assert chi2_divergence(ch, given, CFG) == prop7_bound(ch, 1.0, given, CFG)
+        assert chi2_divergence(ch, given) == prop7_bound(ch, 1.0, given)
 
     def test_prop7_at_t1_equals_chi2_integral(self):
         ch = ScaleMixtureChannel(TwoPoint(0.1, 2.0))
-        assert prop7_bound(ch, 1.0, "U", CFG) == pytest.approx(
-            chi2_divergence(ch, "U", CFG), rel=1e-9
+        assert prop7_bound(ch, 1.0, "U") == pytest.approx(
+            chi2_divergence(ch, "U"), rel=1e-9
         )
 
     def test_generic_input(self):
@@ -434,15 +426,15 @@ class TestChiSquare:
         # quadrature rule: chi^2 of AWGN with X ~ N(0, 1) is
         # rho^2 / (1 - rho^2) = 1
         gauss = GenericPdf(
-            lambda x: np.exp(-0.5 * x * x) / math.sqrt(2 * math.pi), Domain.full_line(), CFG
+            lambda x: np.exp(-0.5 * x * x) / math.sqrt(2 * math.pi), Domain.full_line()
         )
-        assert chi2_divergence(AwgnChannel(gauss), "X", CFG) == pytest.approx(1.0, rel=1e-9)
+        assert chi2_divergence(AwgnChannel(gauss), "X") == pytest.approx(1.0, rel=1e-9)
 
     def test_fig3_channel_chi2_bounded_below(self):
         vals = []
         for eps in (0.01, 0.001):
             ch = ScaleMixtureChannel(TwoPoint(eps, 1.0 + 1.0 / math.sqrt(eps)))
-            vals.append(chi2_mi_bound(ch, "U", CFG))
+            vals.append(chi2_mi_bound(ch, "U"))
         assert min(vals) > 0.1  # stays away from zero as eps -> 0
 
 
@@ -450,7 +442,7 @@ class TestProp7:
     def test_degenerate(self):
         ch = AwgnChannel(PointMass(1.0))
         for t in (0.3, 0.5, 1.0):
-            assert prop7_bound(ch, t, "X", CFG) == pytest.approx(0.0, abs=1e-12)
+            assert prop7_bound(ch, t, "X") == pytest.approx(0.0, abs=1e-12)
 
     def test_half_t_is_kappa_times_sqrt_var_integral(self):
         ch = ScaleMixtureChannel(TwoPoint(0.2, 3.0))
@@ -459,19 +451,19 @@ class TestProp7:
         def sqrt_var(y):
             return np.exp(0.5 * model.log_var(y))
 
-        direct = kappa(0.5) * integrate(sqrt_var, Domain.full_line(), CFG).value
-        assert prop7_bound(ch, 0.5, "U", CFG) == pytest.approx(direct, rel=1e-9)
+        direct = kappa(0.5) * integrate(sqrt_var, Domain.full_line()).value
+        assert prop7_bound(ch, 0.5, "U") == pytest.approx(direct, rel=1e-9)
 
     def test_t_validation(self):
         ch = AwgnChannel(PointMass(1.0))
         for t in (0.0, 1.2):
             with pytest.raises(DomainError):
-                prop7_bound(ch, t, "X", CFG)
+                prop7_bound(ch, t, "X")
 
 
 class TestProp8:
     def test_degenerate(self):
-        assert prop8_bound(AwgnChannel(PointMass(1.0)), 0.5, "X", CFG) == 0.0
+        assert prop8_bound(AwgnChannel(PointMass(1.0)), 0.5, "X") == 0.0
 
     @pytest.mark.parametrize("sigma2", [1e-8, 1e-10])
     def test_monte_carlo_v0_within_noise_of_zero_refused(self, sigma2):
@@ -479,22 +471,39 @@ class TestProp8:
         # bound reported 0 on a positive I(U; Y)
         ch = ScaleMixtureChannel(Lognormal(0.0, sigma2))
         with pytest.raises(RenyiBoundsError, match="standard error"):
+            V_s(ch, 0.0, "U")
+        with pytest.raises(RenyiBoundsError):
             prop8_bound(ch, 0.5, "U")
+
+    @pytest.mark.parametrize("given", ["U", "X"])
+    def test_continuous_mixing_refused_before_monte_carlo(self, given, monkeypatch):
+        # h_r(Y) needs an atomic mixing law; a Monte Carlo V_0 of 200,000
+        # draws used to run first and be thrown away
+        def no_draws(*args, **kwargs):
+            raise AssertionError("Monte Carlo ran before the refusal")
+
+        monkeypatch.setattr(mi_bounds, "mc_expect", no_draws)
+        with pytest.raises(UnsupportedOperation):
+            prop8_bound(ScaleMixtureChannel(Lognormal(0.0, 1.0)), 0.5, given)
+
+    def test_far_point_mass_input_is_zero(self):
+        # V_0 = 0 returns before h_r, whose quadrature misses the far peak
+        assert prop8_bound(AwgnChannel(PointMass(200.0)), 0.5, "X") == 0.0
 
     def test_dominates_gaussian_capacity(self):
         ch = ScaleMixtureChannel(PointMass(1.0))
-        assert prop8_bound(ch, 0.5, "X", CFG) >= 0.5 * math.log(2.0)
+        assert prop8_bound(ch, 0.5, "X") >= 0.5 * math.log(2.0)
 
     def test_composite_criterion_scale_invariant(self):
         # e^{h_r(aY)} V_0(aY|X) is invariant in a: h_r shifts by log a
         # while V_0 scales by 1/a.
         ch = ScaleMixtureChannel(TwoPoint(0.3, 2.0))
         r = 0.5
-        hr = marginal_renyi_entropy(ch, r, CFG)
-        v0 = _V_s_quadrature(ch, 0.0, "X", CFG)
+        hr = marginal_renyi_entropy(ch, r)
+        v0 = _V_s_quadrature(ch, 0.0, "X")
         base = math.exp(hr) * v0
         for a in (0.5, 2.0, 3.0):
-            scaled = math.exp(hr + math.log(a)) * _V_s_quadrature(ch, 0.0, "X", CFG, scale=a)
+            scaled = math.exp(hr + math.log(a)) * _V_s_quadrature(ch, 0.0, "X", scale=a)
             assert scaled == pytest.approx(base, rel=1e-9)
 
 
@@ -543,15 +552,15 @@ class TestProp9:
 
 class TestOracle:
     def test_degenerate(self):
-        assert mi_oracle(AwgnChannel(PointMass(1.0)), "X", CFG) == pytest.approx(0.0, abs=1e-12)
+        assert mi_oracle(AwgnChannel(PointMass(1.0)), "X") == pytest.approx(0.0, abs=1e-12)
 
     def test_coinciding_atoms_give_exact_zero(self):
         # both atoms of TwoPoint(eps, 1) sit at 1: the input is constant and
         # every quantity is exactly 0, not a rounding residue of either sign
         ch = AwgnChannel(TwoPoint(0.1, 1.0))
-        assert mi_oracle(ch, "X", CFG) == 0.0
-        assert chi2_mi_bound(ch, "X", CFG) == 0.0
-        assert prop8_bound(ch, 0.5, "X", CFG) == 0.0
+        assert mi_oracle(ch, "X") == 0.0
+        assert chi2_mi_bound(ch, "X") == 0.0
+        assert prop8_bound(ch, 0.5, "X") == 0.0
         assert prop9_bound(ch, 0.0, 2.0, "X") == 0.0
 
     @pytest.mark.parametrize("mixing", [PointMass(2.0), TwoPoint(0.1, 1.0)])
@@ -561,40 +570,40 @@ class TestOracle:
         ch = ScaleMixtureChannel(mixing)
         for s in (0.0, 0.5, 2.0):
             assert V_s(ch, s, "U").value == 0.0
-        assert mi_oracle(ch, "U", CFG) == 0.0
-        assert chi2_mi_bound(ch, "U", CFG) == 0.0
-        assert prop8_bound(ch, 0.5, "U", CFG) == 0.0
+        assert mi_oracle(ch, "U") == 0.0
+        assert chi2_mi_bound(ch, "U") == 0.0
+        assert prop8_bound(ch, 0.5, "U") == 0.0
         assert prop9_bound(ch, 0.0, 2.0, "U") == 0.0
 
     def test_gaussian_capacity(self):
         for s2 in (0.5, 1.0, 4.0):
             ch = ScaleMixtureChannel(PointMass(s2))
-            assert mi_oracle(ch, "X", CFG) == pytest.approx(
+            assert mi_oracle(ch, "X") == pytest.approx(
                 0.5 * math.log1p(s2), abs=1e-6
             )
 
     def test_all_bounds_dominate_oracle(self):
         ch = ScaleMixtureChannel(TwoPoint(0.1, 1.0 + 1.0 / math.sqrt(0.1)))
-        val = mi_oracle(ch, "U", CFG)
-        bounds = [prop7_bound(ch, t, "U", CFG) for t in (0.3, 0.5, 0.8, 1.0)]
-        bounds += [prop8_bound(ch, r, "U", CFG) for r in (0.3, 0.5, 0.8)]
+        val = mi_oracle(ch, "U")
+        bounds = [prop7_bound(ch, t, "U") for t in (0.3, 0.5, 0.8, 1.0)]
+        bounds += [prop8_bound(ch, r, "U") for r in (0.3, 0.5, 0.8)]
         bounds.append(prop9_bound(ch, 0.0, 2.0, "U"))
-        bounds.append(chi2_mi_bound(ch, "U", CFG))
+        bounds.append(chi2_mi_bound(ch, "U"))
         assert val <= min(bounds) + 1e-9
 
     def test_data_processing(self):
         ch = ScaleMixtureChannel(TwoPoint(0.4, 3.0))
-        assert mi_oracle(ch, "U", CFG) <= mi_oracle(ch, "X", CFG) + 1e-8
+        assert mi_oracle(ch, "U") <= mi_oracle(ch, "X") + 1e-8
 
     def test_fig3_grid_matches_per_atom_route(self):
         for eps in DEFAULT_EPS_GRID:
             ch = _two_point_mixture(eps)
-            assert mi_oracle(ch, "U", CFG) == pytest.approx(_mi_per_atom(ch, "U"), rel=1e-9)
+            assert mi_oracle(ch, "U") == pytest.approx(_mi_per_atom(ch, "U"), rel=1e-9)
 
     @pytest.mark.parametrize("eps,a", itertools.product((0.05, 0.3, 0.5), (0.5, 3.0, 12.0, 20.0)))
     def test_awgn_two_point_matches_per_atom_route(self, eps, a):
         ch = AwgnChannel(TwoPoint(eps, a))
-        assert mi_oracle(ch, "X", CFG) == pytest.approx(_mi_per_atom(ch, "X"), rel=1e-9)
+        assert mi_oracle(ch, "X") == pytest.approx(_mi_per_atom(ch, "X"), rel=1e-9)
 
     @pytest.mark.parametrize("ch,given", [
         (AwgnChannel(TwoPoint(0.3, 4.0)), "X"),
@@ -609,21 +618,18 @@ class TestOracle:
             return integrate(*args, **kwargs)
 
         monkeypatch.setattr(mi_bounds, "integrate", counted)
-        mi_oracle(ch, given, CFG)
+        mi_oracle(ch, given)
         assert len(calls) == 1
 
     def test_generic_input_matches_mixture_route(self):
         # AWGN with X ~ N(0,1) two ways: the mixture over a generic
         # density's quadrature rule vs the exact point-mass mixture marginal.
-        loose = NumericsConfig(rel_tol=1e-7)
         gauss = GenericPdf(
-            lambda x: np.exp(-0.5 * x * x) / math.sqrt(2 * math.pi),
-            Domain.full_line(),
-            loose,
+            lambda x: np.exp(-0.5 * x * x) / math.sqrt(2 * math.pi), Domain.full_line()
         )
-        via_generic = mi_oracle(AwgnChannel(gauss), "X", loose)
-        via_mixture = mi_oracle(ScaleMixtureChannel(PointMass(1.0)), "X", CFG)
-        assert via_generic == pytest.approx(via_mixture, abs=1e-5)
+        via_generic = mi_oracle(AwgnChannel(gauss), "X")
+        via_mixture = mi_oracle(ScaleMixtureChannel(PointMass(1.0)), "X")
+        assert via_generic == pytest.approx(via_mixture, rel=1e-9)
 
 
 class TestMarginals:
@@ -636,7 +642,7 @@ class TestMarginals:
         for ch, given in channels:
             model = variance_model(ch, given)
             mass = integrate(
-                lambda y: np.exp(model.log_marginal(y)), Domain.full_line(), CFG
+                lambda y: np.exp(model.log_marginal(y)), Domain.full_line()
             ).value
             assert mass == pytest.approx(1.0, abs=1e-8)
 
@@ -644,7 +650,7 @@ class TestMarginals:
         # Y ~ N(1e4, 1): h_r(Y) = h_r(N(0, 1)), or the call refuses
         r = 0.5
         try:
-            h = marginal_renyi_entropy(AwgnChannel(PointMass(1e4)), r, CFG)
+            h = marginal_renyi_entropy(AwgnChannel(PointMass(1e4)), r)
         except RenyiBoundsError:
             return
         assert h == pytest.approx(0.5 * (math.log(2.0 * math.pi) + math.log(r) / (r - 1.0)),
@@ -750,10 +756,10 @@ class TestContinuousInput:
     density's own quadrature rule, against closed-form smoothings."""
 
     QUANTITIES = {
-        "chi2": lambda ch: chi2_divergence(ch, "X", CFG),
-        "h_half": lambda ch: marginal_renyi_entropy(ch, 0.5, CFG),
-        "prop7_half": lambda ch: prop7_bound(ch, 0.5, "X", CFG),
-        "mi": lambda ch: mi_oracle(ch, "X", CFG),
+        "chi2": lambda ch: chi2_divergence(ch, "X"),
+        "h_half": lambda ch: marginal_renyi_entropy(ch, 0.5),
+        "prop7_half": lambda ch: prop7_bound(ch, 0.5, "X"),
+        "mi": lambda ch: mi_oracle(ch, "X"),
     }
 
     @pytest.mark.parametrize("name,quantity", [
@@ -762,7 +768,7 @@ class TestContinuousInput:
     ])
     def test_matches_closed_form_smoothing(self, name, quantity):
         pdf, domain, log_smooth, cuts = _SMOOTHED_INPUTS[name]
-        ch = AwgnChannel(GenericPdf(pdf, domain, CFG))
+        ch = AwgnChannel(GenericPdf(pdf, domain))
         expected = _smoothing_oracle(log_smooth, cuts, quantity)
         assert self.QUANTITIES[quantity](ch) == pytest.approx(expected, rel=1e-9)
 
@@ -770,13 +776,13 @@ class TestContinuousInput:
                        "the integrand E[f(y|X)^2] / f(y) is still 2/3 of its peak")
     def test_chi2_of_wide_normal_input(self):
         # rho^2 / (1 - rho^2) = sd^2 for X ~ N(0, sd^2)
-        ch = AwgnChannel(GenericPdf(*_SMOOTHED_INPUTS["normal-sd30"][:2], CFG))
-        assert chi2_divergence(ch, "X", CFG) == pytest.approx(900.0, rel=1e-9)
+        ch = AwgnChannel(GenericPdf(*_SMOOTHED_INPUTS["normal-sd30"][:2]))
+        assert chi2_divergence(ch, "X") == pytest.approx(900.0, rel=1e-9)
 
     def test_rule_starts_from_cached_panels(self, monkeypatch):
         # the model runs no second mass integral: its rule starts from the
         # panels the GenericPdf cached at construction
-        ch = AwgnChannel(GenericPdf(*_SMOOTHED_INPUTS["normal-sd30"][:2], CFG))
+        ch = AwgnChannel(GenericPdf(*_SMOOTHED_INPUTS["normal-sd30"][:2]))
 
         def refused(*args):
             raise AssertionError("the mass integral ran again")
@@ -788,9 +794,9 @@ class TestContinuousInput:
     def test_power_law_input_refused(self):
         # a Lomax(3) tail never underflows, so no rule resolves it at the
         # noise scale; the mixture over a coarser one would be a comb
-        ch = AwgnChannel(GenericPdf(lambda x: 3.0 * (1.0 + x) ** -4.0, Domain.half_line(), CFG))
+        ch = AwgnChannel(GenericPdf(lambda x: 3.0 * (1.0 + x) ** -4.0, Domain.half_line()))
         with pytest.raises(MaxSubdivisionsExceeded):
-            marginal_renyi_entropy(ch, 0.5, CFG)
+            marginal_renyi_entropy(ch, 0.5)
 
 
 class TestInvariants:
@@ -799,11 +805,11 @@ class TestInvariants:
     @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: integrate misses a far peak")
     def test_output_entropy_is_location_invariant(self):
         # Y ~ N(c, 1): h_{1/2}(Y) does not depend on c
-        h = [marginal_renyi_entropy(AwgnChannel(PointMass(c)), 0.5, CFG) for c in (1.0, 200.0)]
+        h = [marginal_renyi_entropy(AwgnChannel(PointMass(c)), 0.5) for c in (1.0, 200.0)]
         assert h[1] == pytest.approx(h[0], abs=1e-9)
 
     def test_mi_does_not_fall_as_atoms_separate(self):
-        mi = [mi_oracle(AwgnChannel(TwoPoint(0.3, a)), "X", CFG) for a in (20.0, 40.0)]
+        mi = [mi_oracle(AwgnChannel(TwoPoint(0.3, a)), "X") for a in (20.0, 40.0)]
         assert mi[1] >= mi[0] - 1e-9
 
     @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: integrate misses a far peak")
@@ -811,7 +817,7 @@ class TestInvariants:
         # atoms 99 noise sds apart: I(X; Y) = H(X) = H_b(0.3) up to e^-1000,
         # and log(1 + chi^2) bounds it from above
         h_b = -0.3 * math.log(0.3) - 0.7 * math.log(0.7)
-        assert chi2_mi_bound(AwgnChannel(TwoPoint(0.3, 100.0)), "X", CFG) >= h_b - 1e-9
+        assert chi2_mi_bound(AwgnChannel(TwoPoint(0.3, 100.0)), "X") >= h_b - 1e-9
 
 
 class TestVarianceModels:

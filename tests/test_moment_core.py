@@ -22,9 +22,8 @@ from renyi_bounds.moment_core import (
     psi_r,
     two_moment_bound,
 )
-from renyi_bounds.quadrature import Domain, NumericsConfig, integrate
+from renyi_bounds.quadrature import Domain, integrate
 
-CFG = NumericsConfig()
 
 
 def psi_half_closed(p, q):
@@ -87,15 +86,15 @@ class TestPsi:
 class TestCr:
     def test_arctan_value(self):
         mv = MomentVector((0.0, 2.0), (1.0, 1.0))
-        assert c_r_numeric(0.5, mv, CFG) == pytest.approx(math.pi / 2.0, rel=1e-9)
+        assert c_r_numeric(0.5, mv) == pytest.approx(math.pi / 2.0, rel=1e-9)
 
     def test_single_moment_diverges(self):
-        assert c_r_numeric(0.5, MomentVector((0.0, 2.0), (1.0, 0.0)), CFG) == math.inf
-        assert c_r_numeric(0.5, MomentVector((2.0,), (1.0,)), CFG) == math.inf
+        assert c_r_numeric(0.5, MomentVector((0.0, 2.0), (1.0, 0.0))) == math.inf
+        assert c_r_numeric(0.5, MomentVector((2.0,), (1.0,))) == math.inf
 
     def test_no_straddle_diverges(self):
         # both exponents above the pivot (1-r)/r = 1
-        assert c_r_numeric(0.5, MomentVector((1.5, 3.0), (1.0, 1.0)), CFG) == math.inf
+        assert c_r_numeric(0.5, MomentVector((1.5, 3.0), (1.0, 1.0))) == math.inf
 
     def test_gamma_invariance_and_beta_form(self):
         # c_r with nu = (g^(1-lam), g^-lam) is independent of g and equals
@@ -108,7 +107,7 @@ class TestCr:
         vals = []
         for g in (0.25, 1.0, 4.0):
             mv = MomentVector((p, q), (g ** (1.0 - lam), g**-lam))
-            vals.append(c_r_numeric(r, mv, CFG))
+            vals.append(c_r_numeric(r, mv))
         for v in vals:
             assert v == pytest.approx(ref, rel=1e-8)
 
@@ -118,9 +117,9 @@ class TestCr:
         # c_r(a nu) = c_r(nu) / a exactly; far from max nu = 1 the integral
         # used to underflow to a silent 0 or plateau into a false +inf
         mv, scaled = MomentVector((0.0, 2.0), (1.0, 1.0)), MomentVector((0.0, 2.0), (a, a))
-        c = c_r_numeric(r, mv, CFG)
-        assert a * c_r_numeric(r, scaled, CFG) == pytest.approx(c, rel=1e-13)
-        assert k_moment_bound(scaled, [1.0, 1.0], r, CFG) == pytest.approx(2.0 * c, rel=1e-13)
+        c = c_r_numeric(r, mv)
+        assert a * c_r_numeric(r, scaled) == pytest.approx(c, rel=1e-13)
+        assert k_moment_bound(scaled, [1.0, 1.0], r) == pytest.approx(2.0 * c, rel=1e-13)
 
     def test_near_pivot_exponent_converges(self):
         # s_j r/(1-r) barely above one: a slow power tail the log
@@ -128,7 +127,7 @@ class TestCr:
         r = 0.7
         pivot = 1.0 / r - 1.0
         mv = MomentVector((0.0, pivot * 1.5), (1.0, 1.0))
-        v = c_r_numeric(r, mv, CFG)
+        v = c_r_numeric(r, mv)
         assert math.isfinite(v) and v > 0.0
 
 
@@ -185,9 +184,9 @@ class TestTwoMomentBound:
         pdf = lambda x: x * np.exp(-x)
         half = Domain.half_line(0.0)
         for r, p, q in ((0.4, 0.0, 2.5), (0.6, 0.2, 1.4), (0.5, -0.4, 3.0)):
-            mu_p = integrate(lambda x: x**p * pdf(x), half, CFG).value
-            mu_q = integrate(lambda x: x**q * pdf(x), half, CFG).value
-            norm_r = integrate(lambda x: pdf(x) ** r, half, CFG).value ** (1.0 / r)
+            mu_p = integrate(lambda x: x**p * pdf(x), half).value
+            mu_q = integrate(lambda x: x**q * pdf(x), half).value
+            norm_r = integrate(lambda x: pdf(x) ** r, half).value ** (1.0 / r)
             bound = two_moment_bound(mu_p, mu_q, TwoMomentParams(r, p, q))
             assert bound - norm_r >= -1e-9
 
@@ -195,7 +194,7 @@ class TestTwoMomentBound:
 class TestKMomentBound:
     def test_zero_moments(self):
         mv = MomentVector((0.0, 2.0), (1.0, 1.0))
-        assert k_moment_bound(mv, [0.0, 0.0], 0.5, CFG) == 0.0
+        assert k_moment_bound(mv, [0.0, 0.0], 0.5) == 0.0
 
     def test_optimal_gamma_reproduces_two_moment(self):
         r, p, q = 0.5, 0.0, 2.0
@@ -203,7 +202,7 @@ class TestKMomentBound:
         lam = lambda_of(r, p, q)
         gamma = lam * mu_q / ((1.0 - lam) * mu_p)
         mv = MomentVector((p, q), (gamma ** (1.0 - lam), gamma**-lam))
-        kb = k_moment_bound(mv, [mu_p, mu_q], r, CFG)
+        kb = k_moment_bound(mv, [mu_p, mu_q], r)
         tb = two_moment_bound(mu_p, mu_q, TwoMomentParams(r, p, q))
         assert kb == pytest.approx(tb, rel=1e-9)
 
@@ -211,13 +210,13 @@ class TestKMomentBound:
         r = 0.5
         mv2 = MomentVector((0.0, 2.0), (1.0, 1.0))
         mv3 = MomentVector((0.0, 1.0, 2.0), (1.0, 0.0, 1.0))
-        b2 = k_moment_bound(mv2, [1.0, 2.0], r, CFG)
-        b3 = k_moment_bound(mv3, [1.0, 99.0, 2.0], r, CFG)
+        b2 = k_moment_bound(mv2, [1.0, 2.0], r)
+        b3 = k_moment_bound(mv3, [1.0, 99.0, 2.0], r)
         assert b3 == pytest.approx(b2, rel=1e-12)
 
     def test_infinite_when_cr_diverges(self):
         mv = MomentVector((0.0,), (1.0,))
-        assert k_moment_bound(mv, [1.0], 0.5, CFG) == math.inf
+        assert k_moment_bound(mv, [1.0], 0.5) == math.inf
 
 
 class TestMomentVector:

@@ -2,6 +2,7 @@
 divergence detection, and seeded Monte Carlo."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,13 +16,14 @@ from renyi_bounds.errors import (
     MaxSubdivisionsExceeded,
     RenyiBoundsError,
 )
+from renyi_bounds import quadrature
 from renyi_bounds.distributions import GenericPdf
 from renyi_bounds.quadrature import (
     _ABS_TOL,
     _KWEIGHTS,
     _NODES,
+    _REL_TOL,
     Domain,
-    NumericsConfig,
     _converged_panels,
     _DensityPanels,
     _tails_diverge,
@@ -30,7 +32,6 @@ from renyi_bounds.quadrature import (
     rng_for,
 )
 
-CFG = NumericsConfig()
 
 
 class TestDomains:
@@ -56,64 +57,64 @@ class TestDomains:
 
 class TestIntegrate:
     def test_exponential_half_line(self):
-        res = integrate(lambda x: np.exp(-x), Domain.half_line(0.0), CFG)
+        res = integrate(lambda x: np.exp(-x), Domain.half_line(0.0))
         assert res.value == pytest.approx(1.0, abs=1e-10)
-        assert res.error <= max(CFG.rel_tol * res.value, _ABS_TOL)
+        assert res.error <= max(_REL_TOL * res.value, _ABS_TOL)
 
     def test_normal_density_full_line(self):
         res = integrate(
-            lambda x: np.exp(-0.5 * x * x) / math.sqrt(2 * math.pi), Domain.full_line(), CFG
+            lambda x: np.exp(-0.5 * x * x) / math.sqrt(2 * math.pi), Domain.full_line()
         )
         assert res.value == pytest.approx(1.0, abs=1e-10)
 
     def test_cr_integrand_arctan(self):
         # (1 + x^2)^-1 on (0, inf): the closed-form arctan integral pi/2.
-        res = integrate(lambda x: 1.0 / (1.0 + x * x), Domain.half_line(0.0), CFG)
+        res = integrate(lambda x: 1.0 / (1.0 + x * x), Domain.half_line(0.0))
         assert res.value == pytest.approx(math.pi / 2.0, rel=1e-10)
 
     def test_kronrod_polynomial_exactness(self):
         # The 15-point rule is exact for polynomials of degree <= 22.
-        res = integrate(lambda x: x**13, Domain.finite(0.0, 1.0), CFG)
+        res = integrate(lambda x: x**13, Domain.finite(0.0, 1.0))
         assert res.value == pytest.approx(1.0 / 14.0, rel=1e-14)
 
     def test_shifted_half_line(self):
-        res = integrate(lambda x: np.exp(-(x - 3.0)), Domain.half_line(3.0), CFG)
+        res = integrate(lambda x: np.exp(-(x - 3.0)), Domain.half_line(3.0))
         assert res.value == pytest.approx(1.0, rel=1e-10)
 
     def test_against_scipy_oscillatory(self):
         f = lambda x: np.sin(x) ** 2 * np.exp(-0.3 * x)
-        mine = integrate(f, Domain.half_line(0.0), CFG).value
+        mine = integrate(f, Domain.half_line(0.0)).value
         ref = si.quad(f, 0, np.inf, limit=300)[0]
         assert mine == pytest.approx(ref, rel=1e-8)
 
     def test_endpoint_singularity(self):
         # Integrable inverse-sqrt singularity at the finite endpoint.
-        res = integrate(lambda x: 1.0 / np.sqrt(x), Domain.finite(0.0, 1.0), CFG)
+        res = integrate(lambda x: 1.0 / np.sqrt(x), Domain.finite(0.0, 1.0))
         assert res.value == pytest.approx(2.0, rel=1e-8)
 
 
 class TestDivergence:
     def test_one_over_x_tail(self):
         with pytest.raises(DivergenceDetected):
-            integrate(lambda x: 1.0 / (1.0 + x), Domain.half_line(0.0), CFG)
+            integrate(lambda x: 1.0 / (1.0 + x), Domain.half_line(0.0))
 
     def test_constant_tail(self):
         with pytest.raises(DivergenceDetected):
-            integrate(lambda x: np.ones_like(x), Domain.half_line(0.0), CFG)
+            integrate(lambda x: np.ones_like(x), Domain.half_line(0.0))
 
     def test_zero_end_divergence(self):
         with pytest.raises(DivergenceDetected):
-            integrate(lambda x: 1.0 / x**2, Domain.half_line(0.0), CFG)
+            integrate(lambda x: 1.0 / x**2, Domain.half_line(0.0))
 
     def test_full_line_linear_growth(self):
         with pytest.raises(DivergenceDetected):
-            integrate(lambda x: np.abs(x), Domain.full_line(), CFG)
+            integrate(lambda x: np.abs(x), Domain.full_line())
 
     def test_peaked_but_convergent_not_flagged(self):
         # Mass grows through several doubling windows before the peak at
         # x = 40; growth toward a peak must not be mistaken for divergence.
         f = lambda x: x**2 * np.exp(-0.5 * ((x - 40.0) / 3.0) ** 2)
-        res = integrate(f, Domain.half_line(0.0), CFG)
+        res = integrate(f, Domain.half_line(0.0))
         ref = si.quad(f, 0, np.inf, limit=300)[0]
         assert res.value == pytest.approx(ref, rel=1e-8)
 
@@ -124,19 +125,19 @@ class TestDivergence:
     def test_non_integrable_interior_pole_refused(self, f, domain):
         # |x - c|^p with p <= -1 at an interior c has no finite integral
         with pytest.raises(RenyiBoundsError):
-            integrate(f, domain, CFG)
+            integrate(f, domain)
 
     @pytest.mark.parametrize("c", [0.9e308, 0.2e308], ids=["panel sum", "total"])
     def test_overflowing_sum_refused(self, c):
         # every node value is finite, but a panel's K15 sum or the total
         # overflows: a refusal, not a value of inf
         with pytest.raises(DivergenceDetected):
-            integrate(lambda x: np.full_like(x, c), Domain.finite(0.0, 16.0), CFG)
+            integrate(lambda x: np.full_like(x, c), Domain.finite(0.0, 16.0))
 
     def test_max_subdivisions(self):
         # sin(1/x) oscillates without end toward 0: no panel budget resolves it
         with pytest.raises(MaxSubdivisionsExceeded):
-            integrate(lambda x: np.sin(1.0 / x), Domain.finite(0.0, 1.0), CFG)
+            integrate(lambda x: np.sin(1.0 / x), Domain.finite(0.0, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +207,7 @@ _EQUIVALENCE_CASES = {
 
 def _outcome(fn, f, domain):
     try:
-        value, error = fn(f, domain, CFG)
+        value, error = fn(f, domain)
     except (DivergenceDetected, MaxSubdivisionsExceeded) as exc:
         return type(exc), str(exc)
     return float(value).hex(), float(error).hex()
@@ -236,8 +237,8 @@ class TestBatchedPanels:
     def test_matches_closed_form(self, name):
         f, domain = _EQUIVALENCE_CASES[name]
         exact = _EXACT[name]
-        value = integrate(f, domain, CFG).value
-        assert abs(value - exact) <= max(CFG.rel_tol * abs(exact), _ABS_TOL), (value, exact)
+        value = integrate(f, domain).value
+        assert abs(value - exact) <= max(_REL_TOL * abs(exact), _ABS_TOL), (value, exact)
 
     @pytest.mark.parametrize("name", list(_EQUIVALENCE_CASES))
     def test_tail_verdict_matches_one_window_per_call(self, name):
@@ -248,7 +249,7 @@ class TestBatchedPanels:
     def test_totals_are_numpy_scalars(self):
         # The totals are numpy sums over the panels, and stay np.float64 so
         # that callers keep numpy's scalar arithmetic.
-        res = integrate(*_EQUIVALENCE_CASES["normal full line"], CFG)
+        res = integrate(*_EQUIVALENCE_CASES["normal full line"])
         assert type(res.value) is np.float64
         assert type(res.error) is np.float64
 
@@ -281,7 +282,7 @@ class TestBatchedPanels:
             return f(x)
 
         try:
-            integrate(counted, domain, CFG)
+            integrate(counted, domain)
         except DivergenceDetected:
             pass
         assert len(sizes) <= max_calls
@@ -290,7 +291,7 @@ class TestBatchedPanels:
 
 def _density_rule(f, domain, width):
     # the rule on a GenericPdf's cached panels, as mi_bounds builds it
-    return GenericPdf(f, domain, CFG)._panels.rule(width)
+    return GenericPdf(f, domain)._panels.rule(width)
 
 
 class TestRule:
@@ -327,7 +328,7 @@ class TestRule:
         # a GenericPdf refuses this signed density, so its panels come from
         # the mass integral itself
         f, domain = lambda x: 1.0 + 2.0 * np.sin(2.0 * np.pi * x), Domain.finite(0.0, 1.0)
-        lo, hi, *_ = _converged_panels(f, domain, CFG)
+        lo, hi, *_ = _converged_panels(f, domain)
         with pytest.raises(DomainError, match="negative"):
             _DensityPanels(f, domain, lo, hi).rule(2.0)
 
@@ -367,15 +368,29 @@ class TestMonteCarlo:
         want = np.random.Generator(np.random.Philox(np.random.SeedSequence(20170825, spawn_key=(3,))))
         assert np.array_equal(rng_for(3).random(4), want.random(4))
 
-    def test_config_validation(self):
-        with pytest.raises(DomainError):
-            NumericsConfig(rel_tol=0.0)
 
-    @pytest.mark.parametrize("tol", [math.inf, math.nan], ids=["inf", "nan"])
-    def test_non_finite_tolerance_rejected(self, tol):
-        # rel_tol = inf stopped every quadrature after its first panel
-        with pytest.raises(DomainError):
-            NumericsConfig(rel_tol=tol)
+
+class TestRelativeTolerance:
+    """The relative tolerance is the constant _REL_TOL, read each time the
+    adaptive loop runs: patching it reruns a quadrature tighter."""
+
+    def test_integrate_reads_it_per_call(self):
+        f = lambda x: np.exp(-0.5 * x * x)
+        default = integrate(f, Domain.full_line())
+        with mock.patch.object(quadrature, "_REL_TOL", _REL_TOL / 100):
+            tight = integrate(f, Domain.full_line())
+        assert tight.error <= _REL_TOL / 100 * tight.value < default.error
+        assert tight.value == pytest.approx(default.value, rel=_REL_TOL)
+        assert integrate(f, Domain.full_line()) == default
+
+    def test_generic_log_moment_reads_it_per_call(self):
+        d = GenericPdf(lambda x: np.exp(-0.5 * x * x) / math.sqrt(2 * math.pi), Domain.full_line())
+        exact = 0.25 * math.log(2.0) + math.lgamma(0.75) - 0.5 * math.log(math.pi)  # E|Z|^(1/2)
+        default = d.log_moment(0.5)
+        with mock.patch.object(quadrature, "_REL_TOL", _REL_TOL / 100):
+            tight = d.log_moment(0.5)
+        assert abs(tight - exact) < 1e-12 < abs(default - exact) < 1e-10
+        assert d.log_moment(0.5) == default
 
 
 # Fuzzing the contract of integrate: a finite value whose error estimate
@@ -421,10 +436,10 @@ _DOMAINS = st.one_of(
           suppress_health_check=[HealthCheck.too_slow])
 def test_integrate_contract_fuzz(shape, centre, width, k, domain, rel_tol):
     f = _INTEGRANDS[shape](centre, width, k)
-    cfg = NumericsConfig(rel_tol=rel_tol)
     kind, a, b = domain
     try:
-        res = integrate(f, Domain(kind, a, b), cfg)
+        with mock.patch.object(quadrature, "_REL_TOL", rel_tol):
+            res = integrate(f, Domain(kind, a, b))
     except RenyiBoundsError:
         return
     assert math.isfinite(res.value) and math.isfinite(res.error), (res, domain)
