@@ -9,6 +9,7 @@ are printed with 12 significant digits, newlines are Unix.  Exit codes:
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -78,7 +79,9 @@ def _floats(text: str) -> List[float]:
         raise argparse.ArgumentTypeError(f"bad float list {text!r}") from exc
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it as it is."""
     parser = argparse.ArgumentParser(
         prog="renyi-bounds",
         description="Two-moment Renyi-entropy and mutual-information bounds.",

@@ -17,13 +17,12 @@ all the n-dimensional bounds require.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import (
-    DivergenceDetected,
     DomainError,
     MomentDiverges,
     RenyiBoundsError,
@@ -49,6 +48,11 @@ class ScalarDistribution:
 
     def log_moment(self, s: float) -> float:
         raise NotImplementedError
+
+    def log_moments(self, orders) -> list:
+        """[log_moment(s) for s in orders]; GenericPdf sums all orders over
+        its cached nodes at once."""
+        return [self.log_moment(s) for s in orders]
 
     def renyi_entropy(self, r: float) -> float:
         raise UnsupportedOperation(
@@ -181,14 +185,16 @@ class GaussianMagnitude(ScalarDistribution):
     """
 
     n: int = 1
+    _ln_gamma_half_n: float = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         _check_n(self.n)
+        object.__setattr__(self, "_ln_gamma_half_n", ln_gamma(0.5 * self.n))
 
     def log_moment(self, s: float) -> float:
         if s <= -self.n:
             return math.inf
-        return 0.5 * s * math.log(2.0) + ln_gamma(0.5 * (self.n + s)) - ln_gamma(0.5 * self.n)
+        return 0.5 * s * math.log(2.0) + ln_gamma(0.5 * (self.n + s)) - self._ln_gamma_half_n
 
     def renyi_entropy(self, r: float) -> float:
         r = _check_r(r)
@@ -257,17 +263,25 @@ class PointMass(ScalarDistribution):
         return np.array([self.c]), np.array([1.0])
 
 
+def _abs_power(x, s):
+    return np.abs(x) ** s
+
+
 class GenericPdf(ScalarDistribution):
     """Numeric density on a Domain; all quantities come from quadrature.
 
     Validated at construction: finite, nonnegative and of mass one (within
     1e-6) on the nodes of the mass integral.  The panels that integral
-    converged on, the pdf on their nodes and on every tail pre-scan window
-    are cached then (quadrature._DensityPanels, read-only): each
-    log_moment(s) is a sum of |x|^s times those values, refined per call
-    only where |x|^s needs more panels, so its value does not depend on
-    earlier calls.  The pdf is evaluated once on every pre-scan window,
-    also past the window where the mass scan stops.  Not samplable.
+    converged on, with the lower-end one split as |x|^s needs near x = 0,
+    and the pdf on their nodes and on every tail pre-scan window are
+    cached then (quadrature._DensityPanels, read-only).  log_moments(orders)
+    takes one power of |x| over those nodes for a block of orders, and
+    each order gets its own tail verdict and tolerance test; an order is
+    refined alone, and only where |x|^s needs more panels.  So a value
+    depends neither on earlier calls nor on the other orders of its call,
+    and log_moment(s) is log_moments([s])[0].  The pdf is evaluated once on
+    every pre-scan window, also past the window where the mass scan stops.
+    Not samplable.
     """
 
     def __init__(self, pdf: Callable[[np.ndarray], np.ndarray], domain: Domain):
@@ -289,11 +303,21 @@ class GenericPdf(ScalarDistribution):
         return self._pdf(x)
 
     def log_moment(self, s: float) -> float:
-        try:
-            val = self._panels.integral(lambda x: np.abs(x) ** s).value
-        except DivergenceDetected:
-            return math.inf
-        return math.log(val) if val > 0.0 else -math.inf
+        return self.log_moments([s])[0]
+
+    def log_moments(self, orders) -> list:
+        """[log E|X|^s for s in orders]: +inf where the moment diverges.
+        Each distinct order is summed once, in blocks of orders that share
+        one power of |x| over the cached nodes."""
+        keys = [float(s) for s in orders]
+        distinct = list(dict.fromkeys(keys))
+        values = {}
+        for s, res in zip(distinct, self._panels.integrals(_abs_power, np.array(distinct))):
+            if res is None:
+                values[s] = math.inf
+            else:
+                values[s] = math.log(res.value) if res.value > 0.0 else -math.inf
+        return [values[s] for s in keys]
 
     def renyi_entropy(self, r: float) -> float:
         r = _check_r(r)

@@ -117,22 +117,37 @@ def two_moment_parametrization(r: float, lam: float, u: float) -> Tuple[float, f
     return m - (1.0 - lam) * d, m + lam * d
 
 
-def _gap_at(
+def _gaps_at(
     d: ScalarDistribution,
     log_omega_s: float,
     n: int,
     r: float,
-    p: float,
-    q: float,
+    points: List[Optional[Tuple[float, float]]],
     entropy: float,
-) -> float:
-    """Gap of the bound at explicit (p, q); +inf when invalid or divergent."""
-    try:
-        params = TwoMomentParams(r, p, q)
-    except InvalidMomentOrder:
-        return math.inf
-    lp, lq = d.log_moment(n * p), d.log_moment(n * q)
-    return _log_two_moment(log_omega_s, params, lp, lq) - entropy
+) -> List[float]:
+    """Gaps of the bound at explicit (p, q) points; +inf at a point that is
+    None, invalid or divergent.  The log-moments of all points come from one
+    d.log_moments call."""
+    params, orders = [], []
+    for pq in points:
+        prm = None
+        if pq is not None:
+            try:
+                prm = TwoMomentParams(r, *pq)
+            except InvalidMomentOrder:
+                pass
+            else:
+                orders += (n * prm.p, n * prm.q)
+        params.append(prm)
+    logs = d.log_moments(orders)
+    gaps, k = [], 0
+    for prm in params:
+        if prm is None:
+            gaps.append(math.inf)
+        else:
+            gaps.append(_log_two_moment(log_omega_s, prm, logs[k], logs[k + 1]) - entropy)
+            k += 2
+    return gaps
 
 
 def entropy_bound(
@@ -191,27 +206,28 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 def _golden(fun, lo: float, hi: float, iters: int = 48) -> Tuple[float, float]:
     x1 = hi - _INVPHI * (hi - lo)
     x2 = lo + _INVPHI * (hi - lo)
-    f1, f2 = fun(x1), fun(x2)
+    f1, f2 = fun([x1, x2])
     for _ in range(iters):
         if f1 <= f2:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - _INVPHI * (hi - lo)
-            f1 = fun(x1)
+            (f1,) = fun([x1])
         else:
             lo, x1, f1 = x1, x2, f2
             x2 = lo + _INVPHI * (hi - lo)
-            f2 = fun(x2)
+            (f2,) = fun([x2])
     return (x1, f1) if f1 <= f2 else (x2, f2)
 
 
 def _grid_golden(fun, lo: float, hi: float, ngrid: int = 25, iters: int = 48):
-    """Coarse scan then golden refinement inside the best bracket.
+    """Coarse scan then golden refinement inside the best bracket.  fun maps
+    a list of points to their values, so the scan is one call.
 
     The scan makes the search robust to the +inf plateaus that infeasible
     parameters produce, where plain golden section can stall.
     """
     xs = np.linspace(lo, hi, ngrid).tolist()  # Python floats: overflow is inf, not a warning
-    fs = [fun(x) for x in xs]
+    fs = fun(xs)
     i = int(np.argmin(fs))
     if math.isinf(fs[i]):
         return xs[i], fs[i]
@@ -252,8 +268,8 @@ def optimal_gap(
     if constrain_p_zero:
         m = (1.0 - r) / r
 
-        def obj(w):
-            return _gap_at(d, lw, n, r, 0.0, m + math.exp(w), h)
+        def obj(ws):
+            return _gaps_at(d, lw, n, r, [(0.0, m + math.exp(w)) for w in ws], h)
 
         w, best = _grid_golden(obj, -_LOG_U_RANGE, _LOG_U_RANGE, ngrid=65, iters=60)
         q = m + math.exp(w)
@@ -263,25 +279,26 @@ def optimal_gap(
         p_opt, q_opt = 0.0, q
     else:
 
-        def obj2(lam, w):
-            p, q = two_moment_parametrization(r, lam, math.exp(w))
-            return _gap_at(d, lw, n, r, p, q, h)
-
-        def obj_box(lam, w):
-            if not (_LAM_EDGE <= lam <= 1.0 - _LAM_EDGE) or abs(w) > _LOG_U_RANGE:
-                return math.inf
-            return obj2(lam, w)
+        def obj_box(lams, ws):
+            return _gaps_at(d, lw, n, r, [
+                None if not (_LAM_EDGE <= lam <= 1.0 - _LAM_EDGE) or abs(w) > _LOG_U_RANGE
+                else two_moment_parametrization(r, lam, math.exp(w))
+                for lam, w in zip(lams, ws)
+            ], h)
 
         lam, w = 0.5, 0.0
-        best = obj_box(lam, w)
+        (best,) = obj_box([lam], [w])
         for _ in range(_PASSES):
             lam0, w0 = lam, w
-            lam, best = _grid_golden(lambda L: obj_box(L, w), _LAM_EDGE, 1.0 - _LAM_EDGE)
-            w, best = _grid_golden(lambda W: obj_box(lam, W), -_LOG_U_RANGE, _LOG_U_RANGE)
+            lam, best = _grid_golden(lambda Ls: obj_box(Ls, [w] * len(Ls)),
+                                     _LAM_EDGE, 1.0 - _LAM_EDGE)
+            w, best = _grid_golden(lambda Ws: obj_box([lam] * len(Ws), Ws),
+                                   -_LOG_U_RANGE, _LOG_U_RANGE)
             dl, dw = lam - lam0, w - w0
             if dl != 0.0 or dw != 0.0:
                 t, ft = _grid_golden(
-                    lambda T: obj_box(lam + T * dl, w + T * dw), -1.0, 4.0, ngrid=17, iters=40
+                    lambda Ts: obj_box([lam + T * dl for T in Ts], [w + T * dw for T in Ts]),
+                    -1.0, 4.0, ngrid=17, iters=40,
                 )
                 if ft < best:
                     lam, w, best = lam + t * dl, w + t * dw, ft

@@ -1,11 +1,15 @@
 """Distribution families: closed-form log-moments and entropies against
 quadrature and sampling oracles."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from renyi_bounds import quadrature
 from renyi_bounds.distributions import (
     GaussianMagnitude,
     GenericPdf,
@@ -13,6 +17,7 @@ from renyi_bounds.distributions import (
     PointMass,
     TwoPoint,
     L_r,
+    _abs_power,
 )
 from renyi_bounds.entropy_bounds import optimal_gap
 from renyi_bounds.errors import DomainError, MomentDiverges, UnsupportedOperation
@@ -65,6 +70,34 @@ _CLOSED_FORM = {
         np.linspace(-0.9, 10.0, 25),
     ),
 }
+# name -> (pdf, domain): the densities above, and the generic-gaps Weibull
+# and Lomax families at interior points of their parameter lattices
+_BATCHED = {name: spec[:2] for name, spec in _CLOSED_FORM.items()}
+_BATCHED.update({
+    "weibull2.4": _weibull(2.4)[:2],
+    "lomax5": (lambda x: 5.0 * (1.0 + x) ** -6.0, Domain.half_line(0.0)),
+})
+_BATCH_ORDERS = np.linspace(-0.9, 8.0, 41)
+
+
+@functools.cache
+def _generic(name):
+    return GenericPdf(*_BATCHED[name])
+
+
+def _agree(got, single, res):
+    """got and single are log-moments of one order s, and res its integral
+    E|X|^s with error estimate, or None where the moment diverges: the two
+    agree within that estimate, and +inf matches exactly."""
+    if res is None:
+        return got == single == math.inf
+    return abs(math.exp(got) - math.exp(single)) <= res.error
+
+
+def _moment_integral(d, s):
+    return d._panels.integrals(_abs_power, np.array([float(s)]))[0]
+
+
 HALF_LOG_8PI = 1.6120857137646180512   # h_{1/2} of a standard normal
 HALF_LOG_2PIE = 1.4189385332046727418  # Shannon entropy of N(0,1) / lognormal(0,1)
 
@@ -111,19 +144,73 @@ class TestLogMoments:
         optimal_gap(used, Support.positive_half_line(), 1, 0.6)
         for s in (-0.9, -0.3, 0.0, 0.7, 2.0, 3.4242, 4.0):
             assert used.log_moment(s) == fresh.log_moment(s)
+        # the mass panels, the moment panels, and one table of node rows for
+        # the pre-scan windows and the moment panels: every array it holds
         cache = used._panels
-        arrays = [cache.lo, cache.hi, cache.x, cache.v] + [a for scan in cache.scans for a in scan]
-        assert len(arrays) == 10
+        arrays = [cache.lo, cache.hi, cache.moment_lo, cache.moment_hi, cache.x, cache.v]
+        held = [a for a in vars(cache).values() if isinstance(a, np.ndarray)]
+        assert len(arrays) == 6 and {id(a) for a in held} == {id(a) for a in arrays}
         for a in arrays:
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a[0] = 0.0
+
+    @pytest.mark.parametrize("name", list(_BATCHED))
+    def test_log_moments_match_one_order_calls(self, name):
+        d = _generic(name)
+        for s, got in zip(_BATCH_ORDERS, d.log_moments(_BATCH_ORDERS)):
+            assert _agree(got, d.log_moment(s), _moment_integral(d, s)), s
+
+    @pytest.mark.parametrize("d", [Lognormal(0.3, 2.0), GaussianMagnitude(3), TwoPoint(0.2, 4.0),
+                                   PointMass(2.0)], ids=repr)
+    def test_closed_form_log_moments_are_one_order_calls(self, d):
+        orders = [-2.5, -0.9, 0.0, 0.0, 1.5, 8.0]
+        assert d.log_moments(orders) == [d.log_moment(s) for s in orders]
+
+    @pytest.mark.parametrize("name,lowest", [
+        # from -0.5 on half-normal, x^s on the first graded panel
+        # [0, 2^-44] misses tolerance (error 1.3e-8 at tolerance 1.7e-9), and
+        # _refine grades that panel once more
+        ("half-normal", -0.4), ("weibull1.8", -0.5), ("beta22", -0.5),
+    ])
+    def test_cached_panels_fit_moderate_orders(self, name, lowest, monkeypatch):
+        # every order is a sum over the cached panels: none is split further
+        pdf, domain, exact, _ = _CLOSED_FORM[name]
+        d = GenericPdf(pdf, domain)
+        refine = quadrature._refine
+
+        def unsplit(lo, hi, y, rows, domain):
+            def refused(*args):
+                raise AssertionError("an order needed a split beyond the cached panels")
+
+            return refine(lo, hi, y, refused, domain)
+
+        monkeypatch.setattr(quadrature, "_refine", unsplit)
+        orders = np.linspace(lowest, 4.0, round((4.0 - lowest) / 0.1) + 1)
+        for s, got in zip(orders, d.log_moments(orders)):
+            assert math.exp(got - exact(s)) == pytest.approx(1.0, rel=1e-8), s
 
     def test_generic_heavy_tail_returns_inf(self):
         # standard Cauchy on the half line (doubled): no first moment
         pdf = lambda x: 2.0 / (math.pi * (1.0 + x * x))
         d = GenericPdf(pdf, Domain.half_line(0.0))
         assert d.log_moment(1.0) == math.inf
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    name=st.sampled_from(["half-normal", "weibull1.8", "lomax4", "beta22", "lomax5"]),
+    s=st.floats(-0.9, 8.0),
+    others=st.lists(st.floats(-0.9, 8.0), max_size=40),
+    at=st.integers(0, 40),
+)
+def test_order_does_not_depend_on_its_batch(name, s, others, at):
+    # batches are cut in blocks of _WEIGHT_BLOCK orders: up to 41 orders
+    # put s in any of several blocks, among orders that refine or diverge
+    d = _generic(name)
+    at = min(at, len(others))
+    got = d.log_moments(others[:at] + [s] + others[at:])[at]
+    assert _agree(got, d.log_moment(s), _moment_integral(d, s))
 
 
 class TestRenyiEntropy:

@@ -16,6 +16,7 @@ from renyi_bounds.distributions import (
     PointMass,
     TwoPoint,
 )
+from renyi_bounds import entropy_bounds
 from renyi_bounds.entropy_bounds import (
     diff_entropy_bounds,
     entropy_bound,
@@ -535,6 +536,45 @@ def test_optimal_gaps_scale_invariant():
     one = [optimal_gap(d, SUP_POS, 1, r, constrain_p_zero=True).gap for d in (base, scaled)]
     assert two[1] == pytest.approx(two[0], abs=1e-8)
     assert one[1] == pytest.approx(one[0], abs=1e-12)
+
+
+def test_each_scan_is_one_log_moments_call(monkeypatch):
+    # the objective asks for the log-moments of all its points at once: one
+    # log_moments call per grid scan (25, 65 or 17 points) and per golden
+    # step, and no single-order log_moment call
+    d = _beta22_on(1.0)
+    batches = []
+    log_moments = d.log_moments
+
+    def counted(orders):
+        batches.append(len(orders))
+        return log_moments(orders)
+
+    def refused(s):
+        raise AssertionError("the search asked for one log-moment on its own")
+
+    d.log_moments, d.log_moment = counted, refused
+    grid_golden = entropy_bounds._grid_golden
+    scans = []
+
+    def spied(fun, lo, hi, ngrid=25, iters=48):
+        def objective(xs):
+            before = len(batches)
+            out = fun(xs)
+            assert len(batches) == before + 1
+            if len(xs) == ngrid:
+                scans.append((ngrid, batches[-1]))
+            return out
+
+        return grid_golden(objective, lo, hi, ngrid, iters)
+
+    monkeypatch.setattr(entropy_bounds, "_grid_golden", spied)
+    optimal_gap(d, SUP_POS, 1, 0.6)
+    optimal_gap(d, SUP_POS, 1, 0.6, constrain_p_zero=True)
+    # every point of the lam and log-u scans is inside the box, so each
+    # asks for its two orders; the p = 0 scan's 65 points all ask for order 0
+    assert [n for n, _ in scans] == [25, 25, 17] * 3 + [65]
+    assert [k for n, k in scans if n != 17] == [50, 50] * 3 + [130]
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 3: the two-moment search stalls")

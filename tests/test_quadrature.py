@@ -1,6 +1,7 @@
 """Oracle infrastructure tests: Gauss-Kronrod panels and transforms,
 divergence detection, and seeded Monte Carlo."""
 
+import hashlib
 import math
 from unittest import mock
 
@@ -318,6 +319,22 @@ class TestRule:
         xs, ws = _density_rule(f, domain, 2.0)
         assert np.diff(np.sort(xs)).max() <= 0.104 * 2.0
         assert ws.sum() == pytest.approx(1.0, rel=1e-9)
+
+    @pytest.mark.parametrize("name,width,digest", [
+        ("half-normal", 1.0, "152e8933a55a54cb88114724ece0b997a0c5648a6aac79ce845e069ac5a67f03"),
+        ("half-normal", 2.0, "1a9ec954ccb46adac0b360eac04daf2327f9e5bf80de573c8d2a50bbb6ed921f"),
+        ("exp1", 1.0, "52089505637ea122a5688eec17a436bb474c61a065eaf31da71e974e34bdfc91"),
+        ("exp1", 2.0, "75d819b4a59f32734135082f180bcb6d8e2af3004768399b5f5464b33492a265"),
+    ])
+    def test_rule_starts_from_the_mass_panels(self, name, width, digest):
+        # integrals start from the moment panels (a graded lower end), the
+        # rule from the mass panels: its nodes and weights are those of a
+        # cache without moment panels, bit for bit (SHA-256 of their bytes,
+        # recorded before the moment panels existed)
+        c = math.sqrt(2.0 / math.pi)
+        f = {"half-normal": lambda x: c * np.exp(-0.5 * x * x), "exp1": lambda x: np.exp(-x)}[name]
+        xs, ws = _density_rule(f, Domain.half_line(), width)
+        assert hashlib.sha256(xs.tobytes() + ws.tobytes()).hexdigest() == digest
 
     def test_power_law_tail_refused(self):
         # a Cauchy tail never underflows within the panel budget
