@@ -27,6 +27,7 @@ verify and the tests.
 """
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -40,7 +41,9 @@ from .errors import (
     OptimizerNoConverge,
     UnsupportedOperation,
 )
-from .moment_core import Support, TwoMomentParams, _check_n, _check_r, _log_two_moment, log_omega
+from .moment_core import (
+    Support, TwoMomentParams, _check_n, _check_r, _log_two_moment, lambda_of, log_omega,
+)
 from .quadrature import Domain, integrate
 from .specfun import LOG_2PI, ln_gamma, theta
 
@@ -117,6 +120,11 @@ def two_moment_parametrization(r: float, lam: float, u: float) -> Tuple[float, f
     return m - (1.0 - lam) * d, m + lam * d
 
 
+# (r, p, q) of one gap evaluation with lam = lambda_of(r, p, q): the fields
+# _log_two_moment reads of a TwoMomentParams, in a tuple, not a frozen dataclass
+_Point = namedtuple("_Point", "r p q lam")
+
+
 def _gaps_at(
     d: ScalarDistribution,
     log_omega_s: float,
@@ -132,12 +140,13 @@ def _gaps_at(
     for pq in points:
         prm = None
         if pq is not None:
+            p, q = pq
             try:
-                prm = TwoMomentParams(r, *pq)
+                prm = _Point(r, p, q, lambda_of(r, p, q))
             except InvalidMomentOrder:
                 pass
             else:
-                orders += (n * prm.p, n * prm.q)
+                orders += (n * p, n * q)
         params.append(prm)
     logs = d.log_moments(orders)
     gaps, k = [], 0
@@ -384,7 +393,7 @@ def diff_entropy_bounds(
                          with equality exactly for lognormal laws.
 
     The log-moments' mean and variance come from central differences of
-    s -> log E||X||^s at zero, exact for lognormal inputs because their
+    K(s) = log E||X||^s at zero, exact for lognormal inputs because their
     cumulant function is quadratic.
     """
     lw = _check_dimension(d, d.support(), n)
@@ -400,12 +409,12 @@ def diff_entropy_bounds(
         + (n / s) * (1.0 + math.log(s) + ls - math.log(n))
     )
 
-    lp = d.log_moment(_FD_STEP)
-    lm = d.log_moment(-_FD_STEP)
-    if math.isinf(lp) or math.isinf(lm):
+    lp, l0, lm = d.log_moment(_FD_STEP), d.log_moment(0.0), d.log_moment(-_FD_STEP)
+    if math.isinf(lp) or math.isinf(l0) or math.isinf(lm):
         raise MomentDiverges("log-moments must be finite near zero")
     mean_log = (lp - lm) / (2.0 * _FD_STEP)
-    var_log = (lp + lm) / (_FD_STEP * _FD_STEP)
+    # K(0) = log of the mass, which a GenericPdf has only to within 1e-6 of 0
+    var_log = (lp - 2.0 * l0 + lm) / (_FD_STEP * _FD_STEP)
     if not var_log > 0.0:
         raise DomainError("Var(log ||X||) must be positive for the log-moment bound")
     log_moment_bound = lw + n * mean_log + 0.5 * (LOG_2PI + 1.0 + math.log(n * n * var_log))

@@ -6,6 +6,9 @@ they are implemented from scratch, one route each.  The independent
 routes that check them (scipy in the test suite; the Lambert W closed
 form of kappa in verify) live outside the library.
 
+The order of the additions in the Lanczos sum, term by term as _LANCZOS
+lists them, is part of the output bits the fig and verify CSVs pin.
+
 Conventions
 -----------
 ln_gamma(x)   log Gamma(x) for x > 0.
@@ -70,10 +73,11 @@ def _theta_series(x: float) -> float:
 
 
 def _ln_gamma_lanczos(x: float) -> float:
-    """Lanczos evaluation for 0.5 <= x < 10."""
-    acc = _LANCZOS[0]
-    for k in range(1, len(_LANCZOS)):
-        acc += _LANCZOS[k] / (x - 1.0 + k)
+    """Lanczos evaluation for 0.5 <= x < 10, its sum unrolled in _LANCZOS order."""
+    c0, c1, c2, c3, c4, c5, c6, c7, c8 = _LANCZOS
+    xm = x - 1.0
+    acc = (c0 + c1 / (xm + 1.0) + c2 / (xm + 2.0) + c3 / (xm + 3.0) + c4 / (xm + 4.0)
+           + c5 / (xm + 5.0) + c6 / (xm + 6.0) + c7 / (xm + 7.0) + c8 / (xm + 8.0))
     t = x + _LANCZOS_G - 0.5
     return 0.5 * LOG_2PI + (x - 0.5) * math.log(t) - t + math.log(acc)
 
@@ -113,6 +117,11 @@ def theta(x: float) -> float:
     x = float(x)
     if not x > 0.0 or math.isinf(x):
         raise DomainError(f"theta requires finite x > 0, got {x!r}")
+    return _theta(x)
+
+
+def _theta(x: float) -> float:
+    """theta for a float x that is already known to be finite and > 0."""
     if x >= 10.0:
         return _theta_series(x)
     return _ln_gamma(x) - (x - 0.5) * math.log(x) + x - 0.5 * LOG_2PI
@@ -134,11 +143,11 @@ def log_beta_tilde(x: float, y: float) -> float:
     """log of B~(x, y) = B(x, y) (x+y)^(x+y) x^(-x) y^(-y) by Binet's formula,
     (1/2) log(2 pi (x+y)/(x y)) + theta(x) + theta(y) - theta(x+y): no large
     log-gamma and x log x terms that cancel (to a few units near r = 1)."""
-    if not (x > 0.0 and y > 0.0):
-        raise DomainError(f"log_beta_tilde requires x, y > 0, got ({x!r}, {y!r})")
     s = x + y
+    if not (0.0 < x < math.inf and 0.0 < y < math.inf and s < math.inf):
+        raise DomainError(f"log_beta_tilde requires finite x, y, x + y > 0, got ({x!r}, {y!r})")
     half_log = 0.5 * (LOG_2PI + math.log(s) - math.log(x) - math.log(y))
-    return half_log + theta(x) + theta(y) - theta(s)
+    return half_log + _theta(x) + _theta(y) - _theta(s)
 
 
 def beta_tilde(x: float, y: float) -> float:

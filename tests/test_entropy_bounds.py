@@ -577,6 +577,54 @@ def test_each_scan_is_one_log_moments_call(monkeypatch):
     assert [k for n, k in scans if n != 17] == [50, 50] * 3 + [130]
 
 
+def _half_normal(c=1.0):
+    """GenericPdf of |Z|, Z ~ N(0, 1), with its density scaled by c."""
+    return GenericPdf(lambda x: c * math.sqrt(2.0 / math.pi) * np.exp(-0.5 * x * x),
+                      Domain.half_line(0.0))
+
+
+@pytest.mark.parametrize(
+    "d, sup, n",
+    [(Lognormal(0.3, 1.7), SUP_POS, 1), (GaussianMagnitude(8), Support.euclidean(8), 8),
+     (_half_normal(), SUP_POS, 1)],
+    ids=["lognormal", "gaussian8", "generic"],
+)
+def test_objective_is_the_public_gap(d, sup, n):
+    # the optimizer's objective and entropy_bound compute the gap by one
+    # formula: bit for bit the same number at every valid (p, q)
+    r = 0.4
+    lw, h = entropy_bounds.log_omega(sup), d.renyi_entropy(r)
+    pts = [(0.0, 2.0), (-0.5, 1.6), (1.2, 3.0), (0.3, 12.0)]
+    gaps = entropy_bounds._gaps_at(d, lw, n, r, pts, h)
+    assert gaps == [entropy_bound(d, sup, n, r, p, q).gap for p, q in pts]
+
+
+def test_objective_is_inf_where_no_bound():
+    d, sup, n, r = GaussianMagnitude(8), Support.euclidean(8), 8, 0.5
+    lw, h = entropy_bounds.log_omega(sup), d.renyi_entropy(r)
+    # no point; q one ulp above 1/r - 1, where lam = (q + 1 - 1/r)/(q - p)
+    # rounds to 0; q below 1/r - 1; and n p = -12 <= -n, where E||X||^(n p)
+    # diverges
+    pts = [None, (0.0, math.nextafter(1.0, 2.0)), (0.5, 0.9), (-1.5, 2.0), (0.0, 2.0)]
+    gaps = entropy_bounds._gaps_at(d, lw, n, r, pts, h)
+    assert gaps[:4] == [math.inf] * 4
+    assert math.isfinite(gaps[4])
+
+
+@pytest.mark.parametrize("c", [1.0 - 2e-9, 1.0 + 2e-9, 1.0 - 5e-7])
+def test_log_moment_bound_ignores_the_mass_error(c):
+    # Var(log ||X||) is K(h) - 2 K(0) + K(-h) over h^2, K(s) = log E||X||^s:
+    # taking K(0) = 0 turned a mass of 1 - 2e-9 into 0.6928, below h(X) =
+    # 0.7258.  Closed form for |Z|: E log|Z| = (psi(1/2) + log 2)/2 and
+    # Var log|Z| = psi'(1/2)/4.
+    from scipy.special import digamma, polygamma
+
+    mean, var = 0.5 * (digamma(0.5) + math.log(2.0)), 0.25 * polygamma(1, 0.5)
+    closed = mean + 0.5 * math.log(2.0 * math.pi * math.e * var)
+    _, log_bound = diff_entropy_bounds(_half_normal(c), 1, 2.0)
+    assert log_bound == pytest.approx(closed, abs=1e-6)
+
+
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 3: the two-moment search stalls")
 def test_two_moment_gap_at_most_p0_gap():
     # p = 0 lies inside the two-moment family, so Delta_r <= Delta~_r

@@ -9,8 +9,12 @@ import scipy.special as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from renyi_bounds import specfun
 from renyi_bounds.errors import DomainError
 from renyi_bounds.specfun import (
+    LOG_2PI,
+    _LANCZOS,
+    _LANCZOS_G,
     _check_t,
     _fixed_point_v,
     beta,
@@ -109,6 +113,11 @@ class TestTheta:
         with pytest.raises(DomainError):
             theta(-2.0)
 
+    @pytest.mark.parametrize("x", [0.0, math.inf, math.nan])
+    def test_domain_zero_and_non_finite(self, x):
+        with pytest.raises(DomainError):
+            theta(x)
+
 
 class TestBeta:
     def test_beta_one_one(self):
@@ -140,6 +149,50 @@ class TestBeta:
         # log B + 2a log(2a) - 2a log a are 1e7 and cancel to a few units
         expect = math.log(2.0 * math.sqrt(math.pi)) - math.log(sp.poch(a, 0.5))
         assert log_beta_tilde(a, a) == pytest.approx(expect, abs=1e-14)
+
+    @pytest.mark.parametrize(
+        "x, y", [(math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0), (1.0, math.nan),
+                 (0.0, 1.0), (1.0, -1.0), (1e308, 1e308)]
+    )
+    def test_log_beta_tilde_domain(self, x, y):
+        # checked once on entry: unchecked, (inf, 1), (nan, 1) and
+        # (1e308, 1e308) (a sum that overflows) gave nan, nan and inf
+        with pytest.raises(DomainError):
+            log_beta_tilde(x, y)
+
+
+def _lanczos_loop(x):
+    """The Lanczos sum as a loop over _LANCZOS: the unrolled sum of
+    specfun._ln_gamma_lanczos must give its bits."""
+    acc = _LANCZOS[0]
+    for k in range(1, len(_LANCZOS)):
+        acc += _LANCZOS[k] / (x - 1.0 + k)
+    t = x + _LANCZOS_G - 0.5
+    return 0.5 * LOG_2PI + (x - 0.5) * math.log(t) - t + math.log(acc)
+
+
+# reflection (x < 0.5), Lanczos ([0.5, 10)) and series (x >= 10) arguments
+_BIT_GRID = (
+    np.linspace(1e-3, 0.499, 40).tolist()
+    + np.random.default_rng(20170825).uniform(0.5, 10.0, 400).tolist()
+    + [0.5, 1.0, 2.0, 9.999999999999998, 10.0]
+    + np.geomspace(10.0, 1e7, 40).tolist()
+)
+
+
+def test_unrolled_lanczos_keeps_the_bits(monkeypatch):
+    pairs = list(zip(_BIT_GRID, reversed(_BIT_GRID))) + [(x, x) for x in _BIT_GRID[::7]]
+    values = ([ln_gamma(x) for x in _BIT_GRID], [theta(x) for x in _BIT_GRID],
+              [log_beta_tilde(x, y) for x, y in pairs])
+    monkeypatch.setattr(specfun, "_ln_gamma_lanczos", _lanczos_loop)
+
+    def log_beta_tilde_checked(x, y):  # the Binet form through the checked theta
+        half_log = 0.5 * (LOG_2PI + math.log(x + y) - math.log(x) - math.log(y))
+        return half_log + theta(x) + theta(y) - theta(x + y)
+
+    expect = ([ln_gamma(x) for x in _BIT_GRID], [theta(x) for x in _BIT_GRID],
+              [log_beta_tilde_checked(x, y) for x, y in pairs])
+    assert values == expect
 
 
 @given(
