@@ -6,8 +6,9 @@ machinery needs:
 * log_moment(s)      log E|X|^s, with +inf (returned, never raised) outside
                      the finiteness region, and DomainError where a finite
                      value leaves the float range;
-* renyi_entropy(r)   closed form where one exists, quadrature for generic
-                     densities, UnsupportedOperation for purely atomic laws;
+* renyi_entropy(r)   closed form where one exists, a sum over the cached
+                     panels of a generic density (as its log-moments are),
+                     UnsupportedOperation for purely atomic laws;
 * sample(rng, size)  for every family except generic densities.
 
 GaussianMagnitude(n) describes an n-dimensional standard Gaussian vector
@@ -23,13 +24,14 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import (
+    DivergenceDetected,
     DomainError,
     MomentDiverges,
     RenyiBoundsError,
     UnsupportedOperation,
 )
 from .moment_core import Support, TwoMomentParams, _check_n, _check_r, _logsumexp, _moment_term
-from .quadrature import Domain, _converged_panels, _DensityPanels, integrate
+from .quadrature import Domain, _converged_panels, _DensityPanels
 from .specfun import LOG_2PI, ln_gamma
 
 __all__ = [
@@ -115,7 +117,10 @@ class _GaussianMixture:
 
 def _entropy_from_integral(integral: float, r: float) -> float:
     """h_r = log(int f^r) / (1-r).  The integrand is positive, so a zero
-    integral is a quadrature that missed the density, and is refused."""
+    integral is a quadrature that missed the density, and is refused; so
+    is an infinite one."""
+    if integral == math.inf:
+        raise DivergenceDetected(f"int f^{r!r} diverges")
     if not integral > 0.0:
         raise RenyiBoundsError(
             f"int f^r came out {integral!r}: the quadrature missed the density"
@@ -263,25 +268,27 @@ class PointMass(ScalarDistribution):
         return np.array([self.c]), np.array([1.0])
 
 
-def _abs_power(x, s):
-    return np.abs(x) ** s
+def _moment_integrand(ax, fx, s):
+    return ax ** s * fx
 
 
 class GenericPdf(ScalarDistribution):
-    """Numeric density on a Domain; all quantities come from quadrature.
+    """Numeric density on a Domain; every quantity is a sum over its panels.
 
     Validated at construction: finite, nonnegative and of mass one (within
     1e-6) on the nodes of the mass integral.  The panels that integral
     converged on, with the lower-end one split as |x|^s needs near x = 0,
     and the pdf on their nodes and on every tail pre-scan window are
-    cached then (quadrature._DensityPanels, read-only).  log_moments(orders)
-    takes one power of |x| over those nodes for a block of orders, and
-    each order gets its own tail verdict and tolerance test; an order is
-    refined alone, and only where |x|^s needs more panels.  So a value
+    cached then (quadrature._DensityPanels, read-only).  log_moments takes
+    |x|^s f over those nodes for a block of orders, renyi_entropy f^r, and
+    each integral gets its own tail verdict and tolerance test; it is
+    refined alone, and only where it needs more panels.  So a value
     depends neither on earlier calls nor on the other orders of its call,
-    and log_moment(s) is log_moments([s])[0].  The pdf is evaluated once on
-    every pre-scan window, also past the window where the mass scan stops.
-    Not samplable.
+    and log_moment(s) is log_moments([s])[0].  An r at which f^r may carry
+    more than the tolerance where the pdf underflows to 0 is refused (r
+    below about 0.035 for a half-normal).  The pdf is evaluated once on
+    every pre-scan window, also past where the mass scan stops.  Not
+    samplable.
     """
 
     def __init__(self, pdf: Callable[[np.ndarray], np.ndarray], domain: Domain):
@@ -312,17 +319,14 @@ class GenericPdf(ScalarDistribution):
         keys = [float(s) for s in orders]
         distinct = list(dict.fromkeys(keys))
         values = {}
-        for s, res in zip(distinct, self._panels.integrals(_abs_power, np.array(distinct))):
-            if res is None:
-                values[s] = math.inf
-            else:
-                values[s] = math.log(res.value) if res.value > 0.0 else -math.inf
+        for s, res in zip(distinct, self._panels.integrals(_moment_integrand, np.array(distinct))):
+            values[s] = math.log(res.value) if res.value > 0.0 else -math.inf
         return [values[s] for s in keys]
 
     def renyi_entropy(self, r: float) -> float:
         r = _check_r(r)
-        val = integrate(lambda x: self._pdf(x) ** r, self.domain).value
-        return _entropy_from_integral(val, r)
+        res = self._panels.integrals(lambda ax, fx, r: fx ** r, np.array([r]))[0]
+        return _entropy_from_integral(res.value, r)
 
     def support(self) -> Support:
         """The real line when the domain reaches below 0 (|X| then has mass

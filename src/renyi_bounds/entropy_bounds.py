@@ -176,7 +176,7 @@ def entropy_bound(
     """
     lw = _check_dimension(d, sup, n)
     params = TwoMomentParams(r, p, q)
-    bound = _log_two_moment(lw, params, d.log_moment(n * p), d.log_moment(n * q))
+    bound = _log_two_moment(lw, params, *d.log_moments([n * p, n * q]))
     if math.isinf(bound):
         raise MomentDiverges(
             f"moment of order n*p={n * p!r} or n*q={n * q!r} diverges"
@@ -399,7 +399,7 @@ def diff_entropy_bounds(
     lw = _check_dimension(d, d.support(), n)
     if not 0.0 < s < math.inf:
         raise DomainError(f"moment order s must be positive and finite, got {s!r}")
-    ls = d.log_moment(s)
+    ls, lp, l0, lm = d.log_moments([s, _FD_STEP, 0.0, -_FD_STEP])
     if math.isinf(ls):
         raise MomentDiverges(f"E||X||^{s!r} diverges")
     moment_bound = (
@@ -409,7 +409,6 @@ def diff_entropy_bounds(
         + (n / s) * (1.0 + math.log(s) + ls - math.log(n))
     )
 
-    lp, l0, lm = d.log_moment(_FD_STEP), d.log_moment(0.0), d.log_moment(-_FD_STEP)
     if math.isinf(lp) or math.isinf(l0) or math.isinf(lm):
         raise MomentDiverges("log-moments must be finite near zero")
     mean_log = (lp - lm) / (2.0 * _FD_STEP)

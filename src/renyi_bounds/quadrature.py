@@ -35,19 +35,21 @@ failure modes are explicit:
   density's converged (mass) panels, the same panels with the lower-end
   one already split at _GRADED (the moment panels), and its values on
   the nodes of every tail pre-scan window and moment panel.  Its
-  integrals() sums a whole vector of weights h(., c) at once (a
-  GenericPdf's log-moments, one c per order): one evaluation of h over
-  the cached nodes per block of weights, then for each c the pre-scan
-  verdict and the tolerance test, and the loop from the moment panels
-  only for a c that misses the tolerance.  A GenericPdf evaluates its
-  pdf once on every pre-scan window, also past the window where a scan
-  stops; values there never reach a verdict.  The cache's rule() turns
-  the mass panels into nodes and weights, so that E h(X) over a numeric
-  density is a finite sum (mi_bounds smooths a GenericPdf input this
-  way, as a Gaussian mixture over the nodes).  The rule bisects its
-  panels down to the scale on which h varies, wherever the density has
-  not underflowed; a power-law tail, which never does within the panel
-  budget, is refused.
+  integrals() sums a whole vector of integrands g(|x|, f(x), c) at once
+  (one c per order: |x|^s f for a GenericPdf's log-moments, f^r for its
+  Renyi entropy): one evaluation of g over the cached nodes per block of
+  c, then for each c the pre-scan verdict and the tolerance test, and the
+  loop from the moment panels only for a c that misses the tolerance.
+  An integral that g may still carry where f has underflowed to 0 (f^r
+  at small r) is refused.  After construction a GenericPdf is integrated
+  only this way.  It evaluates its pdf once on every pre-scan window,
+  also past the window where a scan stops; values there never reach a
+  verdict.  The cache's rule() turns the mass panels into nodes and
+  weights, so that E h(X) over a numeric density is a finite sum
+  (mi_bounds smooths a GenericPdf input this way, as a Gaussian mixture
+  over the nodes).  The rule bisects its panels down to the scale on
+  which h varies, wherever the density has not underflowed; a power-law
+  tail, which never does within the panel budget, is refused.
 
 * mc_expect() is a Monte Carlo mean with standard error from a sampler
   (rng, n) -> batch, built on the counter-based Philox generator under the
@@ -61,7 +63,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import DivergenceDetected, DomainError, MaxSubdivisionsExceeded
+from .errors import DivergenceDetected, DomainError, MaxSubdivisionsExceeded, RenyiBoundsError
 
 __all__ = [
     "Domain",
@@ -163,6 +165,7 @@ _GRADED = np.concatenate([[0.0], np.ldexp(1.0, np.arange(-40, 1))])
 # for the few thousand nodes a density caches, and batching adds no peak
 # memory.  Blocks of 8 were up to 5% faster but raised peak RSS by 0.4 MB.
 _WEIGHT_BLOCK = 4
+_LEAST = math.ulp(0.0)  # the least positive double: a density that reads 0 is below it
 
 
 def _unit_transform(domain: Domain):
@@ -201,14 +204,6 @@ def _density_at_nodes(f: Callable, to_x: Callable, lo: np.ndarray, hi: np.ndarra
     u = 0.5 * (hi + lo)[:, None] + half[:, None] * _NODES
     x = to_x(u)
     return half, u, x, np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
-
-
-def _weighted_rows(f: Callable, to_x: Callable, jac: Callable, lo: np.ndarray, hi: np.ndarray):
-    """The K15 abscissae x of the unit panels [lo[i], hi[i]] and the values
-    v = half-width * jacobian * f(x), one row per panel -> (x, v): a row of
-    v times _KWEIGHTS is the K15 sum of f over its panel."""
-    half, u, x, fx = _density_at_nodes(f, to_x, lo, hi)
-    return x, half[:, None] * jac(u) * fx
 
 
 def _window_masses(f: Callable, lo: np.ndarray, hi: np.ndarray):
@@ -351,7 +346,8 @@ def _converged_panels(f: Callable, domain: Domain):
     edges = np.linspace(lo, hi, (8 if domain.kind == "finite" else 16) + 1)
 
     def rows(lo, hi):
-        return _weighted_rows(f, to_x, jac, lo, hi)[1]
+        half, u, _, fx = _density_at_nodes(f, to_x, lo, hi)
+        return half[:, None] * jac(u) * fx
 
     with np.errstate(all="ignore"):
         y = rows(edges[:-1], edges[1:])
@@ -367,9 +363,8 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], domain: Domain) -> Quadratu
     must be finite on the interior of the domain (endpoints are never
     sampled); on an unbounded domain it is also evaluated on up to
     _SCAN_BLOCK - 1 tail windows beyond the one where the pre-scan stops.
-    Values past that window never affect the verdict.  (A GenericPdf
-    evaluates its pdf once on all 52 windows of each scan direction, for
-    the _DensityPanels cache its log-moments are taken from.)
+    Values past that window never affect the verdict.  (A GenericPdf is
+    integrated over its _DensityPanels cache instead, after construction.)
 
     Returns value and an error estimate <= max(_REL_TOL * |value|, _ABS_TOL)
     on success, each an np.float64.  Raises DivergenceDetected when the
@@ -381,8 +376,8 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], domain: Domain) -> Quadratu
 
 
 class _DensityPanels:
-    """The converged panels of a density's mass integral, kept so that each
-    int h f is a sum over them rather than a fresh adaptive quadrature.
+    """The converged panels of a density's mass integral, kept so that every
+    later integral of f is a sum over them, not a fresh adaptive quadrature.
 
     Built from _converged_panels(f)'s (lo, hi), the mass panels, which
     rule() starts from.  Integrals start from the moment panels: the mass
@@ -392,14 +387,15 @@ class _DensityPanels:
     cached split nearly every order would make that same split again.
 
     Holds, as read-only arrays, the mass panels (lo, hi), the moment panels
-    (moment_lo, moment_hi), and one table of K15 rows: nodes x and values
-    v = half-width * jacobian * f(x), so that a row of h(x) * v times
-    _KWEIGHTS is the K15 sum of h f over its interval.  Its rows are the 52
-    windows of each direction of the tail pre-scan (in x, jacobian 1), then
-    the moment panels.  f is evaluated once on every window, also past the
-    one where a scan stops; a value there never reaches a verdict, so it may
-    be anything.  Nothing here changes after construction: integrals() and
-    rule() refine copies.
+    (moment_lo, moment_hi), and three tables of K15 rows: ax = |x|, fx =
+    f(x) and w = half-width * jacobian at the nodes, so that a row of
+    g(ax, fx, c) * w times _KWEIGHTS is the K15 sum of g over its interval.
+    Their rows are the 52 windows of each direction of the tail pre-scan
+    (in x, jacobian 1), then the moment panels.  f is evaluated once on
+    every window, also past the one where a scan stops; a value there never
+    reaches a verdict, so it may be anything.  under_ax and under_w are ax
+    and w * _KWEIGHTS on the panel nodes where f is 0.  Nothing here
+    changes after construction: integrals() and rule() refine copies.
     """
 
     def __init__(self, f: Callable, domain: Domain, lo: np.ndarray, hi: np.ndarray):
@@ -412,65 +408,84 @@ class _DensityPanels:
         self.moment_lo = np.concatenate([self.lo[~end], graded_lo])
         self.moment_hi = np.concatenate([self.hi[~end], graded_hi])
         windows = _scan_windows(domain)
-        self._windows = len(windows) * _OUT_LO.size  # the rows before the panels
+        nw = self._windows = len(windows) * _OUT_LO.size  # the rows before the panels
         with np.errstate(all="ignore"):
-            rows = [_weighted_rows(f, lambda t: t, lambda t: 1.0, wlo, whi) for wlo, whi in windows]
-            rows.append(_weighted_rows(f, self._to_x, self._jac, self.moment_lo, self.moment_hi))
-        self.x = np.concatenate([x for x, _ in rows])
-        self.v = np.concatenate([v for _, v in rows])
-        for a in (self.lo, self.hi, self.moment_lo, self.moment_hi, self.x, self.v):
+            rows = [self._rows(lambda t: t, np.ones_like, wlo, whi) for wlo, whi in windows]
+            rows.append(self._rows(self._to_x, self._jac, self.moment_lo, self.moment_hi))
+        self.ax, self.fx, self.w = (np.concatenate(a) for a in zip(*rows))
+        under = self.fx[nw:] == 0.0
+        self.under_ax, self.under_w = self.ax[nw:][under], (self.w[nw:] * _KWEIGHTS)[under]
+        for a in (self.lo, self.hi, self.moment_lo, self.moment_hi, self.ax, self.fx, self.w,
+                  self.under_ax, self.under_w):
             a.setflags(write=False)
 
-    def integrals(self, h: Callable, params: np.ndarray) -> list:
-        """[int h(x, c) f(x) dx for c in params], each to the tolerance of
-        integrate(), or None where that integral diverges (where integrate
-        would raise DivergenceDetected).  h must be elementwise in x and
-        broadcast: h(x, c) with c a column of params gives one table per c.
+    def _rows(self, to_x: Callable, jac: Callable, lo: np.ndarray, hi: np.ndarray):
+        """(|x|, f(x), half-width * jacobian) at the K15 nodes of the unit
+        panels [lo[i], hi[i]], one row per panel, from one call of f."""
+        half, u, x, fx = _density_at_nodes(self._f, to_x, lo, hi)
+        return np.abs(x), fx, half[:, None] * jac(u)
 
-        The params run in blocks of _WEIGHT_BLOCK, and h is evaluated once
+    def integrals(self, g: Callable, params: np.ndarray) -> list:
+        """[int g(|x|, f(x), c) dx for c in params], each to the tolerance
+        of integrate(), with value and error +inf where that integral
+        diverges (where integrate would raise DivergenceDetected).  g must
+        be elementwise, nonnegative, nondecreasing in f, and broadcast:
+        g(ax, fx, c) with c a column of params gives one table per c.
+
+        The params run in blocks of _WEIGHT_BLOCK, and g is evaluated once
         per block on the cached rows.  Each c then gets its own tail verdict
         (_decay_fails on its window masses, direction by direction) and its
         own K15/G7 tolerance test on the moment panels.  A c that misses the
         tolerance runs _refine alone from the moment panels, with one call
         of f per refinement step; its refinements are dropped on return.
-        So the result for one c does not depend on the others."""
+        So the result for one c does not depend on the others.  Where f has
+        underflowed to 0, g is at most g(|x|, _LEAST, c); a c for which that
+        bound, summed over those panel nodes, exceeds the tolerance (f^r at
+        small r) is refused with RenyiBoundsError."""
         out = []
         for k in range(0, len(params), _WEIGHT_BLOCK):
-            out += self._block(h, params[k:k + _WEIGHT_BLOCK])
+            out += self._block(g, params[k:k + _WEIGHT_BLOCK])
         return out
 
-    def _block(self, h: Callable, params: np.ndarray) -> list:
+    def _block(self, g: Callable, params: np.ndarray) -> list:
         nw, per = self._windows, _OUT_LO.size
         with np.errstate(all="ignore"):
-            y = h(self.x, params[:, None, None]) * self.v
+            y = g(self.ax, self.fx, params[:, None, None]) * self.w
             masses = np.abs(y[:, :nw] @ _KWEIGHTS).tolist()
             y = y[:, nw:]
             k15, err = _k15_g7(y)
             total, total_err = k15.sum(axis=-1), err.sum(axis=-1)
+            tol = np.maximum(_REL_TOL * np.abs(total), _ABS_TOL)
             met = np.isfinite(err).all(axis=-1) & np.isfinite(total + total_err)
-            met &= total_err <= np.maximum(_REL_TOL * np.abs(total), _ABS_TOL)
+            met &= total_err <= tol
+            lost = np.zeros(len(params))
+            if self.under_w.size:  # a cost on every block, so only where f reads 0 somewhere
+                lost = (g(self.under_ax, _LEAST, params[:, None]) * self.under_w).sum(axis=-1)
         out = []
         for i, c in enumerate(params):
             if any(_decay_fails(masses[i][k:k + per], _SCAN_FLOOR) for k in range(0, nw, per)):
-                out.append(None)
+                out.append(QuadratureResult(math.inf, math.inf))
+            elif lost[i] > tol[i]:  # the tolerance on the cached panels, also for a c refined below
+                raise RenyiBoundsError(f"f underflows to 0 on {self._domain.kind} where the "
+                                       f"integrand may still carry {lost[i]:.3g}")
             elif met[i]:
                 out.append(QuadratureResult(total[i], total_err[i]))
             else:
-                out.append(self._refined(h, c, y[i]))
+                out.append(self._refined(g, c, y[i]))
         return out
 
-    def _refined(self, h: Callable, c: float, y: np.ndarray):
-        """_refine of int h(x, c) f(x) dx from the moment panels and their
-        node rows y; None where it diverges."""
+    def _refined(self, g: Callable, c: float, y: np.ndarray):
+        """_refine of int g(|x|, f(x), c) dx from the moment panels and their
+        node rows y; +inf where it diverges."""
 
         def rows(lo, hi):
-            x, v = _weighted_rows(self._f, self._to_x, self._jac, lo, hi)
-            return h(x, c) * v
+            ax, fx, w = self._rows(self._to_x, self._jac, lo, hi)
+            return g(ax, fx, c) * w
 
         try:
             *_, total, total_err = _refine(self.moment_lo, self.moment_hi, y, rows, self._domain)
         except DivergenceDetected:
-            return None
+            return QuadratureResult(math.inf, math.inf)
         return QuadratureResult(total, total_err)
 
     def rule(self, width: float):

@@ -82,6 +82,15 @@ def _ln_gamma_lanczos(x: float) -> float:
     return 0.5 * LOG_2PI + (x - 0.5) * math.log(t) - t + math.log(acc)
 
 
+def _float(x, name: str) -> float:
+    """float(x), refusing an int beyond the float range (float() raises
+    OverflowError there) as DomainError."""
+    try:
+        return float(x)
+    except OverflowError:
+        raise DomainError(f"{name} got an argument beyond the float range") from None
+
+
 def ln_gamma(x: float) -> float:
     """log Gamma(x) for x > 0.
 
@@ -91,7 +100,7 @@ def ln_gamma(x: float) -> float:
 
     Raises DomainError for x <= 0 or non-finite x.
     """
-    x = float(x)
+    x = _float(x, "ln_gamma")
     if not x > 0.0 or math.isinf(x):
         raise DomainError(f"ln_gamma requires finite x > 0, got {x!r}")
     return _ln_gamma(x)
@@ -114,7 +123,7 @@ def theta(x: float) -> float:
     Stirling main term from ln_gamma would cancel nearly all significant
     digits there (theta(1e6) ~ 8e-8 against terms of size 1e7).
     """
-    x = float(x)
+    x = _float(x, "theta")
     if not x > 0.0 or math.isinf(x):
         raise DomainError(f"theta requires finite x > 0, got {x!r}")
     return _theta(x)
@@ -129,6 +138,7 @@ def _theta(x: float) -> float:
 
 def log_beta(x: float, y: float) -> float:
     """log B(x, y) = log Gamma(x) + log Gamma(y) - log Gamma(x + y)."""
+    x, y = _float(x, "log_beta"), _float(y, "log_beta")
     if not (x > 0.0 and y > 0.0):
         raise DomainError(f"log_beta requires x, y > 0, got ({x!r}, {y!r})")
     return ln_gamma(x) + ln_gamma(y) - ln_gamma(x + y)
@@ -143,6 +153,7 @@ def log_beta_tilde(x: float, y: float) -> float:
     """log of B~(x, y) = B(x, y) (x+y)^(x+y) x^(-x) y^(-y) by Binet's formula,
     (1/2) log(2 pi (x+y)/(x y)) + theta(x) + theta(y) - theta(x+y): no large
     log-gamma and x log x terms that cancel (to a few units near r = 1)."""
+    x, y = _float(x, "log_beta_tilde"), _float(y, "log_beta_tilde")
     s = x + y
     if not (0.0 < x < math.inf and 0.0 < y < math.inf and s < math.inf):
         raise DomainError(f"log_beta_tilde requires finite x, y, x + y > 0, got ({x!r}, {y!r})")
@@ -192,7 +203,7 @@ def _fixed_point_v(t: float) -> float:
 
 
 def _check_t(t: float) -> float:
-    t = float(t)
+    t = _float(t, "kappa")
     if not (0.0 < t <= 1.0):
         raise DomainError(f"kappa requires t in (0, 1], got {t!r}")
     return t

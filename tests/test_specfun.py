@@ -21,6 +21,7 @@ from renyi_bounds.specfun import (
     beta_tilde,
     kappa,
     ln_gamma,
+    log_beta,
     log_beta_tilde,
     theta,
 )
@@ -159,6 +160,22 @@ class TestBeta:
         # (1e308, 1e308) (a sum that overflows) gave nan, nan and inf
         with pytest.raises(DomainError):
             log_beta_tilde(x, y)
+
+
+_HUGE = 10**400  # a Python int that float() refuses with OverflowError
+
+
+_HUGE_CALLS = [
+    (ln_gamma, (_HUGE,)), (theta, (_HUGE,)), (log_beta, (_HUGE, 1)), (beta, (1, _HUGE)),
+    (log_beta_tilde, (_HUGE, 1)), (beta_tilde, (1, _HUGE)), (kappa, (_HUGE,)),
+]
+
+
+@pytest.mark.parametrize("fn, args", _HUGE_CALLS, ids=[fn.__name__ for fn, _ in _HUGE_CALLS])
+def test_int_beyond_the_float_range_is_a_domain_error(fn, args):
+    # each used to raise a bare OverflowError from float() or int division
+    with pytest.raises(DomainError, match="beyond the float range"):
+        fn(*args)
 
 
 def _lanczos_loop(x):
