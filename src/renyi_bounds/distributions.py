@@ -32,7 +32,7 @@ from .errors import (
 )
 from .moment_core import Support, TwoMomentParams, _check_n, _check_r, _logsumexp, _moment_term
 from .quadrature import Domain, _converged_panels, _DensityPanels
-from .specfun import LOG_2PI, ln_gamma
+from .specfun import LOG_2PI, _float, ln_gamma
 
 __all__ = [
     "ScalarDistribution",
@@ -72,6 +72,9 @@ class ScalarDistribution:
 
     def atoms_and_probs(self):
         raise UnsupportedOperation(f"{type(self).__name__} is not atomic")
+
+
+_BEYOND = "log_moment got an order beyond the float range"
 
 
 def _log_npdf(y, var):
@@ -139,16 +142,20 @@ class Lognormal(ScalarDistribution):
     sigma2: float = 1.0
 
     def __post_init__(self):
-        if not math.isfinite(self.mu):
-            raise DomainError(f"mu must be finite, got {self.mu!r}")
-        if not 0.0 < self.sigma2 < math.inf:
-            raise DomainError(f"sigma2 must be positive and finite, got {self.sigma2!r}")
         # Python floats: an overflow below is an inf to refuse, not a numpy warning
-        object.__setattr__(self, "mu", float(self.mu))
-        object.__setattr__(self, "sigma2", float(self.sigma2))
+        mu, sigma2 = _float(self.mu, "Lognormal"), _float(self.sigma2, "Lognormal")
+        if not math.isfinite(mu):
+            raise DomainError(f"mu must be finite, got {mu!r}")
+        if not 0.0 < sigma2 < math.inf:
+            raise DomainError(f"sigma2 must be positive and finite, got {sigma2!r}")
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "sigma2", sigma2)
 
     def log_moment(self, s: float) -> float:
-        s = float(s)
+        try:
+            s = float(s)
+        except OverflowError:
+            raise DomainError(_BEYOND) from None
         value = self.mu * s + 0.5 * self.sigma2 * s * s
         if not math.isfinite(value):
             raise DomainError(f"log E X^{s!r} of {self} leaves the float range")
@@ -199,7 +206,10 @@ class GaussianMagnitude(ScalarDistribution):
     def log_moment(self, s: float) -> float:
         if s <= -self.n:
             return math.inf
-        return 0.5 * s * math.log(2.0) + ln_gamma(0.5 * (self.n + s)) - self._ln_gamma_half_n
+        try:
+            return 0.5 * s * math.log(2.0) + ln_gamma(0.5 * (self.n + s)) - self._ln_gamma_half_n
+        except OverflowError:
+            raise DomainError(_BEYOND) from None
 
     def renyi_entropy(self, r: float) -> float:
         r = _check_r(r)
@@ -223,15 +233,20 @@ class TwoPoint(ScalarDistribution):
     is_discrete = True
 
     def __post_init__(self):
-        if not 0.0 < self.eps < 1.0:
-            raise DomainError(f"eps must lie in (0, 1), got {self.eps!r}")
-        if not 0.0 < self.a < math.inf:
-            raise DomainError(f"atom a must be positive and finite, got {self.a!r}")
+        eps, a = _float(self.eps, "TwoPoint"), _float(self.a, "TwoPoint")
+        if not 0.0 < eps < 1.0:
+            raise DomainError(f"eps must lie in (0, 1), got {eps!r}")
+        if not 0.0 < a < math.inf:
+            raise DomainError(f"atom a must be positive and finite, got {a!r}")
+        object.__setattr__(self, "eps", eps)
+        object.__setattr__(self, "a", a)
 
     def log_moment(self, s: float) -> float:
-        return float(
-            np.logaddexp(math.log1p(-self.eps), math.log(self.eps) + s * math.log(self.a))
-        )
+        try:
+            log_a = s * math.log(self.a)
+        except OverflowError:
+            raise DomainError(_BEYOND) from None
+        return float(np.logaddexp(math.log1p(-self.eps), math.log(self.eps) + log_a))
 
     def sample(self, rng, size=None):
         return np.where(rng.random(size) < self.eps, self.a, 1.0)
@@ -251,13 +266,16 @@ class PointMass(ScalarDistribution):
     is_discrete = True
 
     def __post_init__(self):
-        if not 0.0 < self.c < math.inf:
-            raise DomainError(
-                f"point mass location must be positive and finite, got {self.c!r}"
-            )
+        c = _float(self.c, "PointMass")
+        if not 0.0 < c < math.inf:
+            raise DomainError(f"point mass location must be positive and finite, got {c!r}")
+        object.__setattr__(self, "c", c)
 
     def log_moment(self, s: float) -> float:
-        return s * math.log(self.c)
+        try:
+            return s * math.log(self.c)
+        except OverflowError:
+            raise DomainError(_BEYOND) from None
 
     def sample(self, rng, size=None):
         if size is None:
@@ -316,7 +334,10 @@ class GenericPdf(ScalarDistribution):
         """[log E|X|^s for s in orders]: +inf where the moment diverges.
         Each distinct order is summed once, in blocks of orders that share
         one power of |x| over the cached nodes."""
-        keys = [float(s) for s in orders]
+        try:
+            keys = [float(s) for s in orders]
+        except OverflowError:
+            raise DomainError(_BEYOND) from None
         distinct = list(dict.fromkeys(keys))
         values = {}
         for s, res in zip(distinct, self._panels.integrals(_moment_integrand, np.array(distinct))):

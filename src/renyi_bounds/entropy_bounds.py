@@ -45,7 +45,7 @@ from .moment_core import (
     Support, TwoMomentParams, _check_n, _check_r, _log_two_moment, lambda_of, log_omega,
 )
 from .quadrature import Domain, integrate
-from .specfun import LOG_2PI, ln_gamma, theta
+from .specfun import LOG_2PI, _float, ln_gamma, theta
 
 __all__ = [
     "BoundReport",
@@ -114,7 +114,10 @@ def two_moment_parametrization(r: float, lam: float, u: float) -> Tuple[float, f
         raise DomainError(f"need lam in (0, 1) and a finite u > 0, got lam={lam!r}, u={u!r}")
     m = (1.0 - r) / r
     denom = r * lam * (1.0 - lam)  # 0 when lam underflows it
-    d = math.sqrt((1.0 - r) * u / denom) if denom > 0.0 else math.inf
+    try:
+        d = math.sqrt((1.0 - r) * u / denom) if denom > 0.0 else math.inf
+    except OverflowError:  # an int u beyond the float range
+        d = math.inf
     if d == math.inf:
         raise DomainError(f"(p, q) at r={r!r}, lam={lam!r}, u={u!r} leave the float range")
     return m - (1.0 - lam) * d, m + lam * d
@@ -351,10 +354,12 @@ def mult_bound_check(
     if not dX.is_discrete:
         raise UnsupportedOperation("mult_bound_check requires atomic X")
     _check_r(r)
+    t = _float(t, "mult_bound_check")
     if not 0.0 < t < math.inf:
         raise DomainError(f"t must be positive and finite, got {t!r}")
-    if not (0.0 < p < 1.0 / r - 1.0 < q):
-        raise InvalidMomentOrder(f"need 0 < p < 1/r - 1 < q, got ({p!r}, {q!r})")
+    lambda_of(r, p, q)
+    if not p > 0.0:
+        raise InvalidMomentOrder(f"need p > 0, got {p!r}")
     atoms, probs = dX.atoms_and_probs()
     if np.any(atoms <= 0.0) or np.any(atoms > t * (1.0 + 1e-12)):
         raise DomainError("X must satisfy 0 < X <= t almost surely")
@@ -383,8 +388,8 @@ def diff_entropy_bounds(
 
     Returns (moment_bound, log_moment_bound):
 
-      moment_bound     = log Gamma(n/s + 1) - log Gamma(n/2 + 1)
-                         + (n/2) log pi + (n/s) log(e s E[||X||^s] / n),
+      moment_bound     = log Gamma(n/s + 1) + log omega(R^n)
+                         + (n/s) log(e s E[||X||^s] / n),
                          valid for any s > 0 (s = 2 is the Gaussian case);
 
       log_moment_bound = log omega(S) + n E[log ||X||]
@@ -404,8 +409,7 @@ def diff_entropy_bounds(
         raise MomentDiverges(f"E||X||^{s!r} diverges")
     moment_bound = (
         ln_gamma(n / s + 1.0)
-        - ln_gamma(0.5 * n + 1.0)
-        + 0.5 * n * math.log(math.pi)
+        + log_omega(Support.euclidean(n))
         + (n / s) * (1.0 + math.log(s) + ls - math.log(n))
     )
 

@@ -49,7 +49,7 @@ from .distributions import (
 from .errors import DomainError, InvalidMomentOrder, RenyiBoundsError, UnsupportedOperation
 from .moment_core import Support, TwoMomentParams, _check_r, _log_two_moment, _logsumexp, log_omega
 from .quadrature import Domain, integrate, mc_expect
-from .specfun import LOG_2PI, kappa, ln_gamma
+from .specfun import LOG_2PI, _float, kappa, ln_gamma
 
 __all__ = [
     "AwgnChannel",
@@ -217,6 +217,7 @@ def kernel_Ks(x1: float, x2: float, s: float) -> float:
     for the AWGN channel, N(x1 - x2; 0, 2) E|N((x1 + x2)/2, 1/2)|^s with the
     absolute moment in confluent-hypergeometric closed form; symmetric bit
     for bit."""
+    s = _float(s, "kernel_Ks")
     if not s >= 0.0:
         raise DomainError(f"s must be nonnegative, got {s!r}")
     try:
@@ -262,9 +263,9 @@ def _vs_atomic(model, s) -> VsValue:
 
 
 def _vs_coef(s: float) -> float:
-    """G((1+s)/2)/(2 pi), the constant of the scale-mixture V_s."""
+    """G((1+s)/2)/(2 pi) = K_s(0, 0), the constant of the scale-mixture V_s."""
     try:
-        return math.exp(ln_gamma(0.5 * (1.0 + s))) / (2.0 * math.pi)
+        return math.exp(_log_kernel(0.0, 1.0, 0.0, 1.0, s))
     except OverflowError:
         raise DomainError(f"G((1+s)/2) leaves the float range at s = {s:g}") from None
 
@@ -311,6 +312,7 @@ def V_s(ch, s: float, given: str = "X", *, stream: int = 0) -> VsValue:
 
     A non-atomic AWGN input raises UnsupportedOperation.  Terms that leave
     the float range (large s) raise DomainError."""
+    s = _float(s, "V_s")
     if not s >= 0.0:
         raise DomainError(f"s must be nonnegative, got {s!r}")
     given = _given(ch, given)
@@ -404,15 +406,13 @@ def prop9_bound(ch, p: float, q: float, given: str = "X") -> float:
     C(lam) = kappa(1/2) sqrt((q - p) psi_{1/2}(p, q)).  Requires
     0 <= p < 1 < q (the V_s orders must be nonnegative).
     """
-    if not p < 1.0 < q:
-        raise InvalidMomentOrder(f"need p < 1 < q, got ({p!r}, {q!r})")
+    params = TwoMomentParams(0.5, p, q)
     if p < 0.0:
         raise InvalidMomentOrder("p must be nonnegative (V_s orders are)")
     vp = V_s(ch, p, given, stream=1).value
     vq = V_s(ch, q, given, stream=2).value
     if vp == 0.0 or vq == 0.0:
         return 0.0
-    params = TwoMomentParams(0.5, p, q)
     inner = _log_two_moment(log_omega(Support.real_line()), params, math.log(vp), math.log(vq))
     return kappa(0.5) * math.exp(0.5 * inner)
 

@@ -27,6 +27,7 @@ are implemented so each can check the other.
 """
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -34,7 +35,7 @@ import numpy as np
 
 from .errors import DivergenceDetected, DomainError, InvalidMomentOrder
 from .quadrature import Domain, integrate
-from .specfun import ln_gamma, log_beta_tilde
+from .specfun import _float, ln_gamma, log_beta_tilde
 
 __all__ = [
     "TwoMomentParams",
@@ -50,6 +51,8 @@ __all__ = [
     "k_moment_bound",
 ]
 
+_MAX_FLOAT = sys.float_info.max
+
 
 def _check_r(r: float, error: type = DomainError) -> float:
     """The Renyi order r as a float in (0, 1); error is raised otherwise."""
@@ -59,9 +62,10 @@ def _check_r(r: float, error: type = DomainError) -> float:
 
 
 def _check_n(n: int) -> None:
-    """n is a dimension, a positive integer (not a bool, not 1.5)."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-        raise DomainError(f"n must be a positive integer, got {n!r}")
+    """n is a dimension, a positive integer (not a bool, not 1.5) that
+    converts to a float."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or not 1 <= n <= _MAX_FLOAT:
+        raise DomainError(f"n must be a positive integer within the float range, got {n!r}")
 
 
 def lambda_of(r: float, p: float, q: float) -> float:
@@ -76,7 +80,10 @@ def lambda_of(r: float, p: float, q: float) -> float:
         raise InvalidMomentOrder(
             f"need p < 1/r - 1 < q, got p={p!r}, 1/r-1={pivot!r}, q={q!r}"
         )
-    lam = (q + 1.0 - 1.0 / r) / (q - p)
+    try:
+        lam = (q + 1.0 - 1.0 / r) / (q - p)
+    except OverflowError:
+        raise InvalidMomentOrder(f"p or q lies beyond the float range at r={r!r}") from None
     if not 0.0 < lam < 1.0:
         raise InvalidMomentOrder(
             f"lam = {lam!r} rounds out of (0, 1) at r={r!r}, p={p!r}, q={q!r}: "
@@ -106,8 +113,8 @@ class MomentVector:
     nu: tuple
 
     def __post_init__(self):
-        s = tuple(float(v) for v in self.s)
-        nu = tuple(float(v) for v in self.nu)
+        s = tuple(_float(v, "MomentVector") for v in self.s)
+        nu = tuple(_float(v, "MomentVector") for v in self.nu)
         if len(s) == 0 or len(s) != len(nu):
             raise DomainError("s and nu must be nonempty and of equal length")
         if not all(math.isfinite(v) for v in s + nu):
@@ -239,7 +246,7 @@ def c_r_numeric(r: float, mv: MomentVector) -> float:
 
 def _check_moments(moments: Sequence[float]) -> None:
     for m in moments:
-        if not 0.0 <= m < math.inf:
+        if not 0.0 <= _float(m, "a moment bound") < math.inf:
             raise DomainError(f"moments must be finite and nonnegative, got {m!r}")
 
 

@@ -64,6 +64,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import DivergenceDetected, DomainError, MaxSubdivisionsExceeded, RenyiBoundsError
+from .specfun import _float
 
 __all__ = [
     "Domain",
@@ -86,18 +87,21 @@ class Domain:
     def __post_init__(self):
         if self.kind not in ("finite", "half_line", "full_line"):
             raise DomainError(f"unknown domain kind {self.kind!r}")
-        if not (math.isfinite(self.a) and math.isfinite(self.b)):
-            raise DomainError(f"domain endpoints must be finite, got {self.a!r}, {self.b!r}")
-        if self.kind == "finite" and not self.a < self.b:
-            raise DomainError(f"finite domain requires a < b, got [{self.a}, {self.b}]")
+        a, b = _float(self.a, "Domain"), _float(self.b, "Domain")
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise DomainError(f"domain endpoints must be finite, got {a!r}, {b!r}")
+        if self.kind == "finite" and not a < b:
+            raise DomainError(f"finite domain requires a < b, got [{a}, {b}]")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
     @staticmethod
     def finite(a: float, b: float) -> "Domain":
-        return Domain("finite", float(a), float(b))
+        return Domain("finite", a, b)
 
     @staticmethod
     def half_line(a: float = 0.0) -> "Domain":
-        return Domain("half_line", float(a))
+        return Domain("half_line", a)
 
     @staticmethod
     def full_line() -> "Domain":
@@ -507,8 +511,7 @@ class _DensityPanels:
                 budget -= int(wide.sum())
                 if budget < 0:
                     raise MaxSubdivisionsExceeded(f"no panels narrower than {width:g} on {domain}")
-                mid = 0.5 * (lo[wide] + hi[wide])
-                lo, hi = np.concatenate([lo[wide], mid]), np.concatenate([mid, hi[wide]])
+                lo, hi = _split(lo, hi, wide, np.zeros_like(wide))
         xs, w = np.concatenate(xs), np.concatenate(ws)
         if not (w >= 0.0).all():
             raise DomainError(f"a density on {domain} is negative or nan at a node of its rule")

@@ -12,6 +12,8 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from renyi_bounds.cli import main
+from renyi_bounds.distributions import Lognormal
+from renyi_bounds.mi_bounds import ScaleMixtureChannel, V_s
 
 
 def _read(path):
@@ -82,13 +84,19 @@ class TestReproducibility:
         assert _read(a) == _read(b)
 
     def test_seed_environment_variable_ignored(self, tmp_path, monkeypatch):
-        # the Monte Carlo seed is a constant: the variable that once set it moves no byte
+        # the Monte Carlo seed is a constant: the variable that once set it moves no
+        # byte, and no Monte Carlo bit (fig3's mixing law is atomic: it draws nothing)
+        ch = ScaleMixtureChannel(Lognormal(0.0, 0.25))
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         monkeypatch.delenv("RENYI_BOUNDS_SEED", raising=False)
         assert main(["fig3", "--eps-grid", "0.01", "--out", str(a)]) == 0
+        unset = V_s(ch, 1.0, "U")
         monkeypatch.setenv("RENYI_BOUNDS_SEED", "1")
         assert main(["fig3", "--eps-grid", "0.01", "--out", str(b)]) == 0
         assert _read(a) == _read(b) and b" seed=20170825 " in _read(a)
+        set_ = V_s(ch, 1.0, "U")
+        assert unset.method == "monte_carlo"
+        assert (set_.value, set_.standard_error) == (unset.value, unset.standard_error)
 
     # SHA-256 of the default CSVs under the default seed.  A change that
     # moves any of them must fix a numerical bug and say so.
@@ -238,6 +246,13 @@ class TestExitCodes:
                    "--r", "0.5", "--p", "3", "--q", "4"])
         assert rc == 2
 
+    def test_dimension_beyond_the_float_range_exit_2(self, capsys):
+        # a 400-digit --n raised a bare OverflowError and a traceback
+        assert main(["entropy-bound", "--family", "gaussian", "--n", str(10**400),
+                     "--r", "0.5", "--p", "0", "--q", "2"]) == 2
+        captured = capsys.readouterr()
+        assert "float range" in captured.err and captured.out == ""
+
 
 # Fuzzing the command-line contract: any numeric flag value gives exit 0, 1
 # or 2, never an escaping exception, and exit 0 prints finite numbers only.
@@ -266,7 +281,7 @@ def _argv(command, choices, extra=st.just([]), **plausible):
 
 _ENTROPY_ARGV = _argv(
     "entropy-bound", ["--family=lognormal", "--family=gaussian"],
-    extra=st.integers(-3, 10**6).map(lambda n: [f"--n={n}"]),
+    extra=st.one_of(st.integers(-3, 10**6), st.just(10**400)).map(lambda n: [f"--n={n}"]),
     mu=_open(-5.0, 5.0), sigma2=_open(0.0, 10.0), r=_open(0.05, 0.95), p=_open(-1.0, 0.5),
     q=_open(1.0, 20.0),
 )
@@ -293,6 +308,9 @@ def _check_contract(argv):
 @given(st.one_of(_ENTROPY_ARGV, _MI_ARGV))
 @settings(max_examples=200, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
+# a 400-digit dimension raised a bare OverflowError
+@example(["entropy-bound", "--family=gaussian", "--r=0.5", "--p=0.0", "--q=2.0",
+          f"--n={10**400}"])
 def test_cli_contract_fuzz(argv):
     _check_contract(argv)
 

@@ -14,6 +14,7 @@ from renyi_bounds.distributions import (
     GenericPdf,
     Lognormal,
     PointMass,
+    ScalarDistribution,
     TwoPoint,
 )
 from renyi_bounds import entropy_bounds
@@ -31,8 +32,12 @@ from renyi_bounds.errors import (
     InvalidMomentOrder,
     MomentDiverges,
     RenyiBoundsError,
+    UnsupportedOperation,
 )
-from renyi_bounds.moment_core import Support, TwoMomentParams, omega, psi_r, two_moment_bound
+from renyi_bounds.mi_bounds import ScaleMixtureChannel, V_s, kernel_Ks
+from renyi_bounds.moment_core import (
+    Support, TwoMomentParams, lambda_of, omega, psi_r, two_moment_bound,
+)
 from renyi_bounds.quadrature import Domain
 from renyi_bounds.specfun import theta
 from renyi_bounds.sweeps import fig2_rows
@@ -458,6 +463,24 @@ class TestMultiplicationBound:
             # atom above t violates X <= t
             mult_bound_check(Lognormal(0.0, 1.0), PointMass(3.0), 2.0, 0.5, 0.3, 2.0)
 
+    def test_orders_refused_before_any_quadrature(self, monkeypatch):
+        # lambda_of refuses q one ulp above 1/r - 1 = 1, where lam rounds to 0,
+        # before h_r(XY) is integrated
+        def fail(*args, **kwargs):
+            raise AssertionError("integrate ran before the orders were checked")
+
+        monkeypatch.setattr(entropy_bounds, "integrate", fail)
+        with pytest.raises(InvalidMomentOrder):
+            mult_bound_check(Lognormal(), PointMass(1.0), 1.0, 0.5, 0.5, 1.0000000000000002)
+
+    def test_non_lognormal_y_refused(self):
+        with pytest.raises(UnsupportedOperation):
+            mult_bound_check(GaussianMagnitude(1), PointMass(1.0), 1.0, 0.5, 0.3, 2.0)
+
+    def test_non_atomic_x_refused(self):
+        with pytest.raises(UnsupportedOperation):
+            mult_bound_check(Lognormal(), Lognormal(), 1.0, 0.5, 0.3, 2.0)
+
 
 class TestDiffEntropyBounds:
     def test_moment_bound_s2_unit_normal(self):
@@ -516,6 +539,19 @@ class TestDiffEntropyBounds:
         )
         with pytest.raises(MomentDiverges):
             diff_entropy_bounds(heavy, 1, 2.0)
+
+    def test_infinite_log_moment_near_zero_refused(self):
+        class NoNegativeMoments(ScalarDistribution):
+            def log_moment(self, s):
+                return 0.5 * s * s if s >= 0.0 else math.inf
+
+        with pytest.raises(MomentDiverges):
+            diff_entropy_bounds(NoNegativeMoments(), 1, 2.0)
+
+    def test_zero_log_variance_refused(self):
+        # log X of a point mass is constant
+        with pytest.raises(DomainError):
+            diff_entropy_bounds(PointMass(2.0), 1, 2.0)
 
 
 def _beta22_on(b):
@@ -639,7 +675,7 @@ def test_two_moment_gap_at_most_p0_gap():
 # never a bare ValueError, TypeError, nan or inf.
 _WILD = st.one_of(
     st.sampled_from([0.0, -0.0, -1.0, 1.0, 1e-300, 1e300, -1e300, 1.7e308, 1.0 - 2.0**-53,
-                     1.0 + 2.0**-52, math.nan, math.inf, -math.inf]),
+                     1.0 + 2.0**-52, math.nan, math.inf, -math.inf, 10**400]),
     st.floats(allow_nan=True, allow_infinity=True),
 )
 _DIM = st.one_of(st.integers(-2, 6), st.sampled_from([1.5, 0.0, True, math.nan, math.inf]))
@@ -801,3 +837,39 @@ def test_api_contract_fuzz(call):
         # a bound below the entropy; the gap is a difference of terms of the
         # entropy's size (mu = 1e13 leaves it a few 1e-3 of rounding)
         assert gap >= -1e-9 * max(1.0, abs(out.entropy)), (fn.__name__, kwargs, out)
+
+
+_BEYOND = 10**400  # a Python int that float() refuses with OverflowError
+_BEYOND_CALLS = {
+    "Lognormal-mu": (DomainError, lambda: Lognormal(_BEYOND, 1.0)),
+    "Lognormal-sigma2": (DomainError, lambda: Lognormal(0.0, _BEYOND)),
+    "GaussianMagnitude": (DomainError, lambda: GaussianMagnitude(_BEYOND)),
+    "TwoPoint": (DomainError, lambda: TwoPoint(0.3, _BEYOND)),
+    "PointMass": (DomainError, lambda: PointMass(_BEYOND)),
+    "lambda_of-q": (InvalidMomentOrder, lambda: lambda_of(0.5, 0.5, _BEYOND)),
+    "lambda_of-p": (InvalidMomentOrder, lambda: lambda_of(0.5, -_BEYOND, 2.0)),
+    "TwoMomentParams": (InvalidMomentOrder, lambda: TwoMomentParams(0.5, 0.5, _BEYOND)),
+    "entropy_bound": (InvalidMomentOrder,
+                      lambda: entropy_bound(Lognormal(), SUP_POS, 1, 0.5, 0.0, _BEYOND)),
+    "kernel_Ks": (DomainError, lambda: kernel_Ks(1.0, 1.0, _BEYOND)),
+    "V_s-atomic": (DomainError, lambda: V_s(ScaleMixtureChannel(TwoPoint(0.3, 2.0)), _BEYOND)),
+    "V_s-monte-carlo": (DomainError, lambda: V_s(ScaleMixtureChannel(Lognormal()), _BEYOND)),
+    "Domain.finite": (DomainError, lambda: Domain.finite(0, _BEYOND)),
+    "Domain.half_line": (DomainError, lambda: Domain.half_line(_BEYOND)),
+    "omega": (DomainError, lambda: omega(Support.euclidean(_BEYOND))),
+    "Lognormal.log_moment": (DomainError, lambda: Lognormal().log_moment(_BEYOND)),
+    "GaussianMagnitude.log_moment": (DomainError,
+                                     lambda: GaussianMagnitude(2).log_moment(_BEYOND)),
+    "TwoPoint.log_moment": (DomainError, lambda: TwoPoint(0.3, 2.0).log_moment(_BEYOND)),
+    "PointMass.log_moment": (DomainError, lambda: PointMass(2.0).log_moment(_BEYOND)),
+    "GenericPdf.log_moment": (DomainError, lambda: _half_normal().log_moment(_BEYOND)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BEYOND_CALLS))
+def test_int_beyond_the_float_range_is_refused(name):
+    # each raised a bare OverflowError, or (TwoPoint, PointMass) took the
+    # number and failed later
+    error, call = _BEYOND_CALLS[name]
+    with pytest.raises(error):
+        call()

@@ -201,6 +201,17 @@ class TestKernel:
             with pytest.raises(DomainError, match="nonnegative"):
                 kernel_Ks(0.0, 1.0, s)
 
+    def test_overflowing_kernel_refused(self):
+        # K_400(0, 0) = G(200.5)/(2 pi) is about e^858
+        with pytest.raises(DomainError):
+            kernel_Ks(0.0, 0.0, 400.0)
+
+    @pytest.mark.parametrize("s", [0.0, 0.5, 1.0, 2.0, 7.5, 60.0])
+    def test_scale_mixture_constant_is_the_kernel_at_the_origin(self, s):
+        # the constant of the scale-mixture V_s, K_s(0, 0) = G((1+s)/2)/(2 pi)
+        expect = math.gamma(0.5 * (1.0 + s)) / (2.0 * math.pi)
+        assert mi_bounds._vs_coef(s) == pytest.approx(expect, rel=1e-14)
+
 
 class TestVs:
     def test_point_input_is_zero(self):
@@ -330,6 +341,10 @@ class TestVs:
     def test_given_u_upper_bound_degenerate(self):
         ch = ScaleMixtureChannel(PointMass(1.5))
         assert vs_upper_bound_check(ch, 0.0) == pytest.approx(0.0, abs=1e-15)
+
+    def test_upper_bound_check_refuses_an_awgn_channel(self):
+        with pytest.raises(UnsupportedOperation):
+            vs_upper_bound_check(AwgnChannel(TwoPoint(0.3, 2.5)), 0.0)
 
     @pytest.mark.parametrize("q", [250.0, 300.0, 400.0])
     @pytest.mark.parametrize("ch,given", [
@@ -549,10 +564,25 @@ class TestProp9:
         with pytest.raises(InvalidMomentOrder, match="lam = 0.0"):
             prop9_bound(ch, 0.0, 1.0000000000000002)
 
+    def test_orders_refused_before_any_v_s(self, monkeypatch):
+        # lambda_of refuses the orders before the two Monte Carlo V_s are drawn
+        def fail(*args, **kwargs):
+            raise AssertionError("V_s ran before the orders were checked")
+
+        monkeypatch.setattr(mi_bounds, "V_s", fail)
+        ch = ScaleMixtureChannel(Lognormal(0.0, 1.0))
+        for p, q in ((0.0, 1.0000000000000002), (0.0, 0.9), (-0.5, 2.0), (math.nan, 2.0)):
+            with pytest.raises(InvalidMomentOrder):
+                prop9_bound(ch, p, q, "U")
+
 
 class TestOracle:
     def test_degenerate(self):
         assert mi_oracle(AwgnChannel(PointMass(1.0)), "X") == pytest.approx(0.0, abs=1e-12)
+
+    def test_input_without_a_variance_model_refused(self):
+        with pytest.raises(UnsupportedOperation):
+            mi_oracle(AwgnChannel(Lognormal()))
 
     def test_coinciding_atoms_give_exact_zero(self):
         # both atoms of TwoPoint(eps, 1) sit at 1: the input is constant and

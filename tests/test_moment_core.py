@@ -152,6 +152,10 @@ class TestOmega:
             Support.euclidean(n)
         assert Support.euclidean(np.int64(2)).n == 2
 
+    def test_unknown_kind_refused(self):
+        with pytest.raises(DomainError):
+            Support("cube")
+
     def test_log_omega_consistency(self):
         for sup in (Support.positive_half_line(), Support.real_line(),
                     Support.euclidean(5), Support.custom(0.7, n=1)):
@@ -190,6 +194,11 @@ class TestTwoMomentBound:
             bound = two_moment_bound(mu_p, mu_q, TwoMomentParams(r, p, q))
             assert bound - norm_r >= -1e-9
 
+    def test_bound_beyond_the_float_range_refused(self):
+        # the bound is e^759 at r = 0.01: 99 log psi_r(0, 200) = 68.3 plus log 1e300
+        with pytest.raises(DomainError):
+            two_moment_bound(1e300, 1e300, TwoMomentParams(0.01, 0.0, 200.0))
+
 
 class TestKMomentBound:
     def test_zero_moments(self):
@@ -217,6 +226,15 @@ class TestKMomentBound:
     def test_infinite_when_cr_diverges(self):
         mv = MomentVector((0.0,), (1.0,))
         assert k_moment_bound(mv, [1.0], 0.5) == math.inf
+
+    def test_moments_of_the_wrong_length_refused(self):
+        with pytest.raises(DomainError):
+            k_moment_bound(MomentVector((0.0, 2.0), (1.0, 1.0)), [1.0], 0.5)
+
+    def test_bound_beyond_the_float_range_refused(self):
+        # c_r * (1e308 + 1e308) overflows
+        with pytest.raises(DomainError):
+            k_moment_bound(MomentVector((0.0, 2.0), (1.0, 1.0)), [1e308, 1e308], 0.5)
 
 
 class TestMomentVector:

@@ -368,6 +368,10 @@ class TestMonteCarlo:
         res = mc_expect(lambda p: np.exp(-0.25 * (p[0] - p[1]) ** 2), sampler)
         assert abs(res.value - 1.0 / math.sqrt(2.0)) <= 3.0 * res.standard_error
 
+    def test_g_of_the_wrong_shape_refused(self):
+        with pytest.raises(DomainError):
+            mc_expect(lambda x: x[:10], lambda rng, n: rng.random(n))
+
     def test_bit_identical_reruns(self):
         sampler = lambda rng, n: rng.standard_normal(n)
         a = mc_expect(lambda x: np.sin(x), sampler)

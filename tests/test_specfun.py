@@ -144,6 +144,10 @@ class TestBeta:
         for x, y in ((0.5, 0.5), (2.0, 3.0), (7.5, 0.25)):
             assert beta(x, y) == pytest.approx(float(sp.beta(x, y)), rel=1e-12)
 
+    def test_log_beta_domain(self):
+        with pytest.raises(DomainError):
+            log_beta(-1.0, 1.0)
+
     @pytest.mark.parametrize("a", [499999.5, 1e7, 3e8])
     def test_log_beta_tilde_large_equal_arguments(self, a):
         # B~(a, a) = 2 sqrt(pi) G(a) / G(a + 1/2); near r = 1 the terms of
