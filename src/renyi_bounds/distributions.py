@@ -32,7 +32,7 @@ from .errors import (
 )
 from .moment_core import Support, TwoMomentParams, _check_n, _check_r, _logsumexp, _moment_term
 from .quadrature import Domain, _converged_panels, _DensityPanels
-from .specfun import LOG_2PI, _float, ln_gamma
+from .specfun import LOG_2PI, _float, _positive_finite, ln_gamma
 
 __all__ = [
     "ScalarDistribution",
@@ -143,13 +143,9 @@ class Lognormal(ScalarDistribution):
 
     def __post_init__(self):
         # Python floats: an overflow below is an inf to refuse, not a numpy warning
-        mu, sigma2 = _float(self.mu, "Lognormal"), _float(self.sigma2, "Lognormal")
-        if not math.isfinite(mu):
-            raise DomainError(f"mu must be finite, got {mu!r}")
-        if not 0.0 < sigma2 < math.inf:
-            raise DomainError(f"sigma2 must be positive and finite, got {sigma2!r}")
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "sigma2", sigma2)
+        object.__setattr__(self, "mu", _float(self.mu, "mu", math.isfinite, "be finite"))
+        object.__setattr__(self, "sigma2", _float(self.sigma2, "sigma2", _positive_finite,
+                                                  "be positive and finite"))
 
     def log_moment(self, s: float) -> float:
         try:
@@ -233,13 +229,10 @@ class TwoPoint(ScalarDistribution):
     is_discrete = True
 
     def __post_init__(self):
-        eps, a = _float(self.eps, "TwoPoint"), _float(self.a, "TwoPoint")
-        if not 0.0 < eps < 1.0:
-            raise DomainError(f"eps must lie in (0, 1), got {eps!r}")
-        if not 0.0 < a < math.inf:
-            raise DomainError(f"atom a must be positive and finite, got {a!r}")
-        object.__setattr__(self, "eps", eps)
-        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "eps", _float(self.eps, "eps", lambda v: 0.0 < v < 1.0,
+                                               "lie in (0, 1)"))
+        object.__setattr__(self, "a", _float(self.a, "atom a", _positive_finite,
+                                             "be positive and finite"))
 
     def log_moment(self, s: float) -> float:
         try:
@@ -266,10 +259,8 @@ class PointMass(ScalarDistribution):
     is_discrete = True
 
     def __post_init__(self):
-        c = _float(self.c, "PointMass")
-        if not 0.0 < c < math.inf:
-            raise DomainError(f"point mass location must be positive and finite, got {c!r}")
-        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "c", _float(self.c, "point mass location", _positive_finite,
+                                             "be positive and finite"))
 
     def log_moment(self, s: float) -> float:
         try:

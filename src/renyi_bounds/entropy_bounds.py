@@ -45,7 +45,7 @@ from .moment_core import (
     Support, TwoMomentParams, _check_n, _check_r, _log_two_moment, lambda_of, log_omega,
 )
 from .quadrature import Domain, integrate
-from .specfun import LOG_2PI, _float, ln_gamma, theta
+from .specfun import LOG_2PI, _float, _positive_finite, ln_gamma, theta
 
 __all__ = [
     "BoundReport",
@@ -111,7 +111,8 @@ def two_moment_parametrization(r: float, lam: float, u: float) -> Tuple[float, f
     """(p, q) from the box coordinates (lam, u); inverse of the gap search."""
     _check_r(r)
     if not (0.0 < lam < 1.0 and 0.0 < u < math.inf):
-        raise DomainError(f"need lam in (0, 1) and a finite u > 0, got lam={lam!r}, u={u!r}")
+        _float(lam, "lam", lambda v: 0.0 < v < 1.0, "lie in (0, 1)")
+        _float(u, "u", _positive_finite, "be positive and finite")
     m = (1.0 - r) / r
     denom = r * lam * (1.0 - lam)  # 0 when lam underflows it
     try:
@@ -119,6 +120,7 @@ def two_moment_parametrization(r: float, lam: float, u: float) -> Tuple[float, f
     except OverflowError:  # an int u beyond the float range
         d = math.inf
     if d == math.inf:
+        u = _float(u, "u")  # refuses an int u beyond the float range
         raise DomainError(f"(p, q) at r={r!r}, lam={lam!r}, u={u!r} leave the float range")
     return m - (1.0 - lam) * d, m + lam * d
 
@@ -354,12 +356,9 @@ def mult_bound_check(
     if not dX.is_discrete:
         raise UnsupportedOperation("mult_bound_check requires atomic X")
     _check_r(r)
-    t = _float(t, "mult_bound_check")
-    if not 0.0 < t < math.inf:
-        raise DomainError(f"t must be positive and finite, got {t!r}")
+    t = _float(t, "t", _positive_finite, "be positive and finite")
     lambda_of(r, p, q)
-    if not p > 0.0:
-        raise InvalidMomentOrder(f"need p > 0, got {p!r}")
+    _float(p, "p", lambda v: v > 0.0, "be > 0", InvalidMomentOrder)
     atoms, probs = dX.atoms_and_probs()
     if np.any(atoms <= 0.0) or np.any(atoms > t * (1.0 + 1e-12)):
         raise DomainError("X must satisfy 0 < X <= t almost surely")
@@ -402,8 +401,7 @@ def diff_entropy_bounds(
     cumulant function is quadratic.
     """
     lw = _check_dimension(d, d.support(), n)
-    if not 0.0 < s < math.inf:
-        raise DomainError(f"moment order s must be positive and finite, got {s!r}")
+    s = _float(s, "moment order s", _positive_finite, "be positive and finite")
     ls, lp, l0, lm = d.log_moments([s, _FD_STEP, 0.0, -_FD_STEP])
     if math.isinf(ls):
         raise MomentDiverges(f"E||X||^{s!r} diverges")

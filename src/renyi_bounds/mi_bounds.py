@@ -217,9 +217,7 @@ def kernel_Ks(x1: float, x2: float, s: float) -> float:
     for the AWGN channel, N(x1 - x2; 0, 2) E|N((x1 + x2)/2, 1/2)|^s with the
     absolute moment in confluent-hypergeometric closed form; symmetric bit
     for bit."""
-    s = _float(s, "kernel_Ks")
-    if not s >= 0.0:
-        raise DomainError(f"s must be nonnegative, got {s!r}")
+    s = _float(s, "s", lambda v: v >= 0.0, "be nonnegative")
     try:
         return math.exp(_log_kernel(x1, 1.0, x2, 1.0, s))
     except OverflowError:
@@ -262,19 +260,11 @@ def _vs_atomic(model, s) -> VsValue:
     return _vs_value(s, float(value), float(scale))
 
 
-def _vs_coef(s: float) -> float:
-    """G((1+s)/2)/(2 pi) = K_s(0, 0), the constant of the scale-mixture V_s."""
-    try:
-        return math.exp(_log_kernel(0.0, 1.0, 0.0, 1.0, s))
-    except OverflowError:
-        raise DomainError(f"G((1+s)/2) leaves the float range at s = {s:g}") from None
-
-
 def _vs_monte_carlo(mixing, s, given, stream) -> VsValue:
     """V_s over a continuous mixing law: G((1+s)/2)/(2 pi) E[first(U1) -
     cross(U1, U2)] over i.i.d. pairs drawn from it.  An estimate that is not
     above 0 is refused: it says only that V_s is within noise of 0."""
-    coef = _vs_coef(s)
+    coef = kernel_Ks(0.0, 0.0, s)  # G((1+s)/2)/(2 pi)
 
     def g(uu):
         u1, u2 = uu
@@ -312,9 +302,7 @@ def V_s(ch, s: float, given: str = "X", *, stream: int = 0) -> VsValue:
 
     A non-atomic AWGN input raises UnsupportedOperation.  Terms that leave
     the float range (large s) raise DomainError."""
-    s = _float(s, "V_s")
-    if not s >= 0.0:
-        raise DomainError(f"s must be nonnegative, got {s!r}")
+    s = _float(s, "s", lambda v: v >= 0.0, "be nonnegative")
     given = _given(ch, given)
     if isinstance(ch, ScaleMixtureChannel) and not ch.mixing.is_discrete:
         return _vs_monte_carlo(ch.mixing, s, given, stream)
@@ -361,8 +349,7 @@ def prop7_bound(ch, t: float, given: str = "X") -> float:
     t = 1 is the chi-square divergence (kappa(1) = 1); t = 1/2 is the
     integral of sqrt(var) that feeds the two-moment MI bound.
     """
-    if not 0.0 < t <= 1.0:
-        raise DomainError(f"t must lie in (0, 1], got {t!r}")
+    t = _float(t, "t", lambda v: 0.0 < v <= 1.0, "lie in (0, 1]")
     return kappa(t) * _prop7_integral(ch, t, given)
 
 
@@ -459,5 +446,5 @@ def vs_upper_bound_check(ch, s: float) -> float:
     vs = V_s(ch, s, "U").value
     us, probs = ch.mixing.atoms_and_probs()
     p_neq = 1.0 - float(probs @ probs)
-    bound = _vs_coef(s) * p_neq * float(probs @ (1.0 + us) ** (0.5 * (s - 1.0)))
+    bound = kernel_Ks(0.0, 0.0, s) * p_neq * float(probs @ (1.0 + us) ** (0.5 * (s - 1.0)))
     return bound - vs

@@ -14,7 +14,8 @@ Raised to r/(1-r) and logged, the right side is log omega(S) +
 log psi_r(p, q) + L_r with L_r = (r/(1-r)) (lam log mu_np + (1-lam)
 log mu_nq), written once, in _log_two_moment: on the density of X it
 bounds h_r(X), and at r = 1/2 on var(f(y|W)) it is Prop 9.  The checks
-on r and on a dimension n live here too.
+on r, on a dimension n and on p < 1/r - 1 < q live here too, worded by
+specfun._float.
 
 The constant is the optimized form of the k-moment bound
 ||f||_r <= c_r(nu, s) * sum_i nu_i mu_{s_i}(f), where
@@ -57,7 +58,7 @@ _MAX_FLOAT = sys.float_info.max
 def _check_r(r: float, error: type = DomainError) -> float:
     """The Renyi order r as a float in (0, 1); error is raised otherwise."""
     if not 0.0 < r < 1.0:
-        raise error(f"r must lie in (0, 1), got {r!r}")
+        _float(r, "r", lambda v: 0.0 < v < 1.0, "lie in (0, 1)", error)
     return float(r)
 
 
@@ -65,7 +66,8 @@ def _check_n(n: int) -> None:
     """n is a dimension, a positive integer (not a bool, not 1.5) that
     converts to a float."""
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or not 1 <= n <= _MAX_FLOAT:
-        raise DomainError(f"n must be a positive integer within the float range, got {n!r}")
+        # no float passes: the test above is on the type of n
+        _float(n, "n", lambda v: False, "be a positive int (not a bool) within the float range")
 
 
 def lambda_of(r: float, p: float, q: float) -> float:
@@ -77,13 +79,12 @@ def lambda_of(r: float, p: float, q: float) -> float:
     _check_r(r, InvalidMomentOrder)
     pivot = 1.0 / r - 1.0
     if not (p < pivot < q):
-        raise InvalidMomentOrder(
-            f"need p < 1/r - 1 < q, got p={p!r}, 1/r-1={pivot!r}, q={q!r}"
-        )
+        _float(p, "p", lambda v: v < pivot, f"lie below 1/r - 1 = {pivot!r}", InvalidMomentOrder)
+        _float(q, "q", lambda v: v > pivot, f"lie above 1/r - 1 = {pivot!r}", InvalidMomentOrder)
     try:
         lam = (q + 1.0 - 1.0 / r) / (q - p)
-    except OverflowError:
-        raise InvalidMomentOrder(f"p or q lies beyond the float range at r={r!r}") from None
+    except OverflowError:  # an int p, q or q - p beyond the float range
+        raise InvalidMomentOrder("p, q or q - p lies beyond the float range") from None
     if not 0.0 < lam < 1.0:
         raise InvalidMomentOrder(
             f"lam = {lam!r} rounds out of (0, 1) at r={r!r}, p={p!r}, q={q!r}: "
@@ -113,14 +114,11 @@ class MomentVector:
     nu: tuple
 
     def __post_init__(self):
-        s = tuple(_float(v, "MomentVector") for v in self.s)
-        nu = tuple(_float(v, "MomentVector") for v in self.nu)
+        s = tuple(_float(v, "an exponent s", math.isfinite, "be finite") for v in self.s)
+        nu = tuple(_float(v, "a weight nu", lambda w: 0.0 <= w < math.inf,
+                          "be finite and nonnegative") for v in self.nu)
         if len(s) == 0 or len(s) != len(nu):
             raise DomainError("s and nu must be nonempty and of equal length")
-        if not all(math.isfinite(v) for v in s + nu):
-            raise DomainError(f"exponents and weights must be finite, got s={s!r}, nu={nu!r}")
-        if any(w < 0.0 for w in nu):
-            raise DomainError("weights nu must be nonnegative")
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "nu", nu)
 
@@ -151,10 +149,9 @@ class Support:
         _check_n(self.n)
         if self.kind == "custom":
             cap = omega(Support.euclidean(self.n))
-            if self.omega_value is None or not 0.0 < self.omega_value <= cap:
-                raise DomainError(
-                    f"custom omega must lie in (0, {cap!r}] for n={self.n}"
-                )
+            w = _float(self.omega_value, "a custom omega", lambda v: 0.0 < v <= cap,
+                       f"lie in (0, {cap!r}] for n = {self.n}")
+            object.__setattr__(self, "omega_value", w)
 
     @staticmethod
     def positive_half_line() -> "Support":
@@ -246,8 +243,7 @@ def c_r_numeric(r: float, mv: MomentVector) -> float:
 
 def _check_moments(moments: Sequence[float]) -> None:
     for m in moments:
-        if not 0.0 <= _float(m, "a moment bound") < math.inf:
-            raise DomainError(f"moments must be finite and nonnegative, got {m!r}")
+        _float(m, "a moment", lambda v: 0.0 <= v < math.inf, "be finite and nonnegative")
 
 
 def _moment_term(params: TwoMomentParams, log_mu_p: float, log_mu_q: float) -> float:

@@ -78,7 +78,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Domain:
-    """Integration region: finite(a, b), half_line(a) = (a, inf), or full_line."""
+    """Integration region: finite(a, b), half_line(a) = (a, inf), or full_line.
+    An endpoint that the kind does not use must be 0, its default."""
 
     kind: str
     a: float = 0.0
@@ -87,11 +88,13 @@ class Domain:
     def __post_init__(self):
         if self.kind not in ("finite", "half_line", "full_line"):
             raise DomainError(f"unknown domain kind {self.kind!r}")
-        a, b = _float(self.a, "Domain"), _float(self.b, "Domain")
-        if not (math.isfinite(a) and math.isfinite(b)):
-            raise DomainError(f"domain endpoints must be finite, got {a!r}, {b!r}")
+        a = _float(self.a, "a domain endpoint", math.isfinite, "be finite")
+        b = _float(self.b, "a domain endpoint", math.isfinite, "be finite")
         if self.kind == "finite" and not a < b:
             raise DomainError(f"finite domain requires a < b, got [{a}, {b}]")
+        if (b != 0.0 and self.kind != "finite") or (a != 0.0 and self.kind == "full_line"):
+            raise DomainError(f"an endpoint a {self.kind} domain does not use must be 0, "
+                              f"got a={a!r}, b={b!r}")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 

@@ -9,6 +9,9 @@ form of kappa in verify) live outside the library.
 The order of the additions in the Lanczos sum, term by term as _LANCZOS
 lists them, is part of the output bits the fig and verify CSVs pin.
 
+_float owns the package's checks of a numeric argument: it converts the
+argument, applies the caller's test and words the refusal.
+
 Conventions
 -----------
 ln_gamma(x)   log Gamma(x) for x > 0.
@@ -82,13 +85,31 @@ def _ln_gamma_lanczos(x: float) -> float:
     return 0.5 * LOG_2PI + (x - 0.5) * math.log(t) - t + math.log(acc)
 
 
-def _float(x, name: str) -> float:
-    """float(x), refusing an int beyond the float range (float() raises
-    OverflowError there) as DomainError."""
+def _float(x, name: str, ok=None, need: str = "be a float", error: type = DomainError) -> float:
+    """x as a float, refused as error unless ok(float(x)) holds: the one
+    owner of the numeric-argument checks of this package.
+
+    A refusal reads "{name} must {need}, got ...", worded from the
+    converted float, or from what kept x from converting: float() raises
+    OverflowError for an int beyond the float range, and TypeError or
+    ValueError for a non-number.  It never formats x itself, whose repr
+    raises ValueError for an int above 4,300 digits.  ok=None applies no
+    test.  A check on a hot path keeps its own inline test and calls this
+    only on its failing branch, to word the refusal.
+    """
     try:
-        return float(x)
+        v = float(x)
     except OverflowError:
-        raise DomainError(f"{name} got an argument beyond the float range") from None
+        raise error(f"{name} must {need}, got a number beyond the float range") from None
+    except (TypeError, ValueError):
+        raise error(f"{name} must {need}, got a {type(x).__name__}") from None
+    if ok is not None and not ok(v):
+        raise error(f"{name} must {need}, got {v!r}")
+    return v
+
+
+def _positive_finite(v: float) -> bool:
+    return 0.0 < v < math.inf
 
 
 def ln_gamma(x: float) -> float:
@@ -100,8 +121,8 @@ def ln_gamma(x: float) -> float:
 
     Raises DomainError for x <= 0 or non-finite x.
     """
-    x = _float(x, "ln_gamma")
-    if not x > 0.0 or math.isinf(x):
+    x = _float(x, "the x of ln_gamma")
+    if not x > 0.0 or math.isinf(x):  # inline: GaussianMagnitude.log_moment's hot path
         raise DomainError(f"ln_gamma requires finite x > 0, got {x!r}")
     return _ln_gamma(x)
 
@@ -123,10 +144,7 @@ def theta(x: float) -> float:
     Stirling main term from ln_gamma would cancel nearly all significant
     digits there (theta(1e6) ~ 8e-8 against terms of size 1e7).
     """
-    x = _float(x, "theta")
-    if not x > 0.0 or math.isinf(x):
-        raise DomainError(f"theta requires finite x > 0, got {x!r}")
-    return _theta(x)
+    return _theta(_float(x, "the x of theta", _positive_finite, "be finite and > 0"))
 
 
 def _theta(x: float) -> float:
@@ -138,9 +156,8 @@ def _theta(x: float) -> float:
 
 def log_beta(x: float, y: float) -> float:
     """log B(x, y) = log Gamma(x) + log Gamma(y) - log Gamma(x + y)."""
-    x, y = _float(x, "log_beta"), _float(y, "log_beta")
-    if not (x > 0.0 and y > 0.0):
-        raise DomainError(f"log_beta requires x, y > 0, got ({x!r}, {y!r})")
+    x = _float(x, "the x of log_beta", lambda v: v > 0.0, "be > 0")
+    y = _float(y, "the y of log_beta", lambda v: v > 0.0, "be > 0")
     return ln_gamma(x) + ln_gamma(y) - ln_gamma(x + y)
 
 
@@ -153,7 +170,7 @@ def log_beta_tilde(x: float, y: float) -> float:
     """log of B~(x, y) = B(x, y) (x+y)^(x+y) x^(-x) y^(-y) by Binet's formula,
     (1/2) log(2 pi (x+y)/(x y)) + theta(x) + theta(y) - theta(x+y): no large
     log-gamma and x log x terms that cancel (to a few units near r = 1)."""
-    x, y = _float(x, "log_beta_tilde"), _float(y, "log_beta_tilde")
+    x, y = _float(x, "the x of log_beta_tilde"), _float(y, "the y of log_beta_tilde")
     s = x + y
     if not (0.0 < x < math.inf and 0.0 < y < math.inf and s < math.inf):
         raise DomainError(f"log_beta_tilde requires finite x, y, x + y > 0, got ({x!r}, {y!r})")
@@ -202,13 +219,6 @@ def _fixed_point_v(t: float) -> float:
     return v
 
 
-def _check_t(t: float) -> float:
-    t = _float(t, "kappa")
-    if not (0.0 < t <= 1.0):
-        raise DomainError(f"kappa requires t in (0, 1], got {t!r}")
-    return t
-
-
 def kappa(t: float) -> float:
     """kappa(t) = sup_{u > 0} log(1 + u) / u^t on (0, 1]; kappa(1) = 1.
 
@@ -217,7 +227,7 @@ def kappa(t: float) -> float:
     1/(e t) < kappa(t) <= 1/t, and t kappa(t) is nondecreasing from 1/e
     to 1.
     """
-    t = _check_t(t)
+    t = _float(t, "the t of kappa", lambda v: 0.0 < v <= 1.0, "lie in (0, 1]")
     if t == 1.0:
         return 1.0
     v = _fixed_point_v(t)

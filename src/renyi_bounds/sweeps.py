@@ -13,9 +13,9 @@ import numpy as np
 
 from .distributions import GaussianMagnitude, Lognormal, TwoPoint
 from .entropy_bounds import lognormal_gap_closed, optimal_gap
-from .errors import DomainError
 from .mi_bounds import ScaleMixtureChannel, chi2_mi_bound, mi_oracle, prop9_bound
 from .moment_core import Support
+from .specfun import _float
 
 __all__ = [
     "DEFAULT_R_GRID",
@@ -59,8 +59,7 @@ def fig2_rows(
 ) -> Tuple[List[str], List[tuple]]:
     """Gaussian gaps against the dimension (n doubling up to n_max),
     with the lognormal limiting constant alongside."""
-    if n_max < 1:
-        raise DomainError(f"n_max must be at least 1, got {n_max!r}")
+    _float(n_max, "n_max", lambda v: not v < 1.0, "be at least 1")
     limit = lognormal_gap_closed(r)
     rows = []
     n = 1
@@ -76,8 +75,7 @@ def fig2_rows(
 
 def _two_point_mixture(eps: float, a: Optional[float] = None) -> ScaleMixtureChannel:
     """Scale mixture over U ~ (1-eps) d_1 + eps d_a, by default a = 1 + 1/sqrt(eps)."""
-    if not 0.0 < eps < 1.0:
-        raise DomainError(f"eps must lie in (0, 1), got {eps!r}")
+    eps = _float(eps, "eps", lambda v: 0.0 < v < 1.0, "lie in (0, 1)")
     if a is None:
         a = 1.0 + 1.0 / math.sqrt(eps)
     return ScaleMixtureChannel(TwoPoint(eps, a))

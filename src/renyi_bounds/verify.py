@@ -41,8 +41,8 @@ from .moment_core import (
 from .quadrature import Domain, integrate, mc_expect, rng_for
 from .specfun import (
     LOG_2PI,
-    _check_t,
     _fixed_point_v,
+    _float,
     beta_tilde,
     kappa,
     ln_gamma,
@@ -195,7 +195,7 @@ def _kappa_via_lambert(t: float) -> float:
     Loses accuracy as t -> 1 (the W argument approaches the branch point)
     and overflows for t small enough that u*_t does; prefer kappa().
     """
-    t = _check_t(t)
+    t = _float(t, "t", lambda v: 0.0 < v <= 1.0, "lie in (0, 1]")
     if t == 1.0:
         return 1.0
     arg = -(1.0 / t) * math.exp(-1.0 / t)

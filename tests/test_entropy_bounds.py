@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from renyi_bounds.distributions import (
     GaussianMagnitude,
     GenericPdf,
+    L_r,
     Lognormal,
     PointMass,
     ScalarDistribution,
@@ -34,13 +35,17 @@ from renyi_bounds.errors import (
     RenyiBoundsError,
     UnsupportedOperation,
 )
-from renyi_bounds.mi_bounds import ScaleMixtureChannel, V_s, kernel_Ks
+from renyi_bounds.mi_bounds import (
+    ScaleMixtureChannel, V_s, kernel_Ks, marginal_renyi_entropy, prop7_bound, prop8_bound,
+    prop9_bound,
+)
 from renyi_bounds.moment_core import (
-    Support, TwoMomentParams, lambda_of, omega, psi_r, two_moment_bound,
+    MomentVector, Support, TwoMomentParams, c_r_numeric, k_moment_bound, lambda_of, omega,
+    psi_r, two_moment_bound,
 )
 from renyi_bounds.quadrature import Domain
 from renyi_bounds.specfun import theta
-from renyi_bounds.sweeps import fig2_rows
+from renyi_bounds.sweeps import fig2_rows, fig3_rows
 from renyi_bounds.verify import (
     _GaussGapParams,
     _gaussian_Q,
@@ -675,7 +680,7 @@ def test_two_moment_gap_at_most_p0_gap():
 # never a bare ValueError, TypeError, nan or inf.
 _WILD = st.one_of(
     st.sampled_from([0.0, -0.0, -1.0, 1.0, 1e-300, 1e300, -1e300, 1.7e308, 1.0 - 2.0**-53,
-                     1.0 + 2.0**-52, math.nan, math.inf, -math.inf, 10**400]),
+                     1.0 + 2.0**-52, math.nan, math.inf, -math.inf, 10**400, 10**5000]),
     st.floats(allow_nan=True, allow_infinity=True),
 )
 _DIM = st.one_of(st.integers(-2, 6), st.sampled_from([1.5, 0.0, True, math.nan, math.inf]))
@@ -715,8 +720,6 @@ def _open(lo, hi):
 
 
 def _k_moment(s1, s2, nu1, nu2, m1, m2, r):
-    from renyi_bounds.moment_core import MomentVector, c_r_numeric, k_moment_bound
-
     mv = MomentVector((s1, s2), (nu1, nu2))
     bound = k_moment_bound(mv, [m1, m2], r)
     if bound == math.inf and c_r_numeric(r, mv) == math.inf:
@@ -840,36 +843,79 @@ def test_api_contract_fuzz(call):
 
 
 _BEYOND = 10**400  # a Python int that float() refuses with OverflowError
+_FAR_BEYOND = 10**5000  # one whose repr raises ValueError as well (over 4,300 digits)
+_MIX = ScaleMixtureChannel(TwoPoint(0.3, 2.0))
+_MV = MomentVector((0.0, 2.0), (1.0, 1.0))
 _BEYOND_CALLS = {
-    "Lognormal-mu": (DomainError, lambda: Lognormal(_BEYOND, 1.0)),
-    "Lognormal-sigma2": (DomainError, lambda: Lognormal(0.0, _BEYOND)),
-    "GaussianMagnitude": (DomainError, lambda: GaussianMagnitude(_BEYOND)),
-    "TwoPoint": (DomainError, lambda: TwoPoint(0.3, _BEYOND)),
-    "PointMass": (DomainError, lambda: PointMass(_BEYOND)),
-    "lambda_of-q": (InvalidMomentOrder, lambda: lambda_of(0.5, 0.5, _BEYOND)),
-    "lambda_of-p": (InvalidMomentOrder, lambda: lambda_of(0.5, -_BEYOND, 2.0)),
-    "TwoMomentParams": (InvalidMomentOrder, lambda: TwoMomentParams(0.5, 0.5, _BEYOND)),
+    "Lognormal-mu": (DomainError, lambda b: Lognormal(b, 1.0)),
+    "Lognormal-sigma2": (DomainError, lambda b: Lognormal(0.0, b)),
+    "GaussianMagnitude": (DomainError, lambda b: GaussianMagnitude(b)),
+    "TwoPoint": (DomainError, lambda b: TwoPoint(0.3, b)),
+    "PointMass": (DomainError, lambda b: PointMass(b)),
+    "lambda_of-q": (InvalidMomentOrder, lambda b: lambda_of(0.5, 0.5, b)),
+    "lambda_of-p": (InvalidMomentOrder, lambda b: lambda_of(0.5, -b, 2.0)),
+    "TwoMomentParams": (InvalidMomentOrder, lambda b: TwoMomentParams(0.5, 0.5, b)),
     "entropy_bound": (InvalidMomentOrder,
-                      lambda: entropy_bound(Lognormal(), SUP_POS, 1, 0.5, 0.0, _BEYOND)),
-    "kernel_Ks": (DomainError, lambda: kernel_Ks(1.0, 1.0, _BEYOND)),
-    "V_s-atomic": (DomainError, lambda: V_s(ScaleMixtureChannel(TwoPoint(0.3, 2.0)), _BEYOND)),
-    "V_s-monte-carlo": (DomainError, lambda: V_s(ScaleMixtureChannel(Lognormal()), _BEYOND)),
-    "Domain.finite": (DomainError, lambda: Domain.finite(0, _BEYOND)),
-    "Domain.half_line": (DomainError, lambda: Domain.half_line(_BEYOND)),
-    "omega": (DomainError, lambda: omega(Support.euclidean(_BEYOND))),
-    "Lognormal.log_moment": (DomainError, lambda: Lognormal().log_moment(_BEYOND)),
-    "GaussianMagnitude.log_moment": (DomainError,
-                                     lambda: GaussianMagnitude(2).log_moment(_BEYOND)),
-    "TwoPoint.log_moment": (DomainError, lambda: TwoPoint(0.3, 2.0).log_moment(_BEYOND)),
-    "PointMass.log_moment": (DomainError, lambda: PointMass(2.0).log_moment(_BEYOND)),
-    "GenericPdf.log_moment": (DomainError, lambda: _half_normal().log_moment(_BEYOND)),
+                      lambda b: entropy_bound(Lognormal(), SUP_POS, 1, 0.5, 0.0, b)),
+    "kernel_Ks": (DomainError, lambda b: kernel_Ks(1.0, 1.0, b)),
+    "V_s-atomic": (DomainError, lambda b: V_s(_MIX, b)),
+    "V_s-monte-carlo": (DomainError, lambda b: V_s(ScaleMixtureChannel(Lognormal()), b)),
+    "Domain.finite": (DomainError, lambda b: Domain.finite(0, b)),
+    "Domain.half_line": (DomainError, lambda b: Domain.half_line(b)),
+    "omega": (DomainError, lambda b: omega(Support.euclidean(b))),
+    "Lognormal.log_moment": (DomainError, lambda b: Lognormal().log_moment(b)),
+    "GaussianMagnitude.log_moment": (DomainError, lambda b: GaussianMagnitude(2).log_moment(b)),
+    "TwoPoint.log_moment": (DomainError, lambda b: TwoPoint(0.3, 2.0).log_moment(b)),
+    "PointMass.log_moment": (DomainError, lambda b: PointMass(2.0).log_moment(b)),
+    "GenericPdf.log_moment": (DomainError, lambda b: _half_normal().log_moment(b)),
+    # each of these raised a bare ValueError at 10**5000, from its refusal message
+    "lambda_of-r": (InvalidMomentOrder, lambda b: lambda_of(b, 0.0, 2.0)),
+    "lambda_of-p-above": (InvalidMomentOrder, lambda b: lambda_of(0.5, b, 2.0)),
+    "TwoMomentParams-r": (InvalidMomentOrder, lambda b: TwoMomentParams(b, 0.0, 2.0)),
+    "Support.euclidean": (DomainError, lambda b: Support.euclidean(b)),
+    "Support.custom": (DomainError, lambda b: Support.custom(1.0, b)),
+    "c_r_numeric": (InvalidMomentOrder, lambda b: c_r_numeric(b, _MV)),
+    "k_moment_bound": (InvalidMomentOrder, lambda b: k_moment_bound(_MV, (1.0, 1.0), b)),
+    "L_r": (InvalidMomentOrder, lambda b: L_r(Lognormal(), b, 0.0, 2.0)),
+    "Lognormal.renyi_entropy": (DomainError, lambda b: Lognormal().renyi_entropy(b)),
+    "GaussianMagnitude.renyi_entropy": (DomainError,
+                                        lambda b: GaussianMagnitude(2).renyi_entropy(b)),
+    "GenericPdf.renyi_entropy": (DomainError, lambda b: _half_normal().renyi_entropy(b)),
+    "two_moment_parametrization-r": (DomainError, lambda b: two_moment_parametrization(b, 0.5, 1.0)),
+    "two_moment_parametrization-lam": (DomainError,
+                                       lambda b: two_moment_parametrization(0.5, b, 1.0)),
+    "two_moment_parametrization-u": (DomainError, lambda b: two_moment_parametrization(0.5, 0.5, b)),
+    "entropy_bound-r": (InvalidMomentOrder,
+                        lambda b: entropy_bound(Lognormal(), SUP_POS, 1, b, 0.0, 2.0)),
+    "entropy_bound-p": (InvalidMomentOrder,
+                        lambda b: entropy_bound(Lognormal(), SUP_POS, 1, 0.5, b, 2.0)),
+    "entropy_bound-n": (DomainError, lambda b: entropy_bound(Lognormal(), SUP_POS, b, 0.5, 0.0, 2.0)),
+    "lognormal_gap_closed": (DomainError, lambda b: lognormal_gap_closed(b)),
+    "optimal_gap-r": (DomainError, lambda b: optimal_gap(Lognormal(), SUP_POS, 1, b)),
+    "optimal_gap-n": (DomainError, lambda b: optimal_gap(Lognormal(), SUP_POS, b, 0.5)),
+    "mult_bound_check-r": (DomainError,
+                           lambda b: mult_bound_check(Lognormal(), PointMass(1.0), 1.0, b, 0.5, 2.0)),
+    "mult_bound_check-p": (InvalidMomentOrder,
+                           lambda b: mult_bound_check(Lognormal(), PointMass(1.0), 1.0, 0.5, b, 2.0)),
+    "diff_entropy_bounds": (DomainError, lambda b: diff_entropy_bounds(Lognormal(), b, 2.0)),
+    "prop7_bound": (DomainError, lambda b: prop7_bound(_MIX, b)),
+    "prop8_bound": (DomainError, lambda b: prop8_bound(_MIX, b)),
+    "prop9_bound": (InvalidMomentOrder, lambda b: prop9_bound(_MIX, b, 2.0)),
+    "marginal_renyi_entropy": (DomainError, lambda b: marginal_renyi_entropy(_MIX, b)),
+    "fig2_rows": (DomainError, lambda b: fig2_rows(0.5, -b)),
+    "fig3_rows": (DomainError, lambda b: fig3_rows([b])),
 }
+_BEYOND_NAMES = sorted(_BEYOND_CALLS)
 
 
-@pytest.mark.parametrize("name", sorted(_BEYOND_CALLS))
-def test_int_beyond_the_float_range_is_refused(name):
+@pytest.mark.parametrize(
+    "name, big",
+    [(name, _BEYOND) for name in _BEYOND_NAMES] + [(name, _FAR_BEYOND) for name in _BEYOND_NAMES],
+    ids=_BEYOND_NAMES + [f"{name}-5000-digits" for name in _BEYOND_NAMES],
+)
+def test_int_beyond_the_float_range_is_refused(name, big):
     # each raised a bare OverflowError, or (TwoPoint, PointMass) took the
-    # number and failed later
+    # number and failed later; at 10**5000 many raised a bare ValueError
     error, call = _BEYOND_CALLS[name]
     with pytest.raises(error):
-        call()
+        call(big)

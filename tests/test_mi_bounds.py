@@ -210,7 +210,7 @@ class TestKernel:
     def test_scale_mixture_constant_is_the_kernel_at_the_origin(self, s):
         # the constant of the scale-mixture V_s, K_s(0, 0) = G((1+s)/2)/(2 pi)
         expect = math.gamma(0.5 * (1.0 + s)) / (2.0 * math.pi)
-        assert mi_bounds._vs_coef(s) == pytest.approx(expect, rel=1e-14)
+        assert kernel_Ks(0.0, 0.0, s) == pytest.approx(expect, rel=1e-14)
 
 
 class TestVs:
@@ -369,7 +369,7 @@ class TestVs:
         mc = ScaleMixtureChannel(Lognormal(0.0, 1.0))
         with pytest.raises(DomainError, match="terms of V_s"):  # the Monte Carlo mean
             V_s(mc, 250.0, "U")
-        with pytest.raises(DomainError, match="G"):  # the constant G((1+s)/2)
+        with pytest.raises(DomainError, match="K_s"):  # the constant K_s(0, 0) = G((1+s)/2)/(2 pi)
             V_s(mc, 1000.0, "U")
 
     def test_unsupported_combinations(self):

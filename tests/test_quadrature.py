@@ -44,6 +44,16 @@ class TestDomains:
         with pytest.raises(DomainError):
             Domain("circle")
 
+    @pytest.mark.parametrize("a, b, kind", [
+        (0.0, 7.0, "half_line"), (3.0, 0.0, "full_line"), (3.0, 7.0, "full_line"),
+    ])
+    def test_ignored_endpoint_refused(self, a, b, kind):
+        # Domain("full_line", 3.0, 7.0) integrated over the whole line, yet
+        # compared unequal to Domain.full_line()
+        with pytest.raises(DomainError, match="does not use"):
+            Domain(kind, a, b)
+        assert Domain(kind) == Domain(kind, -0.0, -0.0)
+
     @pytest.mark.parametrize("make", [
         lambda: Domain.half_line(math.nan),  # "tail mass fails decay test"
         lambda: Domain.half_line(math.inf),

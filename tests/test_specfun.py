@@ -15,7 +15,6 @@ from renyi_bounds.specfun import (
     LOG_2PI,
     _LANCZOS,
     _LANCZOS_G,
-    _check_t,
     _fixed_point_v,
     beta,
     beta_tilde,
@@ -42,7 +41,6 @@ def _kappa_fixed_point(t: float) -> float:
     exceeds double range (t below roughly 1.4e-3); kappa(t) itself stays
     finite and is computed from log(1 + u*) instead.
     """
-    t = _check_t(t)
     if t == 1.0:
         raise DomainError("the fixed point diverges to 0/0 at t = 1")
     v = _fixed_point_v(t)
@@ -167,15 +165,20 @@ class TestBeta:
 
 
 _HUGE = 10**400  # a Python int that float() refuses with OverflowError
+_HUGER = 10**5000  # one whose repr raises ValueError as well (over 4,300 digits)
 
 
 _HUGE_CALLS = [
     (ln_gamma, (_HUGE,)), (theta, (_HUGE,)), (log_beta, (_HUGE, 1)), (beta, (1, _HUGE)),
     (log_beta_tilde, (_HUGE, 1)), (beta_tilde, (1, _HUGE)), (kappa, (_HUGE,)),
 ]
+_HUGER_CALLS = [(fn, tuple(_HUGER if a is _HUGE else a for a in args)) for fn, args in _HUGE_CALLS]
 
 
-@pytest.mark.parametrize("fn, args", _HUGE_CALLS, ids=[fn.__name__ for fn, _ in _HUGE_CALLS])
+@pytest.mark.parametrize(
+    "fn, args", _HUGE_CALLS + _HUGER_CALLS,
+    ids=[fn.__name__ for fn, _ in _HUGE_CALLS] + [f"{fn.__name__}-5000-digits" for fn, _ in _HUGE_CALLS],
+)
 def test_int_beyond_the_float_range_is_a_domain_error(fn, args):
     # each used to raise a bare OverflowError from float() or int division
     with pytest.raises(DomainError, match="beyond the float range"):
