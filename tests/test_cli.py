@@ -282,8 +282,8 @@ def _argv(command, choices, extra=st.just([]), **plausible):
 _ENTROPY_ARGV = _argv(
     "entropy-bound", ["--family=lognormal", "--family=gaussian"],
     # 10**5000 as digits: str() of an int over 4,300 digits raises ValueError
-    extra=st.one_of(st.integers(-3, 10**6).map(str), st.sampled_from([str(10**400), "1" + "0" * 5000]))
-    .map(lambda n: [f"--n={n}"]),
+    extra=st.one_of(st.integers(-3, 10**6).map(str),
+                    st.sampled_from([str(10**400), "1" + "0" * 5000])).map(lambda n: [f"--n={n}"]),
     mu=_open(-5.0, 5.0), sigma2=_open(0.0, 10.0), r=_open(0.05, 0.95), p=_open(-1.0, 0.5),
     q=_open(1.0, 20.0),
 )

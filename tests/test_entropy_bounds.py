@@ -881,22 +881,25 @@ _BEYOND_CALLS = {
     "GaussianMagnitude.renyi_entropy": (DomainError,
                                         lambda b: GaussianMagnitude(2).renyi_entropy(b)),
     "GenericPdf.renyi_entropy": (DomainError, lambda b: _half_normal().renyi_entropy(b)),
-    "two_moment_parametrization-r": (DomainError, lambda b: two_moment_parametrization(b, 0.5, 1.0)),
+    "two_moment_parametrization-r": (DomainError,
+                                     lambda b: two_moment_parametrization(b, 0.5, 1.0)),
     "two_moment_parametrization-lam": (DomainError,
                                        lambda b: two_moment_parametrization(0.5, b, 1.0)),
-    "two_moment_parametrization-u": (DomainError, lambda b: two_moment_parametrization(0.5, 0.5, b)),
+    "two_moment_parametrization-u": (DomainError,
+                                     lambda b: two_moment_parametrization(0.5, 0.5, b)),
     "entropy_bound-r": (InvalidMomentOrder,
                         lambda b: entropy_bound(Lognormal(), SUP_POS, 1, b, 0.0, 2.0)),
     "entropy_bound-p": (InvalidMomentOrder,
                         lambda b: entropy_bound(Lognormal(), SUP_POS, 1, 0.5, b, 2.0)),
-    "entropy_bound-n": (DomainError, lambda b: entropy_bound(Lognormal(), SUP_POS, b, 0.5, 0.0, 2.0)),
+    "entropy_bound-n": (DomainError,
+                        lambda b: entropy_bound(Lognormal(), SUP_POS, b, 0.5, 0.0, 2.0)),
     "lognormal_gap_closed": (DomainError, lambda b: lognormal_gap_closed(b)),
     "optimal_gap-r": (DomainError, lambda b: optimal_gap(Lognormal(), SUP_POS, 1, b)),
     "optimal_gap-n": (DomainError, lambda b: optimal_gap(Lognormal(), SUP_POS, b, 0.5)),
     "mult_bound_check-r": (DomainError,
-                           lambda b: mult_bound_check(Lognormal(), PointMass(1.0), 1.0, b, 0.5, 2.0)),
+                           lambda b: mult_bound_check(Lognormal(), PointMass(1.0), 1, b, 0.5, 2)),
     "mult_bound_check-p": (InvalidMomentOrder,
-                           lambda b: mult_bound_check(Lognormal(), PointMass(1.0), 1.0, 0.5, b, 2.0)),
+                           lambda b: mult_bound_check(Lognormal(), PointMass(1.0), 1, 0.5, b, 2)),
     "diff_entropy_bounds": (DomainError, lambda b: diff_entropy_bounds(Lognormal(), b, 2.0)),
     "prop7_bound": (DomainError, lambda b: prop7_bound(_MIX, b)),
     "prop8_bound": (DomainError, lambda b: prop8_bound(_MIX, b)),

@@ -177,7 +177,8 @@ _HUGER_CALLS = [(fn, tuple(_HUGER if a is _HUGE else a for a in args)) for fn, a
 
 @pytest.mark.parametrize(
     "fn, args", _HUGE_CALLS + _HUGER_CALLS,
-    ids=[fn.__name__ for fn, _ in _HUGE_CALLS] + [f"{fn.__name__}-5000-digits" for fn, _ in _HUGE_CALLS],
+    ids=[fn.__name__ for fn, _ in _HUGE_CALLS]
+    + [f"{fn.__name__}-5000-digits" for fn, _ in _HUGE_CALLS],
 )
 def test_int_beyond_the_float_range_is_a_domain_error(fn, args):
     # each used to raise a bare OverflowError from float() or int division
