@@ -4,8 +4,8 @@ Each family descriptor is immutable and exposes the pieces the bound
 machinery needs:
 
 * log_moment(s)      log E|X|^s, with +inf (returned, never raised) outside
-                     the finiteness region, and DomainError where a finite
-                     value leaves the float range;
+                     the finiteness region, and DomainError for an s that
+                     is not finite or a value that leaves the float range;
 * renyi_entropy(r)   closed form where one exists, a sum over the cached
                      panels of a generic density (as its log-moments are),
                      UnsupportedOperation for purely atomic laws;
@@ -74,7 +74,11 @@ class ScalarDistribution:
         raise UnsupportedOperation(f"{type(self).__name__} is not atomic")
 
 
-_BEYOND = "log_moment got an order beyond the float range"
+def _order(s) -> float:
+    """A moment order s as a finite float; DomainError otherwise."""
+    if type(s) is float and -math.inf < s < math.inf:
+        return s
+    return _float(s, "a moment order", math.isfinite, "be finite")
 
 
 def _log_npdf(y, var):
@@ -148,10 +152,8 @@ class Lognormal(ScalarDistribution):
                                                   "be positive and finite"))
 
     def log_moment(self, s: float) -> float:
-        try:
-            s = float(s)
-        except OverflowError:
-            raise DomainError(_BEYOND) from None
+        if type(s) is not float:
+            s = _order(s)  # a float nan or inf makes the value below not finite
         value = self.mu * s + 0.5 * self.sigma2 * s * s
         if not math.isfinite(value):
             raise DomainError(f"log E X^{s!r} of {self} leaves the float range")
@@ -200,12 +202,11 @@ class GaussianMagnitude(ScalarDistribution):
         object.__setattr__(self, "_ln_gamma_half_n", ln_gamma(0.5 * self.n))
 
     def log_moment(self, s: float) -> float:
-        if s <= -self.n:
-            return math.inf
-        try:
-            return 0.5 * s * math.log(2.0) + ln_gamma(0.5 * (self.n + s)) - self._ln_gamma_half_n
-        except OverflowError:
-            raise DomainError(_BEYOND) from None
+        if type(s) is not float or s <= -self.n:  # a float nan or +inf: ln_gamma refuses it
+            s = _order(s)
+            if s <= -self.n:
+                return math.inf
+        return 0.5 * s * math.log(2.0) + ln_gamma(0.5 * (self.n + s)) - self._ln_gamma_half_n
 
     def renyi_entropy(self, r: float) -> float:
         r = _check_r(r)
@@ -235,10 +236,7 @@ class TwoPoint(ScalarDistribution):
                                              "be positive and finite"))
 
     def log_moment(self, s: float) -> float:
-        try:
-            log_a = s * math.log(self.a)
-        except OverflowError:
-            raise DomainError(_BEYOND) from None
+        log_a = _order(s) * math.log(self.a)
         return float(np.logaddexp(math.log1p(-self.eps), math.log(self.eps) + log_a))
 
     def sample(self, rng, size=None):
@@ -263,10 +261,7 @@ class PointMass(ScalarDistribution):
                                              "be positive and finite"))
 
     def log_moment(self, s: float) -> float:
-        try:
-            return s * math.log(self.c)
-        except OverflowError:
-            raise DomainError(_BEYOND) from None
+        return _order(s) * math.log(self.c)
 
     def sample(self, rng, size=None):
         if size is None:
@@ -325,10 +320,7 @@ class GenericPdf(ScalarDistribution):
         """[log E|X|^s for s in orders]: +inf where the moment diverges.
         Each distinct order is summed once, in blocks of orders that share
         one power of |x| over the cached nodes."""
-        try:
-            keys = [float(s) for s in orders]
-        except OverflowError:
-            raise DomainError(_BEYOND) from None
+        keys = [_order(s) for s in orders]
         distinct = list(dict.fromkeys(keys))
         values = {}
         for s, res in zip(distinct, self._panels.integrals(_moment_integrand, np.array(distinct))):
@@ -351,7 +343,8 @@ class GenericPdf(ScalarDistribution):
 def L_r(d: ScalarDistribution, r: float, p: float, q: float) -> float:
     """Moment mixture L_r(X; p, q) =
     (r lam / (1-r)) log E|X|^p + (r (1-lam) / (1-r)) log E|X|^q."""
-    L = _moment_term(TwoMomentParams(r, p, q), d.log_moment(p), d.log_moment(q))
+    params = TwoMomentParams(r, p, q)
+    L = _moment_term(params, d.log_moment(params.p), d.log_moment(params.q))
     if math.isinf(L):
-        raise MomentDiverges(f"log-moment infinite at p={p!r} or q={q!r}")
+        raise MomentDiverges(f"log-moment infinite at p={params.p!r} or q={params.q!r}")
     return L

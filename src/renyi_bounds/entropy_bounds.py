@@ -109,18 +109,14 @@ def _check_dimension(d: ScalarDistribution, sup: Support, n: int) -> float:
 
 def two_moment_parametrization(r: float, lam: float, u: float) -> Tuple[float, float]:
     """(p, q) from the box coordinates (lam, u); inverse of the gap search."""
-    _check_r(r)
-    if not (0.0 < lam < 1.0 and 0.0 < u < math.inf):
-        _float(lam, "lam", lambda v: 0.0 < v < 1.0, "lie in (0, 1)")
-        _float(u, "u", _positive_finite, "be positive and finite")
+    r = _check_r(r)
+    if not (type(lam) is float and type(u) is float and 0.0 < lam < 1.0 and 0.0 < u < math.inf):
+        lam = _float(lam, "lam", lambda v: 0.0 < v < 1.0, "lie in (0, 1)")
+        u = _float(u, "u", _positive_finite, "be positive and finite")
     m = (1.0 - r) / r
     denom = r * lam * (1.0 - lam)  # 0 when lam underflows it
-    try:
-        d = math.sqrt((1.0 - r) * u / denom) if denom > 0.0 else math.inf
-    except OverflowError:  # an int u beyond the float range
-        d = math.inf
+    d = math.sqrt((1.0 - r) * u / denom) if denom > 0.0 else math.inf
     if d == math.inf:
-        u = _float(u, "u")  # refuses an int u beyond the float range
         raise DomainError(f"(p, q) at r={r!r}, lam={lam!r}, u={u!r} leave the float range")
     return m - (1.0 - lam) * d, m + lam * d
 
@@ -181,6 +177,7 @@ def entropy_bound(
     """
     lw = _check_dimension(d, sup, n)
     params = TwoMomentParams(r, p, q)
+    r, p, q = params.r, params.p, params.q
     bound = _log_two_moment(lw, params, *d.log_moments([n * p, n * q]))
     if math.isinf(bound):
         raise MomentDiverges(
@@ -205,7 +202,7 @@ def lognormal_gap_closed(r: float) -> float:
 
     verify checks it against the published B~ form of the same constant.
     """
-    _check_r(r)
+    r = _check_r(r)
     a = 0.5 * r / (1.0 - r)
     return 2.0 * theta(a) - theta(2.0 * a) + 0.5 * (1.0 + math.log(r) / (1.0 - r))
 
@@ -274,7 +271,7 @@ def optimal_gap(
     passes stall an order of magnitude short of the 1e-4 target.  With
     constrain_p_zero the search is one-dimensional over q > 1/r - 1.
     """
-    _check_r(r)
+    r = _check_r(r)
     lw = _check_dimension(d, sup, n)
     h = d.renyi_entropy(r)
 
@@ -355,10 +352,10 @@ def mult_bound_check(
         raise UnsupportedOperation("mult_bound_check requires lognormal Y")
     if not dX.is_discrete:
         raise UnsupportedOperation("mult_bound_check requires atomic X")
-    _check_r(r)
+    r = _check_r(r)
     t = _float(t, "t", _positive_finite, "be positive and finite")
     lambda_of(r, p, q)
-    _float(p, "p", lambda v: v > 0.0, "be > 0", InvalidMomentOrder)
+    p = _float(p, "p", lambda v: v > 0.0, "be > 0", InvalidMomentOrder)
     atoms, probs = dX.atoms_and_probs()
     if np.any(atoms <= 0.0) or np.any(atoms > t * (1.0 + 1e-12)):
         raise DomainError("X must satisfy 0 < X <= t almost surely")

@@ -49,7 +49,7 @@ from .distributions import (
 from .errors import DomainError, InvalidMomentOrder, RenyiBoundsError, UnsupportedOperation
 from .moment_core import Support, TwoMomentParams, _check_r, _log_two_moment, _logsumexp, log_omega
 from .quadrature import Domain, integrate, mc_expect
-from .specfun import LOG_2PI, _float, kappa, ln_gamma
+from .specfun import LOG_2PI, _choice, _float, kappa, ln_gamma
 
 __all__ = [
     "AwgnChannel",
@@ -136,8 +136,7 @@ class _AwgnOverContinuousInput:
 
 
 def _given(ch, given: str) -> str:
-    if given not in ("X", "U"):
-        raise DomainError(f"given must be 'X' or 'U', got {given!r}")
+    _choice(given, "given", ("X", "U"))
     if isinstance(ch, AwgnChannel) and given != "X":
         raise UnsupportedOperation("an AWGN channel has no mixing variable U")
     return given
@@ -217,6 +216,7 @@ def kernel_Ks(x1: float, x2: float, s: float) -> float:
     for the AWGN channel, N(x1 - x2; 0, 2) E|N((x1 + x2)/2, 1/2)|^s with the
     absolute moment in confluent-hypergeometric closed form; symmetric bit
     for bit."""
+    x1, x2 = _float(x1, "x1"), _float(x2, "x2")
     s = _float(s, "s", lambda v: v >= 0.0, "be nonnegative")
     try:
         return math.exp(_log_kernel(x1, 1.0, x2, 1.0, s))
@@ -355,7 +355,7 @@ def prop7_bound(ch, t: float, given: str = "X") -> float:
 
 def marginal_renyi_entropy(ch, r: float) -> float:
     """h_r(Y) of the channel output, by quadrature of f(y)^r."""
-    _check_r(r)
+    r = _check_r(r)
     model = variance_model(ch, "X")
 
     def integrand(y):
@@ -369,7 +369,7 @@ def prop8_bound(ch, r: float, given: str = "X") -> float:
 
     h_r(Y) needs an atomic mixing law (see variance_model), so a continuous
     one is refused before V_0 is drawn by Monte Carlo."""
-    _check_r(r)
+    r = _check_r(r)
     if isinstance(ch, ScaleMixtureChannel) and not ch.mixing.is_discrete:
         raise UnsupportedOperation("h_r(Y) in prop8_bound needs an atomic mixing law")
     t = (1.0 - r) / (2.0 - r)
@@ -394,10 +394,10 @@ def prop9_bound(ch, p: float, q: float, given: str = "X") -> float:
     0 <= p < 1 < q (the V_s orders must be nonnegative).
     """
     params = TwoMomentParams(0.5, p, q)
-    if p < 0.0:
+    if params.p < 0.0:
         raise InvalidMomentOrder("p must be nonnegative (V_s orders are)")
-    vp = V_s(ch, p, given, stream=1).value
-    vq = V_s(ch, q, given, stream=2).value
+    vp = V_s(ch, params.p, given, stream=1).value
+    vq = V_s(ch, params.q, given, stream=2).value
     if vp == 0.0 or vq == 0.0:
         return 0.0
     inner = _log_two_moment(log_omega(Support.real_line()), params, math.log(vp), math.log(vq))
@@ -443,8 +443,8 @@ def vs_upper_bound_check(ch, s: float) -> float:
     if not isinstance(ch, ScaleMixtureChannel) or not ch.mixing.is_discrete:
         raise UnsupportedOperation("the V_s upper bound check needs atomic mixing")
     # V_s first: it refuses the orders s at which these terms leave the float range
-    vs = V_s(ch, s, "U").value
+    vs = V_s(ch, s, "U")
     us, probs = ch.mixing.atoms_and_probs()
     p_neq = 1.0 - float(probs @ probs)
-    bound = kernel_Ks(0.0, 0.0, s) * p_neq * float(probs @ (1.0 + us) ** (0.5 * (s - 1.0)))
-    return bound - vs
+    bound = kernel_Ks(0.0, 0.0, vs.s) * p_neq * float(probs @ (1.0 + us) ** (0.5 * (vs.s - 1.0)))
+    return bound - vs.value

@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import DivergenceDetected, DomainError, InvalidMomentOrder
 from .quadrature import Domain, integrate
-from .specfun import _float, ln_gamma, log_beta_tilde
+from .specfun import _choice, _float, ln_gamma, log_beta_tilde
 
 __all__ = [
     "TwoMomentParams",
@@ -57,9 +57,9 @@ _MAX_FLOAT = sys.float_info.max
 
 def _check_r(r: float, error: type = DomainError) -> float:
     """The Renyi order r as a float in (0, 1); error is raised otherwise."""
-    if not 0.0 < r < 1.0:
-        _float(r, "r", lambda v: 0.0 < v < 1.0, "lie in (0, 1)", error)
-    return float(r)
+    if type(r) is float and 0.0 < r < 1.0:
+        return r
+    return _float(r, "r", lambda v: 0.0 < v < 1.0, "lie in (0, 1)", error)
 
 
 def _check_n(n: int) -> None:
@@ -76,15 +76,14 @@ def lambda_of(r: float, p: float, q: float) -> float:
     Refuses (p, q) whose lam rounds to 0 or 1 (or is nan): p or q within
     rounding of 1/r - 1, or an infinite order, where the Beta constant
     would be evaluated at a zero argument."""
-    _check_r(r, InvalidMomentOrder)
+    r = _check_r(r, InvalidMomentOrder)
     pivot = 1.0 / r - 1.0
-    if not (p < pivot < q):
-        _float(p, "p", lambda v: v < pivot, f"lie below 1/r - 1 = {pivot!r}", InvalidMomentOrder)
-        _float(q, "q", lambda v: v > pivot, f"lie above 1/r - 1 = {pivot!r}", InvalidMomentOrder)
-    try:
-        lam = (q + 1.0 - 1.0 / r) / (q - p)
-    except OverflowError:  # an int p, q or q - p beyond the float range
-        raise InvalidMomentOrder("p, q or q - p lies beyond the float range") from None
+    if not (type(p) is float and type(q) is float and p < pivot < q):
+        p = _float(p, "p", lambda v: v < pivot, f"lie below 1/r - 1 = {pivot!r}",
+                   InvalidMomentOrder)
+        q = _float(q, "q", lambda v: v > pivot, f"lie above 1/r - 1 = {pivot!r}",
+                   InvalidMomentOrder)
+    lam = (q + 1.0 - 1.0 / r) / (q - p)
     if not 0.0 < lam < 1.0:
         raise InvalidMomentOrder(
             f"lam = {lam!r} rounds out of (0, 1) at r={r!r}, p={p!r}, q={q!r}: "
@@ -95,7 +94,7 @@ def lambda_of(r: float, p: float, q: float) -> float:
 
 @dataclass(frozen=True)
 class TwoMomentParams:
-    """Validated (r, p, q) triple with the derived mixing weight lam."""
+    """Validated (r, p, q) triple of floats with the derived mixing weight lam."""
 
     r: float
     p: float
@@ -103,7 +102,11 @@ class TwoMomentParams:
     lam: float = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "lam", lambda_of(self.r, self.p, self.q))
+        r = _check_r(self.r, InvalidMomentOrder)
+        p = _float(self.p, "p", error=InvalidMomentOrder)
+        q = _float(self.q, "q", error=InvalidMomentOrder)
+        for name, v in (("r", r), ("p", p), ("q", q), ("lam", lambda_of(r, p, q))):
+            object.__setattr__(self, name, v)
 
 
 @dataclass(frozen=True)
@@ -144,8 +147,7 @@ class Support:
     _KINDS = ("positive_half_line", "real_line", "euclidean_n", "custom")
 
     def __post_init__(self):
-        if self.kind not in self._KINDS:
-            raise DomainError(f"unknown support kind {self.kind!r}")
+        _choice(self.kind, "a support kind", self._KINDS)
         _check_n(self.n)
         if self.kind == "custom":
             cap = omega(Support.euclidean(self.n))
@@ -217,7 +219,7 @@ def c_r_numeric(r: float, mv: MomentVector) -> float:
     otherwise exhaust float resolution under the rational half-line map.
     Divergent cases decay nowhere and are caught by the tail test.
     """
-    _check_r(r, InvalidMomentOrder)
+    r = _check_r(r, InvalidMomentOrder)
     terms = mv.active()
     if not terms:
         return math.inf
@@ -241,9 +243,9 @@ def c_r_numeric(r: float, mv: MomentVector) -> float:
     return c
 
 
-def _check_moments(moments: Sequence[float]) -> None:
-    for m in moments:
-        _float(m, "a moment", lambda v: 0.0 <= v < math.inf, "be finite and nonnegative")
+def _check_moments(moments: Sequence[float]) -> list:
+    return [_float(m, "a moment", lambda v: 0.0 <= v < math.inf, "be finite and nonnegative")
+            for m in moments]
 
 
 def _moment_term(params: TwoMomentParams, log_mu_p: float, log_mu_q: float) -> float:
@@ -278,7 +280,7 @@ def two_moment_bound(
     n = 1): exp(((1-r)/r) _log_two_moment), exponentiated once since the
     exponent is unbounded as r -> 0.  A zero moment means f = 0 almost
     everywhere, and the bound is 0."""
-    _check_moments((mu_p, mu_q))
+    mu_p, mu_q = _check_moments((mu_p, mu_q))
     if mu_p == 0.0 or mu_q == 0.0:
         return 0.0
     log_h = _log_two_moment(log_omega(sup), params, math.log(mu_p), math.log(mu_q))
@@ -294,7 +296,7 @@ def k_moment_bound(mv: MomentVector, moments: Sequence[float], r: float) -> floa
     (no active pair of exponents straddles (1-r)/r: the bound is vacuous)."""
     if len(moments) != len(mv.s):
         raise DomainError("moments must match the moment vector length")
-    _check_moments(moments)
+    moments = _check_moments(moments)
     c = c_r_numeric(r, mv)
     if math.isinf(c):
         return math.inf

@@ -64,7 +64,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import DivergenceDetected, DomainError, MaxSubdivisionsExceeded, RenyiBoundsError
-from .specfun import _float
+from .specfun import _choice, _float
 
 __all__ = [
     "Domain",
@@ -86,8 +86,7 @@ class Domain:
     b: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("finite", "half_line", "full_line"):
-            raise DomainError(f"unknown domain kind {self.kind!r}")
+        _choice(self.kind, "a domain kind", ("finite", "half_line", "full_line"))
         a = _float(self.a, "a domain endpoint", math.isfinite, "be finite")
         b = _float(self.b, "a domain endpoint", math.isfinite, "be finite")
         if self.kind == "finite" and not a < b:

@@ -9,8 +9,11 @@ form of kappa in verify) live outside the library.
 The order of the additions in the Lanczos sum, term by term as _LANCZOS
 lists them, is part of the output bits the fig and verify CSVs pin.
 
-_float owns the package's checks of a numeric argument: it converts the
-argument, applies the caller's test and words the refusal.
+_float owns the package's checks of a numeric argument, _choice those of
+a str choice.  A number is read as float() reads it, a numeric str too,
+and anything else raises a RenyiBoundsError.  A check returns the float
+it checked, which its caller works on from then on; on a hot path it keeps
+one inline test, gated on type(x) is float, and sends the rest to _float.
 
 Conventions
 -----------
@@ -92,10 +95,8 @@ def _float(x, name: str, ok=None, need: str = "be a float", error: type = Domain
     A refusal reads "{name} must {need}, got ...", worded from the
     converted float, or from what kept x from converting: float() raises
     OverflowError for an int beyond the float range, and TypeError or
-    ValueError for a non-number.  It never formats x itself, whose repr
-    raises ValueError for an int above 4,300 digits.  ok=None applies no
-    test.  A check on a hot path keeps its own inline test and calls this
-    only on its failing branch, to word the refusal.
+    ValueError for a non-number.  x itself, whose repr raises ValueError
+    above 4,300 digits, is never formatted.  ok=None tests nothing.
     """
     try:
         v = float(x)
@@ -106,6 +107,14 @@ def _float(x, name: str, ok=None, need: str = "be a float", error: type = Domain
     if ok is not None and not ok(v):
         raise error(f"{name} must {need}, got {v!r}")
     return v
+
+
+def _choice(x, name: str, choices: tuple) -> None:
+    """Refuses x unless it is one of the str choices, showing the repr of a
+    str and the type name of anything else."""
+    if x not in choices:
+        got = repr(x) if isinstance(x, str) else f"a {type(x).__name__}"
+        raise DomainError(f"{name} must be one of {', '.join(choices)}, got {got}")
 
 
 def _positive_finite(v: float) -> bool:
@@ -121,9 +130,8 @@ def ln_gamma(x: float) -> float:
 
     Raises DomainError for x <= 0 or non-finite x.
     """
-    x = _float(x, "the x of ln_gamma")
-    if not x > 0.0 or math.isinf(x):  # inline: GaussianMagnitude.log_moment's hot path
-        raise DomainError(f"ln_gamma requires finite x > 0, got {x!r}")
+    if not (type(x) is float and 0.0 < x < math.inf):  # GaussianMagnitude.log_moment's hot path
+        x = _float(x, "the x of ln_gamma", _positive_finite, "be finite and > 0")
     return _ln_gamma(x)
 
 
@@ -170,7 +178,8 @@ def log_beta_tilde(x: float, y: float) -> float:
     """log of B~(x, y) = B(x, y) (x+y)^(x+y) x^(-x) y^(-y) by Binet's formula,
     (1/2) log(2 pi (x+y)/(x y)) + theta(x) + theta(y) - theta(x+y): no large
     log-gamma and x log x terms that cancel (to a few units near r = 1)."""
-    x, y = _float(x, "the x of log_beta_tilde"), _float(y, "the y of log_beta_tilde")
+    if type(x) is not float or type(y) is not float:
+        x, y = _float(x, "the x of log_beta_tilde"), _float(y, "the y of log_beta_tilde")
     s = x + y
     if not (0.0 < x < math.inf and 0.0 < y < math.inf and s < math.inf):
         raise DomainError(f"log_beta_tilde requires finite x, y, x + y > 0, got ({x!r}, {y!r})")

@@ -59,7 +59,7 @@ def fig2_rows(
 ) -> Tuple[List[str], List[tuple]]:
     """Gaussian gaps against the dimension (n doubling up to n_max),
     with the lognormal limiting constant alongside."""
-    _float(n_max, "n_max", lambda v: not v < 1.0, "be at least 1")
+    n_max = _float(n_max, "n_max", lambda v: not v < 1.0, "be at least 1")
     limit = lognormal_gap_closed(r)
     rows = []
     n = 1

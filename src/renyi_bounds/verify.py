@@ -141,9 +141,7 @@ def _lambert_w0(z: float) -> float:
 
     The residual satisfies |w exp(w) - z| <= 1e-12 * max(1, |z|).
     """
-    z = float(z)
-    if math.isnan(z):
-        raise DomainError("lambert_w0 requires z >= -1/e, got nan")
+    z = _float(z, "the z of lambert_w0", lambda v: not math.isnan(v), "be >= -1/e")
     ez1 = 1.0 + math.e * z        # >= 0 on the domain, up to rounding
     if ez1 < 0.0:
         if ez1 > -1e-12:
@@ -371,7 +369,7 @@ class _GaussGapParams:
     z: float
 
     def __post_init__(self):
-        _check_r(self.r)
+        object.__setattr__(self, "r", _check_r(self.r))
         _check_n(self.n)
         if not (0.0 < self.lam < 1.0 and self.z > 0.0):
             raise DomainError("need lam in (0, 1) and z > 0")

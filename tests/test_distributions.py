@@ -501,6 +501,19 @@ class TestValidation:
         with pytest.raises(DomainError, match="float range"):
             call()
 
+    @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("make", [
+        Lognormal, lambda: GaussianMagnitude(2), lambda: TwoPoint(0.3, 2.0),
+        lambda: TwoPoint(0.3, 1.0), lambda: PointMass(1.0), lambda: PointMass(2.0),
+        lambda: _generic("half-normal"),
+    ], ids=["lognormal", "gaussian", "two-point", "two-point-a-1", "point-mass-1",
+            "point-mass-2", "generic"])
+    def test_non_finite_order_refused(self, make, s):
+        # TwoPoint and PointMass returned nan, GaussianMagnitude +inf at -inf,
+        # and GenericPdf +inf at nan, which reads as a divergent moment
+        with pytest.raises(DomainError):
+            make().log_moment(s)
+
     def test_coinciding_atoms_are_one_atom(self):
         atoms, probs = TwoPoint(0.1, 1.0).atoms_and_probs()
         assert atoms.tolist() == [1.0] and probs.tolist() == [1.0]

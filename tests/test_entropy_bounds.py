@@ -37,7 +37,7 @@ from renyi_bounds.errors import (
 )
 from renyi_bounds.mi_bounds import (
     ScaleMixtureChannel, V_s, kernel_Ks, marginal_renyi_entropy, prop7_bound, prop8_bound,
-    prop9_bound,
+    prop9_bound, vs_upper_bound_check,
 )
 from renyi_bounds.moment_core import (
     MomentVector, Support, TwoMomentParams, c_r_numeric, k_moment_bound, lambda_of, omega,
@@ -680,7 +680,8 @@ def test_two_moment_gap_at_most_p0_gap():
 # never a bare ValueError, TypeError, nan or inf.
 _WILD = st.one_of(
     st.sampled_from([0.0, -0.0, -1.0, 1.0, 1e-300, 1e300, -1e300, 1.7e308, 1.0 - 2.0**-53,
-                     1.0 + 2.0**-52, math.nan, math.inf, -math.inf, 10**400, 10**5000]),
+                     1.0 + 2.0**-52, math.nan, math.inf, -math.inf, 10**400, 10**5000,
+                     "abc", None]),
     st.floats(allow_nan=True, allow_infinity=True),
 )
 _DIM = st.one_of(st.integers(-2, 6), st.sampled_from([1.5, 0.0, True, math.nan, math.inf]))
@@ -846,6 +847,13 @@ _BEYOND = 10**400  # a Python int that float() refuses with OverflowError
 _FAR_BEYOND = 10**5000  # one whose repr raises ValueError as well (over 4,300 digits)
 _MIX = ScaleMixtureChannel(TwoPoint(0.3, 2.0))
 _MV = MomentVector((0.0, 2.0), (1.0, 1.0))
+
+
+def _minus(b):
+    """-b for an int, any other value as it is."""
+    return -b if type(b) is int else b
+
+
 _BEYOND_CALLS = {
     "Lognormal-mu": (DomainError, lambda b: Lognormal(b, 1.0)),
     "Lognormal-sigma2": (DomainError, lambda b: Lognormal(0.0, b)),
@@ -853,7 +861,7 @@ _BEYOND_CALLS = {
     "TwoPoint": (DomainError, lambda b: TwoPoint(0.3, b)),
     "PointMass": (DomainError, lambda b: PointMass(b)),
     "lambda_of-q": (InvalidMomentOrder, lambda b: lambda_of(0.5, 0.5, b)),
-    "lambda_of-p": (InvalidMomentOrder, lambda b: lambda_of(0.5, -b, 2.0)),
+    "lambda_of-p": (InvalidMomentOrder, lambda b: lambda_of(0.5, _minus(b), 2.0)),
     "TwoMomentParams": (InvalidMomentOrder, lambda b: TwoMomentParams(0.5, 0.5, b)),
     "entropy_bound": (InvalidMomentOrder,
                       lambda b: entropy_bound(Lognormal(), SUP_POS, 1, 0.5, 0.0, b)),
@@ -905,8 +913,12 @@ _BEYOND_CALLS = {
     "prop8_bound": (DomainError, lambda b: prop8_bound(_MIX, b)),
     "prop9_bound": (InvalidMomentOrder, lambda b: prop9_bound(_MIX, b, 2.0)),
     "marginal_renyi_entropy": (DomainError, lambda b: marginal_renyi_entropy(_MIX, b)),
-    "fig2_rows": (DomainError, lambda b: fig2_rows(0.5, -b)),
+    "fig2_rows": (DomainError, lambda b: fig2_rows(0.5, _minus(b))),
     "fig3_rows": (DomainError, lambda b: fig3_rows([b])),
+    # choice arguments, whose refusals formatted the argument with !r
+    "V_s-given": (DomainError, lambda b: V_s(_MIX, 1.0, given=b)),
+    "Domain-kind": (DomainError, lambda b: Domain(b)),
+    "Support-kind": (DomainError, lambda b: Support(b)),
 }
 _BEYOND_NAMES = sorted(_BEYOND_CALLS)
 
@@ -922,3 +934,42 @@ def test_int_beyond_the_float_range_is_refused(name, big):
     error, call = _BEYOND_CALLS[name]
     with pytest.raises(error):
         call(big)
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [(name, "abc") for name in _BEYOND_NAMES] + [(name, None) for name in _BEYOND_NAMES],
+    ids=[f"{name}-str" for name in _BEYOND_NAMES] + [f"{name}-None" for name in _BEYOND_NAMES],
+)
+def test_a_non_number_is_refused(name, value):
+    # a hot-path check compared it before converting it, and raised a bare
+    # TypeError; an order was converted without a check, a bare ValueError
+    error, call = _BEYOND_CALLS[name]
+    with pytest.raises(error):
+        call(value)
+
+
+_TWO = TwoMomentParams(0.5, 0.0, 2.0)
+
+
+@pytest.mark.parametrize("call, args", [
+    (lambda_of, ("0.5", "0", "2")),
+    (lognormal_gap_closed, ("0.3",)),
+    (lambda r: optimal_gap(Lognormal(), SUP_POS, 1, r).gap, ("0.5",)),
+    (lambda p, q: prop9_bound(_MIX, p, q, "U"), ("0", "2")),
+    (lambda mu_p, mu_q: two_moment_bound(mu_p, mu_q, _TWO), ("1.5", "2")),
+    (lambda m1, m2: k_moment_bound(_MV, (m1, m2), 0.5), ("1.5", "2")),
+    (kernel_Ks, ("0.5", "1", "2")),
+    (lambda s: vs_upper_bound_check(_MIX, s), ("0.5",)),
+    (lambda n_max: fig2_rows(0.5, n_max), ("2",)),
+], ids=["lambda_of", "lognormal_gap_closed", "optimal_gap", "prop9_bound", "two_moment_bound",
+        "k_moment_bound", "kernel_Ks", "vs_upper_bound_check", "fig2_rows"])
+def test_a_numeric_str_is_its_float(call, args):
+    # the hot-path checks raised a bare TypeError for a str the cold ones
+    # took, and so did callers that checked an argument but kept the str
+    assert call(*args) == call(*map(float, args))
+
+
+def test_reports_store_floats():
+    report = entropy_bound(Lognormal(), SUP_POS, 1, np.float64(0.5), 0, "2")
+    assert [type(v) for v in (report.r, report.p, report.q)] == [float] * 3

@@ -252,6 +252,12 @@ class TestMomentVector:
         with pytest.raises(InvalidMomentOrder):
             TwoMomentParams(0.5, 2.0, 3.0)
 
+    def test_two_moment_params_store_floats(self):
+        # they stored the arguments as given: an int, a numpy scalar, a str
+        params = TwoMomentParams(np.float64(0.5), 0, "3")
+        assert [type(v) for v in (params.r, params.p, params.q, params.lam)] == [float] * 4
+        assert (params.r, params.p, params.q) == (0.5, 0.0, 3.0)
+
     @pytest.mark.parametrize("p,q", [(0.0, 1.0 + 2.0**-52), (1.0 - 2.0**-53, 2.0)],
                              ids=["lam-rounds-to-0", "lam-rounds-to-1"])
     def test_lambda_rounding_to_an_edge_refused(self, p, q):

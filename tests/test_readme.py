@@ -27,15 +27,19 @@ def test_readme_python_blocks_run(capsys):
     assert printed and all(float(tok) == float(tok) for tok in printed)  # numbers, no nan
 
 
-def test_runtime_loads_neither_scipy_nor_mpmath():
-    # the README promises a numpy-only runtime; scipy and mpmath are test-only
-    code = ("import sys, renyi_bounds, renyi_bounds.cli; "
-            "print(sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'mpmath'}))")
+def test_runtime_loads_neither_scipy_nor_mpmath(tmp_path):
+    # the README promises a numpy-only runtime; scipy, hypothesis and mpmath
+    # are test-only.  A fresh interpreter runs verify and fig3 through main
+    code = ("import os, sys; from renyi_bounds.cli import main; "
+            f"out = {str(tmp_path)!r}; "
+            "codes = [main([c, '--out', os.path.join(out, c)]) for c in ('verify', 'fig3')]; "
+            "print(codes, sorted({m.split('.')[0] for m in sys.modules} "
+            "& {'scipy', 'hypothesis', 'mpmath'}))")
     src = str(README.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
                          check=True)
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.strip() == "[0, 0] []"
 
 
 def _cli_section():
