@@ -195,18 +195,21 @@ class GaussianMagnitude(ScalarDistribution):
     """
 
     n: int = 1
-    _ln_gamma_half_n: float = field(init=False, compare=False, repr=False)
+    _lgamma_half_n: float = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         _check_n(self.n)
-        object.__setattr__(self, "_ln_gamma_half_n", ln_gamma(0.5 * self.n))
+        object.__setattr__(self, "_lgamma_half_n", ln_gamma(0.5 * self.n))
 
     def log_moment(self, s: float) -> float:
         if type(s) is not float or s <= -self.n:  # a float nan or +inf: ln_gamma refuses it
             s = _order(s)
             if s <= -self.n:
                 return math.inf
-        return 0.5 * s * math.log(2.0) + ln_gamma(0.5 * (self.n + s)) - self._ln_gamma_half_n
+        value = 0.5 * s * math.log(2.0) + ln_gamma(0.5 * (self.n + s)) - self._lgamma_half_n
+        if not math.isfinite(value):  # three finite terms whose sum overflows
+            raise DomainError(f"log E X^{s!r} of {self} leaves the float range")
+        return value
 
     def renyi_entropy(self, r: float) -> float:
         r = _check_r(r)
@@ -236,7 +239,10 @@ class TwoPoint(ScalarDistribution):
                                              "be positive and finite"))
 
     def log_moment(self, s: float) -> float:
-        log_a = _order(s) * math.log(self.a)
+        s = _order(s)
+        log_a = s * math.log(self.a)  # -inf is fine: a^s underflows beside 1 - eps
+        if log_a == math.inf:
+            raise DomainError(f"log E X^{s!r} of {self} leaves the float range")
         return float(np.logaddexp(math.log1p(-self.eps), math.log(self.eps) + log_a))
 
     def sample(self, rng, size=None):
@@ -261,7 +267,11 @@ class PointMass(ScalarDistribution):
                                              "be positive and finite"))
 
     def log_moment(self, s: float) -> float:
-        return _order(s) * math.log(self.c)
+        s = _order(s)
+        value = s * math.log(self.c)
+        if not math.isfinite(value):
+            raise DomainError(f"log E X^{s!r} of {self} leaves the float range")
+        return value
 
     def sample(self, rng, size=None):
         if size is None:

@@ -48,7 +48,7 @@ from .distributions import (
 )
 from .errors import DomainError, InvalidMomentOrder, RenyiBoundsError, UnsupportedOperation
 from .moment_core import Support, TwoMomentParams, _check_r, _log_two_moment, _logsumexp, log_omega
-from .quadrature import Domain, integrate, mc_expect
+from .quadrature import Domain, _stream, integrate, mc_expect
 from .specfun import LOG_2PI, _choice, _float, kappa, ln_gamma
 
 __all__ = [
@@ -303,7 +303,7 @@ def V_s(ch, s: float, given: str = "X", *, stream: int = 0) -> VsValue:
     A non-atomic AWGN input raises UnsupportedOperation.  Terms that leave
     the float range (large s) raise DomainError."""
     s = _float(s, "s", lambda v: v >= 0.0, "be nonnegative")
-    given = _given(ch, given)
+    given, stream = _given(ch, given), _stream(stream)
     if isinstance(ch, ScaleMixtureChannel) and not ch.mixing.is_discrete:
         return _vs_monte_carlo(ch.mixing, s, given, stream)
     if isinstance(ch, AwgnChannel) and not ch.input.is_discrete:

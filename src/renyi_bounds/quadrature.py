@@ -520,11 +520,19 @@ class _DensityPanels:
         return xs[w > 0.0], w[w > 0.0]
 
 
+def _stream(stream) -> int:
+    """A substream number as an int: DomainError unless stream is a
+    nonnegative int (a bool is refused)."""
+    if isinstance(stream, bool) or not isinstance(stream, (int, np.integer)) or stream < 0:
+        _float(stream, "stream", lambda v: False, "be a nonnegative int (not a bool)")
+    return int(stream)
+
+
 def rng_for(stream: int = 0) -> np.random.Generator:
-    """Philox generator for the fixed seed _MC_SEED; stream selects an
-    independent substream, so a draw does not depend on the draws made
-    before it."""
-    ss = np.random.SeedSequence(_MC_SEED, spawn_key=(stream,))
+    """Philox generator for the fixed seed _MC_SEED; stream, a nonnegative
+    int, selects an independent substream, so a draw does not depend on
+    the draws made before it."""
+    ss = np.random.SeedSequence(_MC_SEED, spawn_key=(_stream(stream),))
     return np.random.Generator(np.random.Philox(ss))
 
 

@@ -1,13 +1,12 @@
 """Scalar special functions: log-gamma, the Binet remainder, Beta and its
 normalized variant, and the logarithm-power ratio kappa.
 
-All closed-form constants in this package reduce to these primitives, so
-they are implemented from scratch, one route each.  The independent
-routes that check them (scipy in the test suite; the Lambert W closed
-form of kappa in verify) live outside the library.
-
-The order of the additions in the Lanczos sum, term by term as _LANCZOS
-lists them, is part of the output bits the fig and verify CSVs pin.
+All closed-form constants in this package reduce to these primitives,
+one route each.  Log-gamma is math.lgamma; ln_gamma refuses an x whose
+log Gamma(x) leaves the float range (x above about 2.56e305) instead of
+returning inf.  The independent routes that check them (scipy and mpmath
+in the test suite; the Lambert W closed form of kappa in verify) live
+outside the library.
 
 _float owns the package's checks of a numeric argument, _choice those of
 a str choice.  A number is read as float() reads it, a numeric str too,
@@ -36,21 +35,6 @@ from .errors import DomainError
 
 LOG_2PI = math.log(2.0 * math.pi)
 
-# Lanczos coefficients, g = 7, 9 terms (Godfrey).  Relative accuracy of the
-# resulting gamma approximation is ~1e-14 on the positive axis.
-_LANCZOS_G = 7.0
-_LANCZOS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
 # Stirling / Binet series coefficients B_{2n} / ((2n)(2n-1)), used as
 # theta(x) ~ sum c_n / x^(2n-1).  Nine terms keep the truncation error
 # below 1e-17 for x >= 10.
@@ -76,16 +60,6 @@ def _theta_series(x: float) -> float:
         acc += c * term
         term *= inv2
     return acc
-
-
-def _ln_gamma_lanczos(x: float) -> float:
-    """Lanczos evaluation for 0.5 <= x < 10, its sum unrolled in _LANCZOS order."""
-    c0, c1, c2, c3, c4, c5, c6, c7, c8 = _LANCZOS
-    xm = x - 1.0
-    acc = (c0 + c1 / (xm + 1.0) + c2 / (xm + 2.0) + c3 / (xm + 3.0) + c4 / (xm + 4.0)
-           + c5 / (xm + 5.0) + c6 / (xm + 6.0) + c7 / (xm + 7.0) + c8 / (xm + 8.0))
-    t = x + _LANCZOS_G - 0.5
-    return 0.5 * LOG_2PI + (x - 0.5) * math.log(t) - t + math.log(acc)
 
 
 def _float(x, name: str, ok=None, need: str = "be a float", error: type = DomainError) -> float:
@@ -122,35 +96,26 @@ def _positive_finite(v: float) -> bool:
 
 
 def ln_gamma(x: float) -> float:
-    """log Gamma(x) for x > 0.
+    """log Gamma(x) for x > 0, by math.lgamma.
 
-    Uses a Lanczos rational approximation below 10 (with Euler's reflection
-    formula below 1/2) and the Stirling series with Bernoulli-number
-    corrections at and above 10.
-
-    Raises DomainError for x <= 0 or non-finite x.
+    Raises DomainError for x <= 0, non-finite x, and x above about
+    2.56e305, where log Gamma(x) leaves the float range.
     """
     if not (type(x) is float and 0.0 < x < math.inf):  # GaussianMagnitude.log_moment's hot path
         x = _float(x, "the x of ln_gamma", _positive_finite, "be finite and > 0")
-    return _ln_gamma(x)
-
-
-def _ln_gamma(x: float) -> float:
-    """ln_gamma for a float x that is already known to be finite and > 0."""
-    if x >= 10.0:
-        return (x - 0.5) * math.log(x) - x + 0.5 * LOG_2PI + _theta_series(x)
-    if x < 0.5:
-        # log Gamma(x) = log(pi / sin(pi x)) - log Gamma(1 - x)
-        return math.log(math.pi / math.sin(math.pi * x)) - _ln_gamma_lanczos(1.0 - x)
-    return _ln_gamma_lanczos(x)
+    try:
+        return math.lgamma(x)
+    except OverflowError:
+        raise DomainError(f"log Gamma({x!r}) leaves the float range") from None
 
 
 def theta(x: float) -> float:
     """Remainder theta(x) in Binet's formula for log Gamma.
 
-    For x >= 10 the asymptotic series is used directly; subtracting the
-    Stirling main term from ln_gamma would cancel nearly all significant
-    digits there (theta(1e6) ~ 8e-8 against terms of size 1e7).
+    Below 10 it is math.lgamma less the Stirling main term.  For x >= 10
+    the asymptotic series is used directly; that subtraction would cancel
+    nearly all significant digits there (theta(1e6) ~ 8e-8 against terms
+    of size 1e7).
     """
     return _theta(_float(x, "the x of theta", _positive_finite, "be finite and > 0"))
 
@@ -159,7 +124,7 @@ def _theta(x: float) -> float:
     """theta for a float x that is already known to be finite and > 0."""
     if x >= 10.0:
         return _theta_series(x)
-    return _ln_gamma(x) - (x - 0.5) * math.log(x) + x - 0.5 * LOG_2PI
+    return math.lgamma(x) - (x - 0.5) * math.log(x) + x - 0.5 * LOG_2PI
 
 
 def log_beta(x: float, y: float) -> float:

@@ -1,9 +1,10 @@
 """Parameter sweeps behind the figure commands.
 
-Pure row producers: no I/O here, the CLI owns formatting.  Grid points
-are evaluated in grid order, and a row depends only on its own point:
-no sweep runs Monte Carlo (fig3's mixing law is atomic, so its V_s are
-exact sums).
+Pure row producers: no I/O here, the CLI owns formatting.  Each grid
+value is checked once, and its row holds the float the check returned.
+Grid points are evaluated in grid order, and a row depends only on its
+own point: no sweep runs Monte Carlo (fig3's mixing law is atomic, so
+its V_s are exact sums).
 """
 
 import math
@@ -14,7 +15,7 @@ import numpy as np
 from .distributions import GaussianMagnitude, Lognormal, TwoPoint
 from .entropy_bounds import lognormal_gap_closed, optimal_gap
 from .mi_bounds import ScaleMixtureChannel, chi2_mi_bound, mi_oracle, prop9_bound
-from .moment_core import Support
+from .moment_core import Support, _check_r
 from .specfun import _float
 
 __all__ = [
@@ -40,16 +41,15 @@ def fig1_rows(
     The two-moment column is parameter-free in exact arithmetic; the
     one-moment column genuinely depends on sigma2.
     """
-    r_grid = list(r_grid) or DEFAULT_R_GRID
-    sigma2_grid = list(sigma2_grid) or DEFAULT_SIGMA2_GRID
+    r_grid = [_check_r(r) for r in list(r_grid) or DEFAULT_R_GRID]
+    laws = [Lognormal(0.0, s2) for s2 in list(sigma2_grid) or DEFAULT_SIGMA2_GRID]
     sup = Support.positive_half_line()
     rows = []
     for r in r_grid:
-        for s2 in sigma2_grid:
-            d = Lognormal(0.0, s2)
+        for d in laws:
             two = optimal_gap(d, sup, 1, r).gap
             one_m = optimal_gap(d, sup, 1, r, constrain_p_zero=True).gap
-            rows.append((r, s2, two, one_m))
+            rows.append((r, d.sigma2, two, one_m))
     return ["r", "sigma2", "delta_two_moment", "delta_one_moment"], rows
 
 
@@ -98,5 +98,5 @@ def fig3_rows(
         mi = mi_oracle(ch, "U")
         p9 = prop9_bound(ch, p, q, "U")
         c2 = chi2_mi_bound(ch, "U")
-        rows.append((eps, mi, p9, c2))
+        rows.append((ch.mixing.eps, mi, p9, c2))
     return ["eps", "mi_oracle", "prop9_bound", "chi2_bound"], rows

@@ -501,6 +501,25 @@ class TestValidation:
         with pytest.raises(DomainError, match="float range"):
             call()
 
+    @pytest.mark.parametrize("call", [
+        lambda: TwoPoint(0.3, 1e300).log_moment(1e308),
+        lambda: PointMass(1e300).log_moment(1e308),
+        lambda: PointMass(1e300).log_moment(-1e308),
+        lambda: GaussianMagnitude(2).log_moment(1e308),
+        lambda: GaussianMagnitude(2).log_moment(5.1195e305),
+        lambda: GaussianMagnitude(10**306),
+    ], ids=["two-point", "point-mass", "point-mass-negative", "gaussian-ln-gamma",
+            "gaussian-sum", "gaussian-dimension"])
+    def test_other_families_overflow_refused(self, call):
+        # inf, inf, -inf, inf (log Gamma(5e307)), inf (finite terms whose sum
+        # overflows), and a law whose log_moment(1) was inf - inf = nan
+        with pytest.raises(DomainError, match="float range"):
+            call()
+
+    def test_two_point_moment_that_underflows_is_finite(self):
+        # a^s underflows beside the atom at 1: log E X^s is log(1 - eps)
+        assert TwoPoint(0.3, 1e300).log_moment(-1e308) == math.log1p(-0.3)
+
     @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
     @pytest.mark.parametrize("make", [
         Lognormal, lambda: GaussianMagnitude(2), lambda: TwoPoint(0.3, 2.0),

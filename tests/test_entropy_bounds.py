@@ -45,7 +45,7 @@ from renyi_bounds.moment_core import (
 )
 from renyi_bounds.quadrature import Domain
 from renyi_bounds.specfun import theta
-from renyi_bounds.sweeps import fig2_rows, fig3_rows
+from renyi_bounds.sweeps import fig1_rows, fig2_rows, fig3_rows
 from renyi_bounds.verify import (
     _GaussGapParams,
     _gaussian_Q,
@@ -553,6 +553,11 @@ class TestDiffEntropyBounds:
         with pytest.raises(MomentDiverges):
             diff_entropy_bounds(NoNegativeMoments(), 1, 2.0)
 
+    def test_order_whose_log_gamma_overflows_refused(self):
+        # log Gamma(n/s + 1) = log Gamma(1e306) was inf: the pair came back (nan, 1.58)
+        with pytest.raises(DomainError, match="float range"):
+            diff_entropy_bounds(GaussianMagnitude(1), 1, 1e-306)
+
     def test_zero_log_variance_refused(self):
         # log X of a point mass is constant
         with pytest.raises(DomainError):
@@ -913,6 +918,8 @@ _BEYOND_CALLS = {
     "prop8_bound": (DomainError, lambda b: prop8_bound(_MIX, b)),
     "prop9_bound": (InvalidMomentOrder, lambda b: prop9_bound(_MIX, b, 2.0)),
     "marginal_renyi_entropy": (DomainError, lambda b: marginal_renyi_entropy(_MIX, b)),
+    "fig1_rows-r": (DomainError, lambda b: fig1_rows([b], [1.0])),
+    "fig1_rows-sigma2": (DomainError, lambda b: fig1_rows([0.5], [b])),
     "fig2_rows": (DomainError, lambda b: fig2_rows(0.5, _minus(b))),
     "fig3_rows": (DomainError, lambda b: fig3_rows([b])),
     # choice arguments, whose refusals formatted the argument with !r
@@ -962,8 +969,11 @@ _TWO = TwoMomentParams(0.5, 0.0, 2.0)
     (kernel_Ks, ("0.5", "1", "2")),
     (lambda s: vs_upper_bound_check(_MIX, s), ("0.5",)),
     (lambda n_max: fig2_rows(0.5, n_max), ("2",)),
+    (lambda r, s2: fig1_rows([r], [s2]), ("0.5", "1")),
+    (lambda eps: fig3_rows([eps]), ("0.25",)),
 ], ids=["lambda_of", "lognormal_gap_closed", "optimal_gap", "prop9_bound", "two_moment_bound",
-        "k_moment_bound", "kernel_Ks", "vs_upper_bound_check", "fig2_rows"])
+        "k_moment_bound", "kernel_Ks", "vs_upper_bound_check", "fig2_rows", "fig1_rows",
+        "fig3_rows"])
 def test_a_numeric_str_is_its_float(call, args):
     # the hot-path checks raised a bare TypeError for a str the cold ones
     # took, and so did callers that checked an argument but kept the str

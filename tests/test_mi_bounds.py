@@ -332,6 +332,14 @@ class TestVs:
             worst = max(worst, abs(res.value - want) / res.standard_error)
         assert worst <= 4.0
 
+    @pytest.mark.parametrize("mixing", [Lognormal(0.0, 1.0), TwoPoint(0.3, 2.0)],
+                             ids=["monte-carlo", "atomic"])
+    @pytest.mark.parametrize("stream", ["abc", -1, 1.5, None, True])
+    def test_stream_not_a_nonnegative_int_refused(self, mixing, stream):
+        # refused on entry, also where the exact atomic sum draws nothing
+        with pytest.raises(DomainError, match="stream must be a nonnegative int"):
+            V_s(ScaleMixtureChannel(mixing), 1.0, "U", stream=stream)
+
     def test_given_u_upper_bound_residuals(self):
         for eps, a in ((0.5, 3.0), (0.1, 11.0)):
             ch = ScaleMixtureChannel(TwoPoint(eps, a))

@@ -399,6 +399,22 @@ class TestMonteCarlo:
         want = np.random.Generator(np.random.Philox(np.random.SeedSequence(20170825, spawn_key=(3,))))
         assert np.array_equal(rng_for(3).random(4), want.random(4))
 
+    @pytest.mark.parametrize("stream", [0, 1, 2, np.int64(2)])
+    def test_checked_stream_keeps_its_draws(self, stream):
+        # V_s and prop9_bound draw on streams 0, 1 and 2
+        key = np.random.SeedSequence(20170825, spawn_key=(int(stream),))
+        want = np.random.Generator(np.random.Philox(key))
+        assert np.array_equal(rng_for(stream).random(4), want.random(4))
+
+    @pytest.mark.parametrize("stream", ["abc", -1, 1.5, None, True, -10**400],
+                             ids=["str", "negative", "float", "None", "bool", "huge-negative"])
+    def test_stream_not_a_nonnegative_int_refused(self, stream):
+        # numpy raised a bare ValueError or TypeError, and took True as 1
+        with pytest.raises(DomainError, match="stream must be a nonnegative int"):
+            rng_for(stream)
+        with pytest.raises(DomainError, match="stream must be a nonnegative int"):
+            mc_expect(lambda x: x, lambda rng, n: rng.random(n), stream=stream)
+
 
 
 class TestRelativeTolerance:

@@ -3,18 +3,16 @@ identities the rest of the library leans on."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from renyi_bounds import specfun
 from renyi_bounds.errors import DomainError
 from renyi_bounds.specfun import (
     LOG_2PI,
-    _LANCZOS,
-    _LANCZOS_G,
     _fixed_point_v,
     beta,
     beta_tilde,
@@ -70,6 +68,16 @@ class TestLnGamma:
         with pytest.raises(DomainError):
             ln_gamma(x)
 
+    def test_subnormal_is_finite(self):
+        # the reflection formula gave log(pi / sin(pi x)) = log(inf) = inf here
+        assert ln_gamma(1e-310) == pytest.approx(713.8013788281542, rel=1e-15)
+
+    @pytest.mark.parametrize("x", [2.6e305, 3e305, 1e308])
+    def test_value_beyond_the_float_range_is_refused(self, x):
+        # the Stirling branch returned inf
+        with pytest.raises(DomainError, match="leaves the float range"):
+            ln_gamma(x)
+
 
 @given(st.floats(min_value=0.01, max_value=0.99))
 def test_reflection_property(x):
@@ -116,6 +124,9 @@ class TestTheta:
     def test_domain_zero_and_non_finite(self, x):
         with pytest.raises(DomainError):
             theta(x)
+
+    def test_subnormal_is_finite(self):
+        assert theta(1e-310) == pytest.approx(355.9817508808724, rel=1e-15)
 
 
 class TestBeta:
@@ -186,17 +197,50 @@ def test_int_beyond_the_float_range_is_a_domain_error(fn, args):
         fn(*args)
 
 
-def _lanczos_loop(x):
-    """The Lanczos sum as a loop over _LANCZOS: the unrolled sum of
-    specfun._ln_gamma_lanczos must give its bits."""
-    acc = _LANCZOS[0]
-    for k in range(1, len(_LANCZOS)):
-        acc += _LANCZOS[k] / (x - 1.0 + k)
-    t = x + _LANCZOS_G - 0.5
-    return 0.5 * LOG_2PI + (x - 0.5) * math.log(t) - t + math.log(acc)
+# Error maps against mpmath at 50 digits: the largest
+# |err| / max(1, |exact|) over a seeded log-uniform sample and the edges.
+def _mp_theta(x):
+    return mpmath.loggamma(x) - (x - 0.5) * mpmath.log(x) + x - mpmath.log(2 * mpmath.pi) / 2
 
 
-# reflection (x < 0.5), Lanczos ([0.5, 10)) and series (x >= 10) arguments
+def _mp_log_beta_tilde(x, y):
+    return (mpmath.loggamma(x) + mpmath.loggamma(y) - mpmath.loggamma(x + y)
+            + (x + y) * mpmath.log(x + y) - x * mpmath.log(x) - y * mpmath.log(y))
+
+
+def _worst(fn, exact, args):
+    worst = 0.0
+    with mpmath.workdps(50):
+        for a in args:
+            want = exact(*map(mpmath.mpf, a))
+            worst = max(worst, float(abs(fn(*a) - want) / max(1, abs(want))))
+    return worst
+
+
+def _log_uniform(seed, lo, hi, shape):
+    return (10.0 ** np.random.default_rng(seed).uniform(lo, hi, shape)).tolist()
+
+
+_SUBNORMALS = [5e-324, 1e-310]
+
+
+def test_log_gamma_error_map():
+    xs = _log_uniform(1702, -8.0, 8.0, 2000) + _SUBNORMALS + [2.5e305]
+    assert _worst(ln_gamma, mpmath.loggamma, [(x,) for x in xs]) <= 3e-15
+
+
+def test_theta_error_map():
+    # below 10, log Gamma less the Stirling main term cancels to a few 1e-15
+    xs = _log_uniform(1703, -8.0, 4.0, 2000) + _SUBNORMALS
+    assert _worst(theta, _mp_theta, [(x,) for x in xs]) <= 1e-14
+
+
+def test_log_beta_tilde_error_map():
+    xys = _log_uniform(1704, -6.0, 6.0, (1000, 2))
+    assert _worst(log_beta_tilde, _mp_log_beta_tilde, xys) <= 1e-14
+
+
+# arguments on both sides of the series switch at x = 10
 _BIT_GRID = (
     np.linspace(1e-3, 0.499, 40).tolist()
     + np.random.default_rng(20170825).uniform(0.5, 10.0, 400).tolist()
@@ -205,19 +249,15 @@ _BIT_GRID = (
 )
 
 
-def test_unrolled_lanczos_keeps_the_bits(monkeypatch):
-    pairs = list(zip(_BIT_GRID, reversed(_BIT_GRID))) + [(x, x) for x in _BIT_GRID[::7]]
-    values = ([ln_gamma(x) for x in _BIT_GRID], [theta(x) for x in _BIT_GRID],
-              [log_beta_tilde(x, y) for x, y in pairs])
-    monkeypatch.setattr(specfun, "_ln_gamma_lanczos", _lanczos_loop)
-
+def test_log_beta_tilde_unchecked_thetas_keep_the_bits():
+    # log_beta_tilde checks once and calls the unchecked theta three times
     def log_beta_tilde_checked(x, y):  # the Binet form through the checked theta
         half_log = 0.5 * (LOG_2PI + math.log(x + y) - math.log(x) - math.log(y))
         return half_log + theta(x) + theta(y) - theta(x + y)
 
-    expect = ([ln_gamma(x) for x in _BIT_GRID], [theta(x) for x in _BIT_GRID],
-              [log_beta_tilde_checked(x, y) for x, y in pairs])
-    assert values == expect
+    pairs = list(zip(_BIT_GRID, reversed(_BIT_GRID))) + [(x, x) for x in _BIT_GRID[::7]]
+    expect = [log_beta_tilde_checked(x, y) for x, y in pairs]
+    assert [log_beta_tilde(x, y) for x, y in pairs] == expect
 
 
 @given(
