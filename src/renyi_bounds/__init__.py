@@ -40,7 +40,6 @@ from .distributions import (
 )
 from .entropy_bounds import (
     BoundReport,
-    GapReport,
     diff_entropy_bounds,
     entropy_bound,
     lognormal_gap_closed,

@@ -27,7 +27,6 @@ verify and the tests.
 """
 
 import math
-from collections import namedtuple
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -45,11 +44,10 @@ from .moment_core import (
     Support, TwoMomentParams, _check_n, _check_r, _log_two_moment, lambda_of, log_omega,
 )
 from .quadrature import Domain, integrate
-from .specfun import LOG_2PI, _float, _positive_finite, ln_gamma, theta
+from .specfun import LOG_2PI, _float, _positive_finite, theta
 
 __all__ = [
     "BoundReport",
-    "GapReport",
     "two_moment_parametrization",
     "entropy_bound",
     "lognormal_gap_closed",
@@ -61,7 +59,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BoundReport:
-    """A single evaluation of the entropy bound (all values in nats)."""
+    """One evaluation of the entropy bound (all values in nats), at given
+    (p, q) or at the optimum optimal_gap found; its optimizer_trace holds
+    one (lam, u, value) entry per pass ((q, value) when p is pinned at
+    zero), and is empty for a bound at given (p, q)."""
 
     r: float
     p: float
@@ -70,20 +71,7 @@ class BoundReport:
     bound: float
     entropy: Optional[float]  # None when the family has no density
     gap: Optional[float]
-
-
-@dataclass(frozen=True)
-class GapReport:
-    """Result of gap optimization; trace holds one (lam, u, value) entry
-    per pass ((q, value) when p is pinned at zero)."""
-
-    r: float
-    p: float
-    q: float
-    bound: float
-    entropy: float
-    gap: float
-    optimizer_trace: Tuple[tuple, ...]
+    optimizer_trace: Tuple[tuple, ...] = ()
 
 
 def _check_dimension(d: ScalarDistribution, sup: Support, n: int) -> float:
@@ -121,11 +109,6 @@ def two_moment_parametrization(r: float, lam: float, u: float) -> Tuple[float, f
     return m - (1.0 - lam) * d, m + lam * d
 
 
-# (r, p, q) of one gap evaluation with lam = lambda_of(r, p, q): the fields
-# _log_two_moment reads of a TwoMomentParams, in a tuple, not a frozen dataclass
-_Point = namedtuple("_Point", "r p q lam")
-
-
 def _gaps_at(
     d: ScalarDistribution,
     log_omega_s: float,
@@ -143,7 +126,7 @@ def _gaps_at(
         if pq is not None:
             p, q = pq
             try:
-                prm = _Point(r, p, q, lambda_of(r, p, q))
+                prm = TwoMomentParams._make((r, p, q, lambda_of(r, p, q)))
             except InvalidMomentOrder:
                 pass
             else:
@@ -259,7 +242,7 @@ def optimal_gap(
     n: int,
     r: float,
     constrain_p_zero: bool = False,
-) -> GapReport:
+) -> BoundReport:
     """Optimized gap Delta_r (over p, q) or Delta~_r (over q at p = 0).
 
     Derivative-free: cyclic golden-section over (lam, log u) in the box
@@ -318,15 +301,7 @@ def optimal_gap(
             raise OptimizerNoConverge("no feasible (lam, u) found")
         p_opt, q_opt = two_moment_parametrization(r, lam, math.exp(w))
 
-    return GapReport(
-        r=r,
-        p=p_opt,
-        q=q_opt,
-        bound=h + best,
-        entropy=h,
-        gap=best,
-        optimizer_trace=tuple(trace),
-    )
+    return BoundReport(r, p_opt, q_opt, n, h + best, h, best, tuple(trace))
 
 
 # ---------------------------------------------------------------------------
@@ -384,9 +359,12 @@ def diff_entropy_bounds(
 
     Returns (moment_bound, log_moment_bound):
 
-      moment_bound     = log Gamma(n/s + 1) + log omega(R^n)
-                         + (n/s) log(e s E[||X||^s] / n),
-                         valid for any s > 0 (s = 2 is the Gaussian case);
+      moment_bound     = log Gamma(N + 1) + log omega(R^n)
+                         + N log(e E[||X||^s] / N) with N = n/s,
+                         valid for any s > 0 (s = 2 is the Gaussian case),
+                         summed in Binet's form N log E[||X||^s]
+                         + (1/2) log(2 pi N) + theta(N) + log omega(R^n),
+                         where the N log N terms have cancelled;
 
       log_moment_bound = log omega(S) + n E[log ||X||]
                          + (1/2) log(2 pi e n^2 Var(log ||X||)) on S =
@@ -402,10 +380,11 @@ def diff_entropy_bounds(
     ls, lp, l0, lm = d.log_moments([s, _FD_STEP, 0.0, -_FD_STEP])
     if math.isinf(ls):
         raise MomentDiverges(f"E||X||^{s!r} diverges")
+    N = n / s
+    if N == math.inf:
+        raise DomainError(f"n/s leaves the float range at s={s!r}")
     moment_bound = (
-        ln_gamma(n / s + 1.0)
-        + log_omega(Support.euclidean(n))
-        + (n / s) * (1.0 + math.log(s) + ls - math.log(n))
+        N * ls + 0.5 * (LOG_2PI + math.log(N)) + theta(N) + log_omega(Support.euclidean(n))
     )
 
     if math.isinf(lp) or math.isinf(l0) or math.isinf(lm):

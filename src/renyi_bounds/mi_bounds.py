@@ -49,7 +49,7 @@ from .distributions import (
 from .errors import DomainError, InvalidMomentOrder, RenyiBoundsError, UnsupportedOperation
 from .moment_core import Support, TwoMomentParams, _check_r, _log_two_moment, _logsumexp, log_omega
 from .quadrature import Domain, _stream, integrate, mc_expect
-from .specfun import LOG_2PI, _choice, _float, kappa, ln_gamma
+from .specfun import LOG_2PI, _choice, _exp, _float, kappa, ln_gamma
 
 __all__ = [
     "AwgnChannel",
@@ -218,10 +218,7 @@ def kernel_Ks(x1: float, x2: float, s: float) -> float:
     for bit."""
     x1, x2 = _float(x1, "x1"), _float(x2, "x2")
     s = _float(s, "s", lambda v: v >= 0.0, "be nonnegative")
-    try:
-        return math.exp(_log_kernel(x1, 1.0, x2, 1.0, s))
-    except OverflowError:
-        raise DomainError(f"K_s leaves the float range at s = {s:g}") from None
+    return _exp(_log_kernel(x1, 1.0, x2, 1.0, s), "K_s")
 
 
 def _vs_value(s, value, scale) -> VsValue:
@@ -329,7 +326,7 @@ def _prop7_integral(ch, t, given) -> float:
             )
         return np.exp(z)
 
-    return integrate(integrand, _FULL).value
+    return float(integrate(integrand, _FULL).value)
 
 
 def chi2_divergence(ch, given: str = "X") -> float:
@@ -419,14 +416,14 @@ def mi_oracle(ch, given: str = "X") -> float:
             lm = model.marginal_of(lcs)
             return model.probs @ np.where(lcs > _EXP_CLIP, np.exp(lcs) * (lcs - lm), 0.0)
 
-        return integrate(integrand, _FULL).value
+        return float(integrate(integrand, _FULL).value)
 
     def integrand(y):
         lm = model.log_marginal(y)
         with np.errstate(invalid="ignore"):
             return np.where(lm > _EXP_CLIP, -np.exp(lm) * lm, 0.0)
 
-    h_y = integrate(integrand, _FULL).value
+    h_y = float(integrate(integrand, _FULL).value)
     return h_y - 0.5 * (LOG_2PI + 1.0)
 
 

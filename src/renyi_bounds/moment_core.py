@@ -29,14 +29,15 @@ are implemented so each can check the other.
 
 import math
 import sys
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import DivergenceDetected, DomainError, InvalidMomentOrder
 from .quadrature import Domain, integrate
-from .specfun import _choice, _float, ln_gamma, log_beta_tilde
+from .specfun import _choice, _exp, _float, ln_gamma, log_beta_tilde
 
 __all__ = [
     "TwoMomentParams",
@@ -92,21 +93,24 @@ def lambda_of(r: float, p: float, q: float) -> float:
     return lam
 
 
-@dataclass(frozen=True)
-class TwoMomentParams:
-    """Validated (r, p, q) triple of floats with the derived mixing weight lam."""
+class TwoMomentParams(namedtuple("TwoMomentParams", "r p q lam")):
+    """Validated (r, p, q) triple of floats with the derived mixing weight lam.
 
-    r: float
-    p: float
-    q: float
-    lam: float = field(init=False)
+    TwoMomentParams(r, p, q) converts and checks; _make((r, p, q, lam))
+    checks nothing, for values that lambda_of has just checked."""
 
-    def __post_init__(self):
-        r = _check_r(self.r, InvalidMomentOrder)
-        p = _float(self.p, "p", error=InvalidMomentOrder)
-        q = _float(self.q, "q", error=InvalidMomentOrder)
-        for name, v in (("r", r), ("p", p), ("q", q), ("lam", lambda_of(r, p, q))):
-            object.__setattr__(self, name, v)
+    __slots__ = ()
+
+    def __new__(cls, r: float, p: float, q: float) -> "TwoMomentParams":
+        if type(r) is not float or type(p) is not float or type(q) is not float:
+            r = _check_r(r, InvalidMomentOrder)
+            p = _float(p, "p", error=InvalidMomentOrder)
+            q = _float(q, "q", error=InvalidMomentOrder)
+        return tuple.__new__(cls, (r, p, q, lambda_of(r, p, q)))
+
+    def _replace(self, **changes) -> "TwoMomentParams":
+        """A copy with r, p or q changed, checked again; lam follows."""
+        return TwoMomentParams(**{"r": self.r, "p": self.p, "q": self.q, **changes})
 
 
 @dataclass(frozen=True)
@@ -154,6 +158,10 @@ class Support:
             w = _float(self.omega_value, "a custom omega", lambda v: 0.0 < v <= cap,
                        f"lie in (0, {cap!r}] for n = {self.n}")
             object.__setattr__(self, "omega_value", w)
+        elif self.omega_value is not None:
+            raise DomainError(f"a {self.kind} support computes its omega, so takes none")
+        if self.kind in ("positive_half_line", "real_line") and self.n != 1:
+            raise DomainError(f"a {self.kind} support is one-dimensional, got n = {self.n}")
 
     @staticmethod
     def positive_half_line() -> "Support":
@@ -284,11 +292,7 @@ def two_moment_bound(
     if mu_p == 0.0 or mu_q == 0.0:
         return 0.0
     log_h = _log_two_moment(log_omega(sup), params, math.log(mu_p), math.log(mu_q))
-    log_bound = ((1.0 - params.r) / params.r) * log_h
-    try:
-        return math.exp(log_bound)
-    except OverflowError:
-        raise DomainError(f"the bound exp({log_bound:.6g}) leaves the float range") from None
+    return _exp(((1.0 - params.r) / params.r) * log_h, "the bound")
 
 
 def k_moment_bound(mv: MomentVector, moments: Sequence[float], r: float) -> float:

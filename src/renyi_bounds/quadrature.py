@@ -209,7 +209,10 @@ def _density_at_nodes(f: Callable, to_x: Callable, lo: np.ndarray, hi: np.ndarra
     half = 0.5 * (hi - lo)
     u = 0.5 * (hi + lo)[:, None] + half[:, None] * _NODES
     x = to_x(u)
-    return half, u, x, np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
+    fx = np.asarray(f(x.ravel()), dtype=float)
+    if fx.shape != (x.size,):
+        raise DomainError(f"f must map {x.size} abscissae to {x.size} values, got {fx.shape}")
+    return half, u, x, fx.reshape(x.shape)
 
 
 def _window_masses(f: Callable, lo: np.ndarray, hi: np.ndarray):

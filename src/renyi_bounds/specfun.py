@@ -95,6 +95,14 @@ def _positive_finite(v: float) -> bool:
     return 0.0 < v < math.inf
 
 
+def _exp(v: float, name: str) -> float:
+    """exp(v), refused as DomainError where it leaves the float range."""
+    try:
+        return math.exp(v)
+    except OverflowError:
+        raise DomainError(f"{name} = exp({v:.6g}) leaves the float range") from None
+
+
 def ln_gamma(x: float) -> float:
     """log Gamma(x) for x > 0, by math.lgamma.
 
@@ -136,7 +144,7 @@ def log_beta(x: float, y: float) -> float:
 
 def beta(x: float, y: float) -> float:
     """Beta function B(x, y) for x, y > 0."""
-    return math.exp(log_beta(x, y))
+    return _exp(log_beta(x, y), "B(x, y)")
 
 
 def log_beta_tilde(x: float, y: float) -> float:
@@ -154,7 +162,7 @@ def log_beta_tilde(x: float, y: float) -> float:
 
 def beta_tilde(x: float, y: float) -> float:
     """Normalized Beta function B~(x, y); satisfies B~(x, y) >= (x+y)/(x y)."""
-    return math.exp(log_beta_tilde(x, y))
+    return _exp(log_beta_tilde(x, y), "B~(x, y)")
 
 
 # ---------------------------------------------------------------------------

@@ -104,7 +104,7 @@ class TestReproducibility:
         "fig1": "bf99d01c577eecba61bc42fb6beb676fe91984fbe9d2adddb95890ef1bc07039",
         "fig2": "814af6f9df6500c1334acfe00b50f39d8e3d36724e7904fcce237b4e1b043195",
         "fig3": "0b2402467422c53c999695f9c57f03d2e066c5ec5ed1c5008e771b05366a624c",
-        "verify": "4138de6c4766a7cb018a0b6c4f608d31e8ab6c3f4d8090b54a0976794c2d606d",
+        "verify": "23e57d5367f76c9932ceb7137d2ab79ebb3f639c595003d45d6964c0e13ffec2",
     }
 
     @pytest.mark.parametrize("command", sorted(DEFAULT_CSV_SHA256))

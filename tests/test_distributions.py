@@ -473,6 +473,11 @@ class TestValidation:
         with pytest.raises(DomainError):
             PointMass(0.0)
 
+    def test_pdf_of_the_wrong_length_refused(self):
+        # a scalar for the whole batch raised ValueError from a reshape
+        with pytest.raises(DomainError, match="values"):
+            GenericPdf(lambda x: 1.0, Domain.finite(0.0, 1.0))
+
     @pytest.mark.parametrize("make", [
         lambda: Lognormal(math.nan, 1.0),
         lambda: Lognormal(math.inf, 1.0),

@@ -553,10 +553,22 @@ class TestDiffEntropyBounds:
         with pytest.raises(MomentDiverges):
             diff_entropy_bounds(NoNegativeMoments(), 1, 2.0)
 
-    def test_order_whose_log_gamma_overflows_refused(self):
-        # log Gamma(n/s + 1) = log Gamma(1e306) was inf: the pair came back (nan, 1.58)
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_moment_bound_at_small_orders_stays_above_entropy(self, n):
+        # log Gamma(n/s + 1) and (n/s)(1 + log s - log n) cancelled: n = 1 gave
+        # 12.48980712890625 at s = 1e-10 and 0.0 at every s <= 1e-20, below h
+        d = GaussianMagnitude(n)
+        h = 0.5 * n * math.log(2 * math.pi * math.e)
+        grid = np.geomspace(2.0, 1e-300, 61).tolist() + [1e-10, 1e-15, 1e-306]
+        for s in grid:
+            moment_bound, _ = diff_entropy_bounds(d, n, s)
+            assert math.isfinite(moment_bound) and moment_bound >= h, s
+
+    def test_order_whose_n_over_s_overflows_refused(self):
+        # n/s = 1e309 is inf; log Gamma(n/s + 1) at 1e306 was inf too, and the
+        # pair came back (nan, 1.58)
         with pytest.raises(DomainError, match="float range"):
-            diff_entropy_bounds(GaussianMagnitude(1), 1, 1e-306)
+            diff_entropy_bounds(GaussianMagnitude(1), 1, 1e-309)
 
     def test_zero_log_variance_refused(self):
         # log X of a point mass is constant

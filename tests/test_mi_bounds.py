@@ -44,7 +44,7 @@ from renyi_bounds.mi_bounds import (
 from renyi_bounds.moment_core import Support, TwoMomentParams, two_moment_bound
 from renyi_bounds.quadrature import Domain, integrate, mc_expect
 from renyi_bounds.specfun import kappa
-from renyi_bounds.sweeps import DEFAULT_EPS_GRID, _two_point_mixture
+from renyi_bounds.sweeps import DEFAULT_EPS_GRID, _two_point_mixture, fig3_rows
 from renyi_bounds.verify import _log_abs_pow, _V_s_quadrature
 
 INV_2SQRTPI = 1.0 / (2.0 * math.sqrt(math.pi))
@@ -668,6 +668,18 @@ class TestOracle:
         via_generic = mi_oracle(AwgnChannel(gauss), "X")
         via_mixture = mi_oracle(ScaleMixtureChannel(PointMass(1.0)), "X")
         assert via_generic == pytest.approx(via_mixture, rel=1e-9)
+
+    def test_every_result_is_a_float(self):
+        # mi_oracle, chi2_divergence and prop7_bound returned numpy.float64
+        ch = AwgnChannel(TwoPoint(0.3, 2.5))
+        values = [mi_oracle(ch, "X"), chi2_divergence(ch, "X"), chi2_mi_bound(ch, "X"),
+                  prop7_bound(ch, 0.5, "X"), prop8_bound(ch, 0.5, "X"),
+                  prop9_bound(ch, 0.0, 2.0, "X"), marginal_renyi_entropy(ch, 0.5)]
+        assert [type(v) for v in values] == [float] * 7
+
+    def test_fig3_rows_hold_floats(self):
+        _, rows = fig3_rows([0.25])
+        assert [type(v) for v in rows[0]] == [float] * 4
 
 
 class TestMarginals:

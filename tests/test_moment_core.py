@@ -156,6 +156,21 @@ class TestOmega:
         with pytest.raises(DomainError):
             Support("cube")
 
+    @pytest.mark.parametrize("args", [
+        ("real_line", 1, 5.0), ("positive_half_line", 1, 0.3), ("euclidean_n", 2, 9.0),
+    ], ids=["real_line", "positive_half_line", "euclidean_n"])
+    def test_omega_of_a_standard_kind_refused(self, args):
+        # log_omega never read it, and the support compared unequal to the
+        # factory-built one it acted like
+        with pytest.raises(DomainError, match="omega"):
+            Support(*args)
+
+    @pytest.mark.parametrize("kind, n", [("real_line", 5), ("positive_half_line", 3)])
+    def test_dimension_of_a_one_dimensional_kind_refused(self, kind, n):
+        with pytest.raises(DomainError, match="one-dimensional"):
+            Support(kind, n)
+        assert Support(kind, 1) == Support(kind)
+
     def test_log_omega_consistency(self):
         for sup in (Support.positive_half_line(), Support.real_line(),
                     Support.euclidean(5), Support.custom(0.7, n=1)):
@@ -257,6 +272,14 @@ class TestMomentVector:
         params = TwoMomentParams(np.float64(0.5), 0, "3")
         assert [type(v) for v in (params.r, params.p, params.q, params.lam)] == [float] * 4
         assert (params.r, params.p, params.q) == (0.5, 0.0, 3.0)
+
+    def test_two_moment_params_are_immutable_and_replaced_checked(self):
+        params = TwoMomentParams(0.5, 0.0, 2.0)
+        with pytest.raises(AttributeError):
+            params.p = 5.0
+        assert params._replace(q="3") == TwoMomentParams(0.5, 0.0, 3.0)
+        with pytest.raises(InvalidMomentOrder):
+            params._replace(p=2.0)  # p above 1/r - 1 = 1
 
     @pytest.mark.parametrize("p,q", [(0.0, 1.0 + 2.0**-52), (1.0 - 2.0**-53, 2.0)],
                              ids=["lam-rounds-to-0", "lam-rounds-to-1"])

@@ -145,6 +145,11 @@ class TestDivergence:
         with pytest.raises(DivergenceDetected):
             integrate(lambda x: np.full_like(x, c), Domain.finite(0.0, 16.0))
 
+    def test_integrand_of_the_wrong_length_refused(self):
+        # a scalar for the whole batch raised ValueError from a reshape
+        with pytest.raises(DomainError, match="values"):
+            integrate(lambda x: 1.0, Domain.finite(0.0, 1.0))
+
     def test_max_subdivisions(self):
         # sin(1/x) oscillates without end toward 0: no panel budget resolves it
         with pytest.raises(MaxSubdivisionsExceeded):

@@ -175,6 +175,15 @@ class TestBeta:
             log_beta_tilde(x, y)
 
 
+@pytest.mark.parametrize("fn, args", [
+    (beta, (5e-324, 5e-324)), (beta, (1e-310, 1.0)), (beta_tilde, (1e-320, 1e-320)),
+], ids=["beta-subnormals", "beta-1e-310", "beta_tilde-subnormals"])
+def test_value_beyond_the_float_range_is_a_domain_error(fn, args):
+    # the log is finite, but its exp raised a bare OverflowError
+    with pytest.raises(DomainError, match="leaves the float range"):
+        fn(*args)
+
+
 _HUGE = 10**400  # a Python int that float() refuses with OverflowError
 _HUGER = 10**5000  # one whose repr raises ValueError as well (over 4,300 digits)
 
