@@ -101,6 +101,11 @@ def two_moment_parametrization(r: float, lam: float, u: float) -> Tuple[float, f
     if not (type(lam) is float and type(u) is float and 0.0 < lam < 1.0 and 0.0 < u < math.inf):
         lam = _float(lam, "lam", lambda v: 0.0 < v < 1.0, "lie in (0, 1)")
         u = _float(u, "u", _positive_finite, "be positive and finite")
+    return _box_to_pq(r, lam, u)
+
+
+def _box_to_pq(r: float, lam: float, u: float) -> Tuple[float, float]:
+    """(p, q) at the box point (lam, u), for r, lam and u already in range."""
     m = (1.0 - r) / r
     denom = r * lam * (1.0 - lam)  # 0 when lam underflows it
     d = math.sqrt((1.0 - r) * u / denom) if denom > 0.0 else math.inf
@@ -194,40 +199,81 @@ def lognormal_gap_closed(r: float) -> float:
 # Gap optimization (generic families)
 # ---------------------------------------------------------------------------
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_CGOLD = (3.0 - math.sqrt(5.0)) / 2.0  # golden-section fraction of the larger side
+_X_REL, _X_ABS = 1e-8, 1e-10  # x-tolerance of a line search: _X_REL |x| + _X_ABS
 
 
-def _golden(fun, lo: float, hi: float, iters: int = 48) -> Tuple[float, float]:
-    x1 = hi - _INVPHI * (hi - lo)
-    x2 = lo + _INVPHI * (hi - lo)
-    f1, f2 = fun([x1, x2])
-    for _ in range(iters):
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _INVPHI * (hi - lo)
-            (f1,) = fun([x1])
+def _brent(fun, a: float, b: float, x: float, fx: float) -> Tuple[float, float]:
+    """Minimize fun on [a, b] from the evaluated point x in it, fx = fun([x])[0].
+
+    Brent's method (R. P. Brent, Algorithms for Minimization without
+    Derivatives, 1973, ch. 5): a parabola through the best three points
+    when it steps well inside the bracket, a golden-section step
+    otherwise; it stops when the bracket around x is within the
+    x-tolerance.  A parabola is taken only through finite values, so +inf
+    plateaus fall back to golden steps.  x moves only to a strictly better
+    point, so the result is never above fx and a flat stretch of rounding
+    noise shrinks the bracket instead of moving x.
+    """
+    v = w = x
+    fv = fw = fx
+    d = e = 0.0
+    while True:
+        mid = 0.5 * (a + b)
+        tol = _X_REL * abs(x) + _X_ABS
+        if abs(x - mid) <= 2.0 * tol - 0.5 * (b - a):
+            return x, fx
+        parabolic = False
+        if abs(e) > tol and fw < math.inf and fv < math.inf:
+            t = (x - w) * (fx - fv)
+            den = (x - v) * (fx - fw)
+            num = (x - v) * den - (x - w) * t
+            den = 2.0 * (den - t)
+            if den > 0.0:
+                num = -num
+            else:
+                den = -den
+            if abs(num) < abs(0.5 * den * e) and den * (a - x) < num < den * (b - x):
+                e, d = d, num / den
+                parabolic = True
+                if x + d - a < 2.0 * tol or b - (x + d) < 2.0 * tol:
+                    d = tol if x < mid else -tol
+        if not parabolic:
+            e = (b if x < mid else a) - x
+            d = _CGOLD * e
+        u = x + (d if abs(d) >= tol else math.copysign(tol, d))
+        (fu,) = fun([u])
+        if fu < fx:
+            if u < x:
+                b = x
+            else:
+                a = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
         else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _INVPHI * (hi - lo)
-            (f2,) = fun([x2])
-    return (x1, f1) if f1 <= f2 else (x2, f2)
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
 
 
-def _grid_golden(fun, lo: float, hi: float, ngrid: int = 25, iters: int = 48):
-    """Coarse scan then golden refinement inside the best bracket.  fun maps
-    a list of points to their values, so the scan is one call.
+def _grid_brent(fun, lo: float, hi: float, ngrid: int = 25) -> Tuple[float, float]:
+    """Coarse scan then Brent's refinement inside the best bracket, from
+    the best scan point.  fun maps a list of points to their values, so
+    the scan is one call.
 
     The scan makes the search robust to the +inf plateaus that infeasible
-    parameters produce, where plain golden section can stall.
+    parameters produce, where a line search alone can stall.
     """
     xs = np.linspace(lo, hi, ngrid).tolist()  # Python floats: overflow is inf, not a warning
     fs = fun(xs)
     i = int(np.argmin(fs))
     if math.isinf(fs[i]):
         return xs[i], fs[i]
-    blo = xs[max(i - 1, 0)]
-    bhi = xs[min(i + 1, ngrid - 1)]
-    x, f = _golden(fun, blo, bhi, iters)
+    x, f = _brent(fun, xs[max(i - 1, 0)], xs[min(i + 1, ngrid - 1)], xs[i], fs[i])
     return (x, f) if f <= fs[i] else (xs[i], fs[i])
 
 
@@ -245,14 +291,15 @@ def optimal_gap(
 ) -> BoundReport:
     """Optimized gap Delta_r (over p, q) or Delta~_r (over q at p = 0).
 
-    Derivative-free: cyclic golden-section over (lam, log u) in the box
-    parametrization -- the objective is smooth and low-dimensional, and
-    infeasible points simply evaluate to +inf.  Each cycle ends with a
-    golden search along the displacement direction of the whole pass
-    (Powell's acceleration); without it the low-dimension Gaussian
-    objective zigzags along a diagonal valley and three plain coordinate
-    passes stall an order of magnitude short of the 1e-4 target.  With
-    constrain_p_zero the search is one-dimensional over q > 1/r - 1.
+    Derivative-free: cyclic coordinate searches over (lam, log u) in the
+    box parametrization, each a grid scan then Brent's method in the best
+    bracket -- the objective is smooth and low-dimensional, and infeasible
+    points simply evaluate to +inf.  Each cycle ends with a line search
+    along the displacement direction of the whole pass (Powell's
+    acceleration); without it the low-dimension Gaussian objective zigzags
+    along a diagonal valley and three plain coordinate passes stall an
+    order of magnitude short of the 1e-4 target.  With constrain_p_zero
+    the search is one line search over log(q - (1/r - 1)).
     """
     r = _check_r(r)
     lw = _check_dimension(d, sup, n)
@@ -265,7 +312,7 @@ def optimal_gap(
         def obj(ws):
             return _gaps_at(d, lw, n, r, [(0.0, m + math.exp(w)) for w in ws], h)
 
-        w, best = _grid_golden(obj, -_LOG_U_RANGE, _LOG_U_RANGE, ngrid=65, iters=60)
+        w, best = _grid_brent(obj, -_LOG_U_RANGE, _LOG_U_RANGE, ngrid=65)
         q = m + math.exp(w)
         trace.append((q, best))
         if math.isinf(best):
@@ -276,7 +323,7 @@ def optimal_gap(
         def obj_box(lams, ws):
             return _gaps_at(d, lw, n, r, [
                 None if not (_LAM_EDGE <= lam <= 1.0 - _LAM_EDGE) or abs(w) > _LOG_U_RANGE
-                else two_moment_parametrization(r, lam, math.exp(w))
+                else _box_to_pq(r, lam, math.exp(w))
                 for lam, w in zip(lams, ws)
             ], h)
 
@@ -284,22 +331,22 @@ def optimal_gap(
         (best,) = obj_box([lam], [w])
         for _ in range(_PASSES):
             lam0, w0 = lam, w
-            lam, best = _grid_golden(lambda Ls: obj_box(Ls, [w] * len(Ls)),
-                                     _LAM_EDGE, 1.0 - _LAM_EDGE)
-            w, best = _grid_golden(lambda Ws: obj_box([lam] * len(Ws), Ws),
-                                   -_LOG_U_RANGE, _LOG_U_RANGE)
+            lam, best = _grid_brent(lambda Ls: obj_box(Ls, [w] * len(Ls)),
+                                    _LAM_EDGE, 1.0 - _LAM_EDGE)
+            w, best = _grid_brent(lambda Ws: obj_box([lam] * len(Ws), Ws),
+                                  -_LOG_U_RANGE, _LOG_U_RANGE)
             dl, dw = lam - lam0, w - w0
             if dl != 0.0 or dw != 0.0:
-                t, ft = _grid_golden(
+                t, ft = _grid_brent(
                     lambda Ts: obj_box([lam + T * dl for T in Ts], [w + T * dw for T in Ts]),
-                    -1.0, 4.0, ngrid=17, iters=40,
+                    -1.0, 4.0, ngrid=17,
                 )
                 if ft < best:
                     lam, w, best = lam + t * dl, w + t * dw, ft
             trace.append((lam, math.exp(w), best))
         if math.isinf(best):
             raise OptimizerNoConverge("no feasible (lam, u) found")
-        p_opt, q_opt = two_moment_parametrization(r, lam, math.exp(w))
+        p_opt, q_opt = _box_to_pq(r, lam, math.exp(w))
 
     return BoundReport(r, p_opt, q_opt, n, h + best, h, best, tuple(trace))
 

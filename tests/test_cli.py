@@ -101,8 +101,8 @@ class TestReproducibility:
     # SHA-256 of the default CSVs under the default seed.  A change that
     # moves any of them must fix a numerical bug and say so.
     DEFAULT_CSV_SHA256 = {
-        "fig1": "bf99d01c577eecba61bc42fb6beb676fe91984fbe9d2adddb95890ef1bc07039",
-        "fig2": "814af6f9df6500c1334acfe00b50f39d8e3d36724e7904fcce237b4e1b043195",
+        "fig1": "fe552f889f450c955343f265cd04f4d78b719fd8d9c2cad13ff5dfb0c4d137b6",
+        "fig2": "469ccb59f1824a59f484e84c9a9f484ced8549fab598f99ce4c3371fd3023205",
         "fig3": "0b2402467422c53c999695f9c57f03d2e066c5ec5ed1c5008e771b05366a624c",
         "verify": "23e57d5367f76c9932ceb7137d2ab79ebb3f639c595003d45d6964c0e13ffec2",
     }

@@ -598,7 +598,7 @@ def test_optimal_gaps_scale_invariant():
 
 def test_each_scan_is_one_log_moments_call(monkeypatch):
     # the objective asks for the log-moments of all its points at once: one
-    # log_moments call per grid scan (25, 65 or 17 points) and per golden
+    # log_moments call per grid scan (25, 65 or 17 points) and per Brent
     # step, and no single-order log_moment call
     d = _beta22_on(1.0)
     batches = []
@@ -612,10 +612,10 @@ def test_each_scan_is_one_log_moments_call(monkeypatch):
         raise AssertionError("the search asked for one log-moment on its own")
 
     d.log_moments, d.log_moment = counted, refused
-    grid_golden = entropy_bounds._grid_golden
+    grid_brent = entropy_bounds._grid_brent
     scans = []
 
-    def spied(fun, lo, hi, ngrid=25, iters=48):
+    def spied(fun, lo, hi, ngrid=25):
         def objective(xs):
             before = len(batches)
             out = fun(xs)
@@ -624,15 +624,115 @@ def test_each_scan_is_one_log_moments_call(monkeypatch):
                 scans.append((ngrid, batches[-1]))
             return out
 
-        return grid_golden(objective, lo, hi, ngrid, iters)
+        return grid_brent(objective, lo, hi, ngrid)
 
-    monkeypatch.setattr(entropy_bounds, "_grid_golden", spied)
+    monkeypatch.setattr(entropy_bounds, "_grid_brent", spied)
     optimal_gap(d, SUP_POS, 1, 0.6)
     optimal_gap(d, SUP_POS, 1, 0.6, constrain_p_zero=True)
     # every point of the lam and log-u scans is inside the box, so each
     # asks for its two orders; the p = 0 scan's 65 points all ask for order 0
     assert [n for n, _ in scans] == [25, 25, 17] * 3 + [65]
     assert [k for n, k in scans if n != 17] == [50, 50] * 3 + [130]
+
+
+def _scanned(f):
+    """f as a list objective, and the list of every value it returned."""
+    seen = []
+
+    def fun(xs):
+        out = [f(x) for x in xs]
+        seen.extend(out)
+        return out
+
+    return fun, seen
+
+
+@pytest.mark.parametrize("f, lo, hi, x_min", [
+    (lambda x: (x - 0.3137) ** 2, -2.0, 2.0, 0.3137),
+    (lambda x: abs(x - 1.234567) ** 1.5, -3.0, 5.0, 1.234567),
+    # +inf left of -0.71, inside the bracket [-1, -1/3] of the best scan point
+    (lambda x: math.inf if x < -0.71 else (x + 0.7) ** 2, -4.0, 4.0, -0.7),
+    # the best scan point is the end lo, and the minimum is there
+    (math.exp, -1.0, 1.0, -1.0),
+], ids=["quadratic", "power-1.5", "inf-plateau", "bracket-end"])
+def test_line_search(f, lo, hi, x_min):
+    # Brent's method from the best of 25 scan points meets its x-tolerance,
+    # returns a value it evaluated, never one above the scan's best, and
+    # stops well before a fixed golden-section count would
+    fun, seen = _scanned(f)
+    x, fx = entropy_bounds._grid_brent(fun, lo, hi)
+    tol = entropy_bounds._X_REL * abs(x_min) + entropy_bounds._X_ABS
+    assert abs(x - x_min) <= 2.0 * tol
+    assert fx == f(x) and fx <= min(seen[:25])
+    assert len(seen) - 25 <= 40
+
+
+def _weibull(k):
+    return GenericPdf(lambda x: k * x ** (k - 1.0) * np.exp(-(x**k)), Domain.half_line(0.0))
+
+
+def _lomax(a):
+    return GenericPdf(lambda x: a * (1.0 + x) ** (-(a + 1.0)), Domain.half_line(0.0))
+
+
+_STALLS = pytest.mark.xfail(strict=True, reason="ROADMAP item 3: three coordinate passes stall "
+                                                "short of the optimum near the lam -> 1 edge")
+
+
+@pytest.mark.parametrize("d, sup, n, r", [
+    # Weibull(1.8) stops 1.6e-4 above the optimum, Beta(2,2) at 0.0416 against 0.0215
+    pytest.param(_weibull(1.8), SUP_POS, 1, 0.6, marks=_STALLS),
+    (_lomax(5.0), SUP_POS, 1, 0.6),
+    pytest.param(_beta22_on(1.0), SUP_POS, 1, 0.6, marks=_STALLS),
+    (GaussianMagnitude(1), Support.euclidean(1), 1, 0.1),
+    (GaussianMagnitude(8), Support.euclidean(8), 8, 0.1),
+    (GaussianMagnitude(64), Support.euclidean(64), 64, 0.1),
+], ids=["weibull1.8", "lomax5", "beta22", "gauss1", "gauss8", "gauss64"])
+def test_optimal_gap_meets_its_target(d, sup, n, r):
+    # a Nelder-Mead polish of the same objective over the whole (lam, log u)
+    # box, from the reported optimum and from the search's start (1/2, 1),
+    # finds no gap more than the 1e-4 target below the reported one
+    from scipy.optimize import minimize
+
+    lw, h = entropy_bounds.log_omega(sup), d.renyi_entropy(r)
+
+    def gap(x):
+        lam, w = x
+        try:
+            pq = two_moment_parametrization(r, lam, math.exp(w))
+        except RenyiBoundsError:
+            return math.inf
+        return entropy_bounds._gaps_at(d, lw, n, r, [pq], h)[0]
+
+    rep = optimal_gap(d, sup, n, r)
+    lam, u, _ = rep.optimizer_trace[-1]
+    polished = min(
+        minimize(gap, x0, method="Nelder-Mead",
+                 options={"xatol": 1e-10, "fatol": 1e-14, "maxiter": 4000}).fun
+        for x0 in ((lam, math.log(u)), (0.5, 0.0))
+    )
+    assert rep.gap - 1e-4 <= polished <= rep.gap
+
+
+@pytest.mark.parametrize("d, sup, n, r, p_zero, most", [
+    (Lognormal(0.0, 1.0), SUP_POS, 1, 0.5, False, 400),
+    (GaussianMagnitude(8), Support.euclidean(8), 8, 0.3, False, 400),
+    (Lognormal(0.0, 1.0), SUP_POS, 1, 0.5, True, 100),
+    (GaussianMagnitude(8), Support.euclidean(8), 8, 0.3, True, 100),
+], ids=["lognormal", "gauss8", "lognormal-p0", "gauss8-p0"])
+def test_gap_evaluations_per_search(monkeypatch, d, sup, n, r, p_zero, most):
+    # every gap evaluation checks its (p, q) with one lambda_of call.  The
+    # scans take 1 + 3 (25 + 25 + 17) = 202 points of a two-moment search
+    # and 65 of a p = 0 search; the line searches make the rest.
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return lambda_of(*args)
+
+    monkeypatch.setattr(entropy_bounds, "lambda_of", counted)
+    optimal_gap(d, sup, n, r, constrain_p_zero=p_zero)
+    assert 0 < len(calls) <= most
 
 
 def _half_normal(c=1.0):
