@@ -299,7 +299,7 @@ def optimal_gap(
     acceleration); without it the low-dimension Gaussian objective zigzags
     along a diagonal valley and three plain coordinate passes stall an
     order of magnitude short of the 1e-4 target.  With constrain_p_zero
-    the search is one line search over log(q - (1/r - 1)).
+    the search is one scan and Brent search over log(q - (1/r - 1)).
     """
     r = _check_r(r)
     lw = _check_dimension(d, sup, n)
