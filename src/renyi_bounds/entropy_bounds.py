@@ -6,12 +6,16 @@ The basic bound, for a random vector X with a density on S and any
     h_r(X) <= log omega(S) + log psi_r(p, q) + L_r(||X||^n; p, q),
 
 and the gap of the bound at (p, q) is the right side minus h_r(X).
-Optimal gaps are searched in the (lam, u) coordinates
+Optimal gaps are searched by Newton's method in the wedge coordinates
 
-    p = m - (1-lam) sqrt((1-r) u / (r lam (1-lam))),   m = (1-r)/r,
+    (a, b) = (log(m - p), log(q - m)),   m = (1-r)/r,
+
+which map the valid wedge p < m < q onto the whole plane.  In the box
+coordinates (lam, u) of two_moment_parametrization,
+
+    p = m - (1-lam) sqrt((1-r) u / (r lam (1-lam))),
     q = m +    lam  sqrt((1-r) u / (r lam (1-lam))),
 
-under which the valid (p, q) wedge becomes the box (0,1) x (0,inf) and
 the lognormal objective separates:
 
     lognormal:  gap(lam, u) = theta(r lam/(1-r)) + theta(r(1-lam)/(1-r))
@@ -26,6 +30,7 @@ one through Q_{r,n}(lam, z)) are oracles for that route and live in
 verify and the tests.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
@@ -61,8 +66,8 @@ __all__ = [
 class BoundReport:
     """One evaluation of the entropy bound (all values in nats), at given
     (p, q) or at the optimum optimal_gap found; its optimizer_trace holds
-    one (lam, u, value) entry per pass ((q, value) when p is pinned at
-    zero), and is empty for a bound at given (p, q)."""
+    one (p, q, gap) entry per accepted Newton step, the start first and
+    the optimum last, and is empty for a bound at given (p, q)."""
 
     r: float
     p: float
@@ -96,16 +101,11 @@ def _check_dimension(d: ScalarDistribution, sup: Support, n: int) -> float:
 
 
 def two_moment_parametrization(r: float, lam: float, u: float) -> Tuple[float, float]:
-    """(p, q) from the box coordinates (lam, u); inverse of the gap search."""
+    """(p, q) from the box coordinates (lam, u) of the lognormal form."""
     r = _check_r(r)
     if not (type(lam) is float and type(u) is float and 0.0 < lam < 1.0 and 0.0 < u < math.inf):
         lam = _float(lam, "lam", lambda v: 0.0 < v < 1.0, "lie in (0, 1)")
         u = _float(u, "u", _positive_finite, "be positive and finite")
-    return _box_to_pq(r, lam, u)
-
-
-def _box_to_pq(r: float, lam: float, u: float) -> Tuple[float, float]:
-    """(p, q) at the box point (lam, u), for r, lam and u already in range."""
     m = (1.0 - r) / r
     denom = r * lam * (1.0 - lam)  # 0 when lam underflows it
     d = math.sqrt((1.0 - r) * u / denom) if denom > 0.0 else math.inf
@@ -123,8 +123,9 @@ def _gaps_at(
     entropy: float,
 ) -> List[float]:
     """Gaps of the bound at explicit (p, q) points; +inf at a point that is
-    None, invalid or divergent.  The log-moments of all points come from one
-    d.log_moments call."""
+    None, invalid or divergent, or whose gap reads below 0: the theorem
+    makes every gap at least 0, so such a point has wrong moments.  The
+    log-moments of all points come from one d.log_moments call."""
     params, orders = [], []
     for pq in points:
         prm = None
@@ -143,7 +144,8 @@ def _gaps_at(
         if prm is None:
             gaps.append(math.inf)
         else:
-            gaps.append(_log_two_moment(log_omega_s, prm, logs[k], logs[k + 1]) - entropy)
+            gap = _log_two_moment(log_omega_s, prm, logs[k], logs[k + 1]) - entropy
+            gaps.append(gap if gap >= 0.0 else math.inf)
             k += 2
     return gaps
 
@@ -199,87 +201,65 @@ def lognormal_gap_closed(r: float) -> float:
 # Gap optimization (generic families)
 # ---------------------------------------------------------------------------
 
-_CGOLD = (3.0 - math.sqrt(5.0)) / 2.0  # golden-section fraction of the larger side
-_X_REL, _X_ABS = 1e-8, 1e-10  # x-tolerance of a line search: _X_REL |x| + _X_ABS
+def _newton(fun, x: tuple, fx: float) -> List[Tuple[tuple, float]]:
+    """Damped Newton descent of fun from x, fx = fun([x])[0]: the path of
+    accepted points, x first and the least value last.
 
-
-def _brent(fun, a: float, b: float, x: float, fx: float) -> Tuple[float, float]:
-    """Minimize fun on [a, b] from the evaluated point x in it, fx = fun([x])[0].
-
-    Brent's method (R. P. Brent, Algorithms for Minimization without
-    Derivatives, 1973, ch. 5): a parabola through the best three points
-    when it steps well inside the bracket, a golden-section step
-    otherwise; it stops when the bracket around x is within the
-    x-tolerance.  A parabola is taken only through finite values, so +inf
-    plateaus fall back to golden steps.  x moves only to a strictly better
-    point, so the result is never above fx and a flat stretch of rounding
-    noise shrinks the bracket instead of moving x.
+    fun maps a list of points (tuples of k = 1 or 2 floats) to their
+    values, +inf where infeasible.  Each step takes the gradient g and
+    Hessian H from central differences over the 3^k stencil of spacing
+    1e-3 around x, in one fun call.  A Hessian that is not positive
+    definite is shifted to least eigenvalue max|g_i| / 2; the step solves
+    H s = -g in closed form, is scaled to at most 2 in every coordinate,
+    and is halved until the value strictly falls, down to 1e-6 of it
+    (Nocedal and Wright, Numerical Optimization, 2nd ed., ch. 3).  The
+    search stops when g.H^-1.g < 2e-13, at a stencil point that is +inf,
+    at a step that does not fall or does not stay finite, or after 100
+    steps.  Every accepted value is strictly below the one before.
     """
-    v = w = x
-    fv = fw = fx
-    d = e = 0.0
-    while True:
-        mid = 0.5 * (a + b)
-        tol = _X_REL * abs(x) + _X_ABS
-        if abs(x - mid) <= 2.0 * tol - 0.5 * (b - a):
-            return x, fx
-        parabolic = False
-        if abs(e) > tol and fw < math.inf and fv < math.inf:
-            t = (x - w) * (fx - fv)
-            den = (x - v) * (fx - fw)
-            num = (x - v) * den - (x - w) * t
-            den = 2.0 * (den - t)
-            if den > 0.0:
-                num = -num
-            else:
-                den = -den
-            if abs(num) < abs(0.5 * den * e) and den * (a - x) < num < den * (b - x):
-                e, d = d, num / den
-                parabolic = True
-                if x + d - a < 2.0 * tol or b - (x + d) < 2.0 * tol:
-                    d = tol if x < mid else -tol
-        if not parabolic:
-            e = (b if x < mid else a) - x
-            d = _CGOLD * e
-        u = x + (d if abs(d) >= tol else math.copysign(tol, d))
-        (fu,) = fun([u])
-        if fu < fx:
-            if u < x:
-                b = x
-            else:
-                a = x
-            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+    k, h = len(x), 1e-3
+    offsets = [o for o in itertools.product((-1, 0, 1), repeat=k) if any(o)]
+    axes = [((1,), (-1,))] if k == 1 else [((1, 0), (-1, 0)), ((0, 1), (0, -1))]
+    path = [(x, fx)]
+    for _ in range(100):
+        f = dict(zip(offsets, fun([tuple(xi + h * oi for xi, oi in zip(x, o)) for o in offsets])))
+        if not all(v < math.inf for v in f.values()):
+            break
+        g = [(f[e] - f[ne]) / (2.0 * h) for e, ne in axes]
+        hd = [(f[e] - 2.0 * fx + f[ne]) / (h * h) for e, ne in axes]
+        if k == 1:
+            h12, least = 0.0, hd[0]
         else:
-            if u < x:
-                a = u
-            else:
-                b = u
-            if fu <= fw or w == x:
-                v, fv, w, fw = w, fw, u, fu
-            elif fu <= fv or v == x or v == w:
-                v, fv = u, fu
-
-
-def _grid_brent(fun, lo: float, hi: float, ngrid: int = 25) -> Tuple[float, float]:
-    """Coarse scan then Brent's refinement inside the best bracket, from
-    the best scan point.  fun maps a list of points to their values, so
-    the scan is one call.
-
-    The scan makes the search robust to the +inf plateaus that infeasible
-    parameters produce, where a line search alone can stall.
-    """
-    xs = np.linspace(lo, hi, ngrid).tolist()  # Python floats: overflow is inf, not a warning
-    fs = fun(xs)
-    i = int(np.argmin(fs))
-    if math.isinf(fs[i]):
-        return xs[i], fs[i]
-    x, f = _brent(fun, xs[max(i - 1, 0)], xs[min(i + 1, ngrid - 1)], xs[i], fs[i])
-    return (x, f) if f <= fs[i] else (xs[i], fs[i])
-
-
-_LAM_EDGE = 1e-3
-_LOG_U_RANGE = 16.0
-_PASSES = 3  # coordinate cycles of the two-moment search
+            h12 = (f[(1, 1)] - f[(1, -1)] - f[(-1, 1)] + f[(-1, -1)]) / (4.0 * h * h)
+            least = 0.5 * (hd[0] + hd[1]) - math.hypot(0.5 * (hd[0] - hd[1]), h12)
+        gmax = max(map(abs, g))
+        if not (gmax > 0.0 and least == least):  # stationary, or an overflow made nan
+            break
+        if least <= 0.0:
+            hd = [v + 0.5 * gmax - least for v in hd]
+        if k == 1:
+            s = [-g[0] / hd[0]]
+        else:
+            det = hd[0] * hd[1] - h12 * h12
+            if not det > 0.0:
+                break
+            s = [(h12 * g[1] - hd[1] * g[0]) / det, (h12 * g[0] - hd[0] * g[1]) / det]
+        decrement = -sum(gi * si for gi, si in zip(g, s))
+        if not 2e-13 <= decrement < math.inf:
+            break
+        cap = max(1.0, 0.5 * max(map(abs, s)))
+        t = 1.0
+        while t >= 1e-6:
+            y = tuple(xi + t * si / cap for xi, si in zip(x, s))
+            (fy,) = fun([y])
+            if fy < fx:
+                break
+            t *= 0.5
+        else:
+            break
+        x, fx = y, fy
+        path.append((x, fx))
+    return path
 
 
 def optimal_gap(
@@ -291,64 +271,42 @@ def optimal_gap(
 ) -> BoundReport:
     """Optimized gap Delta_r (over p, q) or Delta~_r (over q at p = 0).
 
-    Derivative-free: cyclic coordinate searches over (lam, log u) in the
-    box parametrization, each a grid scan then Brent's method in the best
-    bracket -- the objective is smooth and low-dimensional, and infeasible
-    points simply evaluate to +inf.  Each cycle ends with a line search
-    along the displacement direction of the whole pass (Powell's
-    acceleration); without it the low-dimension Gaussian objective zigzags
-    along a diagonal valley and three plain coordinate passes stall an
-    order of magnitude short of the 1e-4 target.  With constrain_p_zero
-    the search is one scan and Brent search over log(q - (1/r - 1)).
+    Both searches are _newton in the wedge coordinates
+    (a, b) = (log(m - p), log(q - m)), m = (1-r)/r, which map the valid
+    wedge p < m < q onto the whole plane.  The p = 0 search runs in b
+    alone from q = 2m, stepping b down by 1 (up to 60 times) while that
+    moment diverges.  The two-moment search runs in (a, b) from the p = 0
+    optimum and accepts only strict decreases, so Delta_r <= Delta~_r.
     """
     r = _check_r(r)
     lw = _check_dimension(d, sup, n)
     h = d.renyi_entropy(r)
+    m = (1.0 - r) / r
 
-    trace: List[tuple] = []
-    if constrain_p_zero:
-        m = (1.0 - r) / r
+    def pq(x):  # x = (b,) at p = 0, or (a, b); None where e^a or e^b overflows
+        try:
+            return m - math.exp(x[0]) if len(x) == 2 else 0.0, m + math.exp(x[-1])
+        except OverflowError:
+            return None
 
-        def obj(ws):
-            return _gaps_at(d, lw, n, r, [(0.0, m + math.exp(w)) for w in ws], h)
+    def gaps(points):
+        return _gaps_at(d, lw, n, r, [pq(x) for x in points], h)
 
-        w, best = _grid_brent(obj, -_LOG_U_RANGE, _LOG_U_RANGE, ngrid=65)
-        q = m + math.exp(w)
-        trace.append((q, best))
-        if math.isinf(best):
-            raise OptimizerNoConverge("no feasible q found for the p = 0 bound")
-        p_opt, q_opt = 0.0, q
+    x = (math.log(m),)
+    for _ in range(60):
+        (best,) = gaps([x])
+        if best < math.inf:
+            break
+        x = (x[0] - 1.0,)
     else:
-
-        def obj_box(lams, ws):
-            return _gaps_at(d, lw, n, r, [
-                None if not (_LAM_EDGE <= lam <= 1.0 - _LAM_EDGE) or abs(w) > _LOG_U_RANGE
-                else _box_to_pq(r, lam, math.exp(w))
-                for lam, w in zip(lams, ws)
-            ], h)
-
-        lam, w = 0.5, 0.0
-        (best,) = obj_box([lam], [w])
-        for _ in range(_PASSES):
-            lam0, w0 = lam, w
-            lam, best = _grid_brent(lambda Ls: obj_box(Ls, [w] * len(Ls)),
-                                    _LAM_EDGE, 1.0 - _LAM_EDGE)
-            w, best = _grid_brent(lambda Ws: obj_box([lam] * len(Ws), Ws),
-                                  -_LOG_U_RANGE, _LOG_U_RANGE)
-            dl, dw = lam - lam0, w - w0
-            if dl != 0.0 or dw != 0.0:
-                t, ft = _grid_brent(
-                    lambda Ts: obj_box([lam + T * dl for T in Ts], [w + T * dw for T in Ts]),
-                    -1.0, 4.0, ngrid=17,
-                )
-                if ft < best:
-                    lam, w, best = lam + t * dl, w + t * dw, ft
-            trace.append((lam, math.exp(w), best))
-        if math.isinf(best):
-            raise OptimizerNoConverge("no feasible (lam, u) found")
-        p_opt, q_opt = _box_to_pq(r, lam, math.exp(w))
-
-    return BoundReport(r, p_opt, q_opt, n, h + best, h, best, tuple(trace))
+        raise OptimizerNoConverge("no feasible q found for the p = 0 bound")
+    path = _newton(gaps, x, best)
+    if not constrain_p_zero:
+        (b,), best = path[-1]
+        path += _newton(gaps, (math.log(m), b), best)[1:]
+    trace = [pq(x) + (f,) for x, f in path]
+    p, q, best = trace[-1]
+    return BoundReport(r, p, q, n, h + best, h, best, tuple(trace))
 
 
 # ---------------------------------------------------------------------------

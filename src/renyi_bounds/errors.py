@@ -31,7 +31,7 @@ class MomentDiverges(RenyiBoundsError):
 
 
 class OptimizerNoConverge(RenyiBoundsError):
-    """Derivative-free optimizer exhausted its budget without a finite value."""
+    """The gap search found no start with a finite gap."""
 
 
 class Infeasible(RenyiBoundsError, ValueError):

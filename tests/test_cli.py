@@ -101,10 +101,10 @@ class TestReproducibility:
     # SHA-256 of the default CSVs under the default seed.  A change that
     # moves any of them must fix a numerical bug and say so.
     DEFAULT_CSV_SHA256 = {
-        "fig1": "fe552f889f450c955343f265cd04f4d78b719fd8d9c2cad13ff5dfb0c4d137b6",
-        "fig2": "469ccb59f1824a59f484e84c9a9f484ced8549fab598f99ce4c3371fd3023205",
+        "fig1": "f345b0f4a5c51d7836110ef46e9ce323c3808f9cd7d12a2d686a4db6a54e149f",
+        "fig2": "e59b69420dd386f7161e6440707da5f034a7f2bb13900927aed1b3d88488e2b6",
         "fig3": "0b2402467422c53c999695f9c57f03d2e066c5ec5ed1c5008e771b05366a624c",
-        "verify": "23e57d5367f76c9932ceb7137d2ab79ebb3f639c595003d45d6964c0e13ffec2",
+        "verify": "c8d26dd753d48e60b4c2b24f310c50525ea232e3b883d48d918d7f5b4c8a75fd",
     }
 
     @pytest.mark.parametrize("command", sorted(DEFAULT_CSV_SHA256))
