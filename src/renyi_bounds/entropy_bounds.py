@@ -213,9 +213,13 @@ def _newton(fun, x: tuple, fx: float) -> List[Tuple[tuple, float]]:
     H s = -g in closed form, is scaled to at most 2 in every coordinate,
     and is halved until the value strictly falls, down to 1e-6 of it
     (Nocedal and Wright, Numerical Optimization, 2nd ed., ch. 3).  The
-    search stops when g.H^-1.g < 2e-13, at a stencil point that is +inf,
-    at a step that does not fall or does not stay finite, or after 100
-    steps.  Every accepted value is strictly below the one before.
+    search stops when g.H^-1.g < 2e-13, at a zero gradient, at a stencil
+    point that is +inf, or at a step that does not fall (the values'
+    rounding noise).  It raises OptimizerNoConverge where the stencil is
+    flat along a coordinate (the spacing no longer moves (p, q), or the
+    rounding of the values hides the move), where the differences or the
+    step overflow, and after 100 steps.  Every accepted value is strictly
+    below the one before.
     """
     k, h = len(x), 1e-3
     offsets = [o for o in itertools.product((-1, 0, 1), repeat=k) if any(o)]
@@ -224,7 +228,9 @@ def _newton(fun, x: tuple, fx: float) -> List[Tuple[tuple, float]]:
     for _ in range(100):
         f = dict(zip(offsets, fun([tuple(xi + h * oi for xi, oi in zip(x, o)) for o in offsets])))
         if not all(v < math.inf for v in f.values()):
-            break
+            return path
+        if any(f[e] == fx == f[ne] for e, ne in axes):
+            raise OptimizerNoConverge(f"the gap is flat to rounding along a coordinate at {x!r}")
         g = [(f[e] - f[ne]) / (2.0 * h) for e, ne in axes]
         hd = [(f[e] - 2.0 * fx + f[ne]) / (h * h) for e, ne in axes]
         if k == 1:
@@ -232,21 +238,25 @@ def _newton(fun, x: tuple, fx: float) -> List[Tuple[tuple, float]]:
         else:
             h12 = (f[(1, 1)] - f[(1, -1)] - f[(-1, 1)] + f[(-1, -1)]) / (4.0 * h * h)
             least = 0.5 * (hd[0] + hd[1]) - math.hypot(0.5 * (hd[0] - hd[1]), h12)
+        if not all(abs(v) < math.inf for v in (*g, *hd, h12, least)):  # inf, or nan
+            raise OptimizerNoConverge(f"the gap's differences overflow at {x!r}")
         gmax = max(map(abs, g))
-        if not (gmax > 0.0 and least == least):  # stationary, or an overflow made nan
-            break
+        if gmax == 0.0:
+            return path
         if least <= 0.0:
             hd = [v + 0.5 * gmax - least for v in hd]
         if k == 1:
             s = [-g[0] / hd[0]]
         else:
             det = hd[0] * hd[1] - h12 * h12
-            if not det > 0.0:
-                break
+            if not 0.0 < det < math.inf:
+                raise OptimizerNoConverge(f"the Newton step overflows at {x!r}")
             s = [(h12 * g[1] - hd[1] * g[0]) / det, (h12 * g[0] - hd[0] * g[1]) / det]
         decrement = -sum(gi * si for gi, si in zip(g, s))
-        if not 2e-13 <= decrement < math.inf:
-            break
+        if not decrement < math.inf:
+            raise OptimizerNoConverge(f"the Newton step overflows at {x!r}")
+        if decrement < 2e-13:
+            return path
         cap = max(1.0, 0.5 * max(map(abs, s)))
         t = 1.0
         while t >= 1e-6:
@@ -256,10 +266,10 @@ def _newton(fun, x: tuple, fx: float) -> List[Tuple[tuple, float]]:
                 break
             t *= 0.5
         else:
-            break
+            return path
         x, fx = y, fy
         path.append((x, fx))
-    return path
+    raise OptimizerNoConverge(f"the gap search took 100 Newton steps and stopped at {x!r}")
 
 
 def optimal_gap(

@@ -241,6 +241,13 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert "float range" in captured.err and captured.out == ""
 
+    def test_unresolvable_lognormal_gap_exit_2(self, capsys):
+        # at sigma2 = 1e300 the gap search cannot resolve (p, q); it printed
+        # a gap of 3.55e286 against the optimum 0.0326
+        assert main(["fig1", "--r-grid=0.5", "--sigma2=1e+300"]) == 2
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and captured.out == ""
+
     def test_invalid_moment_order_exit_2(self, capsys):
         rc = main(["entropy-bound", "--family", "lognormal", "--sigma2", "1",
                    "--r", "0.5", "--p", "3", "--q", "4"])

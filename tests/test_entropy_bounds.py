@@ -32,6 +32,7 @@ from renyi_bounds.errors import (
     Infeasible,
     InvalidMomentOrder,
     MomentDiverges,
+    OptimizerNoConverge,
     RenyiBoundsError,
     UnsupportedOperation,
 )
@@ -675,6 +676,30 @@ def test_newton(f, x0, x_min, most):
     x, fx = path[-1]
     assert fx == f(x) and fx == min(seen)
     assert max(abs(a - b) for a, b in zip(x, x_min)) <= 1e-6
+
+
+@pytest.mark.parametrize("f, x0", [
+    (lambda x: -x[0], (0.0,)),
+    (lambda x: 1.0 + 0.0 * x[0], (0.0,)),
+    (lambda x: (x[0] - 3.0) ** 2 + 0.0 * x[1], (0.0, 0.0)),
+    (lambda x: 1e300 * (x[0] ** 2 + x[0] * x[1] + x[1] ** 2), (1.0, 1.0)),
+    (lambda x: 1e308 * (1.0 + x[0] ** 2), (0.5,)),
+], ids=["no-minimum", "flat", "flat-coordinate", "step-overflow", "difference-overflow"])
+def test_newton_refuses_where_it_cannot_converge(f, x0):
+    # 100 capped steps down a line, a stencil flat along a coordinate (the
+    # gap of a (p, q) the spacing no longer moves) and differences that
+    # overflow are refused, not reported as a minimum
+    with pytest.raises(OptimizerNoConverge):
+        _newton_path(f, x0)
+
+
+@pytest.mark.parametrize("r", [0.1, 0.5, 0.9])
+def test_unresolvable_lognormal_gap_refused(r):
+    # at sigma2 = 1e300 the p = 0 optimum q - m is far below the spacing of
+    # the floats near m, and the two-moment search printed gaps of 1e285 to
+    # 4e286 as optima
+    with pytest.raises(OptimizerNoConverge):
+        optimal_gap(Lognormal(0.0, 1e300), SUP_POS, 1, r)
 
 
 def _weibull(k):
