@@ -287,6 +287,7 @@ def optimal_gap(
     alone from q = 2m, stepping b down by 1 (up to 60 times) while that
     moment diverges.  The two-moment search runs in (a, b) from the p = 0
     optimum and accepts only strict decreases, so Delta_r <= Delta~_r.
+    A search that cannot converge raises OptimizerNoConverge.
     """
     r = _check_r(r)
     lw = _check_dimension(d, sup, n)

@@ -31,7 +31,8 @@ class MomentDiverges(RenyiBoundsError):
 
 
 class OptimizerNoConverge(RenyiBoundsError):
-    """The gap search found no start with a finite gap."""
+    """The gap search found no start with a finite gap, or could not
+    converge from it (see entropy_bounds._newton)."""
 
 
 class Infeasible(RenyiBoundsError, ValueError):
