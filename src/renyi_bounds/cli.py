@@ -18,7 +18,7 @@ from typing import List, Optional, Sequence
 from . import __version__
 from .distributions import GaussianMagnitude, Lognormal, PointMass
 from .entropy_bounds import entropy_bound
-from .errors import RenyiBoundsError
+from .errors import DomainError, RenyiBoundsError
 from .mi_bounds import (
     ScaleMixtureChannel,
     chi2_mi_bound,
@@ -110,9 +110,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("entropy-bound", help="one evaluation of the entropy bound")
     sp.add_argument("--family", choices=("lognormal", "gaussian"), required=True)
-    sp.add_argument("--mu", type=float, default=0.0)
-    sp.add_argument("--sigma2", type=float, default=1.0)
-    sp.add_argument("--n", type=int, default=1)
+    sp.add_argument("--mu", type=float, default=0.0, help="log-scale mean (lognormal)")
+    sp.add_argument("--sigma2", type=float, default=1.0, help="log-scale variance (lognormal)")
+    sp.add_argument("--n", type=int, default=1, help="dimension (gaussian)")
     sp.add_argument("--r", type=float, required=True)
     sp.add_argument("--p", type=float, required=True)
     sp.add_argument("--q", type=float, required=True)
@@ -124,7 +124,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--sigma2", type=float, default=1.0, help="input variance (awgn-gaussian)")
     sp.add_argument("--eps", type=float, default=0.1, help="mixture weight (two-point-mixture)")
     sp.add_argument("--a", type=float, default=None,
-                    help="second mixing atom (default 1 + 1/sqrt(eps))")
+                    help="second mixing atom (two-point-mixture; default 1 + 1/sqrt(eps))")
     sp.add_argument("--p", type=float, default=0.0)
     sp.add_argument("--q", type=float, default=2.0)
     sp.add_argument("--r", type=float, default=0.5)
@@ -135,11 +135,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _refuse_ignored(args, choice: str, **used) -> None:
+    """DomainError naming the first flag that choice would ignore: used maps
+    each such flag to the one value it may take (its default, or the value
+    the choice fixes)."""
+    for flag, value in used.items():
+        given = getattr(args, flag)
+        if given != value:
+            raise DomainError(f"--{flag} {given!r} is ignored by {choice}: leave it out")
+
+
 def _cmd_entropy_bound(args):
     if args.family == "lognormal":
+        _refuse_ignored(args, "--family lognormal", n=1)
         d = Lognormal(args.mu, args.sigma2)
         sup, n = Support.positive_half_line(), 1
     else:
+        _refuse_ignored(args, "--family gaussian, which is N(0, I_n)", mu=0.0, sigma2=1.0)
         d = GaussianMagnitude(args.n)
         sup, n = Support.euclidean(args.n), args.n
     rep = entropy_bound(d, sup, n, args.r, args.p, args.q)
@@ -152,8 +164,10 @@ def _cmd_entropy_bound(args):
 
 def _cmd_mi_bound(args):
     if args.channel == "awgn-gaussian":
+        _refuse_ignored(args, "--channel awgn-gaussian", eps=0.1, a=None)
         ch, given = ScaleMixtureChannel(PointMass(args.sigma2)), "X"
     else:
+        _refuse_ignored(args, "--channel two-point-mixture", sigma2=1.0)
         ch, given = _two_point_mixture(args.eps, args.a), "U"
     cols = ["mi_oracle", "prop8_bound", "prop9_bound", "chi2_bound"]
     rows = [(

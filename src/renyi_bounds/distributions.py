@@ -294,9 +294,9 @@ class GenericPdf(ScalarDistribution):
     converged on, with the lower-end one split as |x|^s needs near x = 0,
     and the pdf on their nodes and on every tail pre-scan window are
     cached then (quadrature._DensityPanels, read-only).  log_moments takes
-    |x|^s f over those nodes for a block of orders, renyi_entropy f^r, and
-    each integral gets its own tail verdict and tolerance test; it is
-    refined alone, and only where it needs more panels.  So a value
+    |x|^s f over those nodes for all its orders at once, renyi_entropy
+    f^r, and each integral gets its own tail verdict and tolerance test;
+    it is refined alone, and only where it needs more panels.  So a value
     depends neither on earlier calls nor on the other orders of its call,
     and log_moment(s) is log_moments([s])[0].  An r at which f^r may carry
     more than the tolerance where the pdf underflows to 0 is refused (r
@@ -328,8 +328,8 @@ class GenericPdf(ScalarDistribution):
 
     def log_moments(self, orders) -> list:
         """[log E|X|^s for s in orders]: +inf where the moment diverges.
-        Each distinct order is summed once, in blocks of orders that share
-        one power of |x| over the cached nodes."""
+        Each distinct order is summed once, and all of them share one power
+        of |x| over the cached nodes."""
         keys = [_order(s) for s in orders]
         distinct = list(dict.fromkeys(keys))
         values = {}

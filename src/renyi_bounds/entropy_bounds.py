@@ -10,23 +10,13 @@ Optimal gaps are searched by Newton's method in the wedge coordinates
 
     (a, b) = (log(m - p), log(q - m)),   m = (1-r)/r,
 
-which map the valid wedge p < m < q onto the whole plane.  In the box
-coordinates (lam, u) of two_moment_parametrization,
-
-    p = m - (1-lam) sqrt((1-r) u / (r lam (1-lam))),
-    q = m +    lam  sqrt((1-r) u / (r lam (1-lam))),
-
-the lognormal objective separates:
-
-    lognormal:  gap(lam, u) = theta(r lam/(1-r)) + theta(r(1-lam)/(1-r))
-                              - theta(r/(1-r)) + (u s2 - log(u s2)) / 2
-                              + log(r) / (2 (1-r))         [s2 = sigma^2]
-
-with its optimum at lam = 1/2, u = 1/s2, kept here in closed form as
-lognormal_gap_closed.  Every other gap has one route: the bound at
-(p, q) minus the entropy, as entropy_bound and optimal_gap compute it.
-The closed forms of the gap at a box point (lognormal, and the Gaussian
-one through Q_{r,n}(lam, z)) are oracles for that route and live in
+which map the valid wedge p < m < q onto the whole plane: the p = 0
+search runs in b alone, the two-moment search in (a, b) from the p = 0
+optimum.  Every gap has one route: the bound at (p, q) minus the
+entropy, as entropy_bound and optimal_gap compute it.  The optimal
+lognormal gap is kept in closed form, as lognormal_gap_closed with its
+derivation; the closed forms of the gap at any (p, q) (lognormal, and
+Gaussian through Q_{r,n}(lam, z)) are oracles for that route and live in
 verify and the tests.
 """
 
@@ -53,7 +43,6 @@ from .specfun import LOG_2PI, _float, _positive_finite, theta
 
 __all__ = [
     "BoundReport",
-    "two_moment_parametrization",
     "entropy_bound",
     "lognormal_gap_closed",
     "optimal_gap",
@@ -100,53 +89,33 @@ def _check_dimension(d: ScalarDistribution, sup: Support, n: int) -> float:
     return lw
 
 
-def two_moment_parametrization(r: float, lam: float, u: float) -> Tuple[float, float]:
-    """(p, q) from the box coordinates (lam, u) of the lognormal form."""
-    r = _check_r(r)
-    if not (type(lam) is float and type(u) is float and 0.0 < lam < 1.0 and 0.0 < u < math.inf):
-        lam = _float(lam, "lam", lambda v: 0.0 < v < 1.0, "lie in (0, 1)")
-        u = _float(u, "u", _positive_finite, "be positive and finite")
-    m = (1.0 - r) / r
-    denom = r * lam * (1.0 - lam)  # 0 when lam underflows it
-    d = math.sqrt((1.0 - r) * u / denom) if denom > 0.0 else math.inf
-    if d == math.inf:
-        raise DomainError(f"(p, q) at r={r!r}, lam={lam!r}, u={u!r} leave the float range")
-    return m - (1.0 - lam) * d, m + lam * d
-
-
 def _gaps_at(
     d: ScalarDistribution,
     log_omega_s: float,
     n: int,
     r: float,
-    points: List[Optional[Tuple[float, float]]],
+    points: List[Tuple[float, float]],
     entropy: float,
 ) -> List[float]:
     """Gaps of the bound at explicit (p, q) points; +inf at a point that is
-    None, invalid or divergent, or whose gap reads below 0: the theorem
-    makes every gap at least 0, so such a point has wrong moments.  The
+    invalid or divergent, or whose gap reads below 0: the theorem makes
+    every gap at least 0, so such a point has wrong moments.  The
     log-moments of all points come from one d.log_moments call."""
-    params, orders = [], []
-    for pq in points:
-        prm = None
-        if pq is not None:
-            p, q = pq
-            try:
-                prm = TwoMomentParams._make((r, p, q, lambda_of(r, p, q)))
-            except InvalidMomentOrder:
-                pass
-            else:
-                orders += (n * p, n * q)
-        params.append(prm)
-    logs = d.log_moments(orders)
-    gaps, k = [], 0
-    for prm in params:
-        if prm is None:
-            gaps.append(math.inf)
+    params, orders, refused = [], [], []
+    for p, q in points:
+        try:
+            params.append(TwoMomentParams._make((r, p, q, lambda_of(r, p, q))))
+        except InvalidMomentOrder:
+            refused.append(len(params) + len(refused))  # the index of (p, q)
         else:
-            gap = _log_two_moment(log_omega_s, prm, logs[k], logs[k + 1]) - entropy
-            gaps.append(gap if gap >= 0.0 else math.inf)
-            k += 2
+            orders += (n * p, n * q)
+    logs = iter(d.log_moments(orders))
+    gaps = []
+    for prm in params:
+        gap = _log_two_moment(log_omega_s, prm, next(logs), next(logs)) - entropy
+        gaps.append(gap if gap >= 0.0 else math.inf)
+    for i in refused:  # in ascending order, so each lands at its own index
+        gaps.insert(i, math.inf)
     return gaps
 
 
@@ -186,7 +155,16 @@ def entropy_bound(
 
 
 def lognormal_gap_closed(r: float) -> float:
-    """Optimal two-moment gap for the lognormal family; (mu, sigma2)-free:
+    """Optimal two-moment gap for the lognormal family; (mu, sigma2)-free.
+
+    With m = (1-r)/r, lam = (q - m)/(q - p) and
+    u = r lam (1-lam) (q - p)^2 / (1-r), the gap of Lognormal(mu, s2) at
+    (p, q) separates:
+
+        gap = theta(r lam/(1-r)) + theta(r(1-lam)/(1-r)) - theta(r/(1-r))
+              + (u s2 - log(u s2)) / 2 + log(r) / (2 (1-r)),
+
+    least at lam = 1/2, u = 1/s2:
 
         2 theta(r/(2(1-r))) - theta(r/(1-r)) + (1 + log r/(1-r)) / 2.
 
@@ -294,11 +272,11 @@ def optimal_gap(
     h = d.renyi_entropy(r)
     m = (1.0 - r) / r
 
-    def pq(x):  # x = (b,) at p = 0, or (a, b); None where e^a or e^b overflows
+    def pq(x):  # x = (b,) at p = 0, or (a, b); q = inf where e^a or e^b overflows
         try:
             return m - math.exp(x[0]) if len(x) == 2 else 0.0, m + math.exp(x[-1])
         except OverflowError:
-            return None
+            return 0.0, math.inf
 
     def gaps(points):
         return _gaps_at(d, lw, n, r, [pq(x) for x in points], h)

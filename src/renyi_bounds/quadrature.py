@@ -37,8 +37,8 @@ failure modes are explicit:
   the nodes of every tail pre-scan window and moment panel.  Its
   integrals() sums a whole vector of integrands g(|x|, f(x), c) at once
   (one c per order: |x|^s f for a GenericPdf's log-moments, f^r for its
-  Renyi entropy): one evaluation of g over the cached nodes per block of
-  c, then for each c the pre-scan verdict and the tolerance test, and the
+  Renyi entropy): one evaluation of g over the cached nodes for all c,
+  then for each c the pre-scan verdict and the tolerance test, and the
   loop from the moment panels only for a c that misses the tolerance.
   An integral that g may still carry where f has underflowed to 0 (f^r
   at small r) is refused.  After construction a GenericPdf is integrated
@@ -166,11 +166,6 @@ _SCAN_FLOOR = _ABS_TOL * 1e-3
 # Panel edges, as fractions of the panel, of the graded split toward a finite
 # lower end: 0, 2^-40, 2^-39, ..., 1/2, 1, laid out like the inward windows.
 _GRADED = np.concatenate([[0.0], np.ldexp(1.0, np.arange(-40, 1))])
-# Weights h(., c) that _DensityPanels.integrals evaluates together.  This
-# bounds one block's (weights x nodes) tables: at 4 they stay under 100 kB
-# for the few thousand nodes a density caches, and batching adds no peak
-# memory.  Blocks of 8 were up to 5% faster but raised peak RSS by 0.4 MB.
-_WEIGHT_BLOCK = 4
 _LEAST = math.ulp(0.0)  # the least positive double: a density that reads 0 is below it
 
 
@@ -441,22 +436,16 @@ class _DensityPanels:
         be elementwise, nonnegative, nondecreasing in f, and broadcast:
         g(ax, fx, c) with c a column of params gives one table per c.
 
-        The params run in blocks of _WEIGHT_BLOCK, and g is evaluated once
-        per block on the cached rows.  Each c then gets its own tail verdict
-        (_decay_fails on its window masses, direction by direction) and its
-        own K15/G7 tolerance test on the moment panels.  A c that misses the
-        tolerance runs _refine alone from the moment panels, with one call
-        of f per refinement step; its refinements are dropped on return.
-        So the result for one c does not depend on the others.  Where f has
-        underflowed to 0, g is at most g(|x|, _LEAST, c); a c for which that
-        bound, summed over those panel nodes, exceeds the tolerance (f^r at
-        small r) is refused with RenyiBoundsError."""
-        out = []
-        for k in range(0, len(params), _WEIGHT_BLOCK):
-            out += self._block(g, params[k:k + _WEIGHT_BLOCK])
-        return out
-
-    def _block(self, g: Callable, params: np.ndarray) -> list:
+        g is evaluated once, for all params, on the cached rows.  Each c
+        then gets its own tail verdict (_decay_fails on its window masses,
+        direction by direction) and its own K15/G7 tolerance test on the
+        moment panels.  A c that misses the tolerance runs _refine alone
+        from the moment panels, with one call of f per refinement step; its
+        refinements are dropped on return.  So the result for one c does
+        not depend on the others.  Where f has underflowed to 0, g is at
+        most g(|x|, _LEAST, c); a c for which that bound, summed over those
+        panel nodes, exceeds the tolerance (f^r at small r) is refused with
+        RenyiBoundsError."""
         nw, per = self._windows, _OUT_LO.size
         with np.errstate(all="ignore"):
             y = g(self.ax, self.fx, params[:, None, None]) * self.w
@@ -468,7 +457,7 @@ class _DensityPanels:
             met = np.isfinite(err).all(axis=-1) & np.isfinite(total + total_err)
             met &= total_err <= tol
             lost = np.zeros(len(params))
-            if self.under_w.size:  # a cost on every block, so only where f reads 0 somewhere
+            if self.under_w.size:  # a cost on every call, so only where f reads 0 somewhere
                 lost = (g(self.under_ax, _LEAST, params[:, None]) * self.under_w).sum(axis=-1)
         out = []
         for i, c in enumerate(params):

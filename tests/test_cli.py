@@ -173,6 +173,37 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert "finite" in captured.err and captured.out == ""
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["entropy-bound", "--family", "gaussian", "--mu", "5", "--n", "2"], "--mu"),
+        (["entropy-bound", "--family", "gaussian", "--sigma2", "9", "--n", "2"], "--sigma2"),
+        (["entropy-bound", "--family", "gaussian", "--mu", "nan"], "--mu"),
+        (["entropy-bound", "--family", "lognormal", "--n", "7"], "--n"),
+        (["mi-bound", "--channel", "awgn-gaussian", "--eps", "0.3"], "--eps"),
+        (["mi-bound", "--channel", "awgn-gaussian", "--a", "3"], "--a"),
+        (["mi-bound", "--channel", "two-point-mixture", "--sigma2", "2"], "--sigma2"),
+    ], ids=["gaussian-mu", "gaussian-sigma2", "gaussian-mu-nan", "lognormal-n", "awgn-eps",
+            "awgn-a", "two-point-sigma2"])
+    def test_ignored_flag_exit_2(self, argv, flag, capsys):
+        # each printed the same row as without the flag
+        if argv[0] == "entropy-bound":
+            argv = argv + ["--r", "0.5", "--p", "0", "--q", "2"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {flag} ") and captured.out == ""
+
+    @pytest.mark.parametrize("family, fixed, used", [
+        ("gaussian", ["--mu", "0.0", "--sigma2", "1.0"], ["--n", "3"]),
+        ("lognormal", ["--n", "1"], ["--mu", "0.4", "--sigma2", "2.0"]),
+    ], ids=["gaussian", "lognormal"])
+    def test_flags_at_the_values_the_family_uses(self, family, fixed, used, capsys):
+        # the argv shapes the benchmark sends: the flags a family does not
+        # use, at the values it fixes, print the row of the flags it uses
+        tail = ["--r", "0.4", "--p", "0.1", "--q", "2"]
+        assert main(["entropy-bound", "--family", family, *fixed, *used, *tail]) == 0
+        full = capsys.readouterr().out
+        assert main(["entropy-bound", "--family", family, *used, *tail]) == 0
+        assert capsys.readouterr().out == full
+
     def test_unwritable_out_exit_2(self, tmp_path, capsys):
         rc = main(["entropy-bound", "--family", "lognormal", "--r", "0.5", "--p", "0",
                    "--q", "2", "--out", str(tmp_path / "missing" / "x.csv")])
@@ -280,31 +311,35 @@ def _open(lo, hi):
     return st.floats(lo, hi, exclude_min=True, exclude_max=True)
 
 
-def _argv(command, choices, extra=st.just([]), **plausible):
-    """argv with every float flag drawn where the command can succeed, then
-    up to two of them replaced by any float at all."""
+def _argv(command, choice, extra=st.just([]), **plausible):
+    """argv with every float flag of the choice drawn where the command can
+    succeed, then up to two of them replaced by any float at all."""
     wild = st.lists(st.tuples(st.sampled_from(sorted(plausible)), _WILD), max_size=2)
 
-    def build(choice, values, overrides, more):
+    def build(values, overrides, more):
         values.update(overrides)
         return [command, choice, *(f"--{k}={v!r}" for k, v in values.items()), *more]
 
-    return st.builds(build, st.sampled_from(choices), st.fixed_dictionaries(plausible), wild,
-                     extra)
+    return st.builds(build, st.fixed_dictionaries(plausible), wild, extra)
 
 
-_ENTROPY_ARGV = _argv(
-    "entropy-bound", ["--family=lognormal", "--family=gaussian"],
-    # 10**5000 as digits: str() of an int over 4,300 digits raises ValueError
-    extra=st.one_of(st.integers(-3, 10**6).map(str),
-                    st.sampled_from([str(10**400), "1" + "0" * 5000])).map(lambda n: [f"--n={n}"]),
-    mu=_open(-5.0, 5.0), sigma2=_open(0.0, 10.0), r=_open(0.05, 0.95), p=_open(-1.0, 0.5),
-    q=_open(1.0, 20.0),
+# each choice draws only the flags it uses: the others are refused (see
+# test_ignored_flag_exit_2)
+_ENTROPY_ARGV = st.one_of(
+    _argv("entropy-bound", "--family=lognormal", mu=_open(-5.0, 5.0), sigma2=_open(0.0, 10.0),
+          r=_open(0.05, 0.95), p=_open(-1.0, 0.5), q=_open(1.0, 20.0)),
+    _argv("entropy-bound", "--family=gaussian",
+          # 10**5000 as digits: str() of an int over 4,300 digits raises ValueError
+          extra=st.one_of(st.integers(-3, 10**6).map(str),
+                          st.sampled_from([str(10**400), "1" + "0" * 5000])
+                          ).map(lambda n: [f"--n={n}"]),
+          r=_open(0.05, 0.95), p=_open(-1.0, 0.5), q=_open(1.0, 20.0)),
 )
-_MI_ARGV = _argv(
-    "mi-bound", ["--channel=awgn-gaussian", "--channel=two-point-mixture"],
-    sigma2=_open(0.0, 20.0), eps=_open(0.0, 1.0), a=_open(0.0, 100.0), p=_open(0.0, 1.0),
-    q=_open(1.0, 400.0), r=_open(0.0, 1.0),
+_MI_ARGV = st.one_of(
+    _argv("mi-bound", "--channel=awgn-gaussian", sigma2=_open(0.0, 20.0), p=_open(0.0, 1.0),
+          q=_open(1.0, 400.0), r=_open(0.0, 1.0)),
+    _argv("mi-bound", "--channel=two-point-mixture", eps=_open(0.0, 1.0), a=_open(0.0, 100.0),
+          p=_open(0.0, 1.0), q=_open(1.0, 400.0), r=_open(0.0, 1.0)),
 )
 
 

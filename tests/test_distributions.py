@@ -277,8 +277,8 @@ class TestLogMoments:
     at=st.integers(0, 40),
 )
 def test_order_does_not_depend_on_its_batch(name, s, others, at):
-    # batches are cut in blocks of _WEIGHT_BLOCK orders: up to 41 orders
-    # put s in any of several blocks, among orders that refine or diverge
+    # up to 41 orders in one call put s at any place among orders that
+    # refine or diverge
     d = _generic(name)
     at = min(at, len(others))
     got = d.log_moments(others[:at] + [s] + others[at:])[at]
@@ -386,12 +386,12 @@ class TestLr:
     def test_lognormal_box_parametrization_value(self):
         # at (lam, u) the lognormal L_r equals mu + ((1-r)/r) s2/2 + u s2/2,
         # independently of lam
-        from renyi_bounds.entropy_bounds import two_moment_parametrization
+        from test_entropy_bounds import _box_pq
 
         mu, s2, r, u = 0.0, 1.0, 0.4, 1.0
         d = Lognormal(mu, s2)
         for lam in (0.3, 0.5, 0.8):
-            p, q = two_moment_parametrization(r, lam, u)
+            p, q = _box_pq(r, lam, u)
             expect = mu + 0.5 * ((1.0 - r) / r) * s2 + 0.5 * u * s2
             assert L_r(d, r, p, q) == pytest.approx(expect, rel=1e-12)
 

@@ -9,6 +9,7 @@ import re
 import shlex
 import subprocess
 import sys
+import types
 
 import pytest
 
@@ -74,3 +75,14 @@ def test_every_all_entry_resolves(module):
     mod = importlib.import_module(f"renyi_bounds.{module}")
     missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
     assert not missing
+
+
+def test_every_package_name_resolves():
+    # each name the package binds is the object of that name in the module
+    # that defines it, and in that module's __all__ where it has one
+    for name, obj in vars(renyi_bounds).items():
+        if name.startswith("_") or isinstance(obj, types.ModuleType):
+            continue
+        mod = importlib.import_module(obj.__module__)
+        assert getattr(mod, name, None) is obj, name
+        assert name in getattr(mod, "__all__", [name]), name
