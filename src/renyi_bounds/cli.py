@@ -73,10 +73,14 @@ def _render(command: str, columns: List[str], rows, fmt: str) -> str:
 
 
 def _floats(text: str) -> List[float]:
+    """A grid flag's points; an empty list is refused, not read as the default grid."""
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip() != ""]
+        out = [float(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad float list {text!r}") from exc
+    if not out:
+        raise argparse.ArgumentTypeError(f"empty float list {text!r}")
+    return out
 
 
 @functools.cache
@@ -196,15 +200,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             cols, rows = _cmd_mi_bound(args)
         else:  # verify
             results = run_verification()
-            cols = ["check", "passed", "detail"]
-            rows = [(r.name, bool(r.passed), r.detail.replace(",", ";")) for r in results]
+            cols = ["check", "passed", "worst", "tol", "note"]
+            rows = [(r.name, r.passed, r.worst, r.tol, r.note) for r in results]
         _write(args.out, _render(args.command, cols, rows, args.format))
     except (RenyiBoundsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     failed = [r for r in results if not r.passed]
     for r in failed:
-        print(f"FAILED {r.name}: {r.detail}", file=sys.stderr)
+        print(f"FAILED {r.name}: worst={r.worst:.17g} tol={r.tol:.17g} {r.note}".rstrip(),
+              file=sys.stderr)
     return 1 if failed else 0
 
 

@@ -423,8 +423,15 @@ def mi_oracle(ch, given: str = "X") -> float:
         with np.errstate(invalid="ignore"):
             return np.where(lm > _EXP_CLIP, -np.exp(lm) * lm, 0.0)
 
-    h_y = float(integrate(integrand, _FULL).value)
-    return h_y - 0.5 * (LOG_2PI + 1.0)
+    h_y = integrate(integrand, _FULL)
+    value = h_y.value - 0.5 * (LOG_2PI + 1.0)
+    if value < 0.0:
+        # I(X; Y) >= 0: a negative difference within the quadrature's error
+        # estimate is a 0 lost to rounding, one beyond it a fault
+        if -value > h_y.error:
+            raise RenyiBoundsError(f"mi_oracle produced {value!r}, below -{h_y.error!r}")
+        value = 0.0
+    return float(value)
 
 
 def vs_upper_bound_check(ch, s: float) -> float:

@@ -99,12 +99,13 @@ class TestReproducibility:
         assert (set_.value, set_.standard_error) == (unset.value, unset.standard_error)
 
     # SHA-256 of the default CSVs under the default seed.  A change that
-    # moves any of them must fix a numerical bug and say so.
+    # moves any of them must fix a numerical bug, or change the columns as a
+    # named format change, and say so.
     DEFAULT_CSV_SHA256 = {
         "fig1": "f345b0f4a5c51d7836110ef46e9ce323c3808f9cd7d12a2d686a4db6a54e149f",
         "fig2": "e59b69420dd386f7161e6440707da5f034a7f2bb13900927aed1b3d88488e2b6",
         "fig3": "0b2402467422c53c999695f9c57f03d2e066c5ec5ed1c5008e771b05366a624c",
-        "verify": "c8d26dd753d48e60b4c2b24f310c50525ea232e3b883d48d918d7f5b4c8a75fd",
+        "verify": "8984c133fd7e93162bd1e7f0cf4d8502d6a251e6be677ab35ffa3b5fbec66191",
     }
 
     @pytest.mark.parametrize("command", sorted(DEFAULT_CSV_SHA256))
@@ -209,6 +210,19 @@ class TestExitCodes:
                    "--q", "2", "--out", str(tmp_path / "missing" / "x.csv")])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["fig1", "--r-grid", "", "--sigma2", "1"], "--r-grid"),
+        (["fig1", "--r-grid", "0.5", "--sigma2", ","], "--sigma2"),
+        (["fig3", "--eps-grid", ",,"], "--eps-grid"),
+    ], ids=["r-grid", "sigma2", "eps-grid"])
+    def test_empty_grid_exit_2(self, argv, flag, capsys):
+        # an empty list read as an absent flag: every default row was printed
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert f"error: argument {flag}: empty" in captured.err and captured.out == ""
 
     def test_fig2_empty_dimension_range_exit_2(self, capsys):
         assert main(["fig2", "--n-max", "0"]) == 2

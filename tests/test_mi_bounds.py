@@ -620,6 +620,21 @@ class TestOracle:
                 0.5 * math.log1p(s2), abs=1e-6
             )
 
+    @pytest.mark.parametrize("c", [3e-15, 1e-15, 1e-16])
+    def test_tiny_gaussian_input_is_not_negative(self, c):
+        # h(Y) - h(W) came out at about -4e-15 against an exact (1/2) log1p(c) > 0,
+        # within the quadrature's error estimate on h(Y)
+        val = mi_oracle(ScaleMixtureChannel(PointMass(c)), "X")
+        assert val >= 0.0 and val == pytest.approx(0.5 * math.log1p(c), abs=1e-9)
+
+    def test_negative_beyond_the_error_estimate_refused(self, monkeypatch):
+        # an h(Y) 1e-3 below h(W) with an error estimate of 1e-10 is a fault, not rounding
+        h_w = 0.5 * (math.log(2.0 * math.pi) + 1.0)
+        monkeypatch.setattr(mi_bounds, "integrate",
+                            lambda *a, **k: quadrature.QuadratureResult(h_w - 1e-3, 1e-10))
+        with pytest.raises(RenyiBoundsError, match="mi_oracle"):
+            mi_oracle(ScaleMixtureChannel(PointMass(1.0)), "X")
+
     def test_all_bounds_dominate_oracle(self):
         ch = ScaleMixtureChannel(TwoPoint(0.1, 1.0 + 1.0 / math.sqrt(0.1)))
         val = mi_oracle(ch, "U")
