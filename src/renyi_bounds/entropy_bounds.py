@@ -56,7 +56,11 @@ class BoundReport:
     """One evaluation of the entropy bound (all values in nats), at given
     (p, q) or at the optimum optimal_gap found; its optimizer_trace holds
     one (p, q, gap) entry per accepted Newton step, the start first and
-    the optimum last, and is empty for a bound at given (p, q)."""
+    the optimum last, and is empty for a bound at given (p, q).  The
+    two-moment report of optimal_gap carries in p_zero the p = 0 report
+    its search started from, the report that
+    optimal_gap(..., constrain_p_zero=True) returns; p_zero is None in
+    every other report."""
 
     r: float
     p: float
@@ -66,6 +70,7 @@ class BoundReport:
     entropy: Optional[float]  # None when the family has no density
     gap: Optional[float]
     optimizer_trace: Tuple[tuple, ...] = ()
+    p_zero: Optional["BoundReport"] = None
 
 
 def _check_dimension(d: ScalarDistribution, sup: Support, n: int) -> float:
@@ -179,6 +184,10 @@ def lognormal_gap_closed(r: float) -> float:
 # Gap optimization (generic families)
 # ---------------------------------------------------------------------------
 
+_EPS = 2.0**-52  # the rounding unit of a float relative to its size
+_GAP_TARGET = 1e-4  # the optimizer's target for a gap, in nats
+
+
 def _newton(fun, x: tuple, fx: float) -> List[Tuple[tuple, float]]:
     """Damped Newton descent of fun from x, fx = fun([x])[0]: the path of
     accepted points, x first and the least value last.
@@ -265,11 +274,20 @@ def optimal_gap(
     alone from q = 2m, stepping b down by 1 (up to 60 times) while that
     moment diverges.  The two-moment search runs in (a, b) from the p = 0
     optimum and accepts only strict decreases, so Delta_r <= Delta~_r.
-    A search that cannot converge raises OptimizerNoConverge.
+    The two-moment report carries the p = 0 report it started from as
+    p_zero, so one call gives both gaps.  A search that cannot converge
+    raises OptimizerNoConverge, and so does, before any search, a law
+    whose entropy's rounding unit 2^-52 |h_r| exceeds the 1e-4 target:
+    the gap is bound - h_r, so it cannot be resolved to that target.
     """
     r = _check_r(r)
     lw = _check_dimension(d, sup, n)
     h = d.renyi_entropy(r)
+    if not _EPS * abs(h) <= _GAP_TARGET:
+        raise OptimizerNoConverge(
+            f"h_r = {h!r} is rounded in steps of {_EPS * abs(h):.3g}, above the gap "
+            f"target {_GAP_TARGET}: bound - h_r cannot resolve the gap"
+        )
     m = (1.0 - r) / r
 
     def pq(x):  # x = (b,) at p = 0, or (a, b); q = inf where e^a or e^b overflows
@@ -290,12 +308,15 @@ def optimal_gap(
     else:
         raise OptimizerNoConverge("no feasible q found for the p = 0 bound")
     path = _newton(gaps, x, best)
-    if not constrain_p_zero:
-        (b,), best = path[-1]
-        path += _newton(gaps, (math.log(m), b), best)[1:]
     trace = [pq(x) + (f,) for x, f in path]
     p, q, best = trace[-1]
-    return BoundReport(r, p, q, n, h + best, h, best, tuple(trace))
+    p_zero = BoundReport(r, p, q, n, h + best, h, best, tuple(trace))
+    if constrain_p_zero:
+        return p_zero
+    (b,) = path[-1][0]
+    trace += [pq(x) + (f,) for x, f in _newton(gaps, (math.log(m), b), best)[1:]]
+    p, q, best = trace[-1]
+    return BoundReport(r, p, q, n, h + best, h, best, tuple(trace), p_zero)
 
 
 # ---------------------------------------------------------------------------

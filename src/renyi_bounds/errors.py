@@ -32,7 +32,8 @@ class MomentDiverges(RenyiBoundsError):
 
 class OptimizerNoConverge(RenyiBoundsError):
     """The gap search found no start with a finite gap, or could not
-    converge from it (see entropy_bounds._newton)."""
+    converge from it (see entropy_bounds._newton), or the entropy is too
+    large for bound - h_r to resolve the gap to its 1e-4 target."""
 
 
 class Infeasible(RenyiBoundsError, ValueError):

@@ -4,7 +4,8 @@ Pure row producers: no I/O here, the CLI owns formatting.  Each grid
 value is checked once, and its row holds the float the check returned.
 Grid points are evaluated in grid order, and a row depends only on its
 own point: no sweep runs Monte Carlo (fig3's mixing law is atomic, so
-its V_s are exact sums).
+its V_s are exact sums).  fig1 and fig2 run one gap search per point:
+the two-moment optimal_gap, whose p_zero report gives Delta~_r.
 """
 
 import math
@@ -47,9 +48,8 @@ def fig1_rows(
     rows = []
     for r in r_grid:
         for d in laws:
-            two = optimal_gap(d, sup, 1, r).gap
-            one_m = optimal_gap(d, sup, 1, r, constrain_p_zero=True).gap
-            rows.append((r, d.sigma2, two, one_m))
+            rep = optimal_gap(d, sup, 1, r)
+            rows.append((r, d.sigma2, rep.gap, rep.p_zero.gap))
     return ["r", "sigma2", "delta_two_moment", "delta_one_moment"], rows
 
 
@@ -64,11 +64,8 @@ def fig2_rows(
     rows = []
     n = 1
     while n <= n_max:
-        d = GaussianMagnitude(n)
-        sup = Support.euclidean(n)
-        two = optimal_gap(d, sup, n, r).gap
-        one_m = optimal_gap(d, sup, n, r, constrain_p_zero=True).gap
-        rows.append((n, two, one_m, limit))
+        rep = optimal_gap(GaussianMagnitude(n), Support.euclidean(n), n, r)
+        rows.append((n, rep.gap, rep.p_zero.gap, limit))
         n *= 2
     return ["n", "delta_two_moment", "delta_one_moment", "lognormal_limit"], rows
 

@@ -19,7 +19,7 @@ from renyi_bounds.distributions import (
     ScalarDistribution,
     TwoPoint,
 )
-from renyi_bounds import entropy_bounds
+from renyi_bounds import entropy_bounds, sweeps
 from renyi_bounds.entropy_bounds import (
     diff_entropy_bounds,
     entropy_bound,
@@ -46,7 +46,9 @@ from renyi_bounds.moment_core import (
 )
 from renyi_bounds.quadrature import Domain
 from renyi_bounds.specfun import theta
-from renyi_bounds.sweeps import fig1_rows, fig2_rows, fig3_rows
+from renyi_bounds.sweeps import (
+    DEFAULT_R_GRID, DEFAULT_SIGMA2_GRID, fig1_rows, fig2_rows, fig3_rows,
+)
 from renyi_bounds.verify import (
     _GaussGapParams,
     _gaussian_Q,
@@ -709,6 +711,33 @@ def test_unresolvable_lognormal_gap_refused(r):
         optimal_gap(Lognormal(0.0, 1e300), SUP_POS, 1, r)
 
 
+def _no_search(*args):
+    raise AssertionError("a gap search ran")
+
+
+@pytest.mark.parametrize("d, r", [
+    # the p = 0 search returned 0.2265625, where the gap at mu = 0 is 0.0362169
+    (Lognormal(9392365700694.0, 1.0), 0.75),
+    # the searches returned 1.74e6 (two-moment) and 1.30e7 (p = 0); the optimum is 0.0326
+    (Lognormal(0.0, 1e20), 0.5),
+], ids=["mu-9.4e12", "sigma2-1e20"])
+@pytest.mark.parametrize("p_zero", [False, True], ids=["two-moment", "p0"])
+def test_gap_below_the_entropy_rounding_refused(monkeypatch, d, r, p_zero):
+    # 2^-52 |h_r| exceeds the 1e-4 target, so the gap bound - h_r cannot be
+    # resolved to it: refused before any search
+    assert 2.0**-52 * abs(d.renyi_entropy(r)) > 1e-4
+    monkeypatch.setattr(entropy_bounds, "_newton", _no_search)
+    with pytest.raises(OptimizerNoConverge, match="gap target"):
+        optimal_gap(d, SUP_POS, 1, r, constrain_p_zero=p_zero)
+
+
+def test_refused_p0_gap_resolves_at_mu_zero():
+    # the lognormal gap does not depend on mu: the p = 0 gap that the
+    # refused Lognormal(9392365700694, 1) above should have had
+    p0 = optimal_gap(Lognormal(0.0, 1.0), SUP_POS, 1, 0.75, constrain_p_zero=True)
+    assert p0.gap == pytest.approx(0.0362169, abs=1e-7)
+
+
 def _weibull(k):
     return GenericPdf(lambda x: k * x ** (k - 1.0) * np.exp(-(x**k)), Domain.half_line(0.0))
 
@@ -858,6 +887,52 @@ def test_two_moment_gaps_at_most_p0_gaps_on_the_figure_grids():
     # strict decreases, on every default fig1 and fig2 row
     for two, one in [row[2:4] for row in fig1_rows()[1]] + [row[1:3] for row in fig2_rows()[1]]:
         assert two <= one
+
+
+def test_figure_sweeps_search_once_per_point(monkeypatch):
+    # fig1 and fig2 read Delta~_r from the two-moment report's p_zero: one
+    # optimal_gap call per grid point, none of them constrained to p = 0
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs)
+        return optimal_gap(*args, **kwargs)
+
+    monkeypatch.setattr(sweeps, "optimal_gap", counted)
+    for rows, points in [(fig1_rows, 27), (fig2_rows, 9)]:
+        calls.clear()
+        assert len(rows()[1]) == len(calls) == points
+        assert calls == [{}] * points
+
+
+def _search_points():
+    """The default fig1 and fig2 grid points and two GenericPdf laws."""
+    points = [(Lognormal(0.0, s2), SUP_POS, 1, r)
+              for r in DEFAULT_R_GRID for s2 in DEFAULT_SIGMA2_GRID]
+    points += [(GaussianMagnitude(2**k), Support.euclidean(2**k), 2**k, 0.1) for k in range(9)]
+    return points + [(_half_normal(), SUP_POS, 1, 0.5), (_weibull(1.8), SUP_POS, 1, 0.35)]
+
+
+def test_p_zero_report_is_the_p0_search():
+    # the two-moment report carries the p = 0 report its search started
+    # from, equal field for field (optimizer_trace included) to the report
+    # of the constrained call, which carries none; nor does entropy_bound
+    for d, sup, n, r in _search_points():
+        p0 = optimal_gap(d, sup, n, r, constrain_p_zero=True)
+        assert optimal_gap(d, sup, n, r).p_zero == p0 and p0.p_zero is None
+    assert entropy_bound(Lognormal(), SUP_POS, 1, 0.5, 0.0, 2.0).p_zero is None
+
+
+def test_two_moment_trace_starts_with_the_p0_trace():
+    # the (a, b) search starts at the p = 0 optimum, so its trace continues
+    # the p = 0 trace, every later entry strictly lower
+    for d, sup, n, r in _search_points():
+        rep = optimal_gap(d, sup, n, r)
+        head = rep.p_zero.optimizer_trace
+        assert rep.optimizer_trace[:len(head)] == head
+        assert all(p == 0.0 for p, _, _ in head)
+        gaps = [g for _, _, g in rep.optimizer_trace[len(head) - 1:]]
+        assert all(b < a for a, b in zip(gaps, gaps[1:]))
 
 
 class _ExactUniform(ScalarDistribution):
