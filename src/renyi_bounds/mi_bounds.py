@@ -259,25 +259,25 @@ def _vs_atomic(model, s) -> VsValue:
 
 def _vs_monte_carlo(mixing, s, given, stream) -> VsValue:
     """V_s over a continuous mixing law: G((1+s)/2)/(2 pi) E[first(U1) -
-    cross(U1, U2)] over i.i.d. pairs drawn from it.  An estimate that is not
-    above 0 is refused: it says only that V_s is within noise of 0."""
+    cross(U1, U2)] over i.i.d. pairs drawn from it, by mc_expect with k = 2
+    (U1 drawn whole, U2 in blocks).  An estimate that is not above 0 is
+    refused: it says only that V_s is within noise of 0."""
     coef = kernel_Ks(0.0, 0.0, s)  # G((1+s)/2)/(2 pi)
 
-    def g(uu):
-        u1, u2 = uu
+    def g(u1, u2):
         first = ((1.0 + u1) ** (0.5 * (s - 1.0)) if given == "U"
                  else (1.0 + 2.0 * u1) ** (0.5 * s))
         num = (1.0 + u1) ** (0.5 * s) * (1.0 + u2) ** (0.5 * s)
         return first - num / (1.0 + 0.5 * (u1 + u2)) ** (0.5 * (s + 1.0))
 
-    def pairs(rng, n):
-        return mixing.sample(rng, n), mixing.sample(rng, n)
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        res = mc_expect(g, pairs, stream=stream)
+    leaves = f"the terms of V_s at s = {s:g} leave the float range"
+    try:
+        res = mc_expect(g, mixing.sample, 2, stream=stream)
+    except DomainError as exc:  # g, powers of 1 + u >= 1, is not finite only where they overflow
+        raise DomainError(f"{leaves}: {exc}") from None
     value, se = coef * res.value, coef * res.standard_error
     if not (math.isfinite(value) and math.isfinite(se)):
-        raise DomainError(f"the terms of V_s at s = {s:g} leave the float range")
+        raise DomainError(leaves)
     if not value > 0.0:
         raise RenyiBoundsError(
             f"Monte Carlo V_s at s = {s:g} is {value!r} with standard error {se!r}, not above 0"
@@ -291,7 +291,9 @@ def V_s(ch, s: float, given: str = "X", *, stream: int = 0) -> VsValue:
     Over an atomic W it is E K_s(W, W) - E K_s(W1, W2), an exact sum over
     the Gaussian mixtures of variance_model with every kernel in closed
     form.  A continuous mixing law uses Monte Carlo (with standard error,
-    on substream `stream` of the fixed seed) of
+    on substream `stream` of the fixed seed: mc_expect over k = 2 i.i.d.
+    arrays of the law's draws, the second one drawn and evaluated in blocks
+    of _MC_BLOCK) of
 
       given X: G((1+s)/2)/(2 pi) E[(1+2U)^(s/2) - cross(U1, U2)]
       given U: G((1+s)/2)/(2 pi) E[(1+U)^((s-1)/2) - cross(U1, U2)]

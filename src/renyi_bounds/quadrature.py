@@ -51,10 +51,13 @@ failure modes are explicit:
   which h varies, wherever the density has not underflowed; a power-law
   tail, which never does within the panel budget, is refused.
 
-* mc_expect() is a Monte Carlo mean with standard error from a sampler
-  (rng, n) -> batch, built on the counter-based Philox generator under the
-  fixed seed _MC_SEED, so every draw is reproducible bit for bit; a stream
-  number selects an independent substream.
+* mc_expect() is a Monte Carlo mean with standard error of an elementwise
+  g(X_1, ..., X_k) over k i.i.d. arrays drawn by sample(rng, n), built on
+  the counter-based Philox generator under the fixed seed _MC_SEED, so
+  every draw is reproducible bit for bit; a stream number selects an
+  independent substream.  X_k is drawn and g evaluated in blocks of
+  _MC_BLOCK, so no temporary of g spans all _MC_SAMPLES draws; a draw
+  split into blocks continues the same stream, bit for bit.
 """
 
 from dataclasses import dataclass
@@ -111,13 +114,14 @@ class Domain:
 
 
 # Fixed numerics: the relative and absolute quadrature tolerances, the
-# panel budget of one integrate call, and the Monte Carlo sample count and
-# seed.
+# panel budget of one integrate call, and the Monte Carlo sample count,
+# seed and block length (the draws of X_k per evaluation of g).
 _REL_TOL = 1e-9
 _ABS_TOL = 1e-12
 _MAX_SUBDIVISIONS = 2000
 _MC_SAMPLES = 200_000
 _MC_SEED = 20170825
+_MC_BLOCK = 2**14
 
 
 class QuadratureResult(NamedTuple):
@@ -512,12 +516,18 @@ class _DensityPanels:
         return xs[w > 0.0], w[w > 0.0]
 
 
+def _count(x, name: str, least: int, need: str) -> int:
+    """x as an int: DomainError ("{name} must {need}") unless x is an int
+    (a bool is refused) of at least least."""
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)) or x < least:
+        _float(x, name, lambda v: False, need)
+    return int(x)
+
+
 def _stream(stream) -> int:
     """A substream number as an int: DomainError unless stream is a
     nonnegative int (a bool is refused)."""
-    if isinstance(stream, bool) or not isinstance(stream, (int, np.integer)) or stream < 0:
-        _float(stream, "stream", lambda v: False, "be a nonnegative int (not a bool)")
-    return int(stream)
+    return _count(stream, "stream", 0, "be a nonnegative int (not a bool)")
 
 
 def rng_for(stream: int = 0) -> np.random.Generator:
@@ -528,18 +538,53 @@ def rng_for(stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def mc_expect(g: Callable, sampler: Callable, *, stream: int = 0) -> MCResult:
-    """Monte Carlo estimate of E[g(S)] with standard error.
+def _draw(sample: Callable, rng: np.random.Generator, m: int) -> np.ndarray:
+    """sample(rng, m), refused with DomainError unless a 1-D array of m values."""
+    x = sample(rng, m)
+    if not (isinstance(x, np.ndarray) and x.shape == (m,)):
+        got = x.shape if isinstance(x, np.ndarray) else f"a {type(x).__name__}"
+        raise DomainError(f"sample must draw a 1-D array of {m} values, got {got}")
+    return x
 
-    sampler is a callable (rng, n) -> batch, such as a distribution's
-    sample method; g receives the batch exactly as produced (so pair
-    samplers can return tuples) and must return an array of per-sample
-    values.  Deterministic for a fixed stream.
+
+def mc_expect(g: Callable, sample: Callable, k: int = 1, *, stream: int = 0) -> MCResult:
+    """Monte Carlo estimate of E[g(X_1, ..., X_k)] with standard error, over
+    _MC_SAMPLES draws of k i.i.d. arrays X_i = sample(rng, n).
+
+    sample is a callable (rng, m) -> 1-D array of m values, such as a
+    distribution's sample method; the X_i are drawn in order from one
+    stream of rng_for(stream), so the result is deterministic for a fixed
+    stream.  X_1 ... X_{k-1} are drawn whole and X_k in blocks of
+    _MC_BLOCK, each block one call of sample, so sample must continue its
+    stream across calls (every numpy Generator method does).  g must be
+    elementwise: it receives the aligned slices of the k arrays, one block
+    long, and returns one value per draw, each depending on its own draws
+    only.  g runs under np.errstate(all="ignore"): a value that is not
+    finite raises DomainError at its block, before the remaining draws, as
+    does a mean or standard error that leaves the float range.  The mean
+    and standard error are taken over the whole array of values, so they
+    equal those of one evaluation of g over whole draws bit for bit.
     """
-    n = _MC_SAMPLES
-    batch = sampler(rng_for(stream), n)
-    vals = np.asarray(g(batch), dtype=float)
-    if vals.shape != (n,):
-        raise DomainError(f"g must map the batch to {n} values, got {vals.shape}")
-    se = float(vals.std(ddof=1) / np.sqrt(n))
-    return MCResult(float(vals.mean()), se)
+    k = _count(k, "k", 1, "be a positive int (not a bool)")
+    n, rng = _MC_SAMPLES, rng_for(stream)
+    whole = [_draw(sample, rng, n) for _ in range(k - 1)]
+    vals = np.empty(n)
+    for lo in range(0, n, _MC_BLOCK):
+        m = min(_MC_BLOCK, n - lo)
+        block = _draw(sample, rng, m)
+        with np.errstate(all="ignore"):
+            v = np.asarray(g(*(x[lo:lo + m] for x in whole), block), dtype=float)
+        if v.shape != (m,):
+            raise DomainError(f"g must map a block of {m} draws to {m} values, got {v.shape}")
+        finite = np.isfinite(v)
+        if not finite.all():
+            bad = int(finite.argmin())
+            raise DomainError(f"g is not finite at draw {lo + bad}: {float(v[bad])!r}")
+        vals[lo:lo + m] = v
+    del whole  # the whole draws go before std takes its temporary of n values
+    with np.errstate(over="ignore", invalid="ignore"):
+        value, se = float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(n))
+    if not (math.isfinite(value) and math.isfinite(se)):
+        raise DomainError(f"the mean {value!r} or standard error {se!r} of g "
+                          "leaves the float range")
+    return MCResult(value, se)

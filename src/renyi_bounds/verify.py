@@ -518,11 +518,10 @@ def check_vs_decomposition() -> List[CheckResult]:
     direct0 = _V_s_quadrature(ch, 0.0, "X")
     k_diag = 1.0 / (2.0 * math.sqrt(math.pi))
 
-    def g(pair):
-        x1, x2 = pair
+    def g(x1, x2):
         return k_diag - k_diag * np.exp(-0.25 * (x1 - x2) ** 2)
 
-    res = mc_expect(g, lambda rng, n: (d.sample(rng, n), d.sample(rng, n)))
+    res = mc_expect(g, d.sample, 2)
     # s = 2: direct integral vs exact kernel sums.
     kernel2 = mi.V_s(ch, 2.0, "X").value
     return [

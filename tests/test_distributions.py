@@ -450,6 +450,23 @@ class TestSampling:
         res = mc_expect(lambda x: x**2, d.sample)
         assert abs(res.value - math.exp(d.log_moment(2.0))) <= 4.0 * res.standard_error
 
+    @pytest.mark.parametrize("d", [Lognormal(0.0, 1.0), Lognormal(-0.5, 0.2), TwoPoint(0.3, 2.5),
+                                   GaussianMagnitude(1), GaussianMagnitude(3), PointMass(2.0)],
+                             ids=repr)
+    def test_blocks_continue_one_draw(self, d):
+        # mc_expect draws its last array in blocks: block by block, a partial
+        # last block included, the values are those of one call
+        n, block = 2 * quadrature._MC_BLOCK + 7, quadrature._MC_BLOCK
+        rng = rng_for(2)
+        first = d.sample(rng, n)  # drawn whole, as X_1 of k = 2
+        blocks = [d.sample(rng, min(block, n - lo)) for lo in range(0, n, block)]
+        assert np.array_equal(np.concatenate([first, *blocks]), d.sample(rng_for(2), 2 * n))
+
+    def test_non_finite_g_refused(self):
+        # returned MCResult(nan, nan): log(x - 1) is nan wherever x < 1
+        with pytest.raises(DomainError, match="g is not finite"):
+            mc_expect(lambda x: np.log(x - 1.0), Lognormal(0.0, 1.0).sample)
+
     def test_generic_not_samplable(self):
         d = GenericPdf(lambda x: np.exp(-x), Domain.half_line(0.0))
         with pytest.raises(UnsupportedOperation):

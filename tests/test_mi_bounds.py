@@ -4,6 +4,7 @@ phenomenology."""
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from renyi_bounds.distributions import (
+    GaussianMagnitude,
     GenericPdf,
     Lognormal,
     PointMass,
@@ -42,7 +44,7 @@ from renyi_bounds.mi_bounds import (
     vs_upper_bound_check,
 )
 from renyi_bounds.moment_core import Support, TwoMomentParams, two_moment_bound
-from renyi_bounds.quadrature import Domain, integrate, mc_expect
+from renyi_bounds.quadrature import Domain, integrate, mc_expect, rng_for
 from renyi_bounds.specfun import kappa
 from renyi_bounds.sweeps import DEFAULT_EPS_GRID, _two_point_mixture, fig3_rows
 from renyi_bounds.verify import _log_abs_pow, _V_s_quadrature
@@ -305,12 +307,11 @@ class TestVs:
         ch = AwgnChannel(TwoPoint(0.3, 2.5))
         direct = _V_s_quadrature(ch, 0.0, "X")
 
-        def g(pair):
-            x1, x2 = pair
+        def g(x1, x2):
             return INV_2SQRTPI * (1.0 - np.exp(-0.25 * (x1 - x2) ** 2))
 
         d = TwoPoint(0.3, 2.5)
-        res = mc_expect(g, lambda rng, n: (d.sample(rng, n), d.sample(rng, n)))
+        res = mc_expect(g, d.sample, 2)
         assert abs(direct - res.value) <= 4.0 * res.standard_error
 
     def test_scaling_law(self):
@@ -331,6 +332,26 @@ class TestVs:
             want = _vs_lognormal_mixing(mu, s2, s, given)
             worst = max(worst, abs(res.value - want) / res.standard_error)
         assert worst <= 4.0
+
+    @pytest.mark.parametrize("given", ["U", "X"])
+    def test_monte_carlo_terms_beyond_the_float_range_refused(self, given):
+        # (1 + U1)^100 (1 + U2)^100 overflows on the first block
+        with pytest.raises(DomainError, match="at s = 200 leave the float range"):
+            V_s(ScaleMixtureChannel(Lognormal(0.0, 1.0)), 200.0, given)
+
+    @pytest.mark.parametrize("given", ["U", "X"])
+    def test_monte_carlo_memory_peak(self, given):
+        # 9.16 MiB when both arrays of 200,000 draws and the temporaries of g
+        # over them were alive at once; blocks of X_2 keep it near 3.8 MiB
+        ch = ScaleMixtureChannel(Lognormal(0.0, 1.0))
+        V_s(ch, 1.0, given)  # imports and caches before tracing
+        tracemalloc.start()
+        try:
+            V_s(ch, 1.0, given)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20
 
     @pytest.mark.parametrize("mixing", [Lognormal(0.0, 1.0), TwoPoint(0.3, 2.0)],
                              ids=["monte-carlo", "atomic"])
@@ -418,6 +439,49 @@ def test_vs_upper_bound_property_in_its_regime(eps, a, s):
     fail, e.g. (eps, a, s) = (0.4, 100, 2) gives a residual of -0.021."""
     ch = ScaleMixtureChannel(TwoPoint(eps, a))
     assert vs_upper_bound_check(ch, s) >= -1e-12
+
+
+def _vs_g(s, given):
+    """The Monte Carlo integrand of V_s over a continuous mixing law, as the
+    V_s docstring states it: first(U1) - cross(U1, U2)."""
+
+    def g(u1, u2):
+        first = (1.0 + u1) ** (0.5 * (s - 1.0)) if given == "U" else (1.0 + 2.0 * u1) ** (0.5 * s)
+        num = (1.0 + u1) ** (0.5 * s) * (1.0 + u2) ** (0.5 * s)
+        return first - num / (1.0 + 0.5 * (u1 + u2)) ** (0.5 * (s + 1.0))
+
+    return g
+
+
+def _whole_batch(g, sample, stream):
+    """mc_expect as it was before blocks: both arrays drawn whole, g once over
+    them, the mean and std(ddof=1) / sqrt(n) of all values."""
+    n, rng = quadrature._MC_SAMPLES, rng_for(stream)
+    x1, x2 = sample(rng, n), sample(rng, n)
+    vals = np.asarray(g(x1, x2), dtype=float)
+    return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(n))
+
+
+class TestMonteCarloBlocks:
+    """Blocks of X_2 change no bit of mc_expect or of V_s."""
+
+    @pytest.mark.parametrize("stream", [0, 1, 2])
+    @pytest.mark.parametrize("d", [Lognormal(0.0, 1.0), TwoPoint(0.3, 2.5), GaussianMagnitude(3),
+                                   PointMass(2.0)], ids=repr)
+    def test_mc_expect_pairs_equal_the_whole_batch(self, d, stream):
+        g = _vs_g(1.5, "X")
+        assert mc_expect(g, d.sample, 2, stream=stream) == _whole_batch(g, d.sample, stream)
+
+    @pytest.mark.parametrize("stream", [0, 1, 2])
+    @pytest.mark.parametrize("given", ["U", "X"])
+    @pytest.mark.parametrize("mixing", [Lognormal(0.0, 1.0), Lognormal(0.5, 0.2),
+                                        GaussianMagnitude(1)], ids=repr)
+    def test_v_s_equals_the_whole_batch(self, mixing, given, stream):
+        for s in (0.0, 2.5):
+            coef = kernel_Ks(0.0, 0.0, s)
+            value, se = _whole_batch(_vs_g(s, given), mixing.sample, stream)
+            got = V_s(ScaleMixtureChannel(mixing), s, given, stream=stream)
+            assert (got.value, got.standard_error) == (coef * value, coef * se)
 
 
 class TestChiSquare:

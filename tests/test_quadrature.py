@@ -377,15 +377,86 @@ class TestMonteCarlo:
 
     def test_gaussian_pair_identity(self):
         # Same expectation as the 2-D quadrature test above: 1/sqrt(2).
-        def sampler(rng, n):
-            return rng.standard_normal(n), rng.standard_normal(n)
+        def sample(rng, n):
+            return rng.standard_normal(n)
 
-        res = mc_expect(lambda p: np.exp(-0.25 * (p[0] - p[1]) ** 2), sampler)
+        res = mc_expect(lambda x1, x2: np.exp(-0.25 * (x1 - x2) ** 2), sample, 2)
         assert abs(res.value - 1.0 / math.sqrt(2.0)) <= 3.0 * res.standard_error
 
     def test_g_of_the_wrong_shape_refused(self):
         with pytest.raises(DomainError):
             mc_expect(lambda x: x[:10], lambda rng, n: rng.random(n))
+
+    @pytest.mark.parametrize("sample", [
+        lambda rng, n: (rng.random(n), rng.random(n)),
+        lambda rng, n: rng.random((n, 2)),
+        lambda rng, n: rng.random(n + 1),
+        lambda rng, n: rng.random(n).tolist(),
+        lambda rng, n: 1.0,
+    ], ids=["tuple", "2-D", "one-too-many", "list", "scalar"])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_sample_not_a_1d_array_of_m_values_refused(self, sample, k):
+        # a pair sampler returning a tuple was the contract before blocks
+        with pytest.raises(DomainError, match="sample must draw a 1-D array"):
+            mc_expect(lambda *xs: xs[0], sample, k)
+
+    @pytest.mark.parametrize("k", [0, -1, 1.0, True, "2", None])
+    def test_k_not_a_positive_int_refused(self, k):
+        with pytest.raises(DomainError, match="k must be a positive int"):
+            mc_expect(lambda x: x, lambda rng, n: rng.random(n), k)
+
+    def test_k_is_the_number_of_arrays_g_receives(self):
+        seen = []
+
+        def g(*xs):
+            seen.append(len(xs))
+            return xs[-1]
+
+        mc_expect(g, lambda rng, n: rng.random(n), 3)
+        assert set(seen) == {3}
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_non_finite_values_refused_at_the_first_block(self, k):
+        # returned MCResult(inf, nan) silently; nothing past that block is drawn
+        calls = []
+
+        def sample(rng, n):
+            calls.append(n)
+            return rng.random(n)
+
+        with pytest.raises(DomainError, match="g is not finite at draw 0: inf"):
+            mc_expect(lambda *xs: 1.0 / (xs[-1] - xs[-1]), sample, k)
+        assert calls == [quadrature._MC_SAMPLES] * (k - 1) + [quadrature._MC_BLOCK]
+
+    def test_non_finite_value_in_a_later_block_refused(self):
+        # the draw is numbered across blocks: sample draws 0, 1, 2, ... in turn
+        bad = 3 * quadrature._MC_BLOCK + 5
+        drawn = []
+
+        def sample(rng, n):
+            drawn.extend(range(len(drawn), len(drawn) + n))
+            return np.array(drawn[-n:], dtype=float)
+
+        with pytest.raises(DomainError, match=f"g is not finite at draw {bad}: inf"):
+            mc_expect(lambda x: 1.0 / (x - bad), sample)
+        assert len(drawn) == 4 * quadrature._MC_BLOCK
+
+    def test_mean_beyond_the_float_range_refused(self):
+        # every value is finite, but their sum overflows
+        with pytest.raises(DomainError, match="leaves the float range"):
+            mc_expect(lambda x: np.full_like(x, 1e308), lambda rng, n: rng.random(n))
+
+    @pytest.mark.parametrize("n", [2, quadrature._MC_BLOCK - 1, quadrature._MC_BLOCK,
+                                   quadrature._MC_BLOCK + 1, 2 * quadrature._MC_BLOCK + 7])
+    def test_blocks_equal_one_whole_evaluation(self, n, monkeypatch):
+        # the formula before blocks: both arrays whole, g once, mean and std over all
+        monkeypatch.setattr(quadrature, "_MC_SAMPLES", n)
+        g = lambda x1, x2: np.sin(x1) * np.exp(-0.5 * (x1 - x2) ** 2)
+        sample = lambda rng, m: rng.standard_normal(m)
+        rng = rng_for(1)
+        vals = g(sample(rng, n), sample(rng, n))
+        want = (float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(n)))
+        assert mc_expect(g, sample, 2, stream=1) == want
 
     def test_bit_identical_reruns(self):
         sampler = lambda rng, n: rng.standard_normal(n)
