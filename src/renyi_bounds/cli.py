@@ -2,10 +2,11 @@
 and the verification command.
 
 Output files are reproducible byte for byte: a single `#` header comment
-records tool version, command and the fixed numerics, the quadrature
-tolerances and the Monte Carlo seed among them (no timestamps), numbers
-are printed with 12 significant digits, newlines are Unix.  Exit codes:
-0 success, 1 failed verification, 2 invalid invocation.
+records tool version, command and the fixed numerics, the relative
+quadrature tolerance and the Monte Carlo seed among them (no timestamps),
+numbers are printed with 12 significant digits, newlines are Unix.  Exit
+codes: 0 success, 1 failed verification, 2 invalid invocation, an
+unwritable --out or a refused computation (RenyiBoundsError).
 """
 
 import argparse
@@ -27,7 +28,7 @@ from .mi_bounds import (
     prop9_bound,
 )
 from .moment_core import Support
-from .quadrature import _ABS_TOL, _MAX_SUBDIVISIONS, _MC_SAMPLES, _MC_SEED, _REL_TOL
+from .quadrature import _MAX_SUBDIVISIONS, _MC_SAMPLES, _MC_SEED, _REL_TOL
 from .sweeps import _two_point_mixture, fig1_rows, fig2_rows, fig3_rows
 from .verify import run_verification
 
@@ -52,7 +53,6 @@ def _render(command: str, columns: List[str], rows, fmt: str) -> str:
     config = {
         "seed": _MC_SEED,
         "rel_tol": _REL_TOL,
-        "abs_tol": _ABS_TOL,
         "max_subdivisions": _MAX_SUBDIVISIONS,
         "mc_samples": _MC_SAMPLES,
     }

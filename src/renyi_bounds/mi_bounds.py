@@ -23,14 +23,15 @@ The rule's panels are no wider than _RULE_WIDTH wherever the density has
 not underflowed, so the mixture is no comb on the noise scale; a power-law
 tail, which no such rule covers, is refused.
 V_s over an atomic W is an exact sum of closed-form kernels between the
-mixtures' components -- no quadrature, no Monte Carlo noise in the
-figure-3 sweep -- and Monte Carlo under a fixed seed over a continuous
-mixing law; V_s of a non-atomic AWGN input is refused.  Each quantity
-has one route; its oracles live in verify and the tests.  Densities enter
-the integrands only through their logarithms, and np.where masks keep the
--inf log of a vanishing conditional variance out of every ratio, so the
-heavy-tailed ratios in the chi-square and small-t bounds cannot produce
-NaNs.
+mixtures' components: no quadrature and no Monte Carlo noise in the
+figure-3 sweep.  The within-component part of each term is K_ii expm1(.)
+of a log1p ratio, so V_s keeps its digits down to input variances of
+1e-300.  A continuous mixing law uses Monte Carlo under a fixed seed; V_s
+of a non-atomic AWGN input is refused.  Each quantity has one route; its
+oracles live in verify and the tests.  Densities enter the integrands
+only through their logarithms, and np.where masks keep the -inf log of a
+vanishing conditional variance out of every ratio, so the heavy-tailed
+ratios in the chi-square and small-t bounds cannot produce NaNs.
 """
 
 import math
@@ -119,6 +120,7 @@ class _AwgnOverContinuousInput:
     """
 
     def __init__(self, probs, means, variances):
+        self.variances = variances  # raw: u + 1 rounds to 1 below u ~ 1e-16
         self.mix = {v: _GaussianMixture(probs, means, variances + v) for v in (1.0, 0.5)}
 
     def log_marginal(self, y):
@@ -236,24 +238,32 @@ def _vs_value(s, value, scale) -> VsValue:
 def _vs_atomic(model, s) -> VsValue:
     """E K_s(W, W) - E K_s(W1, W2) = p.S - p'Kp over the model's mixture
     sum_i p_i N(m_i, v_i), as p.(S - diag K) + p'Dp/2, D_ij = K_ii + K_jj - 2K_ij,
-    so no rare atom's share is a difference of terms of size 1.  S = diag K
-    for a _GaussianMixture, so one atom gives exactly 0.  K is symmetric, so
-    one kernel is evaluated per unordered pair and mirrored."""
-    mix = model.mix[1.0] if isinstance(model, _AwgnOverContinuousInput) else model
+    so no rare atom's share is a difference of terms of size 1.  K is
+    symmetric, so one kernel is evaluated per unordered pair and mirrored.
+
+    The within-component part S_i - K_ii is taken in closed form, with no
+    difference of terms of size 1.  Given X of a scale mixture, component i
+    is N(0, u_i + 1) and S_i = (2 sqrt(pi))^-1 E|N(0, u_i + 1/2)|^s, so
+
+        S_i - K_ii = K_ii expm1(log1p(u_i)/2 + (s/2)(log1p(2u_i) - log1p(u_i)))
+
+    from the raw u_i.  For a _GaussianMixture S = diag K, and u = 0 gives
+    exactly 0, so one atom gives V_s = 0 exactly.  Only centred components
+    reach this formula: V_s refuses a non-atomic AWGN input, whose model
+    has nonzero means."""
+    awgn = isinstance(model, _AwgnOverContinuousInput)
+    mix, u = (model.mix[1.0], model.variances) if awgn else (model, 0.0)
     m, v, p = mix.means, mix.vars, mix.probs
     i, j = np.triu_indices(len(p))
     log_k = np.empty((len(p), len(p)))
     log_k[i, j] = log_k[j, i] = _log_kernel(m[i], v[i], m[j], v[j], s)
-    if mix is model:
-        log_self = np.diag(log_k)
-    else:  # E f(y|X)^2 = (2 sqrt(pi))^-1 E_X N(y; X, 1/2)
-        log_self = _log_abs_moment(model.mix[0.5].means, model.mix[0.5].vars, s) - _LOG_2SQRTPI
-    top = max(log_k.max(), log_self.max())
+    top = log_k.max()
     with np.errstate(over="ignore", invalid="ignore"):  # top = inf is refused below
-        k, own = np.exp(log_k - top), np.exp(log_self - top)
+        k = np.exp(log_k - top)
         d = np.diag(k)
-        rel = p @ (own - d) + 0.5 * (p @ (d[:, None] + d[None, :] - 2.0 * k) @ p)
-        value, scale = np.exp(top) * rel, np.exp(top) * (p @ own)
+        within = d * np.expm1(0.5 * np.log1p(u) + 0.5 * s * (np.log1p(2.0 * u) - np.log1p(u)))
+        rel = p @ within + 0.5 * (p @ (d[:, None] + d[None, :] - 2.0 * k) @ p)
+        value, scale = np.exp(top) * rel, np.exp(top) * (p @ (d + within))
     return _vs_value(s, float(value), float(scale))
 
 
@@ -289,9 +299,10 @@ def V_s(ch, s: float, given: str = "X", *, stream: int = 0) -> VsValue:
     """The s-th moment of the variance of the conditional density.
 
     Over an atomic W it is E K_s(W, W) - E K_s(W1, W2), an exact sum over
-    the Gaussian mixtures of variance_model with every kernel in closed
-    form.  A continuous mixing law uses Monte Carlo (with standard error,
-    on substream `stream` of the fixed seed: mc_expect over k = 2 i.i.d.
+    the Gaussian mixtures of variance_model with every kernel, and the
+    within-component part of every term, in closed form (_vs_atomic).  A
+    continuous mixing law uses Monte Carlo (with standard error, on
+    substream `stream` of the fixed seed: mc_expect over k = 2 i.i.d.
     arrays of the law's draws, the second one drawn and evaluated in blocks
     of _MC_BLOCK) of
 

@@ -12,20 +12,25 @@ failure modes are explicit:
 
   and then applies a 7/15-point Gauss-Kronrod pair per panel, refining
   until the error estimate meets the tolerance (see the adaptive loop
-  below).  The rational maps keep heavy power-law tails resolvable,
-  which matters for integrands like (sum nu_i x^(s_i))^(-r/(1-r)).
+  below).  The tolerance is relative only, _REL_TOL times the sum of
+  |K15 panel sums| (the integrand's L1 mass), so integrate(c f) is
+  c integrate(f) at any scale c.  The rational maps keep heavy power-law
+  tails resolvable, which matters for integrands like
+  (sum nu_i x^(s_i))^(-r/(1-r)).
 
 * Divergence is detected, not guessed: on unbounded domains the mass on
   geometric windows [T, 2T] is scanned under doubling (and halving,
   toward a finite endpoint).  A tail whose windowed mass never decays to
-  the noise floor and fails to shrink across the last three windows is
+  the floor, _REL_TOL * _TAIL_FLOOR times the L1 mass on the seed or
+  cached panels, and fails to shrink across the last three windows is
   flagged as divergent; a borderline tail ~ 1/x gives window ratios of
   exactly one and is flagged.
 
 * Panels are evaluated in batches: the seed grid is one integrand call,
   each refinement step one call for all new panels, and the tail
-  pre-scan one call per block of _SCAN_BLOCK windows.  The integrand
-  contract that follows from this is in the integrate() docstring.
+  pre-scan, which follows the seed grid, one call per block of
+  _SCAN_BLOCK windows.  The integrand contract that follows from this
+  is in the integrate() docstring.
 
 * One adaptive loop, _refine(), from given seed panels: K15 sums with G7
   error estimates, and while the total error misses the tolerance every
@@ -113,11 +118,10 @@ class Domain:
         return Domain("full_line")
 
 
-# Fixed numerics: the relative and absolute quadrature tolerances, the
-# panel budget of one integrate call, and the Monte Carlo sample count,
-# seed and block length (the draws of X_k per evaluation of g).
+# Fixed numerics: the relative quadrature tolerance, the panel budget of
+# one integrate call, and the Monte Carlo sample count, seed and block
+# length (the draws of X_k per evaluation of g).
 _REL_TOL = 1e-9
-_ABS_TOL = 1e-12
 _MAX_SUBDIVISIONS = 2000
 _MC_SAMPLES = 200_000
 _MC_SEED = 20170825
@@ -164,9 +168,10 @@ _OUT_HI = 2.0 * _OUT_LO
 _IN_HI = 1.0 / _OUT_LO
 _IN_LO = 0.5 * _IN_HI
 # Windows evaluated per integrand call of the pre-scan, and the window mass
-# below which a tail counts as gone.
+# below which a tail counts as gone, as a fraction of _REL_TOL times the
+# integrand's L1 mass on its panels (1e-15 at unit mass).
 _SCAN_BLOCK = 8
-_SCAN_FLOOR = _ABS_TOL * 1e-3
+_TAIL_FLOOR = 1e-6
 # Panel edges, as fractions of the panel, of the graded split toward a finite
 # lower end: 0, 2^-40, 2^-39, ..., 1/2, 1, laid out like the inward windows.
 _GRADED = np.concatenate([[0.0], np.ldexp(1.0, np.arange(-40, 1))])
@@ -243,9 +248,11 @@ def _decay_fails(masses, floor: float) -> bool:
     scan order and only up to the window where the scan stops.
 
     Growth toward an interior peak is normal, so the verdict is taken at
-    the end of the scan: divergent iff the mass never decays to the noise
-    floor and the last three ratios mass(W_{k+1}) / mass(W_k) all fail to
-    drop below one.  A borderline x^-1 tail gives ratios of exactly one and
+    the end of the scan: divergent iff the mass never decays to floor and
+    the last three ratios mass(W_{k+1}) / mass(W_k) all fail to drop below
+    one.  Callers pass floor = _REL_TOL * _TAIL_FLOOR times the integrand's
+    L1 mass on its panels, so the verdict does not depend on the scale of
+    the integrand.  A borderline x^-1 tail gives ratios of exactly one and
     is flagged; any window with non-finite mass is flagged outright.
     """
     streak = 0
@@ -303,8 +310,10 @@ def _refine(lo, hi, y, rows: Callable, domain: Domain):
     converged panels and their summed K15 value and G7 error estimate, as
     np.float64.
 
-    While the total error misses max(_REL_TOL |value|, _ABS_TOL), every
-    panel over its share (the tolerance over the panel count) is split,
+    While the total error misses _REL_TOL times the sum of |K15 panel
+    sums| (the integrand's L1 mass, so the test does not depend on its
+    scale), every panel over its share (the tolerance over the panel
+    count) is split,
     and rows(new_lo, new_hi) gives the rows of all new panels in one call:
     the panel at a finite lower end u = 0 at _GRADED, every other one by
     bisection.  The upper end u -> 1 is only bisected: a graded split there
@@ -325,7 +334,7 @@ def _refine(lo, hi, y, rows: Callable, domain: Domain):
             total, total_err = k15.sum(), err.sum()
             if not np.isfinite(total + total_err):
                 raise DivergenceDetected(f"integral overflows on {domain.kind}")
-            tol = max(_REL_TOL * abs(total), _ABS_TOL)
+            tol = _REL_TOL * np.abs(k15).sum()
             if total_err <= tol:
                 return lo, hi, total, total_err
             bad = err > tol / len(err)
@@ -346,10 +355,8 @@ def _refine(lo, hi, y, rows: Callable, domain: Domain):
 def _converged_panels(f: Callable, domain: Domain):
     """The adaptive loop of integrate -> (lo, hi, value, error): _refine
     from 8 (finite domain) or 16 uniform seed panels on the unit coordinate,
-    after the tail pre-scan."""
-    if domain.kind != "finite" and _tails_diverge(f, domain, _SCAN_FLOOR):
-        raise DivergenceDetected(f"tail mass fails decay test on {domain.kind}")
-
+    after the tail pre-scan, whose floor is taken from the L1 mass of the
+    seed rows."""
     lo, hi, to_x, jac = _unit_transform(domain)
     edges = np.linspace(lo, hi, (8 if domain.kind == "finite" else 16) + 1)
 
@@ -359,6 +366,9 @@ def _converged_panels(f: Callable, domain: Domain):
 
     with np.errstate(all="ignore"):
         y = rows(edges[:-1], edges[1:])
+        floor = _TAIL_FLOOR * (_REL_TOL * float(np.abs(y @ _KWEIGHTS).sum()))
+    if domain.kind != "finite" and _tails_diverge(f, domain, floor):
+        raise DivergenceDetected(f"tail mass fails decay test on {domain.kind}")
     return _refine(edges[:-1], edges[1:], y, rows, domain)
 
 
@@ -374,10 +384,13 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], domain: Domain) -> Quadratu
     Values past that window never affect the verdict.  (A GenericPdf is
     integrated over its _DensityPanels cache instead, after construction.)
 
-    Returns value and an error estimate <= max(_REL_TOL * |value|, _ABS_TOL)
-    on success, each an np.float64.  Raises DivergenceDetected when the
-    tail decay test fails (or the integrand itself is non-finite),
-    MaxSubdivisionsExceeded when the panel budget runs out first.
+    Returns value and an error estimate <= _REL_TOL * sum |panel sums|
+    (the integrand's L1 mass; |value| for a nonnegative f) on success, each
+    an np.float64.  A tail window counts as gone below _REL_TOL *
+    _TAIL_FLOOR times the L1 mass of the seed panels.  Raises
+    DivergenceDetected when the tail decay test fails (or the integrand
+    itself is non-finite), MaxSubdivisionsExceeded when the panel budget
+    runs out first.
     """
     *_, total, total_err = _converged_panels(f, domain)
     return QuadratureResult(total, total_err)
@@ -446,9 +459,12 @@ class _DensityPanels:
         moment panels.  A c that misses the tolerance runs _refine alone
         from the moment panels, with one call of f per refinement step; its
         refinements are dropped on return.  So the result for one c does
-        not depend on the others.  Where f has underflowed to 0, g is at
-        most g(|x|, _LEAST, c); a c for which that bound, summed over those
-        panel nodes, exceeds the tolerance (f^r at small r) is refused with
+        not depend on the others.  Since g >= 0, each c's total on the
+        moment panels is its L1 mass: the tolerance is _REL_TOL times it,
+        and the tail floor _REL_TOL * _TAIL_FLOOR times it, as in
+        integrate().  Where f has underflowed to 0, g is at most
+        g(|x|, _LEAST, c); a c for which that bound, summed over those panel
+        nodes, exceeds the tolerance (f^r at small r) is refused with
         RenyiBoundsError."""
         nw, per = self._windows, _OUT_LO.size
         with np.errstate(all="ignore"):
@@ -457,15 +473,15 @@ class _DensityPanels:
             y = y[:, nw:]
             k15, err = _k15_g7(y)
             total, total_err = k15.sum(axis=-1), err.sum(axis=-1)
-            tol = np.maximum(_REL_TOL * np.abs(total), _ABS_TOL)
+            tol = _REL_TOL * total
             met = np.isfinite(err).all(axis=-1) & np.isfinite(total + total_err)
             met &= total_err <= tol
             lost = np.zeros(len(params))
             if self.under_w.size:  # a cost on every call, so only where f reads 0 somewhere
                 lost = (g(self.under_ax, _LEAST, params[:, None]) * self.under_w).sum(axis=-1)
         out = []
-        for i, c in enumerate(params):
-            if any(_decay_fails(masses[i][k:k + per], _SCAN_FLOOR) for k in range(0, nw, per)):
+        for i, (c, floor) in enumerate(zip(params, (_TAIL_FLOOR * tol).tolist())):
+            if any(_decay_fails(masses[i][k:k + per], floor) for k in range(0, nw, per)):
                 out.append(QuadratureResult(math.inf, math.inf))
             elif lost[i] > tol[i]:  # the tolerance on the cached panels, also for a c refined below
                 raise RenyiBoundsError(f"f underflows to 0 on {self._domain.kind} where the "

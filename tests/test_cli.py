@@ -98,34 +98,43 @@ class TestReproducibility:
         assert unset.method == "monte_carlo"
         assert (set_.value, set_.standard_error) == (unset.value, unset.standard_error)
 
-    # SHA-256 of the default CSVs under the default seed.  A change that
-    # moves any of them must fix a numerical bug, or change the columns as a
-    # named format change, and say so.
+    # The header line every CSV starts with, and the SHA-256 of the lines
+    # after it under the default seed, pinned apart: a header-only change
+    # must not hide whether the payload moved.  A change that moves a
+    # payload must fix a numerical bug, or change the columns as a named
+    # format change, and say so.
+    HEADER = ("# renyi-bounds 0.1.0 command={} seed=20170825 rel_tol=1e-09 "
+              "max_subdivisions=2000 mc_samples=200000")
     DEFAULT_CSV_SHA256 = {
-        "fig1": "f345b0f4a5c51d7836110ef46e9ce323c3808f9cd7d12a2d686a4db6a54e149f",
-        "fig2": "e59b69420dd386f7161e6440707da5f034a7f2bb13900927aed1b3d88488e2b6",
-        "fig3": "0b2402467422c53c999695f9c57f03d2e066c5ec5ed1c5008e771b05366a624c",
-        "verify": "8984c133fd7e93162bd1e7f0cf4d8502d6a251e6be677ab35ffa3b5fbec66191",
+        "fig1": "cdede237258c572babe3b6a44c9d2702078c4a73c1e60226934c76bb74cdc8bd",
+        "fig2": "2375930b67255c88f6b9ceebfc26735512fc75c5cc9ec63c7407e135536c56da",
+        "fig3": "75207cda39cac68636e56d686e4b2e0fbc3adee346e8ce5480673ff29163828a",
+        "verify": "bb5d51708fc1076f9ab9913fbfb2be0a642ceffa2eea157472e3e9be683dcfdc",
     }
+
+    def _assert_pinned(self, path, command, digest):
+        header, payload = _read(path).split(b"\n", 1)
+        assert header.decode() == self.HEADER.format(command)
+        assert hashlib.sha256(payload).hexdigest() == digest
 
     @pytest.mark.parametrize("command", sorted(DEFAULT_CSV_SHA256))
     def test_default_csv_pinned(self, command, tmp_path, monkeypatch):
         monkeypatch.delenv("RENYI_BOUNDS_SEED", raising=False)
         out = tmp_path / f"{command}.csv"
         assert main([command, "--out", str(out)]) == 0
-        assert hashlib.sha256(_read(out)).hexdigest() == self.DEFAULT_CSV_SHA256[command]
+        self._assert_pinned(out, command, self.DEFAULT_CSV_SHA256[command])
 
     # The same for single-shot queries whose bound goes through the
     # two-moment inequality (Prop 9 and the entropy bound).
     QUERY_CSV_SHA256 = {
         "mi-bound --channel awgn-gaussian":
-            "a02e2a5053a638b66f70b7516f1a4f2eb2e09caf32b26603df92d58511266ea8",
+            "bdda41e19d722e383450ef60b6d2ba869ac85569595500f45c89a9a316606600",
         "mi-bound --channel two-point-mixture":
-            "36a4a3f3ef6c7d78bff7ca0ca1d36f606897085868c15e7de1a5ef58bef284f3",
+            "b4f56fed3be685c308516f28b8fe1e426a7c49edd954ed3080a7789831147c8e",
         "entropy-bound --family lognormal --sigma2 2 --r 0.5 --p 0 --q 2":
-            "76a784c42413d351ca9398eab0f91143e26f7c55c12d1cca9b20ff228b440701",
+            "a49cdda44f2a38813504a90003c074241bca05b060cb64e61352d0386dcbeac5",
         "entropy-bound --family gaussian --n 3 --r 0.4 --p 0.1 --q 2":
-            "99401fd6c9e5f84b3af1e54d2048c099320a7f60ce1a829249789beb715b329b",
+            "a67b0d834765ef8e1679efb8f5b84878a847152d5f50ad09012ccf9157363c3f",
     }
 
     @pytest.mark.parametrize("query", sorted(QUERY_CSV_SHA256))
@@ -133,7 +142,23 @@ class TestReproducibility:
         monkeypatch.delenv("RENYI_BOUNDS_SEED", raising=False)
         out = tmp_path / "query.csv"
         assert main(query.split() + ["--out", str(out)]) == 0
-        assert hashlib.sha256(_read(out)).hexdigest() == self.QUERY_CSV_SHA256[query]
+        self._assert_pinned(out, query.split()[0], self.QUERY_CSV_SHA256[query])
+
+    @pytest.mark.parametrize("sigma2", ["1e-8", "1e-12", "1e-16"])
+    def test_low_snr_awgn_gaussian_refused(self, sigma2, capsys):
+        # the chi-square integral cannot certify rel_tol there: refused, not
+        # printed below I = (1/2) log1p(sigma2)
+        assert main(["mi-bound", "--channel", "awgn-gaussian", "--sigma2", sigma2]) == 2
+        assert "error" in capsys.readouterr().err
+
+    def test_low_snr_awgn_gaussian_bounds_above_mi(self, tmp_path):
+        out = tmp_path / "query.csv"
+        assert main(["mi-bound", "--channel", "awgn-gaussian", "--sigma2", "1e-30",
+                     "--out", str(out)]) == 0
+        header, rows = _rows(out)
+        row = dict(zip(header, map(float, rows[0])))
+        for name in ("prop8_bound", "prop9_bound", "chi2_bound"):
+            assert row[name] >= 0.5 * math.log1p(1e-30), (name, row)
 
     def test_json_format(self, tmp_path):
         out = tmp_path / "fig3.json"
